@@ -10,9 +10,16 @@ a pinned zero at xi = 1, diffusion advanced by backward Euler, and the
 convection and source terms taken explicitly.  Keeping one implementation
 guarantees that the observer with zero injection gain reproduces the plant
 trajectory bit for bit.
+
+In the closed loop the observer runs on the measured extent Y = s, so plant
+and observer share the diffusion matrix at every step: ``advance_field``
+takes a stack of fields and solves them with one ``dgtsv`` call, one
+right-hand side per field.  LAPACK eliminates each column with the same
+operations as a one-column solve, so stacking changes no bit.
 """
 
 import warnings
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -24,13 +31,19 @@ from .errors import NumericalError
 _RATE_SAFETY = 0.9
 
 
-def one_sided_edge_flux(theta: np.ndarray, dxi: float) -> float:
-    """d(theta)/d(xi) at xi = 1 by the second-order 3-point stencil.
+def edge_stencil(t3, t2, t1, dxi):
+    """Second-order 3-point d(theta)/d(xi) at xi = 1 from the last three
+    samples theta[-3], theta[-2], theta[-1]; floats or arrays alike."""
+    return (3.0 * t1 - 4.0 * t2 + t3) / (2.0 * dxi)
+
+
+def one_sided_edge_flux(theta: np.ndarray, dxi: float):
+    """d(theta)/d(xi) at xi = 1 along the last axis, by the 3-point stencil.
 
     Exact for quadratics; with theta[-1] pinned to zero the stencil reduces
     to (theta[-3] - 4*theta[-2]) / (2*dxi).
     """
-    return (3.0 * theta[-1] - 4.0 * theta[-2] + theta[-3]) / (2.0 * dxi)
+    return edge_stencil(theta[..., -3], theta[..., -2], theta[..., -1], dxi)
 
 
 def stable_rate_cap(alpha: float, dt: float) -> float:
@@ -38,10 +51,17 @@ def stable_rate_cap(alpha: float, dt: float) -> float:
     return _RATE_SAFETY * np.sqrt(2.0 * alpha / dt)
 
 
+@lru_cache(maxsize=8)
+def _interior_xi(n: int) -> np.ndarray:
+    xi = np.arange(1, n) * (1.0 / n)
+    xi.flags.writeable = False
+    return xi
+
+
 def advance_field(
-    theta: np.ndarray,
+    rows: np.ndarray,
     extent: float,
-    rate: float,
+    rates,
     qc: float,
     dt: float,
     alpha: float,
@@ -49,24 +69,27 @@ def advance_field(
     source: np.ndarray | None = None,
     cfl_warn: bool = True,
 ) -> np.ndarray:
-    """One backward-Euler step of the immobilized diffusion problem.
+    """One backward-Euler step of the immobilized diffusion problem for a
+    stack of fields that share the extent and the boundary heat flux.
 
-    theta:  N+1 samples on the uniform xi-grid, theta[-1] == 0
+    rows:   (m, N+1) samples on the uniform xi-grid, rows[:, -1] == 0
     extent: current physical domain length (s or Y)
-    rate:   domain growth rate entering the convection term; clamped to the
-            explicit-stability range, identically for plant and observer
+    rates:  m domain growth rates, one per row, entering the convection
+            term; each is clamped to the explicit-stability range
     qc:     boundary heat flux, imposed as u_xi(0) = -(qc/k)*extent
-    source: optional explicit source samples (observer output injection)
+    source: optional explicit source samples for the last row (the
+            observer's output injection)
+    cfl_warn: warn when the first row's Courant number exceeds 0.5
+
+    Returns the advanced (m, N+1) stack.
     """
-    n = theta.size - 1
+    n = rows.shape[1] - 1
     dxi = 1.0 / n
     mu = alpha * dt / (extent * extent * dxi * dxi)
 
     cap = stable_rate_cap(alpha, dt)
-    if abs(rate) > cap:
-        rate = cap if rate > 0.0 else -cap
-    courant = dt * abs(rate) / (extent * dxi)
-    if cfl_warn and courant > 0.5:
+    rates = [(cap if r > 0.0 else -cap) if abs(r) > cap else r for r in rates]
+    if cfl_warn and dt * abs(rates[0]) / (extent * dxi) > 0.5:
         # static message so the warnings machinery deduplicates per process
         warnings.warn(
             "explicit convection Courant number exceeds 0.5; consider reducing dt",
@@ -75,33 +98,38 @@ def advance_field(
         )
 
     # rhs: explicit convection (vanishes at xi=0, Dirichlet row at xi=1)
-    rhs = theta.copy()
-    xi = np.arange(1, n) * dxi
-    conv = (xi * (rate / extent)) * ((theta[2:] - theta[:-2]) * (0.5 / dxi))
-    rhs[1:-1] += dt * conv
+    rhs = rows.copy()
+    conv = rows[:, 2:] - rows[:, :-2]
+    conv *= 0.5 / dxi
+    conv *= np.multiply.outer([r / extent for r in rates], _interior_xi(n))
+    conv *= dt
+    rhs[:, 1:-1] += conv
     if source is not None:
-        rhs[:-1] += dt * source[:-1]
+        rhs[-1, :-1] += dt * source[:-1]
 
     # Neumann ghost node at xi=0: theta[ghost] = theta[1] - 2*dxi*g
     g = -(qc / k) * extent
-    rhs[0] += -2.0 * mu * dxi * g
+    rhs[:, 0] += -2.0 * mu * dxi * g
 
-    # tridiagonal system: du upper, d main, dl lower
-    d = np.full(n + 1, 1.0 + 2.0 * mu)
-    du = np.full(n, -mu)
+    # tridiagonal system: dl lower, d main, du upper, in one allocation
+    tri = np.empty(3 * n + 1)
+    dl, d, du = tri[:n], tri[n : 2 * n + 1], tri[2 * n + 1 :]
+    dl.fill(-mu)
+    d.fill(1.0 + 2.0 * mu)
+    du.fill(-mu)
     du[0] = -2.0 * mu  # ghost-node row couples twice to theta[1]
-    dl = np.full(n, -mu)
     # Dirichlet row at xi = 1
     d[n] = 1.0
     dl[n - 1] = 0.0
-    rhs[n] = 0.0
+    rhs[:, n] = 0.0
 
+    # rhs.T is the Fortran-ordered (N+1, m) right-hand side, solved in place
     _, _, _, out, info = dgtsv(
-        dl, d, du, rhs, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
+        dl, d, du, rhs.T, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
     )
     if info != 0:
         raise NumericalError(f"tridiagonal solve failed: dgtsv info = {info}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericalError("temperature field became non-finite")
     out[n] = 0.0
-    return out
+    return out.T

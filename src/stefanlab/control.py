@@ -31,18 +31,30 @@ class ControlOutput:
     internal_energy: float
 
 
-def _trapz_integral(theta: np.ndarray, extent: float) -> float:
-    """int_0^extent u dx = extent * trapz(u, dxi)."""
-    dxi = 1.0 / (theta.size - 1)
-    return extent * dxi * (0.5 * (theta[0] + theta[-1]) + theta[1:-1].sum())
+def _trapz_integral(theta: np.ndarray, extent):
+    """int_0^extent u dx = extent * trapz(u, dxi), along the last axis."""
+    dxi = 1.0 / (theta.shape[-1] - 1)
+    return extent * dxi * (
+        0.5 * (theta[..., 0] + theta[..., -1]) + theta[..., 1:-1].sum(axis=-1)
+    )
+
+
+def field_energy(theta: np.ndarray, extent, p: PhysicalParams):
+    """(1/alpha)*int_0^extent u dx + extent/beta along the last axis; extent
+    may hold one value per field."""
+    return _trapz_integral(theta, extent) / p.alpha + extent / p.beta
+
+
+def feedback_flux(theta: np.ndarray, extent: float, cfg: ScenarioConfig, p: PhysicalParams) -> float:
+    """qc = -c*k*((1/alpha)*int_0^extent u dx + (extent - sr)/beta)."""
+    integral = _trapz_integral(theta, extent)
+    return -cfg.c * p.k * (integral / p.alpha + (extent - cfg.sr) / p.beta)
 
 
 def _feedback(theta: np.ndarray, extent: float, cfg: ScenarioConfig, p: PhysicalParams) -> ControlOutput:
-    alpha, beta = p.alpha, p.beta
-    integral = _trapz_integral(theta, extent)
-    energy = integral / alpha + extent / beta
-    qc = -cfg.c * p.k * (integral / alpha + (extent - cfg.sr) / beta)
-    return ControlOutput(qc=qc, internal_energy=energy)
+    return ControlOutput(
+        qc=feedback_flux(theta, extent, cfg, p), internal_energy=field_energy(theta, extent, p)
+    )
 
 
 def state_feedback(st: PlantState, cfg: ScenarioConfig, p: PhysicalParams) -> ControlOutput:
@@ -73,7 +85,7 @@ def internal_energy(state, p: PhysicalParams, extent: float | None = None) -> fl
         else:
             raise TypeError(f"unsupported state type {type(state)!r}")
     theta = state.theta if isinstance(state, PlantState) else state.theta_hat
-    return _trapz_integral(theta, extent) / p.alpha + extent / p.beta
+    return field_energy(theta, extent, p)
 
 
 def kernel_mass(s: float, lam: float, alpha: float, n_quad: int = 128) -> float:

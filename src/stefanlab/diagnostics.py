@@ -10,29 +10,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import transforms
 from .params import PhysicalParams, ScenarioConfig
 
 
-def h1_norm_sq(f: np.ndarray, s: float, include_l2: bool = True) -> float:
+def h1_norm_sq(f: np.ndarray, s, include_l2: bool = True):
     """Squared H1 norm over physical x in [0, s]:
     int f^2 dx + int f_x^2 dx (trapezoid; f_x by central differences with
     second-order one-sided edges).  include_l2=False drops the first term,
     the Poincare-equivalent seminorm variant.
+
+    The norm is taken along the last axis: a 1-D field gives a float, a
+    stack of fields (with s holding one extent per field) an array.
     """
     f = np.asarray(f, dtype=float)
-    n = f.size - 1
+    n = f.shape[-1] - 1
     dxi = 1.0 / n
     grad = np.empty_like(f)
-    grad[1:-1] = (f[2:] - f[:-2]) * (0.5 * n)
-    grad[0] = (-1.5 * f[0] + 2.0 * f[1] - 0.5 * f[2]) * n
-    grad[-1] = (1.5 * f[-1] - 2.0 * f[-2] + 0.5 * f[-3]) * n
+    grad[..., 1:-1] = (f[..., 2:] - f[..., :-2]) * (0.5 * n)
+    grad[..., 0] = (-1.5 * f[..., 0] + 2.0 * f[..., 1] - 0.5 * f[..., 2]) * n
+    grad[..., -1] = (1.5 * f[..., -1] - 2.0 * f[..., -2] + 0.5 * f[..., -3]) * n
     g2 = grad * grad
-    out = (0.5 * (g2[0] + g2[-1]) + g2[1:-1].sum()) * dxi / s
+    out = (0.5 * (g2[..., 0] + g2[..., -1]) + g2[..., 1:-1].sum(axis=-1)) * dxi / s
     if include_l2:
         f2 = f * f
-        out += s * (0.5 * (f2[0] + f2[-1]) + f2[1:-1].sum()) * dxi
-    return float(out)
+        out = out + s * (0.5 * (f2[..., 0] + f2[..., -1]) + f2[..., 1:-1].sum(axis=-1)) * dxi
+    return float(out) if f.ndim == 1 else out
 
 
 def lyapunov_constants(cfg: ScenarioConfig, p: PhysicalParams) -> tuple[float, float, float, float]:
@@ -67,20 +69,18 @@ class LyapunovSample:
 
 
 def lyapunov_sample(
-    theta: np.ndarray,
-    theta_hat: np.ndarray,
+    w_err: np.ndarray,
+    w_hat: np.ndarray,
     s: float,
     t: float,
     cfg: ScenarioConfig,
     p: PhysicalParams,
 ) -> LyapunovSample:
-    """Evaluate the functionals on one state snapshot via the transforms."""
-    alpha, beta = p.alpha, p.beta
+    """Evaluate the functionals on one snapshot's transformed fields:
+    w_err = apply_inverse(theta - theta_hat) and w_hat =
+    controller_transform(theta_hat), both over the extent s."""
     p_const, a, _, d = lyapunov_constants(cfg, p)
     X = s - cfg.sr
-    u_err = theta - theta_hat
-    w_err = transforms.apply_inverse(u_err, s, cfg.lam, alpha)
-    w_hat = transforms.controller_transform(theta_hat, X, s, cfg.c, alpha, beta)
     v1 = 0.5 * h1_norm_sq(w_err, s, include_l2=cfg.h1_l2_term)
     vtot = 0.5 * h1_norm_sq(w_hat, s, include_l2=cfg.h1_l2_term) + 0.5 * p_const * X * X + d * v1
     return LyapunovSample(t=t, V1_tilde=v1, Vtot=vtot, V=vtot * np.exp(-a * s))

@@ -11,6 +11,7 @@ so assimilating a measurement costs nothing in closed loop.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,13 +50,28 @@ def observer_gain(x: float, s: float, lam: float, alpha: float) -> float:
     return -lam * s * bessel_i1_ratio(max(z2, 0.0))
 
 
+@lru_cache(maxsize=8)
+def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The observer's xi-grid i/n and its gain weight max(1 - xi^2, 0)."""
+    xi = np.arange(n + 1) / n
+    weight = np.maximum(1.0 - xi * xi, 0.0)
+    xi.flags.writeable = False
+    weight.flags.writeable = False
+    return xi, weight
+
+
 def gain_profile(y: float, lam: float, alpha: float, xi: np.ndarray) -> np.ndarray:
     """P1 sampled along the grid x = xi*y (vectorized float path)."""
     if lam == 0.0:
         return np.zeros_like(xi)
-    z2 = (lam / alpha) * y * y * np.maximum(1.0 - xi * xi, 0.0)
-    # arguments here are bounded by (lam/alpha)*y^2, far below the series cap
-    # for any admissible gain, so the checked wrapper is skipped
+    grid, weight = _grid(xi.size - 1)
+    if xi is not grid:
+        weight = np.maximum(1.0 - xi * xi, 0.0)
+    z2 = (lam / alpha) * y * y * weight
+    # the checked wrapper is skipped, so nothing holds these arguments to
+    # Z2_CAP: (lam/alpha)*y^2 reaches about 1.6e4 at admissible gains near
+    # the bound, and above about 3.2e3 the truncation-order search of
+    # _ratio_series_f64 raises OverflowError
     return -lam * y * _ratio_series_f64(z2, 1.0)
 
 
@@ -90,6 +106,39 @@ def estimate_flux(ob: ObserverState, y: float) -> float:
     return one_sided_edge_flux(ob.theta_hat, dxi) / y
 
 
+def observer_forcing(
+    y: float,
+    y_prev: float | None,
+    v_prev: float | None,
+    flux_hat: float,
+    dt: float,
+    n: int,
+    cfg: ScenarioConfig,
+    p: PhysicalParams,
+) -> tuple[float, np.ndarray | None]:
+    """Convection rate and injection source of one observer step on the
+    measured extent y, from the incoming estimate's u_hat_x(y) = flux_hat.
+
+    The rate is the estimated Y' (the model-consistent -beta*flux_hat before
+    the first measurement difference); the source is
+    -P1(xi*y, y) * (Y'/beta + u_hat_x(y)) on the n-interval grid, or None
+    for a zero gain.
+    """
+    beta = p.beta
+    v = estimate_interface_velocity(
+        y,
+        y_prev,
+        dt,
+        gamma=cfg.smoothing,
+        v_prev=v_prev,
+        v_init=None if y_prev is not None else -beta * flux_hat,
+    )
+    if cfg.lam == 0.0:
+        return v, None
+    innovation = v / beta + flux_hat
+    return v, gain_profile(y, cfg.lam, p.alpha, _grid(n)[0]) * -innovation
+
+
 def step_observer(
     ob: ObserverState,
     y_now: float,
@@ -106,26 +155,11 @@ def step_observer(
     """
     if not y_now > 0.0:
         raise ValueError("measured interface position must be positive")
-    alpha, beta = p.alpha, p.beta
-
-    v = estimate_interface_velocity(
-        y_now,
-        ob.y_prev,
-        dt,
-        gamma=cfg.smoothing,
-        v_prev=ob.v_prev,
-        v_init=None if ob.y_prev is not None else -beta * estimate_flux(ob, y_now),
-    )
-
     n = ob.theta_hat.size - 1
-    if cfg.lam != 0.0:
-        xi = np.arange(n + 1) / n
-        innovation = v / beta + estimate_flux(ob, y_now)
-        source = -gain_profile(y_now, cfg.lam, alpha, xi) * innovation
-    else:
-        source = None
-
-    theta_new = advance_field(
-        ob.theta_hat, y_now, v, qc, dt, alpha, p.k, source=source, cfl_warn=False
+    v, source = observer_forcing(
+        y_now, ob.y_prev, ob.v_prev, estimate_flux(ob, y_now), dt, n, cfg, p
     )
+    theta_new = advance_field(
+        ob.theta_hat[np.newaxis], y_now, (v,), qc, dt, p.alpha, p.k, source=source, cfl_warn=False
+    )[0]
     return ObserverState(t=ob.t + dt, y_prev=y_now, theta_hat=theta_new, v_prev=v)

@@ -46,6 +46,41 @@ def interface_flux(st: PlantState) -> float:
     return one_sided_edge_flux(st.theta, dxi) / st.s
 
 
+def convection_rate(
+    s: float, s_prev: float | None, edge_flux: float, dt: float, beta: float
+) -> float:
+    """The interface rate entering the plant's convection term: the
+    backward difference (s - s_prev)/dt, or on the first step -beta*u_x(s)
+    from the current field's edge flux d(theta)/d(xi) at xi = 1."""
+    if s_prev is None:
+        return -beta * (edge_flux / s)
+    return (s - s_prev) / dt
+
+
+def advance_interface(
+    s: float,
+    edge_flux: float,
+    t_new: float,
+    dt: float,
+    beta: float,
+    domain_cap: float | None = None,
+) -> float:
+    """Stefan update s+ = s + dt * (-beta) * u_x(s), where u_x(s) is the new
+    field's edge flux d(theta)/d(xi) at xi = 1 divided by the old extent s.
+
+    Raises BlowUpError if the interface collapses or reaches 95% of the
+    domain cap; t_new only labels the message.
+    """
+    s_new = s + dt * (-beta * (edge_flux / s))
+    if s_new <= 0.0:
+        raise BlowUpError(f"interface collapsed: s = {s_new:.6g} at t = {t_new:.6g}")
+    if domain_cap is not None and s_new >= 0.95 * domain_cap:
+        raise BlowUpError(
+            f"interface reached the domain cap: s = {s_new:.6g} at t = {t_new:.6g}"
+        )
+    return s_new
+
+
 def step_plant(
     st: PlantState,
     qc: float,
@@ -61,23 +96,11 @@ def step_plant(
     the current dt).  Raises BlowUpError if the interface collapses or
     reaches 95% of the domain cap.
     """
-    alpha, beta = p.alpha, p.beta
-    if st.s_prev is None:
-        rate = -beta * interface_flux(st)
-    else:
-        rate = (st.s - st.s_prev) / dt
-
-    theta_new = advance_field(st.theta, st.s, rate, qc, dt, alpha, p.k)
-
     dxi = 1.0 / (st.theta.size - 1)
-    flux_new = one_sided_edge_flux(theta_new, dxi) / st.s
-    s_new = st.s + dt * (-beta * flux_new)
-
-    if s_new <= 0.0:
-        raise BlowUpError(f"interface collapsed: s = {s_new:.6g} at t = {st.t + dt:.6g}")
-    if domain_cap is not None and s_new >= 0.95 * domain_cap:
-        raise BlowUpError(
-            f"interface reached the domain cap: s = {s_new:.6g} at t = {st.t + dt:.6g}"
-        )
-
-    return PlantState(t=st.t + dt, s=s_new, theta=theta_new, s_prev=st.s)
+    rate = convection_rate(st.s, st.s_prev, one_sided_edge_flux(st.theta, dxi), dt, p.beta)
+    theta_new = advance_field(st.theta[np.newaxis], st.s, (rate,), qc, dt, p.alpha, p.k)[0]
+    t_new = st.t + dt
+    s_new = advance_interface(
+        st.s, one_sided_edge_flux(theta_new, dxi), t_new, dt, p.beta, domain_cap
+    )
+    return PlantState(t=t_new, s=s_new, theta=theta_new, s_prev=st.s)

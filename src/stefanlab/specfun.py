@@ -82,18 +82,23 @@ def _series_coefficients(n: int) -> np.ndarray:
 
 
 _COEFF = _series_coefficients(90)
+# the same coefficients as Python floats, for the scalar work of each call
+_COEFF_LIST = _COEFF.tolist()
 
 
 def _ratio_series_f64(z2: np.ndarray, sign: float) -> np.ndarray:
     """Horner evaluation with the truncation order picked from max(z2)."""
     zmax = float(z2.max()) if z2.size else 0.0
+    base = max(zmax, 1.0)
     n_terms = 2
-    while n_terms < _COEFF.size and _COEFF[n_terms - 1] * max(zmax, 1.0) ** (n_terms - 1) > 1e-18:
+    while n_terms < len(_COEFF_LIST) and _COEFF_LIST[n_terms - 1] * base ** (n_terms - 1) > 1e-18:
         n_terms += 1
-    acc = np.full(z2.shape, sign ** (n_terms - 1) * _COEFF[n_terms - 1])
-    for m in range(n_terms - 2, -1, -1):
+    # the first Horner step c_top * z2 + c_next, with c_top broadcast
+    acc = z2 * (sign ** (n_terms - 1) * _COEFF_LIST[n_terms - 1])
+    acc += sign ** (n_terms - 2) * _COEFF_LIST[n_terms - 2]
+    for m in range(n_terms - 3, -1, -1):
         acc *= z2
-        acc += sign**m * _COEFF[m]
+        acc += sign**m * _COEFF_LIST[m]
     return acc
 
 

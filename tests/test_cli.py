@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from stefanlab.cli import (
+    _CSV_CHUNK_ROWS,
     apply_fast_preset,
     bundled_config,
     compare_traces,
@@ -187,6 +188,34 @@ def test_csv_roundtrip_preserves_floats(tmp_path):
     back = read_csv(tmp_path / "t.csv")
     assert np.array_equal(back["x"], cols["x"])
     assert np.array_equal(back["flag"], cols["flag"].astype(float))
+
+
+def _reference_csv(columns: dict) -> bytes:
+    """The per-cell writer that the chunked one replaced."""
+    arrays = [np.asarray(a) for a in columns.values()]
+    n_rows = arrays[0].shape[0] if arrays else 0
+    lines = [",".join(columns)]
+    for i in range(n_rows):
+        lines.append(
+            ",".join(str(int(a[i])) if a.dtype.kind in "bi" else f"{a[i]:.17g}" for a in arrays)
+        )
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _CSV_CHUNK_ROWS, 2 * _CSV_CHUNK_ROWS + 37])
+def test_write_csv_matches_per_cell_reference(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e300, -1e-300, 1.0 / 3.0]
+    x = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+    x[::7] = np.resize(special, x[::7].size)
+    cols = {
+        "x": x,
+        "flag": rng.random(n_rows) < 0.5,
+        "count": rng.integers(-(10**15), 10**15, n_rows),
+        "y": rng.random(n_rows),
+    }
+    write_csv(tmp_path / "t.csv", cols)
+    assert (tmp_path / "t.csv").read_bytes() == _reference_csv(cols)
 
 
 def test_sweep_runs_isolated_outputs(tmp_path):

@@ -15,6 +15,7 @@ from stefanlab.diagnostics import (
     monitor_constraints,
 )
 from stefanlab.params import PhysicalParams, ScenarioConfig
+from stefanlab.transforms import apply_inverse, controller_transform
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 
@@ -81,7 +82,9 @@ def test_lyapunov_sample_nonnegative_and_consistent():
     theta = 2.0 * (1.0 - xi)
     theta_hat = 3.0 * (1.0 - xi)
     s = 0.02
-    sample = lyapunov_sample(theta, theta_hat, s, 1.0, cfg, P)
+    w_err = apply_inverse(theta - theta_hat, s, cfg.lam, P.alpha)
+    w_hat = controller_transform(theta_hat, s - cfg.sr, s, cfg.c, P.alpha, P.beta)
+    sample = lyapunov_sample(w_err, w_hat, s, 1.0, cfg, P)
     assert sample.V1_tilde >= 0.0
     assert sample.Vtot >= sample.V1_tilde  # d >= 1
     assert sample.V == pytest.approx(sample.Vtot * np.exp(-A_CONST * s), rel=1e-12)

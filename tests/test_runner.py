@@ -1,10 +1,23 @@
 """Closed-loop engine: loop ordering, logging, equivalence, failure modes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from stefanlab.control import internal_energy, output_feedback, state_feedback
+from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
+from stefanlab.errors import BlowUpError, NumericalError
+from stefanlab.observer import estimate_flux, init_observer, step_observer
 from stefanlab.params import PhysicalParams, ScenarioConfig
-from stefanlab.runner import TRACE_COLUMNS
+from stefanlab.plant import init_plant, interface_flux, step_plant
+from stefanlab.runner import _BLOCK_ROWS, CHECKPOINT_COLUMNS, TRACE_COLUMNS
+from stefanlab.transforms import (
+    apply_direct,
+    apply_inverse,
+    controller_inverse,
+    controller_transform,
+)
 
 from conftest import run_quiet
 
@@ -92,3 +105,113 @@ def test_constraint_monitor_passes_on_zinc_run(zinc_run):
 
     report = monitor_constraints(zinc_run.trace)
     assert report.passed, report.first_violation
+
+
+def _reference_run(cfg, p):
+    """The per-step loop the engine replaced: one plant step and one observer
+    step per row, every diagnostic evaluated on that row alone."""
+    n_rows = int(round(cfg.t_end / cfg.dt)) + 1
+    domain_cap = cfg.domain_cap if cfg.domain_cap is not None else 2.0 * cfg.sr
+    alpha, beta = p.alpha, p.beta
+    st, ob = init_plant(cfg), init_observer(cfg)
+    trace = {}
+    checkpoints = {name: [] for name in CHECKPOINT_COLUMNS}
+    failure = None
+    for i in range(n_rows):
+        y = st.s
+        t = i * cfg.dt
+        if cfg.mode == "state_feedback":
+            out = state_feedback(st, cfg, p)
+        else:
+            out = output_feedback(ob, y, cfg, p)
+        u_err = st.theta - ob.theta_hat
+        row = {
+            "t": t,
+            "s": y,
+            "qc": out.qc,
+            "T0": p.tm + st.theta[0],
+            "That0": p.tm + ob.theta_hat[0],
+            "Ttilde0": st.theta[0] - ob.theta_hat[0],
+            "h1_u": h1_norm_sq(st.theta, y, cfg.h1_l2_term),
+            "h1_err": h1_norm_sq(u_err, y, cfg.h1_l2_term),
+            "energy": internal_energy(st, p),
+            "V": np.nan,
+            "Vtot": np.nan,
+            "utilde_x_s": interface_flux(st) - estimate_flux(ob, y),
+            "theta_min": float(np.min(st.theta)),
+            "utilde_max": float(np.max(u_err)),
+        }
+        if i % cfg.checkpoint_every == 0 or i == n_rows - 1:
+            X = y - cfg.sr
+            w_err = apply_inverse(u_err, y, cfg.lam, alpha)
+            w_hat = controller_transform(ob.theta_hat, X, y, cfg.c, alpha, beta)
+            sample = lyapunov_sample(w_err, w_hat, y, t, cfg, p)
+            rt_err = apply_direct(w_err, y, cfg.lam, alpha) - u_err
+            rt_ctrl = controller_inverse(w_hat, X, y, cfg.c, alpha, beta) - ob.theta_hat
+            ck = {
+                "t": t,
+                "s": y,
+                "X": X,
+                "V1_tilde": sample.V1_tilde,
+                "Vtot": sample.Vtot,
+                "V": sample.V,
+                "wtilde_max": np.max(w_err),
+                "utilde_sup": np.max(np.abs(u_err)),
+                "rt_error_pair_abs": np.max(np.abs(rt_err)),
+                "what_sup": np.max(np.abs(w_hat)),
+                "rt_ctrl_abs": np.max(np.abs(rt_ctrl)),
+                "what_boundary": abs(w_hat[-1]),
+            }
+            for name in CHECKPOINT_COLUMNS:
+                checkpoints[name].append(ck[name])
+            row["V"], row["Vtot"] = sample.V, sample.Vtot
+        for name, value in row.items():
+            trace.setdefault(name, []).append(value)
+        if i == n_rows - 1:
+            break
+        try:
+            st_next = step_plant(st, out.qc, cfg.dt, p, domain_cap=domain_cap)
+            ob = step_observer(ob, y, out.qc, cfg.dt, cfg, p)
+        except (BlowUpError, NumericalError) as exc:
+            failure = str(exc)
+            break
+        st = st_next
+    return trace, checkpoints, failure, st, ob
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        dict(lam=0.05, checkpoint_every=5),
+        dict(mode="state_feedback", lam=0.05),
+        dict(smoothing=0.3),
+        dict(lam=0.0),
+        dict(t_end=12.7),  # 128 rows: two full blocks, no partial one
+        dict(c=1e9, t_end=50.0),  # blows up part-way through a block
+    ],
+    ids=["output_feedback", "state_feedback", "smoothing", "zero_gain", "whole_blocks", "blow_up"],
+)
+def test_engine_matches_reference_loop(over):
+    cfg = cfg_for(**over)
+    res = run_quiet(cfg, P)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        trace, checkpoints, failure, st, ob = _reference_run(cfg, P)
+
+    assert res.failure == failure
+    assert res.completed == (failure is None)
+    if failure is not None:
+        assert res.trace.t.size % _BLOCK_ROWS != 0
+    for name, values in trace.items():
+        assert _same_bits(getattr(res.trace, name), values), name
+    for name, values in checkpoints.items():
+        assert _same_bits(res.checkpoints[name], values), name
+    assert (res.final_plant.t, res.final_plant.s, res.final_plant.s_prev) == (st.t, st.s, st.s_prev)
+    assert (res.final_observer.y_prev, res.final_observer.v_prev) == (ob.y_prev, ob.v_prev)
+    assert _same_bits(res.final_plant.theta, st.theta)
+    assert _same_bits(res.final_observer.theta_hat, ob.theta_hat)
