@@ -29,7 +29,6 @@ from .params import (
     PhysicalParams,
     ScenarioConfig,
     ValidationReport,
-    derive_diffusivities,
     lambda_upper_bound,
     setpoint_lower_bound,
     validate_scenario,
@@ -69,7 +68,6 @@ __all__ = [
     "bessel_j1_ratio",
     "controller_inverse",
     "controller_transform",
-    "derive_diffusivities",
     "estimate_interface_velocity",
     "fit_decay_rate",
     "h1_norm_sq",

@@ -31,7 +31,6 @@ from .errors import ConfigurationError
 from .params import (
     PhysicalParams,
     ScenarioConfig,
-    derive_diffusivities,
     validate_scenario,
 )
 from .runner import simulate
@@ -177,7 +176,7 @@ def compare_traces(path_a, path_b) -> dict:
 
 
 def _summary_text(cfg, p, report, result) -> str:
-    alpha, beta = derive_diffusivities(p)
+    alpha, beta = p.alpha, p.beta
     lines = ["scenario summary", "================"]
     lines.append(f"mode = {cfg.mode}")
     lines.append(f"alpha = {alpha:.10g}  beta = {beta:.10g}")

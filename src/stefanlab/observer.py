@@ -11,13 +11,12 @@ so assimilating a measurement costs nothing in closed loop.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from ._scheme import advance_field, one_sided_edge_flux
 from .params import PhysicalParams, ScenarioConfig
-from .specfun import _ratio_series_f64, bessel_i1_ratio
+from .specfun import bessel_i1_ratio, i1_ratio_terms
 
 
 @dataclass(frozen=True)
@@ -50,29 +49,43 @@ def observer_gain(x: float, s: float, lam: float, alpha: float) -> float:
     return -lam * s * bessel_i1_ratio(max(z2, 0.0))
 
 
-@lru_cache(maxsize=8)
-def _grid(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The observer's xi-grid i/n and its gain weight max(1 - xi^2, 0)."""
-    xi = np.arange(n + 1) / n
-    weight = np.maximum(1.0 - xi * xi, 0.0)
-    xi.flags.writeable = False
-    weight.flags.writeable = False
-    return xi, weight
+# Most terms of the gain series, and so rows of a power table, a gain may
+# need; (lam/alpha)*y^2 near 1.6e4 takes about 120.
+_GAIN_MAX_ROWS = 400
+
+# grid size n -> read-only W[m, j] = w_j^m with w_j = max(1 - xi_j^2, 0)
+_weight_powers: dict[int, np.ndarray] = {}
 
 
-def gain_profile(y: float, lam: float, alpha: float, xi: np.ndarray) -> np.ndarray:
-    """P1 sampled along the grid x = xi*y (vectorized float path)."""
-    if lam == 0.0:
-        return np.zeros_like(xi)
-    grid, weight = _grid(xi.size - 1)
-    if xi is not grid:
+def _powers(n: int, rows: int) -> np.ndarray:
+    """The first `rows` rows of the power table of the n-interval grid; the
+    cached table is rebuilt with more rows when a run needs them."""
+    table = _weight_powers.get(n)
+    if table is None or table.shape[0] < rows:
+        xi = np.arange(n + 1) / n
         weight = np.maximum(1.0 - xi * xi, 0.0)
-    z2 = (lam / alpha) * y * y * weight
-    # the checked wrapper is skipped, so nothing holds these arguments to
-    # Z2_CAP: (lam/alpha)*y^2 reaches about 1.6e4 at admissible gains near
-    # the bound, and above about 3.2e3 the truncation-order search of
-    # _ratio_series_f64 raises OverflowError
-    return -lam * y * _ratio_series_f64(z2, 1.0)
+        table = np.empty((rows, n + 1))
+        table[0] = 1.0
+        for m in range(1, rows):
+            np.multiply(table[m - 1], weight, out=table[m])
+        table.flags.writeable = False
+        _weight_powers[n] = table
+    return table[:rows]
+
+
+def gain_profile(y: float, lam: float, alpha: float, n: int) -> np.ndarray:
+    """P1 sampled along the n-interval grid x = xi*y.
+
+    With z = (lam/alpha)*y^2 and w = 1 - xi^2 the gain is
+    -lam*y * sum_m a_m(z) * w^m, one matvec of the series terms against the
+    cached powers of w.  Both factors stay finite wherever the sum does.
+    """
+    if lam == 0.0:
+        return np.zeros(n + 1)
+    terms = i1_ratio_terms((lam / alpha) * y * y, _GAIN_MAX_ROWS)
+    gain = np.array(terms) @ _powers(n, len(terms))
+    gain *= -lam * y
+    return gain
 
 
 def estimate_interface_velocity(
@@ -135,8 +148,9 @@ def observer_forcing(
     )
     if cfg.lam == 0.0:
         return v, None
-    innovation = v / beta + flux_hat
-    return v, gain_profile(y, cfg.lam, p.alpha, _grid(n)[0]) * -innovation
+    source = gain_profile(y, cfg.lam, p.alpha, n)
+    source *= -(v / beta + flux_hat)
+    return v, source
 
 
 def step_observer(

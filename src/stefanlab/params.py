@@ -48,11 +48,6 @@ class PhysicalParams:
         return self.k / (self.rho * self.dh)
 
 
-def derive_diffusivities(p: PhysicalParams) -> tuple[float, float]:
-    """Return (alpha, beta) = (k/(rho*cp), k/(rho*dh))."""
-    return p.alpha, p.beta
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One closed-loop scenario.
@@ -180,7 +175,7 @@ def validate_scenario(cfg: ScenarioConfig, p: PhysicalParams) -> ValidationRepor
     it in the config.
     """
     checks = []
-    alpha, beta = derive_diffusivities(p)
+    alpha, beta = p.alpha, p.beta
 
     shape_ok = cfg.Hhat > 0.0 and cfg.H >= 0.0
     checks.append(

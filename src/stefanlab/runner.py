@@ -216,10 +216,10 @@ def simulate(cfg: ScenarioConfig, p: PhysicalParams) -> SimulationResult:
 
         plant_tail, observer_tail = pair[:, -3:].tolist()
         rate = convection_rate(s, s_prev, edge_stencil(*plant_tail, dxi), dt, beta)
-        v, source = observer_forcing(
-            y, y_prev, v_prev, edge_stencil(*observer_tail, dxi) / y, dt, n, cfg, p
-        )
         try:
+            v, source = observer_forcing(
+                y, y_prev, v_prev, edge_stencil(*observer_tail, dxi) / y, dt, n, cfg, p
+            )
             pair_next = advance_field(pair, s, (rate, v), qc, dt, alpha, p.k, source=source)
             edge = edge_stencil(*pair_next[0, -3:].tolist(), dxi)
             s_next = advance_interface(s, edge, t_state + dt, dt, beta, domain_cap)

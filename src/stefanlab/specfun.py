@@ -8,21 +8,27 @@ which are entire functions of the squared argument z2 with value 1/2 at
 z2 = 0.  Working directly in z2 avoids square roots of small negatives
 produced by rounding on the kernel diagonal.
 
-Two evaluation paths are provided:
+Three evaluation paths are provided:
 
 * scalar functions summing the ascending series in exact rational
   arithmetic (one final rounding, so accurate to the last bit even through
   the heavy cancellation of the J1 series at large argument);
-* vectorized float64 evaluators for kernel matrices on grids, where the
-  arguments stay small in any scenario admitted by the gain restriction.
+* vectorized float64 evaluators for kernel matrices on grids, with the
+  exact path taken entry by entry above ``_FLOAT_SERIES_CAP``;
+* the term list of the I1 series at one argument, which the observer gain
+  sums against a table of powers (``i1_ratio_terms``).
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-# Arguments beyond this are refused: the series is the wrong tool there and
-# no admissible scenario comes close ((lam/alpha)*sr^2 stays of order 10^2).
+from .errors import NumericalError
+
+# Arguments beyond this are refused by the checked evaluators.  Admissible
+# scenarios do come close: (lam/alpha)*y^2 reaches about 1.6e4 for gains
+# near the bound on the zinc domain, which only the term list below covers.
 Z2_CAP = 1.0e4
 
 # Where the float64 ascending series for J1 keeps ~8 significant digits;
@@ -85,6 +91,34 @@ _COEFF = _series_coefficients(90)
 # the same coefficients as Python floats, for the scalar work of each call
 _COEFF_LIST = _COEFF.tolist()
 
+# The term list stops at the first term below this fraction of its partial sum.
+_TERM_TOL = 1e-17
+
+
+def i1_ratio_terms(z2: float, max_terms: int) -> list[float]:
+    """The terms a_m = c_m * z2^m of I1(sqrt(z2))/sqrt(z2) = sum_m a_m.
+
+    They come from a_m = a_(m-1) * z2 / (4m(m+1)) in Python floats, so no
+    power of z2 is ever formed, and end before the first term below
+    _TERM_TOL of the partial sum.  Raises NumericalError when the sum is
+    not finite or needs more than max_terms terms.
+    """
+    terms = [0.5]
+    term = total = 0.5
+    for m in range(1, max_terms):
+        term = term * z2 / (4 * m * (m + 1))
+        if term < _TERM_TOL * total:
+            break
+        terms.append(term)
+        total += term
+    else:
+        raise NumericalError(
+            f"gain series at (lam/alpha)*y^2 = {z2:.6g} needs more than {max_terms} terms"
+        )
+    if not math.isfinite(total):
+        raise NumericalError(f"gain series at (lam/alpha)*y^2 = {z2:.6g} is not finite")
+    return terms
+
 
 def _ratio_series_f64(z2: np.ndarray, sign: float) -> np.ndarray:
     """Horner evaluation with the truncation order picked from max(z2)."""
@@ -104,15 +138,22 @@ def _ratio_series_f64(z2: np.ndarray, sign: float) -> np.ndarray:
 
 def _ratio_array(z2, sign: int) -> np.ndarray:
     z2 = np.asarray(z2, dtype=float)
-    if np.any(z2 < 0.0):
+    lo = hi = 0.0
+    if z2.size:
+        # fmin/fmax skip NaN, as element-wise comparisons do, so NaN entries
+        # pass the range checks and come out of the float path as NaN
+        lo, hi = np.fmin.reduce(z2, axis=None), np.fmax.reduce(z2, axis=None)
+    if lo < 0.0:
         raise ValueError("squared argument must be nonnegative")
-    if np.any(z2 > Z2_CAP):
+    if hi > Z2_CAP:
         raise ValueError(f"squared argument exceeds the supported cap {Z2_CAP}")
-    if np.any(z2 > _FLOAT_SERIES_CAP):
-        # rare, slow, exact
-        flat = z2.reshape(-1)
-        vals = np.array([_ratio_series_exact(v, sign) for v in flat])
-        return vals.reshape(z2.shape)
+    if hi > _FLOAT_SERIES_CAP:
+        # rare and slow: only the entries above the cap take the exact path
+        exact = z2 > _FLOAT_SERIES_CAP
+        vals = np.empty_like(z2)
+        vals[~exact] = _ratio_series_f64(z2[~exact], float(sign))
+        vals[exact] = [_ratio_series_exact(v, sign) for v in z2[exact].tolist()]
+        return vals
     return _ratio_series_f64(z2, float(sign))
 
 

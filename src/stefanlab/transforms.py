@@ -63,18 +63,37 @@ def _upper_weights(n: int) -> np.ndarray:
     return w / n
 
 
+@lru_cache(maxsize=8)
+def _geometry(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only xi-grid i/n with its kernel geometry: max(xi_j^2 - xi_i^2, 0)
+    for the Bessel kernels and xi_i - xi_j for the controller pair."""
+    xi = np.arange(n + 1) / n
+    sq_gap = np.maximum(xi[np.newaxis, :] ** 2 - xi[:, np.newaxis] ** 2, 0.0)
+    gap = xi[:, np.newaxis] - xi[np.newaxis, :]
+    for arr in (xi, sq_gap, gap):
+        arr.flags.writeable = False
+    return xi, sq_gap, gap
+
+
 def _volterra_apply(kernel: np.ndarray, f: np.ndarray, s: float) -> np.ndarray:
-    """Row-wise int_{x_i}^{s} kernel(x_i, y) f(y) dy on the xi-grid."""
+    """Row-wise int_{x_i}^{s} kernel(x_i, y) f(y) dy on the xi-grid.
+
+    Overwrites `kernel`, which every caller builds for this one use: at
+    N = 200 each avoided (N+1)^2 temporary is a fresh 323 KB allocation
+    and about 80 page faults.
+    """
     n = f.size - 1
-    w = _upper_weights(n)
-    return s * (kernel * w * f[np.newaxis, :]).sum(axis=1)
+    kernel *= _upper_weights(n)
+    kernel *= f[np.newaxis, :]
+    return s * kernel.sum(axis=1)
 
 
 def _bessel_kernel_matrix(s: float, lam: float, alpha: float, n: int, kind: str) -> np.ndarray:
-    xi = np.arange(n + 1) / n
-    z2 = (lam / alpha) * s * s * np.maximum(xi[np.newaxis, :] ** 2 - xi[:, np.newaxis] ** 2, 0.0)
+    xi, sq_gap, _ = _geometry(n)
+    z2 = (lam / alpha) * s * s * sq_gap
     ratio = i1_ratio_array(z2) if kind == "P" else j1_ratio_array(z2)
-    return (lam / alpha) * s * xi[np.newaxis, :] * ratio
+    ratio *= (lam / alpha) * s * xi[np.newaxis, :]
+    return ratio
 
 
 def apply_direct(w: np.ndarray, s: float, lam: float, alpha: float) -> np.ndarray:
@@ -104,8 +123,8 @@ def controller_transform(
     """
     u = np.asarray(u, dtype=float)
     n = u.size - 1
-    xi = np.arange(n + 1) / n
-    diff = s * (xi[:, np.newaxis] - xi[np.newaxis, :])  # x - y
+    xi, _, gap = _geometry(n)
+    diff = s * gap  # x - y
     out = u - (c / alpha) * _volterra_apply(diff, u, s)
     return out + (c / beta) * s * (1.0 - xi) * X
 
@@ -116,8 +135,7 @@ def controller_inverse(
     """u = w + (beta/alpha) int_x^s psi(x-y) w(y) dy + psi(x-s) X."""
     w = np.asarray(w, dtype=float)
     n = w.size - 1
-    xi = np.arange(n + 1) / n
-    diff = s * (xi[:, np.newaxis] - xi[np.newaxis, :])
-    kern = psi_kernel(diff, c, alpha, beta)
+    xi, _, gap = _geometry(n)
+    kern = psi_kernel(s * gap, c, alpha, beta)
     out = w + (beta / alpha) * _volterra_apply(kern, w, s)
     return out + psi_kernel(s * (xi - 1.0), c, alpha, beta) * X

@@ -16,7 +16,6 @@ from stefanlab import transforms
 from stefanlab.cli import bundled_config, main, read_csv
 from stefanlab.diagnostics import fit_decay_rate, lyapunov_constants, monitor_constraints
 from stefanlab.params import (
-    derive_diffusivities,
     lambda_upper_bound,
     setpoint_lower_bound,
     validate_scenario,
@@ -34,7 +33,7 @@ def _report(num, ok, text):
 
 def test_criterion_1_parameter_validation(zinc):
     p, cfg = zinc
-    alpha, beta = derive_diffusivities(p)
+    alpha, beta = p.alpha, p.beta
     # independent arithmetic from the material table and scenario values
     alpha_ref = 116.0 / (6570.0 * 389.5687)
     beta_ref = 116.0 / (6570.0 * 111.961)
@@ -204,6 +203,8 @@ def test_criterion_9_feedback_equivalence(equivalence_runs):
     )
 
 
+# the zinc grid starts with Courant numbers above 0.5 (see test_runner)
+@pytest.mark.filterwarnings("ignore:explicit convection Courant number exceeds 0.5:RuntimeWarning")
 def test_criterion_10_deterministic_csv(tmp_path):
     cfg = bundled_config("zinc_smoke")
     outs = []

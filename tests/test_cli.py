@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stefanlab import observer
 from stefanlab.cli import (
     _CSV_CHUNK_ROWS,
     apply_fast_preset,
@@ -122,6 +123,16 @@ def test_run_blow_up_exits_3_with_partial_trace(tmp_path):
     assert "completed = False" in (out / "summary.txt").read_text()
 
 
+def test_run_gain_beyond_table_limit_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(observer, "_GAIN_MAX_ROWS", 3)
+    out = tmp_path / "o"
+    assert _run(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)]) == 3
+    assert read_csv(out / "trace.csv")["t"].size == 1
+    summary = (out / "summary.txt").read_text()
+    assert "completed = False" in summary
+    assert "gain series" in summary
+
+
 def test_fast_preset_scales_and_stays_valid():
     p, cfg = parse_config(bundled_config("zinc"))
     fast = apply_fast_preset(cfg)
@@ -235,6 +246,8 @@ def test_sweep_propagates_worst_exit(tmp_path):
     assert code == 2
 
 
+# the zinc grid starts with Courant numbers above 0.5 (see test_runner)
+@pytest.mark.filterwarnings("ignore:explicit convection Courant number exceeds 0.5:RuntimeWarning")
 def test_run_scenario_accepts_checkpoint_override(tmp_path):
     out = tmp_path / "o"
     code = run_scenario(bundled_config("zinc_smoke"), out_dir=out, checkpoint_every=100)

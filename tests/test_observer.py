@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stefanlab.diagnostics import fit_decay_rate
+from stefanlab.errors import NumericalError
 from stefanlab.observer import (
     estimate_interface_velocity,
     gain_profile,
@@ -78,9 +79,46 @@ def test_gain_domain_error():
 def test_gain_profile_matches_scalar():
     xi = np.linspace(0.0, 1.0, 33)
     y, lam = 0.27, 0.0015
-    prof = gain_profile(y, lam, ALPHA, xi)
+    prof = gain_profile(y, lam, ALPHA, xi.size - 1)
     for j in (0, 7, 16, 31, 32):
         assert prof[j] == pytest.approx(observer_gain(xi[j] * y, y, lam, ALPHA), rel=1e-12)
+
+
+def _gain_at(z, n=200, y=0.7):
+    """lam with (lam/alpha)*y^2 = z at the zinc domain cap y, where the gain
+    bound admits z up to about 1.7e4, and the gain profile there."""
+    lam = z * ALPHA / (y * y)
+    return y, lam, gain_profile(y, lam, ALPHA, n)
+
+
+@pytest.mark.parametrize("z", [4e3, 1e4])
+def test_gain_profile_matches_exact_series_at_large_argument(z):
+    y, lam, prof = _gain_at(z)
+    xi = np.arange(prof.size) / (prof.size - 1)
+    exact = np.array([observer_gain(x * y, y, lam, ALPHA) for x in xi])
+    assert np.max(np.abs(prof / exact - 1.0)) <= 1e-13
+
+
+def test_gain_profile_matches_mpmath_near_gain_bound():
+    import mpmath as mp
+
+    y, lam, prof = _gain_at(1.6e4)
+    n = prof.size - 1
+    with mp.workdps(40):
+        ref = []
+        for j in range(n + 1):
+            z2 = mp.mpf(lam) / mp.mpf(ALPHA) * (mp.mpf(y) ** 2 - (mp.mpf(j) / n * mp.mpf(y)) ** 2)
+            ratio = mp.besseli(1, mp.sqrt(z2)) / mp.sqrt(z2) if z2 > 0 else mp.mpf(1) / 2
+            ref.append(float(-mp.mpf(lam) * mp.mpf(y) * ratio))
+    assert np.max(np.abs(prof / np.array(ref) - 1.0)) <= 1e-13
+
+
+def test_gain_profile_refuses_unsummable_gain():
+    # the terms of the series pass 1e308 before they start to fall
+    with pytest.raises(NumericalError):
+        _gain_at(1e6, n=32)
+    with pytest.raises(NumericalError):
+        _gain_at(float("nan"), n=32)
 
 
 def test_velocity_constant_measurement():

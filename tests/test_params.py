@@ -9,7 +9,6 @@ from stefanlab.errors import ConfigurationError
 from stefanlab.params import (
     PhysicalParams,
     ScenarioConfig,
-    derive_diffusivities,
     lambda_upper_bound,
     setpoint_lower_bound,
     validate_scenario,
@@ -37,20 +36,23 @@ def scenario(**over):
 
 
 def test_zinc_diffusivities_frozen():
-    alpha, beta = derive_diffusivities(zinc_params())
+    p = zinc_params()
+    alpha, beta = p.alpha, p.beta
     assert alpha == pytest.approx(ALPHA, rel=1e-12)
     assert beta == pytest.approx(BETA, rel=1e-12)
 
 
 def test_unit_parameters_give_unit_diffusivities():
-    alpha, beta = derive_diffusivities(PhysicalParams(rho=1, cp=1, k=1, dh=1, tm=0))
+    p = PhysicalParams(rho=1, cp=1, k=1, dh=1, tm=0)
+    alpha, beta = p.alpha, p.beta
     assert alpha == 1.0
     assert beta == 1.0
 
 
 def test_doubling_conductivity_doubles_both():
-    a1, b1 = derive_diffusivities(zinc_params())
-    a2, b2 = derive_diffusivities(zinc_params(k=2 * ZINC["k"]))
+    p1, p2 = zinc_params(), zinc_params(k=2 * ZINC["k"])
+    a1, b1 = p1.alpha, p1.beta
+    a2, b2 = p2.alpha, p2.beta
     assert a2 == pytest.approx(2 * a1, rel=1e-14)
     assert b2 == pytest.approx(2 * b1, rel=1e-14)
 

@@ -1,17 +1,19 @@
 """Closed-loop engine: loop ordering, logging, equivalence, failure modes."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from stefanlab import observer
 from stefanlab.control import internal_energy, output_feedback, state_feedback
 from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
 from stefanlab.errors import BlowUpError, NumericalError
 from stefanlab.observer import estimate_flux, init_observer, step_observer
 from stefanlab.params import PhysicalParams, ScenarioConfig
 from stefanlab.plant import init_plant, interface_flux, step_plant
-from stefanlab.runner import _BLOCK_ROWS, CHECKPOINT_COLUMNS, TRACE_COLUMNS
+from stefanlab.runner import _BLOCK_ROWS, CHECKPOINT_COLUMNS, TRACE_COLUMNS, simulate
 from stefanlab.transforms import (
     apply_direct,
     apply_inverse,
@@ -91,6 +93,25 @@ def test_blow_up_reports_partial_trace():
     assert not res.completed
     assert "domain cap" in res.failure
     assert 1 <= res.trace.t.size < 501
+
+
+def test_gain_beyond_table_limit_reports_partial_trace(monkeypatch):
+    # the first step's gain series needs 5 terms
+    monkeypatch.setattr(observer, "_GAIN_MAX_ROWS", 3)
+    res = run_quiet(cfg_for(), P)
+    assert not res.completed
+    assert "needs more than 3 terms" in res.failure
+    assert res.trace.t.size == 1
+
+
+def test_zinc_start_warns_of_courant_number(zinc):
+    # the explicit convection term runs at Courant numbers up to 8.8 in the
+    # first 84 zinc steps
+    p, cfg = zinc
+    with pytest.warns(RuntimeWarning, match="Courant number exceeds 0.5"):
+        res = simulate(replace(cfg, t_end=100 * cfg.dt), p)
+    assert res.completed
+    assert res.trace.t.size == 101
 
 
 def test_determinism_in_process():

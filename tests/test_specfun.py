@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stefanlab import specfun
 from stefanlab.specfun import (
     Z2_CAP,
     bessel_i1_ratio,
@@ -123,6 +124,33 @@ def test_array_falls_back_to_exact_above_float_cap():
     out = i1_ratio_array(z2)
     for zi, oi in zip(z2, out):
         assert oi == pytest.approx(bessel_i1_ratio(zi), rel=1e-12)
+
+
+def test_array_takes_exact_path_only_above_float_cap(monkeypatch):
+    # a kernel grid of N = 32 intervals with max z2 = 1000
+    xi = np.arange(33) / 32
+    z2 = 1000.0 * np.maximum(xi[np.newaxis, :] ** 2 - xi[:, np.newaxis] ** 2, 0.0)
+    above = int(np.count_nonzero(z2 > 400.0))
+    assert 0 < above < z2.size
+    exact = specfun._ratio_series_exact
+    calls = []
+
+    def counted(v, sign):
+        calls.append(v)
+        return exact(v, sign)
+
+    monkeypatch.setattr(specfun, "_ratio_series_exact", counted)
+    i1 = i1_ratio_array(z2)
+    assert len(calls) == above
+    j1 = j1_ratio_array(z2)
+    assert len(calls) == 2 * above
+    monkeypatch.undo()
+    flat = z2.reshape(-1).tolist()
+    i1_ref = np.array([bessel_i1_ratio(v) for v in flat]).reshape(z2.shape)
+    j1_ref = np.array([bessel_j1_ratio(v) for v in flat]).reshape(z2.shape)
+    assert np.max(np.abs(i1 / i1_ref - 1.0)) <= 1e-13
+    # the float path keeps ~8 digits of the alternating J1 series near the cap
+    assert np.max(np.abs(j1 / j1_ref - 1.0)) <= 1e-7
 
 
 @given(st.floats(min_value=0.0, max_value=9999.0), st.floats(min_value=1e-12, max_value=1.0))
