@@ -1,13 +1,7 @@
 """Simulation and verification lab for boundary control of a one-phase
 melting problem with interface-measurement-only output feedback."""
 
-from .control import (
-    ControlOutput,
-    internal_energy,
-    output_feedback,
-    qc_ode_residual,
-    state_feedback,
-)
+from .control import output_feedback, qc_ode_residual, state_feedback
 from .diagnostics import (
     ConstraintReport,
     LyapunovSample,
@@ -52,7 +46,6 @@ __all__ = [
     "BlowUpError",
     "ConfigurationError",
     "ConstraintReport",
-    "ControlOutput",
     "LyapunovSample",
     "NumericalError",
     "ObserverState",
@@ -74,7 +67,6 @@ __all__ = [
     "init_observer",
     "init_plant",
     "interface_flux",
-    "internal_energy",
     "kernel_P",
     "kernel_Q",
     "lambda_upper_bound",

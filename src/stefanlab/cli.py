@@ -204,22 +204,15 @@ def _summary_text(cfg, p, report, result) -> str:
         rate = diagnostics.fit_decay_rate(tr.t, tr.h1_err)
         lines.append(f"fitted H1 estimation-error decay rate = {rate:.6g}")
     if result.completed and tr.t.size >= 3:
-        res = qc_ode_residual(_thin(tr), cfg, p)
-        lines.append(f"qc ODE residual (thinned trace): max|r| = {np.max(np.abs(res)):.6g}")
+        r = np.abs(qc_ode_residual(tr, cfg, p))
+        worst = int(np.argmax(r))
+        lines.append(
+            f"qc ODE residual: max|r| = {r[worst]:.6g} at t = {tr.t[worst]:.6g}"
+            f"  median|r| = {np.median(r):.6g}"
+        )
         qdot_floor = np.diff(tr.qc) / np.diff(tr.t) + cfg.c * tr.qc[:-1]
         lines.append(f"min of qc' + c*qc over steps = {np.min(qdot_floor):.6g}")
     return "\n".join(lines) + "\n"
-
-
-class _Thinned:
-    def __init__(self, t, qc, s, utilde_x_s):
-        self.t, self.qc, self.s, self.utilde_x_s = t, qc, s, utilde_x_s
-
-
-def _thin(tr, max_rows: int = 512):
-    stride = max(1, tr.t.size // max_rows)
-    sl = slice(None, None, stride)
-    return _Thinned(tr.t[sl], tr.qc[sl], tr.s[sl], tr.utilde_x_s[sl])
 
 
 def run_scenario(

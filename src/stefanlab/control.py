@@ -12,23 +12,11 @@ profiles, so the two laws coincide bit for bit whenever the estimate equals
 the true field.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .observer import ObserverState
 from .params import PhysicalParams, ScenarioConfig
 from .plant import PlantState
-from .specfun import i1_ratio_array
-
-
-@dataclass(frozen=True)
-class ControlOutput:
-    """qc: commanded heat flux (W/m^2); internal_energy: the conserved
-    bookkeeping value (1/alpha)*int u dx + extent/beta at evaluation time."""
-
-    qc: float
-    internal_energy: float
 
 
 def _trapz_integral(theta: np.ndarray, extent):
@@ -51,51 +39,26 @@ def feedback_flux(theta: np.ndarray, extent: float, cfg: ScenarioConfig, p: Phys
     return -cfg.c * p.k * (integral / p.alpha + (extent - cfg.sr) / p.beta)
 
 
-def _feedback(theta: np.ndarray, extent: float, cfg: ScenarioConfig, p: PhysicalParams) -> ControlOutput:
-    return ControlOutput(
-        qc=feedback_flux(theta, extent, cfg, p), internal_energy=field_energy(theta, extent, p)
-    )
-
-
-def state_feedback(st: PlantState, cfg: ScenarioConfig, p: PhysicalParams) -> ControlOutput:
-    """Feedback on the true temperature profile and interface position."""
-    return _feedback(st.theta, st.s, cfg, p)
+def state_feedback(st: PlantState, cfg: ScenarioConfig, p: PhysicalParams) -> float:
+    """Heat flux qc from the true temperature profile and interface position."""
+    return feedback_flux(st.theta, st.s, cfg, p)
 
 
 def output_feedback(
     ob: ObserverState, y_now: float, cfg: ScenarioConfig, p: PhysicalParams
-) -> ControlOutput:
-    """Feedback on the estimated profile over the measured extent y_now."""
-    return _feedback(ob.theta_hat, y_now, cfg, p)
+) -> float:
+    """Heat flux qc from the estimated profile over the measured extent y_now."""
+    return feedback_flux(ob.theta_hat, y_now, cfg, p)
 
 
-def internal_energy(state, p: PhysicalParams, extent: float | None = None) -> float:
-    """(1/alpha)*int_0^extent u dx + extent/beta for a plant or observer state.
+def kernel_mass(s, lam: float, alpha: float):
+    """int_0^s P(x, s) dx = cosh(sqrt(lam/alpha)*s) - 1, element-wise in s.
 
-    For an observer state the extent defaults to its last assimilated
-    measurement; pass extent explicitly to override.
+    The closed form follows from int_0^{pi/2} I1(z sin t) dt = (cosh z - 1)/z;
+    it is written as 2*sinh^2(z/2), which keeps full relative accuracy where
+    cosh z - 1 cancels.
     """
-    if extent is None:
-        if isinstance(state, PlantState):
-            extent = state.s
-        elif isinstance(state, ObserverState):
-            if state.y_prev is None:
-                raise ValueError("observer has no assimilated extent yet; pass extent")
-            extent = state.y_prev
-        else:
-            raise TypeError(f"unsupported state type {type(state)!r}")
-    theta = state.theta if isinstance(state, PlantState) else state.theta_hat
-    return field_energy(theta, extent, p)
-
-
-def kernel_mass(s: float, lam: float, alpha: float, n_quad: int = 128) -> float:
-    """int_0^s P(x, s) dx by trapezoid quadrature of the closed-form kernel."""
-    if lam == 0.0:
-        return 0.0
-    xi = np.linspace(0.0, 1.0, n_quad + 1)
-    z2 = (lam / alpha) * s * s * (1.0 - xi * xi)
-    vals = (lam / alpha) * s * i1_ratio_array(z2)
-    return s * np.trapezoid(vals, dx=1.0 / n_quad)
+    return 2.0 * np.sinh(0.5 * np.sqrt(lam / alpha) * s) ** 2
 
 
 def qc_ode_residual(trace, cfg: ScenarioConfig, p: PhysicalParams) -> np.ndarray:
@@ -115,6 +78,5 @@ def qc_ode_residual(trace, cfg: ScenarioConfig, p: PhysicalParams) -> np.ndarray
     uex = np.asarray(trace.utilde_x_s, dtype=float)
     if t.size < 3:
         raise ValueError("trace too short: need at least 3 logged steps")
-    dt = np.diff(t)
-    mass = np.array([kernel_mass(si, cfg.lam, p.alpha) for si in s[:-1]])
-    return np.diff(qc) / dt + cfg.c * qc[:-1] - cfg.c * p.k * (1.0 + mass) * uex[:-1]
+    mass = kernel_mass(s[:-1], cfg.lam, p.alpha)
+    return np.diff(qc) / np.diff(t) + cfg.c * qc[:-1] - cfg.c * p.k * (1.0 + mass) * uex[:-1]

@@ -117,7 +117,7 @@ class ConstraintReport:
         return "\n".join(lines)
 
 
-def monitor_constraints(trace, tol_scale: float = 1.0) -> ConstraintReport:
+def monitor_constraints(trace) -> ConstraintReport:
     """Evaluate the five physical-constraint flags on a logged trace.
 
     Duck-typed trace: needs t, s, qc, theta_min, utilde_max arrays plus dt
@@ -129,37 +129,23 @@ def monitor_constraints(trace, tol_scale: float = 1.0) -> ConstraintReport:
     qc = np.asarray(trace.qc, dtype=float)
     theta_min = np.asarray(trace.theta_min, dtype=float)
     utilde_max = np.asarray(trace.utilde_max, dtype=float)
-    eps = tol_scale * ((1.0 / trace.grid_n) ** 2 + trace.dt)
+    eps = (1.0 / trace.grid_n) ** 2 + trace.dt
 
-    qc_positive = qc > 0.0
     s_increasing = np.empty(t.size, dtype=bool)
     s_increasing[0] = True
     s_increasing[1:] = np.diff(s) > 0.0
-    s_below_sr = s < trace.sr
-    u_nonnegative = theta_min >= -eps
-    error_nonpositive = utilde_max <= eps
-
     flags = {
-        "qc_positive": qc_positive,
+        "qc_positive": qc > 0.0,
         "s_increasing": s_increasing,
-        "s_below_sr": s_below_sr,
-        "u_nonnegative": u_nonnegative,
-        "error_nonpositive": error_nonpositive,
+        "s_below_sr": s < trace.sr,
+        "u_nonnegative": theta_min >= -eps,
+        "error_nonpositive": utilde_max <= eps,
     }
     first = {}
     for name, ok in flags.items():
         bad = np.nonzero(~ok)[0]
         first[name] = None if bad.size == 0 else float(t[bad[0]])
-
-    return ConstraintReport(
-        qc_positive=qc_positive,
-        s_increasing=s_increasing,
-        s_below_sr=s_below_sr,
-        u_nonnegative=u_nonnegative,
-        error_nonpositive=error_nonpositive,
-        first_violation=first,
-        epsilon=eps,
-    )
+    return ConstraintReport(**flags, first_violation=first, epsilon=eps)
 
 
 def fit_decay_rate(t, values) -> float:

@@ -33,42 +33,9 @@ from .plant import PlantState, advance_interface, convection_rate, init_plant
 # array operations, small enough to stay in cache.
 _BLOCK_ROWS = 64
 
-TRACE_COLUMNS = (
-    "t",
-    "s",
-    "qc",
-    "T0",
-    "That0",
-    "Ttilde0",
-    "h1_u",
-    "h1_err",
-    "energy",
-    "V",
-    "Vtot",
-    "utilde_x_s",
-    "theta_min",
-    "utilde_max",
-    "qc_positive",
-    "s_increasing",
-    "s_below_sr",
-    "u_nonnegative",
-    "error_nonpositive",
-)
-
-CHECKPOINT_COLUMNS = (
-    "t",
-    "s",
-    "X",
-    "V1_tilde",
-    "Vtot",
-    "V",
-    "wtilde_max",
-    "utilde_sup",
-    "rt_error_pair_abs",
-    "what_sup",
-    "rt_ctrl_abs",
-    "what_boundary",
-)
+def _array_fields(cls) -> list[str]:
+    """Names of the array fields of a dataclass, in declaration order."""
+    return [f.name for f in fields(cls) if f.type is np.ndarray]
 
 
 @dataclass
@@ -95,14 +62,12 @@ class Trace:
     mode: str
 
     def columns(self) -> dict:
-        """Column name -> array, flags included, in CSV order."""
+        """Column name -> array in CSV order: the logged arrays, then the
+        constraint flags as 0/1."""
         report = diagnostics.monitor_constraints(self)
-        out = {}
-        for name in TRACE_COLUMNS:
-            if hasattr(self, name):
-                out[name] = getattr(self, name)
-            else:
-                out[name] = getattr(report, name).astype(int)
+        out = {name: getattr(self, name) for name in _array_fields(Trace)}
+        for name in _array_fields(diagnostics.ConstraintReport):
+            out[name] = getattr(report, name).astype(int)
         return out
 
 
@@ -184,7 +149,7 @@ def simulate(cfg: ScenarioConfig, p: PhysicalParams) -> SimulationResult:
     t_state = 0.0
 
     n_rows = n_steps + 1
-    cols = {f.name: np.empty(n_rows) for f in fields(Trace) if f.name in TRACE_COLUMNS}
+    cols = {name: np.empty(n_rows) for name in _array_fields(Trace)}
     cols["V"].fill(np.nan)
     cols["Vtot"].fill(np.nan)
     block = np.empty((_BLOCK_ROWS, 2, n + 1))
@@ -201,22 +166,21 @@ def simulate(cfg: ScenarioConfig, p: PhysicalParams) -> SimulationResult:
         cols["s"][i] = y
         cols["qc"][i] = qc
         block[i % _BLOCK_ROWS] = pair
-
-        if i % cfg.checkpoint_every == 0 or i == n_rows - 1:
-            row, sample = _checkpoint_row(pair[0], pair[1], y, t, cfg, p)
-            checkpoint_rows.append(row)
-            cols["V"][i] = sample.V
-            cols["Vtot"][i] = sample.Vtot
-
         rows = i + 1
         if rows % _BLOCK_ROWS == 0:
             _log_block(cols, rows - _BLOCK_ROWS, block, cfg, p)
-        if i == n_rows - 1:
-            break
 
-        plant_tail, observer_tail = pair[:, -3:].tolist()
-        rate = convection_rate(s, s_prev, edge_stencil(*plant_tail, dxi), dt, beta)
         try:
+            if i % cfg.checkpoint_every == 0 or i == n_rows - 1:
+                row, sample = _checkpoint_row(pair[0], pair[1], y, t, cfg, p)
+                checkpoint_rows.append(row)
+                cols["V"][i] = sample.V
+                cols["Vtot"][i] = sample.Vtot
+            if i == n_rows - 1:
+                break
+
+            plant_tail, observer_tail = pair[:, -3:].tolist()
+            rate = convection_rate(s, s_prev, edge_stencil(*plant_tail, dxi), dt, beta)
             v, source = observer_forcing(
                 y, y_prev, v_prev, edge_stencil(*observer_tail, dxi) / y, dt, n, cfg, p
             )
@@ -242,9 +206,9 @@ def simulate(cfg: ScenarioConfig, p: PhysicalParams) -> SimulationResult:
         sr=cfg.sr,
         mode=cfg.mode,
     )
-    checkpoints = {
-        name: np.array([r[name] for r in checkpoint_rows]) for name in CHECKPOINT_COLUMNS
-    }
+    # row 0 is always a checkpoint; a run whose first checkpoint fails has none
+    names = checkpoint_rows[0] if checkpoint_rows else ()
+    checkpoints = {name: np.array([r[name] for r in checkpoint_rows]) for name in names}
     return SimulationResult(
         trace=trace,
         checkpoints=checkpoints,

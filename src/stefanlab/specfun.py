@@ -78,18 +78,23 @@ def bessel_j1_ratio(z2: float) -> float:
     return _ratio_series_exact(_check_domain(z2), -1)
 
 
-def _series_coefficients(n: int) -> np.ndarray:
-    """c_m = 0.5 / (4^m m! (m+1)!), the expansion in powers of z2."""
-    c = np.empty(n)
-    c[0] = 0.5
-    for m in range(1, n):
-        c[m] = c[m - 1] / (4.0 * m * (m + 1))
+# Horner keeps every term whose size at max(z2) exceeds this, and the first
+# one that does not.
+_HORNER_TOL = 1e-18
+
+
+def _series_coefficients(z2_max: float) -> list[float]:
+    """c_m = 0.5 / (4^m m! (m+1)!), the expansion in powers of z2, as Python
+    floats: every coefficient the Horner form uses for z2 <= z2_max, and one
+    more, so that its order search never runs off the table."""
+    c = [0.5]
+    while c[-1] * z2_max ** (len(c) - 1) > _HORNER_TOL:
+        c.append(c[-1] / (4.0 * len(c) * (len(c) + 1)))
+    c.append(c[-1] / (4.0 * len(c) * (len(c) + 1)))
     return c
 
 
-_COEFF = _series_coefficients(90)
-# the same coefficients as Python floats, for the scalar work of each call
-_COEFF_LIST = _COEFF.tolist()
+_COEFF_LIST = _series_coefficients(_FLOAT_SERIES_CAP)
 
 # The term list stops at the first term below this fraction of its partial sum.
 _TERM_TOL = 1e-17
@@ -125,7 +130,9 @@ def _ratio_series_f64(z2: np.ndarray, sign: float) -> np.ndarray:
     zmax = float(z2.max()) if z2.size else 0.0
     base = max(zmax, 1.0)
     n_terms = 2
-    while n_terms < len(_COEFF_LIST) and _COEFF_LIST[n_terms - 1] * base ** (n_terms - 1) > 1e-18:
+    while n_terms < len(_COEFF_LIST) and (
+        _COEFF_LIST[n_terms - 1] * base ** (n_terms - 1) > _HORNER_TOL
+    ):
         n_terms += 1
     # the first Horner step c_top * z2 + c_next, with c_top broadcast
     acc = z2 * (sign ** (n_terms - 1) * _COEFF_LIST[n_terms - 1])

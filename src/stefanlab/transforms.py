@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import specfun
+from .errors import NumericalError
 from .specfun import bessel_i1_ratio, bessel_j1_ratio, i1_ratio_array, j1_ratio_array
 
 
@@ -89,6 +91,13 @@ def _volterra_apply(kernel: np.ndarray, f: np.ndarray, s: float) -> np.ndarray:
 
 
 def _bessel_kernel_matrix(s: float, lam: float, alpha: float, n: int, kind: str) -> np.ndarray:
+    # the largest argument, at x = 0 and y = s, where sq_gap is exactly 1
+    z2_max = (lam / alpha) * s * s
+    if z2_max > specfun.Z2_CAP:
+        raise NumericalError(
+            f"checkpoint kernel argument (lam/alpha)*s^2 = {z2_max:.6g} "
+            f"exceeds the series cap {specfun.Z2_CAP:g}"
+        )
     xi, sq_gap, _ = _geometry(n)
     z2 = (lam / alpha) * s * s * sq_gap
     ratio = i1_ratio_array(z2) if kind == "P" else j1_ratio_array(z2)

@@ -3,11 +3,12 @@
 import configparser
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from stefanlab import observer
+from stefanlab import observer, specfun
 from stefanlab.cli import (
     _CSV_CHUNK_ROWS,
     apply_fast_preset,
@@ -19,6 +20,7 @@ from stefanlab.cli import (
     run_scenario,
     write_csv,
 )
+from stefanlab.control import qc_ode_residual
 from stefanlab.errors import ConfigurationError
 from stefanlab.params import validate_scenario
 
@@ -131,6 +133,32 @@ def test_run_gain_beyond_table_limit_exits_3(tmp_path, monkeypatch):
     summary = (out / "summary.txt").read_text()
     assert "completed = False" in summary
     assert "gain series" in summary
+
+
+def test_run_checkpoint_beyond_series_cap_exits_3(tmp_path, monkeypatch):
+    p, cfg = parse_config(bundled_config("zinc_smoke"))
+    monkeypatch.setattr(specfun, "Z2_CAP", 0.5 * (cfg.lam / p.alpha) * cfg.s0**2)
+    out = tmp_path / "o"
+    assert _run(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)]) == 3
+    assert read_csv(out / "trace.csv")["t"].size == 1
+    summary = (out / "summary.txt").read_text()
+    assert "completed = False" in summary
+    assert "exceeds the series cap" in summary
+
+
+def test_summary_reports_full_trace_qc_residual(tmp_path):
+    out = tmp_path / "o"
+    assert _run(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)]) == 0
+    p, cfg = parse_config(bundled_config("zinc_smoke"))
+    tr = SimpleNamespace(**read_csv(out / "trace.csv"))
+    r = np.abs(qc_ode_residual(tr, cfg, p))
+    assert r.size == tr.t.size - 1
+    worst = int(np.argmax(r))
+    expected = (
+        f"qc ODE residual: max|r| = {r[worst]:.6g} at t = {tr.t[worst]:.6g}"
+        f"  median|r| = {np.median(r):.6g}"
+    )
+    assert expected in (out / "summary.txt").read_text().splitlines()
 
 
 def test_fast_preset_scales_and_stays_valid():

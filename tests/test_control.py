@@ -8,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stefanlab.control import (
-    internal_energy,
+    field_energy,
     kernel_mass,
     output_feedback,
     qc_ode_residual,
     state_feedback,
 )
 from stefanlab.observer import ObserverState, init_observer
-from stefanlab.params import PhysicalParams, ScenarioConfig
+from stefanlab.params import PhysicalParams, ScenarioConfig, lambda_upper_bound
 from stefanlab.plant import PlantState, init_plant
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
@@ -35,33 +35,36 @@ def cfg_for(**over):
     return ScenarioConfig(**base)
 
 
+BOUND = lambda_upper_bound(cfg_for(), P.alpha)  # the zinc gain bound, about 1.63 1/s
+
+
 def test_state_feedback_zinc_t0_frozen():
     cfg = cfg_for()
-    out = state_feedback(init_plant(cfg), cfg, P)
-    assert out.qc == pytest.approx(QC_STATE_T0, rel=1e-12)
-    assert out.internal_energy == pytest.approx(ENERGY_T0, rel=1e-12)
+    st = init_plant(cfg)
+    assert state_feedback(st, cfg, P) == pytest.approx(QC_STATE_T0, rel=1e-12)
+    assert field_energy(st.theta, st.s, P) == pytest.approx(ENERGY_T0, rel=1e-12)
 
 
 def test_output_feedback_zinc_t0_frozen():
     cfg = cfg_for()
-    out = output_feedback(init_observer(cfg), cfg.s0, cfg, P)
-    assert out.qc == pytest.approx(QC_OUTPUT_T0, rel=1e-12)
+    qc = output_feedback(init_observer(cfg), cfg.s0, cfg, P)
+    assert qc == pytest.approx(QC_OUTPUT_T0, rel=1e-12)
 
 
 def test_equilibrium_gives_zero_flux():
     cfg = cfg_for()
     st = PlantState(t=0.0, s=cfg.sr, theta=np.zeros(cfg.grid_n + 1))
-    assert state_feedback(st, cfg, P).qc == 0.0
+    assert state_feedback(st, cfg, P) == 0.0
     ob = ObserverState(t=0.0, y_prev=cfg.sr, theta_hat=np.zeros(cfg.grid_n + 1))
-    assert output_feedback(ob, cfg.sr, cfg, P).qc == 0.0
+    assert output_feedback(ob, cfg.sr, cfg, P) == 0.0
 
 
 def test_cold_start_flux_sign():
     cfg = cfg_for(H=0.0)
-    out = state_feedback(init_plant(cfg), cfg, P)
+    qc = state_feedback(init_plant(cfg), cfg, P)
     expected = cfg.c * P.k * (cfg.sr - cfg.s0) / P.beta
-    assert out.qc == pytest.approx(expected, rel=1e-12)
-    assert out.qc > 0.0
+    assert qc == pytest.approx(expected, rel=1e-12)
+    assert qc > 0.0
 
 
 def test_output_feedback_equals_state_feedback_on_true_state():
@@ -70,28 +73,27 @@ def test_output_feedback_equals_state_feedback_on_true_state():
     ob = ObserverState(t=0.0, y_prev=st.s, theta_hat=st.theta.copy())
     a = state_feedback(st, cfg, P)
     b = output_feedback(ob, st.s, cfg, P)
-    assert b.qc == a.qc
+    assert b == a
 
 
 def test_internal_energy_values():
     cfg = cfg_for()
     st = init_plant(cfg)
-    assert internal_energy(st, P) == pytest.approx(ENERGY_T0, rel=1e-12)
+    assert field_energy(st.theta, st.s, P) == pytest.approx(ENERGY_T0, rel=1e-12)
     flat = PlantState(t=0.0, s=0.02, theta=np.zeros(65))
-    assert internal_energy(flat, P) == pytest.approx(0.02 / P.beta, rel=1e-14)
+    assert field_energy(flat.theta, flat.s, P) == pytest.approx(0.02 / P.beta, rel=1e-14)
 
 
-def test_internal_energy_observer_extent_rules():
+def test_field_energy_of_observer_estimate():
     cfg = cfg_for(grid_n=64)
     ob = init_observer(cfg)
-    with pytest.raises(ValueError):
-        internal_energy(ob, P)  # nothing assimilated yet
-    v = internal_energy(ob, P, extent=cfg.s0)
+    v = field_energy(ob.theta_hat, cfg.s0, P)
     assert v == pytest.approx(
         cfg.Hhat * cfg.s0**2 / 2 / P.alpha + cfg.s0 / P.beta, rel=1e-12
     )
-    with pytest.raises(TypeError):
-        internal_energy(object(), P)
+    # one value per field when the extents come as an array
+    both = field_energy(np.stack([ob.theta_hat, ob.theta_hat]), np.array([cfg.s0, cfg.s0]), P)
+    assert np.array_equal(both, [v, v])
 
 
 @given(
@@ -105,14 +107,14 @@ def test_flux_weakly_decreases_in_any_sample(bump, idx):
     theta = st.theta.copy()
     theta[idx] += bump
     hotter = PlantState(t=0.0, s=st.s, theta=theta)
-    assert state_feedback(hotter, cfg, P).qc <= state_feedback(st, cfg, P).qc
+    assert state_feedback(hotter, cfg, P) <= state_feedback(st, cfg, P)
 
 
 def test_flux_decreasing_in_interface_position():
     cfg = cfg_for()
     st = init_plant(cfg)
     ahead = PlantState(t=0.0, s=2 * st.s, theta=st.theta.copy())
-    assert state_feedback(ahead, cfg, P).qc < state_feedback(st, cfg, P).qc
+    assert state_feedback(ahead, cfg, P) < state_feedback(st, cfg, P)
 
 
 def test_energy_balance_over_full_run(zinc_run):
@@ -133,6 +135,29 @@ def test_kernel_mass_against_fine_quadrature():
     xs = np.linspace(0.0, s, 4001)
     ref = np.trapezoid([kernel_P(x, s, lam, P.alpha) for x in xs], xs)
     assert kernel_mass(s, lam, P.alpha) == pytest.approx(ref, rel=1e-4)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.5, 0.9 * BOUND], ids=["1e-3", "0.5", "0.9*bound"])
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.35, 0.7])
+def test_kernel_mass_matches_mpmath_quadrature(s, lam):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        r = mp.mpf(lam) / mp.mpf(P.alpha)
+
+        def kernel(x):  # (lam/alpha)*s*I1r((lam/alpha)*(s^2 - x^2))
+            z = mp.sqrt(r * (mp.mpf(s) ** 2 - x * x))
+            return r * s * (mp.besseli(1, z) / z if z > 0 else mp.mpf(1) / 2)
+
+        ref = float(mp.quad(kernel, [0, s]))
+    assert kernel_mass(s, lam, P.alpha) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_kernel_mass_elementwise():
+    s = np.array([0.0, 0.1, 0.35])
+    masses = kernel_mass(s, 0.5, P.alpha)
+    assert masses.shape == s.shape
+    assert masses.tolist() == [kernel_mass(v, 0.5, P.alpha) for v in s.tolist()]
 
 
 def test_qc_ode_residual_requires_history():

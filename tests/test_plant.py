@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stefanlab.control import internal_energy
+from stefanlab.control import field_energy
 from stefanlab.errors import BlowUpError
 from stefanlab.params import PhysicalParams, ScenarioConfig
 from stefanlab.plant import PlantState, init_plant, interface_flux, step_plant
@@ -106,9 +106,9 @@ def test_single_step_energy_balance():
     def defect(dt):
         cfg = cfg_for(n=200, dt=dt)
         st = init_plant(cfg)
-        e0 = internal_energy(st, P)
+        e0 = field_energy(st.theta, st.s, P)
         nxt = quiet_step(st, qc, cfg.dt)
-        return abs((internal_energy(nxt, P) - e0) - cfg.dt * qc / P.k)
+        return abs((field_energy(nxt.theta, nxt.s, P) - e0) - cfg.dt * qc / P.k)
 
     d_coarse, d_fine = defect(1e-4), defect(1e-5)
     assert d_fine < 0.25 * d_coarse
@@ -136,11 +136,11 @@ def _conservation_residual(n, dt, t_total, signed=False):
     cfg = cfg_for(n=n, dt=dt, t_end=max(t_total, 2 * dt))
     st = init_plant(cfg)
     qc = P.k * cfg.H
-    e0 = internal_energy(st, P)
+    e0 = field_energy(st.theta, st.s, P)
     steps = int(round(t_total / dt))
     for _ in range(steps):
         st = quiet_step(st, qc, dt)
-    r = (internal_energy(st, P) - e0) - qc * steps * dt / P.k
+    r = (field_energy(st.theta, st.s, P) - e0) - qc * steps * dt / P.k
     return r if signed else abs(r)
 
 

@@ -6,14 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stefanlab import observer
-from stefanlab.control import internal_energy, output_feedback, state_feedback
+from stefanlab import observer, specfun
+from stefanlab.control import field_energy, output_feedback, state_feedback
 from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
 from stefanlab.errors import BlowUpError, NumericalError
 from stefanlab.observer import estimate_flux, init_observer, step_observer
 from stefanlab.params import PhysicalParams, ScenarioConfig
 from stefanlab.plant import init_plant, interface_flux, step_plant
-from stefanlab.runner import _BLOCK_ROWS, CHECKPOINT_COLUMNS, TRACE_COLUMNS, simulate
+from stefanlab.runner import _BLOCK_ROWS, simulate
 from stefanlab.transforms import (
     apply_direct,
     apply_inverse,
@@ -24,6 +24,16 @@ from stefanlab.transforms import (
 from conftest import run_quiet
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
+
+TRACE_HEADER = (
+    "t", "s", "qc", "T0", "That0", "Ttilde0", "h1_u", "h1_err", "energy", "V", "Vtot",
+    "utilde_x_s", "theta_min", "utilde_max",
+    "qc_positive", "s_increasing", "s_below_sr", "u_nonnegative", "error_nonpositive",
+)
+CHECKPOINT_HEADER = (
+    "t", "s", "X", "V1_tilde", "Vtot", "V", "wtilde_max", "utilde_sup",
+    "rt_error_pair_abs", "what_sup", "rt_ctrl_abs", "what_boundary",
+)
 
 
 def cfg_for(**over):
@@ -44,7 +54,7 @@ def test_trace_shape_and_time_grid():
     assert tr.t.size == int(round(cfg.t_end / cfg.dt)) + 1
     assert np.allclose(np.diff(tr.t), cfg.dt, rtol=0, atol=1e-12)
     cols = tr.columns()
-    assert list(cols) == list(TRACE_COLUMNS)
+    assert tuple(cols) == TRACE_HEADER
     assert all(c.shape == tr.t.shape for c in cols.values())
 
 
@@ -104,6 +114,39 @@ def test_gain_beyond_table_limit_reports_partial_trace(monkeypatch):
     assert res.trace.t.size == 1
 
 
+def test_first_checkpoint_beyond_series_cap_reports_partial_trace(monkeypatch):
+    cfg = cfg_for()
+    monkeypatch.setattr(specfun, "Z2_CAP", 0.5 * (cfg.lam / P.alpha) * cfg.s0**2)
+    res = run_quiet(cfg, P)
+    assert not res.completed
+    assert "exceeds the series cap" in res.failure
+    assert res.trace.t.size == 1
+    assert res.checkpoints == {}
+
+
+@pytest.mark.parametrize("every, bad", [(50, 2), (127, 1)], ids=["mid_block", "block_end"])
+def test_later_checkpoint_beyond_series_cap_keeps_its_row(monkeypatch, every, bad):
+    cfg = cfg_for(checkpoint_every=every)
+    full = run_quiet(cfg, P)
+    z2 = (cfg.lam / P.alpha) * full.checkpoints["s"] ** 2
+    monkeypatch.setattr(specfun, "Z2_CAP", 0.5 * (z2[bad - 1] + z2[bad]))
+    res = run_quiet(cfg, P)
+    row = bad * every
+    assert not res.completed
+    assert "exceeds the series cap" in res.failure
+    assert res.trace.t.size == row + 1
+    for name, values in full.checkpoints.items():
+        assert _same_bits(res.checkpoints[name], values[:bad]), name
+    # every logged column of rows 0..row as in the full run, except the
+    # Lyapunov values of the failed checkpoint
+    got = res.trace.columns()
+    for name, values in full.trace.columns().items():
+        want = np.array(values[: row + 1], dtype=float)
+        if name in ("V", "Vtot"):
+            want[row] = np.nan
+        assert _same_bits(got[name], want), name
+
+
 def test_zinc_start_warns_of_courant_number(zinc):
     # the explicit convection term runs at Courant numbers up to 8.8 in the
     # first 84 zinc steps
@@ -136,26 +179,26 @@ def _reference_run(cfg, p):
     alpha, beta = p.alpha, p.beta
     st, ob = init_plant(cfg), init_observer(cfg)
     trace = {}
-    checkpoints = {name: [] for name in CHECKPOINT_COLUMNS}
+    checkpoints = {name: [] for name in CHECKPOINT_HEADER}
     failure = None
     for i in range(n_rows):
         y = st.s
         t = i * cfg.dt
         if cfg.mode == "state_feedback":
-            out = state_feedback(st, cfg, p)
+            qc = state_feedback(st, cfg, p)
         else:
-            out = output_feedback(ob, y, cfg, p)
+            qc = output_feedback(ob, y, cfg, p)
         u_err = st.theta - ob.theta_hat
         row = {
             "t": t,
             "s": y,
-            "qc": out.qc,
+            "qc": qc,
             "T0": p.tm + st.theta[0],
             "That0": p.tm + ob.theta_hat[0],
             "Ttilde0": st.theta[0] - ob.theta_hat[0],
             "h1_u": h1_norm_sq(st.theta, y, cfg.h1_l2_term),
             "h1_err": h1_norm_sq(u_err, y, cfg.h1_l2_term),
-            "energy": internal_energy(st, p),
+            "energy": field_energy(st.theta, st.s, p),
             "V": np.nan,
             "Vtot": np.nan,
             "utilde_x_s": interface_flux(st) - estimate_flux(ob, y),
@@ -183,7 +226,7 @@ def _reference_run(cfg, p):
                 "rt_ctrl_abs": np.max(np.abs(rt_ctrl)),
                 "what_boundary": abs(w_hat[-1]),
             }
-            for name in CHECKPOINT_COLUMNS:
+            for name in CHECKPOINT_HEADER:
                 checkpoints[name].append(ck[name])
             row["V"], row["Vtot"] = sample.V, sample.Vtot
         for name, value in row.items():
@@ -191,8 +234,8 @@ def _reference_run(cfg, p):
         if i == n_rows - 1:
             break
         try:
-            st_next = step_plant(st, out.qc, cfg.dt, p, domain_cap=domain_cap)
-            ob = step_observer(ob, y, out.qc, cfg.dt, cfg, p)
+            st_next = step_plant(st, qc, cfg.dt, p, domain_cap=domain_cap)
+            ob = step_observer(ob, y, qc, cfg.dt, cfg, p)
         except (BlowUpError, NumericalError) as exc:
             failure = str(exc)
             break
@@ -230,6 +273,7 @@ def test_engine_matches_reference_loop(over):
         assert res.trace.t.size % _BLOCK_ROWS != 0
     for name, values in trace.items():
         assert _same_bits(getattr(res.trace, name), values), name
+    assert tuple(res.checkpoints) == CHECKPOINT_HEADER
     for name, values in checkpoints.items():
         assert _same_bits(res.checkpoints[name], values), name
     assert (res.final_plant.t, res.final_plant.s, res.final_plant.s_prev) == (st.t, st.s, st.s_prev)

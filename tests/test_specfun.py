@@ -1,5 +1,9 @@
 """Series evaluators for I1(z)/z and J1(z)/z against an independent oracle."""
 
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +128,20 @@ def test_array_falls_back_to_exact_above_float_cap():
     out = i1_ratio_array(z2)
     for zi, oi in zip(z2, out):
         assert oi == pytest.approx(bessel_i1_ratio(zi), rel=1e-12)
+
+
+def test_float_series_table_covers_the_float_path():
+    coeffs = specfun._COEFF_LIST
+    assert all(isinstance(c, float) and c >= sys.float_info.min for c in coeffs)
+    for m, c in enumerate(coeffs):
+        exact = Fraction(1, 2) / (4**m * math.factorial(m) * math.factorial(m + 1))
+        assert c == pytest.approx(float(exact), rel=1e-13)
+    # the Horner order search at the largest argument the float path sees
+    cap = specfun._FLOAT_SERIES_CAP
+    n_terms = 2
+    while coeffs[n_terms - 1] * cap ** (n_terms - 1) > specfun._HORNER_TOL:
+        n_terms += 1
+    assert len(coeffs) > n_terms
 
 
 def test_array_takes_exact_path_only_above_float_cap(monkeypatch):

@@ -155,7 +155,7 @@ def test_controller_transform_slope_identity_at_origin():
     theta_x0 = (-1.5 * theta[0] + 2.0 * theta[1] - 0.5 * theta[2]) / (dxi * s)
     # w_x(0) = u_x(0) + qc_consistent/k-term: with the law satisfied the
     # slope shifts by exactly the feedback integrand, leaving O(dxi^2)
-    qc = state_feedback(st_snap, cfg, p).qc
+    qc = state_feedback(st_snap, cfg, p)
     assert w_x0 - theta_x0 == pytest.approx(qc / p.k, rel=1e-4)
 
 
