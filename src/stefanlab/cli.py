@@ -327,8 +327,11 @@ def main(argv=None) -> int:
         return _compare_cmd(args.trace_a, args.trace_b)
     if args.command == "sweep":
         jobs = [(c, args.out_dir, args.checkpoint_every, args.fast) for c in args.configs]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # the pool forks all its workers at the first submit, so it gets no
+        # more than there are configs
+        workers = min(args.jobs, len(jobs))
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 codes = list(pool.map(_sweep_one, jobs))
         else:
             codes = [_sweep_one(j) for j in jobs]

@@ -8,15 +8,17 @@ which are entire functions of the squared argument z2 with value 1/2 at
 z2 = 0.  Working directly in z2 avoids square roots of small negatives
 produced by rounding on the kernel diagonal.
 
-Three evaluation paths are provided:
+Two evaluation paths are provided:
 
 * scalar functions summing the ascending series in exact rational
   arithmetic (one final rounding, so accurate to the last bit even through
-  the heavy cancellation of the J1 series at large argument);
-* vectorized float64 evaluators for kernel matrices on grids, with the
-  exact path taken entry by entry above ``_FLOAT_SERIES_CAP``;
-* the term list of the I1 series at one argument, which the observer gain
-  sums against a table of powers (``i1_ratio_terms``).
+  the heavy cancellation of the J1 series at large argument), the test
+  oracle for the rest;
+* the term list of the I1 series at one argument (``i1_ratio_terms``),
+  which the observer gain sums against a table of powers and the kernel
+  grids sum by Horner in z2/max(z2), with alternating signs for J1.  Past
+  ``_FLOAT_SERIES_CAP`` float64 cannot sum the alternating series, so the
+  J1 grids come from scipy's j1(z)/z there.
 """
 
 import math
@@ -26,14 +28,17 @@ import numpy as np
 
 from .errors import NumericalError
 
-# Arguments beyond this are refused by the checked evaluators.  Admissible
-# scenarios do come close: (lam/alpha)*y^2 reaches about 1.6e4 for gains
-# near the bound on the zinc domain, which only the term list below covers.
+# The scalar evaluators refuse arguments beyond this; past it the exact J1
+# sum stops too early (at z2 = 1e5 it returns 9.0e60 for 1.4e-4).
 Z2_CAP = 1.0e4
 
-# Where the float64 ascending series for J1 keeps ~8 significant digits;
-# larger arguments fall back to the exact scalar path.
+# Up to here the float64 J1 sum loses about eps * I1(z)/z to cancellation,
+# 4.7e-10 at the cap.
 _FLOAT_SERIES_CAP = 400.0
+
+# Most terms a kernel grid's series may take; (lam/alpha)*s^2 near 1.6e4
+# takes about 120.
+_MAX_TERMS = 400
 
 
 def _check_domain(z2: float) -> float:
@@ -78,24 +83,6 @@ def bessel_j1_ratio(z2: float) -> float:
     return _ratio_series_exact(_check_domain(z2), -1)
 
 
-# Horner keeps every term whose size at max(z2) exceeds this, and the first
-# one that does not.
-_HORNER_TOL = 1e-18
-
-
-def _series_coefficients(z2_max: float) -> list[float]:
-    """c_m = 0.5 / (4^m m! (m+1)!), the expansion in powers of z2, as Python
-    floats: every coefficient the Horner form uses for z2 <= z2_max, and one
-    more, so that its order search never runs off the table."""
-    c = [0.5]
-    while c[-1] * z2_max ** (len(c) - 1) > _HORNER_TOL:
-        c.append(c[-1] / (4.0 * len(c) * (len(c) + 1)))
-    c.append(c[-1] / (4.0 * len(c) * (len(c) + 1)))
-    return c
-
-
-_COEFF_LIST = _series_coefficients(_FLOAT_SERIES_CAP)
-
 # The term list stops at the first term below this fraction of its partial sum.
 _TERM_TOL = 1e-17
 
@@ -125,43 +112,35 @@ def i1_ratio_terms(z2: float, max_terms: int) -> list[float]:
     return terms
 
 
-def _ratio_series_f64(z2: np.ndarray, sign: float) -> np.ndarray:
-    """Horner evaluation with the truncation order picked from max(z2)."""
-    zmax = float(z2.max()) if z2.size else 0.0
-    base = max(zmax, 1.0)
-    n_terms = 2
-    while n_terms < len(_COEFF_LIST) and (
-        _COEFF_LIST[n_terms - 1] * base ** (n_terms - 1) > _HORNER_TOL
-    ):
-        n_terms += 1
-    # the first Horner step c_top * z2 + c_next, with c_top broadcast
-    acc = z2 * (sign ** (n_terms - 1) * _COEFF_LIST[n_terms - 1])
-    acc += sign ** (n_terms - 2) * _COEFF_LIST[n_terms - 2]
-    for m in range(n_terms - 3, -1, -1):
-        acc *= z2
-        acc += sign**m * _COEFF_LIST[m]
-    return acc
-
-
 def _ratio_array(z2, sign: int) -> np.ndarray:
+    """sum_m a_m * (sign*g)^m with g = z2/max(z2) and a_m the I1 terms at
+    max(z2), by Horner; the J1 sum at max(z2) > _FLOAT_SERIES_CAP is
+    scipy's j1(z)/z instead."""
     z2 = np.asarray(z2, dtype=float)
-    lo = hi = 0.0
-    if z2.size:
-        # fmin/fmax skip NaN, as element-wise comparisons do, so NaN entries
-        # pass the range checks and come out of the float path as NaN
-        lo, hi = np.fmin.reduce(z2, axis=None), np.fmax.reduce(z2, axis=None)
-    if lo < 0.0:
+    if not z2.size:
+        return np.empty_like(z2)
+    # fmin/fmax skip NaN, as element-wise comparisons do, so NaN entries
+    # pass the range check and come out as NaN
+    if np.fmin.reduce(z2, axis=None) < 0.0:
         raise ValueError("squared argument must be nonnegative")
-    if hi > Z2_CAP:
-        raise ValueError(f"squared argument exceeds the supported cap {Z2_CAP}")
-    if hi > _FLOAT_SERIES_CAP:
-        # rare and slow: only the entries above the cap take the exact path
-        exact = z2 > _FLOAT_SERIES_CAP
-        vals = np.empty_like(z2)
-        vals[~exact] = _ratio_series_f64(z2[~exact], float(sign))
-        vals[exact] = [_ratio_series_exact(v, sign) for v in z2[exact].tolist()]
-        return vals
-    return _ratio_series_f64(z2, float(sign))
+    z2_max = float(np.fmax.reduce(z2, axis=None))
+    if sign < 0 and z2_max > _FLOAT_SERIES_CAP:
+        # imported here: scipy.special adds 3.6 MB resident, which runs that
+        # never sum J1 past the cap should not pay
+        from scipy.special import j1
+
+        z = np.sqrt(z2)
+        out = np.full_like(z, 0.5)
+        np.divide(j1(z), z, out=out, where=z > 0.0)
+        return out
+    terms = i1_ratio_terms(z2_max, _MAX_TERMS)
+    acc = np.full_like(z2, terms[-1])
+    if len(terms) > 1:  # then z2_max >= 8e-17, so g is finite
+        g = z2 * (sign / z2_max)
+        for a in reversed(terms[:-1]):
+            acc *= g
+            acc += a
+    return acc
 
 
 def i1_ratio_array(z2) -> np.ndarray:

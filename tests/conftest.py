@@ -3,9 +3,12 @@
 import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from stefanlab import transforms
 from stefanlab.cli import bundled_config, parse_config
+from stefanlab.errors import NumericalError
 from stefanlab.runner import simulate
 
 
@@ -13,6 +16,22 @@ def run_quiet(cfg, p):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         return simulate(cfg, p)
+
+
+def refuse_j1_above(monkeypatch, cap):
+    """Make the checkpoint J1 kernel raise NumericalError once its largest
+    squared argument passes `cap`, as an unsummable kernel would."""
+    real = transforms.j1_ratio_array
+
+    def refusing(z2):
+        z2_max = float(np.max(z2))
+        if z2_max > cap:
+            raise NumericalError(
+                f"checkpoint kernel argument {z2_max:.6g} exceeds the series cap {cap:g}"
+            )
+        return real(z2)
+
+    monkeypatch.setattr(transforms, "j1_ratio_array", refusing)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,9 @@
 """Config parsing, CSV artifacts, exit codes, determinism, compare, sweep."""
 
 import configparser
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stefanlab import observer, specfun
+from stefanlab import cli, observer
 from stefanlab.cli import (
     _CSV_CHUNK_ROWS,
     apply_fast_preset,
@@ -23,6 +26,8 @@ from stefanlab.cli import (
 from stefanlab.control import qc_ode_residual
 from stefanlab.errors import ConfigurationError
 from stefanlab.params import validate_scenario
+
+from conftest import refuse_j1_above
 
 
 def _tweaked_config(tmp_path, edits=None, name="tweaked.cfg"):
@@ -137,13 +142,29 @@ def test_run_gain_beyond_table_limit_exits_3(tmp_path, monkeypatch):
 
 def test_run_checkpoint_beyond_series_cap_exits_3(tmp_path, monkeypatch):
     p, cfg = parse_config(bundled_config("zinc_smoke"))
-    monkeypatch.setattr(specfun, "Z2_CAP", 0.5 * (cfg.lam / p.alpha) * cfg.s0**2)
+    refuse_j1_above(monkeypatch, 0.5 * (cfg.lam / p.alpha) * cfg.s0**2)
     out = tmp_path / "o"
     assert _run(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)]) == 3
     assert read_csv(out / "trace.csv")["t"].size == 1
     summary = (out / "summary.txt").read_text()
     assert "completed = False" in summary
     assert "exceeds the series cap" in summary
+
+
+def test_smoke_run_does_not_load_scipy_special(tmp_path):
+    # scipy.special adds 3.6 MB resident; only J1 kernels past z2 = 400 need it
+    script = (
+        "import sys\n"
+        "from stefanlab.cli import bundled_config, main\n"
+        f"code = main(['run', str(bundled_config('zinc_smoke')), '--out-dir', {str(tmp_path)!r}])\n"
+        "print(code, 'scipy.special' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-W", "ignore::RuntimeWarning", "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert out.stdout.split() == ["0", "False"]
 
 
 def test_summary_reports_full_trace_qc_residual(tmp_path):
@@ -272,6 +293,33 @@ def test_sweep_propagates_worst_exit(tmp_path):
     bad = _tweaked_config(tmp_path, {("scenario", "sr"): "0.05"}, name="bad.cfg")
     code = _run(["sweep", str(good), str(bad), "--out-dir", str(tmp_path / "s")])
     assert code == 2
+
+
+@pytest.mark.parametrize("n_configs, pools_made", [(1, []), (2, [2])])
+def test_sweep_pool_has_no_more_workers_than_configs(monkeypatch, n_configs, pools_made):
+    # a fake pool that records its size and maps in-process; the real one
+    # forks all of its workers at the first submit
+    pools, swept = [], []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli, "_sweep_one", lambda job: swept.append(job[0]) or 0)
+    configs = [f"c{i}.cfg" for i in range(n_configs)]
+    assert main(["sweep", *configs, "--jobs", "5000"]) == 0
+    assert pools == pools_made
+    assert swept == configs
 
 
 # the zinc grid starts with Courant numbers above 0.5 (see test_runner)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stefanlab import observer, specfun
+from stefanlab import observer
 from stefanlab.control import field_energy, output_feedback, state_feedback
 from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
 from stefanlab.errors import BlowUpError, NumericalError
@@ -21,7 +21,7 @@ from stefanlab.transforms import (
     controller_transform,
 )
 
-from conftest import run_quiet
+from conftest import refuse_j1_above, run_quiet
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 
@@ -116,7 +116,7 @@ def test_gain_beyond_table_limit_reports_partial_trace(monkeypatch):
 
 def test_first_checkpoint_beyond_series_cap_reports_partial_trace(monkeypatch):
     cfg = cfg_for()
-    monkeypatch.setattr(specfun, "Z2_CAP", 0.5 * (cfg.lam / P.alpha) * cfg.s0**2)
+    refuse_j1_above(monkeypatch, 0.5 * (cfg.lam / P.alpha) * cfg.s0**2)
     res = run_quiet(cfg, P)
     assert not res.completed
     assert "exceeds the series cap" in res.failure
@@ -129,7 +129,7 @@ def test_later_checkpoint_beyond_series_cap_keeps_its_row(monkeypatch, every, ba
     cfg = cfg_for(checkpoint_every=every)
     full = run_quiet(cfg, P)
     z2 = (cfg.lam / P.alpha) * full.checkpoints["s"] ** 2
-    monkeypatch.setattr(specfun, "Z2_CAP", 0.5 * (z2[bad - 1] + z2[bad]))
+    refuse_j1_above(monkeypatch, 0.5 * (z2[bad - 1] + z2[bad]))
     res = run_quiet(cfg, P)
     row = bad * every
     assert not res.completed

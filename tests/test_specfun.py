@@ -1,9 +1,5 @@
 """Series evaluators for I1(z)/z and J1(z)/z against an independent oracle."""
 
-import math
-import sys
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,8 +91,6 @@ def test_domain_errors(fn):
 def test_array_domain_errors():
     with pytest.raises(ValueError):
         i1_ratio_array(np.array([0.1, -0.2]))
-    with pytest.raises(ValueError):
-        j1_ratio_array(np.array([Z2_CAP * 2]))
 
 
 @given(st.floats(min_value=0.0, max_value=400.0))
@@ -116,8 +110,8 @@ def test_array_matches_scalar(z2):
 @given(st.floats(min_value=0.0, max_value=30.0))
 @settings(max_examples=60, deadline=None)
 def test_array_near_full_precision_on_kernel_range(z2):
-    # arguments arising from admissible scenarios stay small, where both
-    # fast paths hold ~12 digits
+    # the alternating J1 sum loses about eps * I1(z)/z to cancellation,
+    # which stays below 1e-14 for z2 <= 30
     assert j1_ratio_array(np.array([z2]))[0] == pytest.approx(
         bessel_j1_ratio(z2), rel=1e-12, abs=1e-14
     )
@@ -128,20 +122,6 @@ def test_array_falls_back_to_exact_above_float_cap():
     out = i1_ratio_array(z2)
     for zi, oi in zip(z2, out):
         assert oi == pytest.approx(bessel_i1_ratio(zi), rel=1e-12)
-
-
-def test_float_series_table_covers_the_float_path():
-    coeffs = specfun._COEFF_LIST
-    assert all(isinstance(c, float) and c >= sys.float_info.min for c in coeffs)
-    for m, c in enumerate(coeffs):
-        exact = Fraction(1, 2) / (4**m * math.factorial(m) * math.factorial(m + 1))
-        assert c == pytest.approx(float(exact), rel=1e-13)
-    # the Horner order search at the largest argument the float path sees
-    cap = specfun._FLOAT_SERIES_CAP
-    n_terms = 2
-    while coeffs[n_terms - 1] * cap ** (n_terms - 1) > specfun._HORNER_TOL:
-        n_terms += 1
-    assert len(coeffs) > n_terms
 
 
 def test_array_takes_exact_path_only_above_float_cap(monkeypatch):
@@ -159,16 +139,17 @@ def test_array_takes_exact_path_only_above_float_cap(monkeypatch):
 
     monkeypatch.setattr(specfun, "_ratio_series_exact", counted)
     i1 = i1_ratio_array(z2)
-    assert len(calls) == above
     j1 = j1_ratio_array(z2)
-    assert len(calls) == 2 * above
+    assert calls == []
     monkeypatch.undo()
     flat = z2.reshape(-1).tolist()
     i1_ref = np.array([bessel_i1_ratio(v) for v in flat]).reshape(z2.shape)
     j1_ref = np.array([bessel_j1_ratio(v) for v in flat]).reshape(z2.shape)
     assert np.max(np.abs(i1 / i1_ref - 1.0)) <= 1e-13
-    # the float path keeps ~8 digits of the alternating J1 series near the cap
-    assert np.max(np.abs(j1 / j1_ref - 1.0)) <= 1e-7
+    # above the float cap the whole J1 grid comes from scipy's j1(z)/z,
+    # which holds 1e-12 relative except next to a zero of J1: at z2 = 843.75
+    # (J1r = -2.8e-6) it is 3.4e-18 off, so the bound has a 1e-17 floor
+    assert np.all(np.abs(j1 - j1_ref) <= 1e-12 * np.abs(j1_ref) + 1e-17)
 
 
 @given(st.floats(min_value=0.0, max_value=9999.0), st.floats(min_value=1e-12, max_value=1.0))

@@ -1,6 +1,7 @@
 """Kernels and the direct/inverse transform pairs."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -168,3 +169,44 @@ def test_psi_kernel_properties():
     assert psi_kernel(-0.2, C, ALPHA, BETA) == pytest.approx(
         -psi_kernel(0.2, C, ALPHA, BETA), rel=1e-14
     )
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.6, 0.7])
+def test_kernels_over_admitted_range(zinc, s):
+    """P and Q at 0.9 x the zinc gain bound against mpmath Bessel functions;
+    (lam/alpha)*s^2 runs from 324 to 1.59e4."""
+    import mpmath as mp
+
+    from stefanlab.params import lambda_upper_bound
+    from stefanlab.transforms import _bessel_kernel_matrix
+
+    p, cfg = zinc
+    lam, alpha, n = 0.9 * lambda_upper_bound(cfg, p.alpha), p.alpha, 200
+    kp = _bessel_kernel_matrix(s, lam, alpha, n, "P")
+    kq = _bessel_kernel_matrix(s, lam, alpha, n, "Q")
+    # the row x = 0 and column y = s hold the largest arguments
+    rng = np.random.default_rng(7)
+    ij = np.sort(rng.integers(0, n + 1, (200, 2)), axis=1)
+    ij = np.vstack([ij, [(0, j) for j in range(n + 1)], [(i, n) for i in range(n + 1)]])
+    p_err = q_err = 0.0
+    with mp.workdps(30):
+        k = mp.mpf(lam) / mp.mpf(alpha)
+        for i, j in ij.tolist():
+            scale = k * s * j / n
+            z = mp.sqrt(k * mp.mpf(s) ** 2 * (j * j - i * i) / n**2)
+            p_ref = scale * (mp.besseli(1, z) / z if z else mp.mpf(0.5))
+            q_ref = scale * (mp.besselj(1, z) / z if z else mp.mpf(0.5))
+            if p_ref:
+                p_err = max(p_err, abs(kp[i, j] / float(p_ref) - 1.0))
+            q_err = max(q_err, abs(kq[i, j] - float(q_ref)))
+    assert p_err <= 1e-13
+    if (lam / alpha) * s * s <= 400.0:
+        # the alternating float64 sum loses up to eps * max|P| to cancellation
+        assert q_err <= np.finfo(float).eps * kp[0, n]
+    else:
+        assert q_err <= 1e-15 * np.max(np.abs(np.triu(kq)))
+    f = np.cos(3.0 * np.linspace(0.0, 1.0, n + 1))
+    for apply_fn in (apply_direct, apply_inverse):
+        start = time.perf_counter()
+        assert np.all(np.isfinite(apply_fn(f, s, lam, alpha)))
+        assert time.perf_counter() - start < 1.0
