@@ -28,7 +28,7 @@ from .params import (
     validate_scenario,
 )
 from .plant import PlantState, init_plant, interface_flux, step_plant
-from .runner import SimulationResult, Trace, simulate
+from .runner import SimulationResult, Trace, simulate, simulate_batch
 from .specfun import bessel_i1_ratio, bessel_j1_ratio
 from .transforms import (
     apply_direct,
@@ -79,6 +79,7 @@ __all__ = [
     "qc_ode_residual",
     "setpoint_lower_bound",
     "simulate",
+    "simulate_batch",
     "state_feedback",
     "step_observer",
     "step_plant",

@@ -12,19 +12,22 @@ guarantees that the observer with zero injection gain reproduces the plant
 trajectory bit for bit.
 
 In the closed loop the observer runs on the measured extent Y = s, so plant
-and observer share the diffusion matrix at every step: ``advance_field``
-takes a stack of fields and solves them with one ``dgtsv`` call, one
-right-hand side per field.  LAPACK eliminates each column with the same
-operations as a one-column solve, so stacking changes no bit.
+and observer share the diffusion matrix at every step, and scenarios that
+share the grid and the time step advance together: ``advance_field`` takes B
+blocks of m fields, one extent per block, and solves them with one ``dgtsv``
+call with m right-hand sides on the block-diagonal system whose blocks are
+joined by zero couplings.  LAPACK eliminates each column with the same
+operations as a one-column solve, and a zero coupling adds only zero terms,
+which can flip nothing but the sign of an exact zero; the Dirichlet row,
+where exact zeros arise, is reset to +0.0.
 """
 
+import math
 import warnings
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
-
-from .errors import NumericalError
 
 # Safety factor on the von Neumann threshold |rate| <= sqrt(2*alpha/dt) for
 # the explicit centered convection term under implicit diffusion.
@@ -48,7 +51,7 @@ def one_sided_edge_flux(theta: np.ndarray, dxi: float):
 
 def stable_rate_cap(alpha: float, dt: float) -> float:
     """Largest convection rate the explicit term tolerates, with safety."""
-    return _RATE_SAFETY * np.sqrt(2.0 * alpha / dt)
+    return _RATE_SAFETY * math.sqrt(2.0 * alpha / dt)
 
 
 @lru_cache(maxsize=8)
@@ -58,78 +61,145 @@ def _interior_xi(n: int) -> np.ndarray:
     return xi
 
 
+# Columns of advance_field's per-block table after the five matrix entries
+# (-mu, 1 + 2*mu, -2*mu, 1, 0): the ghost-node term, then one rate per field.
+_GHOST_COLUMN = 5
+_RATE_COLUMN = 6
+
+
+@lru_cache(maxsize=8)
+def _tri_index(blocks: int, n: int, width: int) -> np.ndarray:
+    """Index into a flattened (blocks, width) table whose rows begin with
+    the block's (-mu, 1 + 2*mu, -2*mu, 1, 0): it gathers the lower, main and
+    upper diagonals of the block-diagonal system, concatenated."""
+    lower = [0] * (n - 1) + [4, 4]  # the Dirichlet row's 0, then the coupling
+    main = [1] * n + [3]  # the Dirichlet row's 1
+    upper = [2] + [0] * (n - 1) + [4]  # the ghost row's -2*mu, then the coupling
+    base = width * np.arange(blocks)[:, np.newaxis]
+    index = np.concatenate(
+        [(base + lower).ravel()[:-1], (base + main).ravel(), (base + upper).ravel()[:-1]]
+    )
+    index.flags.writeable = False
+    return index
+
+
 def advance_field(
     rows: np.ndarray,
-    extent: float,
+    extent,
     rates,
-    qc: float,
+    qc,
     dt: float,
-    alpha: float,
-    k: float,
+    alpha,
+    k,
     source: np.ndarray | None = None,
     cfl_warn: bool = True,
-) -> np.ndarray:
-    """One backward-Euler step of the immobilized diffusion problem for a
-    stack of fields that share the extent and the boundary heat flux.
+) -> tuple[np.ndarray, dict]:
+    """One backward-Euler step of the immobilized diffusion problem for B
+    independent blocks of m fields; the fields of a block share its extent,
+    boundary heat flux and material.
 
-    rows:   (m, N+1) samples on the uniform xi-grid, rows[:, -1] == 0
-    extent: current physical domain length (s or Y)
-    rates:  m domain growth rates, one per row, entering the convection
-            term; each is clamped to the explicit-stability range
-    qc:     boundary heat flux, imposed as u_xi(0) = -(qc/k)*extent
-    source: optional explicit source samples for the last row (the
-            observer's output injection)
-    cfl_warn: warn when the first row's Courant number exceeds 0.5
+    rows:     (m, B, N+1) samples on the uniform xi-grid, rows[..., -1] == 0
+    extent:   B current physical domain lengths (s or Y), one per block
+    rates:    m sequences of B domain growth rates entering the convection
+              term; each is clamped to its block's explicit-stability range
+    qc:       B boundary heat fluxes, imposed as u_xi(0) = -(qc/k)*extent
+    alpha, k: B diffusivities and conductivities
+    source:   optional (G, N+1) explicit source samples for the last field
+              of the first G blocks (the observer's output injection)
+    cfl_warn: warn when a first-field Courant number exceeds 0.5
 
-    Returns the advanced (m, N+1) stack.
+    Returns the advanced (m, B, N+1) stack and a dict block -> message for
+    the blocks whose solve failed or left a non-finite value.
     """
-    n = rows.shape[1] - 1
+    m, blocks, n1 = rows.shape
+    n = n1 - 1
     dxi = 1.0 / n
-    mu = alpha * dt / (extent * extent * dxi * dxi)
 
-    cap = stable_rate_cap(alpha, dt)
-    rates = [(cap if r > 0.0 else -cap) if abs(r) > cap else r for r in rates]
-    if cfl_warn and dt * abs(rates[0]) / (extent * dxi) > 0.5:
+    # one row of Python floats per block: the matrix entries, the Neumann
+    # ghost-node term and the clamped rates over the extent (convection)
+    table = []
+    courant = 0.0
+    for b in range(blocks):
+        ext, a = extent[b], alpha[b]
+        mu = a * dt / (ext * ext * dxi * dxi)
+        # Neumann ghost node: theta[ghost] = theta[1] - 2*dxi*g, g = -(qc/k)*extent
+        ghost = -2.0 * mu * dxi * (-(qc[b] / k[b]) * ext)
+        row = [-mu, 1.0 + 2.0 * mu, -2.0 * mu, 1.0, 0.0, ghost]
+        cap = stable_rate_cap(a, dt)
+        for field in range(m):
+            r = rates[field][b]
+            if abs(r) > cap:
+                r = cap if r > 0.0 else -cap
+            if field == 0:
+                courant = max(courant, dt * abs(r) / (ext * dxi))
+            row.append(r / ext)
+        table.append(row)
+    if cfl_warn and courant > 0.5:
         # static message so the warnings machinery deduplicates per process
         warnings.warn(
             "explicit convection Courant number exceeds 0.5; consider reducing dt",
             RuntimeWarning,
             stacklevel=2,
         )
+    values = np.array(table)
 
-    # rhs: explicit convection (vanishes at xi=0, Dirichlet row at xi=1)
+    # rhs: explicit convection (vanishes at xi=0, Dirichlet row at xi=1); the
+    # in-place updates go through named views, which spares numpy the
+    # write-back of an indexed `+=`
     rhs = rows.copy()
-    conv = rows[:, 2:] - rows[:, :-2]
+    conv = rows[..., 2:] - rows[..., :-2]
     conv *= 0.5 / dxi
-    conv *= np.multiply.outer([r / extent for r in rates], _interior_xi(n))
+    conv *= np.multiply.outer(values[:, _RATE_COLUMN:].T, _interior_xi(n))
     conv *= dt
-    rhs[:, 1:-1] += conv
+    interior = rhs[..., 1:-1]
+    interior += conv
     if source is not None:
-        rhs[-1, :-1] += dt * source[:-1]
+        injected = rhs[-1, : source.shape[0], :-1]
+        injected += dt * source[:, :-1]
+    first = rhs[..., 0]
+    first += values[:, _GHOST_COLUMN]
+    rhs[..., n] = 0.0
 
-    # Neumann ghost node at xi=0: theta[ghost] = theta[1] - 2*dxi*g
-    g = -(qc / k) * extent
-    rhs[:, 0] += -2.0 * mu * dxi * g
-
-    # tridiagonal system: dl lower, d main, du upper, in one allocation
-    tri = np.empty(3 * n + 1)
-    dl, d, du = tri[:n], tri[n : 2 * n + 1], tri[2 * n + 1 :]
-    dl.fill(-mu)
-    d.fill(1.0 + 2.0 * mu)
-    du.fill(-mu)
-    du[0] = -2.0 * mu  # ghost-node row couples twice to theta[1]
-    # Dirichlet row at xi = 1
-    d[n] = 1.0
-    dl[n - 1] = 0.0
-    rhs[:, n] = 0.0
-
-    # rhs.T is the Fortran-ordered (N+1, m) right-hand side, solved in place
+    # block-diagonal system: dl lower, d main, du upper, in one allocation
+    size = blocks * n1
+    tri = values.take(_tri_index(blocks, n, values.shape[1]))
+    # the Fortran-ordered (B*(N+1), m) right-hand side, solved in place
     _, _, _, out, info = dgtsv(
-        dl, d, du, rhs.T, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1
+        tri[: size - 1],
+        tri[size - 1 : 2 * size - 1],
+        tri[2 * size - 1 :],
+        rhs.reshape(m, size).T,
+        overwrite_dl=1,
+        overwrite_d=1,
+        overwrite_du=1,
+        overwrite_b=1,
     )
-    if info != 0:
-        raise NumericalError(f"tridiagonal solve failed: dgtsv info = {info}")
-    if not np.isfinite(out).all():
-        raise NumericalError("temperature field became non-finite")
-    out[n] = 0.0
-    return out.T
+    out = out.T.reshape(m, blocks, n1)
+    failed = {}
+    if info != 0 or not np.isfinite(out).all():
+        if blocks == 1:
+            if info != 0:
+                failed[0] = f"tridiagonal solve failed: dgtsv info = {info}"
+            else:
+                failed[0] = "temperature field became non-finite"
+        else:
+            # a failed block can spread NaN to its neighbours across the zero
+            # couplings (0 * inf), so every block is solved again on its own
+            g = 0 if source is None else source.shape[0]
+            for b in range(blocks):
+                one = slice(b, b + 1)
+                out[:, one], bad = advance_field(
+                    rows[:, one],
+                    extent[one],
+                    [r[one] for r in rates],
+                    qc[one],
+                    dt,
+                    alpha[one],
+                    k[one],
+                    source=source[one] if b < g else None,
+                    cfl_warn=False,
+                )
+                if bad:
+                    failed[b] = bad[0]
+    out[..., n] = 0.0
+    return out, failed

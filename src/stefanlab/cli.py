@@ -12,7 +12,7 @@ Floats in the CSV artifacts are printed with 17 significant digits so that
 identical configs yield byte-identical files.
 
 Exit codes: 0 success, 2 invalid config, 3 numerical blow-up (partial trace
-still written).
+still written).  ``sweep`` returns the largest exit code of its members.
 """
 
 import argparse
@@ -20,6 +20,7 @@ import configparser
 import itertools
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -31,9 +32,10 @@ from .errors import ConfigurationError
 from .params import (
     PhysicalParams,
     ScenarioConfig,
+    ValidationReport,
     validate_scenario,
 )
-from .runner import simulate
+from .runner import lockstep_batches, simulate, simulate_batch
 
 _REQUIRED = {
     "physical": ("rho", "cp", "k", "dh", "tm"),
@@ -114,9 +116,8 @@ def apply_fast_preset(cfg: ScenarioConfig) -> ScenarioConfig:
 
     Scaling both slopes by the same factor preserves the gain-bound ratio
     H/Hhat and lowers the setpoint restriction, so a valid config stays valid.
+    Raises ConfigurationError when the shortened horizon no longer exceeds dt.
     """
-    from dataclasses import replace
-
     return replace(cfg, H=0.1 * cfg.H, Hhat=0.1 * cfg.Hhat, t_end=0.1 * cfg.t_end)
 
 
@@ -215,6 +216,49 @@ def _summary_text(cfg, p, report, result) -> str:
     return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class _Run:
+    """A parsed, overridden and validated scenario, and where it writes."""
+
+    cfg: ScenarioConfig
+    p: PhysicalParams
+    report: ValidationReport
+    out: Path
+
+
+def _prepare(config_path: Path, out: Path, checkpoint_every, fast) -> _Run | int:
+    """Parse the config, apply the overrides and validate; the exit code 2
+    if the scenario cannot run (with summary.txt written when it parsed)."""
+    try:
+        p, cfg = parse_config(config_path)
+        if fast:
+            cfg = apply_fast_preset(cfg)
+        if checkpoint_every is not None:
+            cfg = replace(cfg, checkpoint_every=checkpoint_every)
+    except ConfigurationError as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
+
+    out.mkdir(parents=True, exist_ok=True)
+    report = validate_scenario(cfg, p)
+    if not report.passed:
+        (out / "summary.txt").write_text(_summary_text(cfg, p, report, None))
+        print(report.format(), file=sys.stderr)
+        return 2
+    return _Run(cfg, p, report, out)
+
+
+def _write_outputs(run: _Run, result) -> int:
+    """Write trace.csv, transforms.csv and summary.txt; the exit code."""
+    write_csv(run.out / "trace.csv", result.trace.columns())
+    write_csv(run.out / "transforms.csv", result.checkpoints)
+    (run.out / "summary.txt").write_text(_summary_text(run.cfg, run.p, run.report, result))
+    if not result.completed:
+        print(f"run aborted: {result.failure}", file=sys.stderr)
+        return 3
+    return 0
+
+
 def run_scenario(
     config_path,
     out_dir=None,
@@ -223,37 +267,11 @@ def run_scenario(
 ) -> int:
     """Validate, run, and write trace.csv / transforms.csv / summary.txt."""
     config_path = Path(config_path)
-    try:
-        p, cfg = parse_config(config_path)
-    except ConfigurationError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-
-    if fast:
-        cfg = apply_fast_preset(cfg)
-    if checkpoint_every is not None:
-        from dataclasses import replace
-
-        cfg = replace(cfg, checkpoint_every=checkpoint_every)
-
     out = Path(out_dir) if out_dir is not None else Path.cwd() / f"{config_path.stem}_out"
-    out.mkdir(parents=True, exist_ok=True)
-
-    report = validate_scenario(cfg, p)
-    if not report.passed:
-        (out / "summary.txt").write_text(_summary_text(cfg, p, report, None))
-        print(report.format(), file=sys.stderr)
-        return 2
-
-    result = simulate(cfg, p)
-    write_csv(out / "trace.csv", result.trace.columns())
-    write_csv(out / "transforms.csv", result.checkpoints)
-    (out / "summary.txt").write_text(_summary_text(cfg, p, report, result))
-
-    if not result.completed:
-        print(f"run aborted: {result.failure}", file=sys.stderr)
-        return 3
-    return 0
+    run = _prepare(config_path, out, checkpoint_every, fast)
+    if isinstance(run, int):
+        return run
+    return _write_outputs(run, simulate(run.cfg, run.p))
 
 
 def _validate_cmd(config_path) -> int:
@@ -278,10 +296,48 @@ def _compare_cmd(a, b) -> int:
     return 0
 
 
-def _sweep_one(args) -> int:
-    config_path, out_root, checkpoint_every, fast = args
-    sub = Path(out_root) / Path(config_path).stem
-    return run_scenario(config_path, out_dir=sub, checkpoint_every=checkpoint_every, fast=fast)
+def _sweep_batch(runs: list[_Run]) -> int:
+    """Run one lockstep batch, writing each member's outputs as it leaves."""
+    results = simulate_batch([(run.cfg, run.p) for run in runs])
+    return max(_write_outputs(runs[j], result) for j, result in results)
+
+
+def _sweep(configs, out_root, checkpoint_every, fast, jobs) -> int:
+    """Run every config into out_root/<config stem>; the largest exit code.
+
+    Every config is parsed and validated first.  The valid ones run in
+    lockstep batches of members that share (grid_n, dt), and --jobs spreads
+    whole batches over processes.
+    """
+    paths = [Path(c) for c in configs]
+    stems = {}
+    for path in paths:
+        if path.stem in stems:
+            print(
+                f"invalid sweep: {stems[path.stem]} and {path} both write to "
+                f"{Path(out_root) / path.stem}",
+                file=sys.stderr,
+            )
+            return 2
+        stems[path.stem] = path
+
+    codes, runs = [], []
+    for path in paths:
+        run = _prepare(path, Path(out_root) / path.stem, checkpoint_every, fast)
+        if isinstance(run, int):
+            codes.append(run)
+        else:
+            runs.append(run)
+    batches = [[runs[j] for j in batch] for batch in lockstep_batches([r.cfg for r in runs])]
+    # the pool forks all its workers at the first submit, so it gets no
+    # more than there are batches
+    workers = min(jobs, len(batches))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            codes += pool.map(_sweep_batch, batches)
+    else:
+        codes += [_sweep_batch(batch) for batch in batches]
+    return max(codes, default=0)
 
 
 def main(argv=None) -> int:
@@ -326,16 +382,7 @@ def main(argv=None) -> int:
     if args.command == "compare":
         return _compare_cmd(args.trace_a, args.trace_b)
     if args.command == "sweep":
-        jobs = [(c, args.out_dir, args.checkpoint_every, args.fast) for c in args.configs]
-        # the pool forks all its workers at the first submit, so it gets no
-        # more than there are configs
-        workers = min(args.jobs, len(jobs))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                codes = list(pool.map(_sweep_one, jobs))
-        else:
-            codes = [_sweep_one(j) for j in jobs]
-        return max(codes, default=0)
+        return _sweep(args.configs, args.out_dir, args.checkpoint_every, args.fast, args.jobs)
     return 2
 
 

@@ -33,10 +33,15 @@ def field_energy(theta: np.ndarray, extent, p: PhysicalParams):
     return _trapz_integral(theta, extent) / p.alpha + extent / p.beta
 
 
+def feedback_law(integral: float, extent: float, cfg: ScenarioConfig, p: PhysicalParams) -> float:
+    """qc = -c*k*((1/alpha)*integral + (extent - sr)/beta), where integral
+    is int_0^extent u dx."""
+    return -cfg.c * p.k * (integral / p.alpha + (extent - cfg.sr) / p.beta)
+
+
 def feedback_flux(theta: np.ndarray, extent: float, cfg: ScenarioConfig, p: PhysicalParams) -> float:
     """qc = -c*k*((1/alpha)*int_0^extent u dx + (extent - sr)/beta)."""
-    integral = _trapz_integral(theta, extent)
-    return -cfg.c * p.k * (integral / p.alpha + (extent - cfg.sr) / p.beta)
+    return feedback_law(_trapz_integral(theta, extent), extent, cfg, p)
 
 
 def state_feedback(st: PlantState, cfg: ScenarioConfig, p: PhysicalParams) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scheme import advance_field, one_sided_edge_flux
+from .errors import NumericalError
 from .params import PhysicalParams, ScenarioConfig
 from .specfun import bessel_i1_ratio, i1_ratio_terms
 
@@ -173,7 +174,18 @@ def step_observer(
     v, source = observer_forcing(
         y_now, ob.y_prev, ob.v_prev, estimate_flux(ob, y_now), dt, n, cfg, p
     )
-    theta_new = advance_field(
-        ob.theta_hat[np.newaxis], y_now, (v,), qc, dt, p.alpha, p.k, source=source, cfl_warn=False
-    )[0]
+    stack, failed = advance_field(
+        ob.theta_hat[np.newaxis, np.newaxis],
+        (y_now,),
+        ((v,),),
+        (qc,),
+        dt,
+        (p.alpha,),
+        (p.k,),
+        source=None if source is None else source[np.newaxis],
+        cfl_warn=False,
+    )
+    if failed:
+        raise NumericalError(failed[0])
+    theta_new = stack[0, 0]
     return ObserverState(t=ob.t + dt, y_prev=y_now, theta_hat=theta_new, v_prev=v)

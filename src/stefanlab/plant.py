@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._scheme import advance_field, one_sided_edge_flux
-from .errors import BlowUpError
+from .errors import BlowUpError, NumericalError
 from .params import PhysicalParams, ScenarioConfig
 
 
@@ -94,11 +94,16 @@ def step_plant(
 
     Assumes a fixed dt across steps (the backward-difference rate divides by
     the current dt).  Raises BlowUpError if the interface collapses or
-    reaches 95% of the domain cap.
+    reaches 95% of the domain cap, NumericalError if the solve fails.
     """
     dxi = 1.0 / (st.theta.size - 1)
     rate = convection_rate(st.s, st.s_prev, one_sided_edge_flux(st.theta, dxi), dt, p.beta)
-    theta_new = advance_field(st.theta[np.newaxis], st.s, (rate,), qc, dt, p.alpha, p.k)[0]
+    stack, failed = advance_field(
+        st.theta[np.newaxis, np.newaxis], (st.s,), ((rate,),), (qc,), dt, (p.alpha,), (p.k,)
+    )
+    if failed:
+        raise NumericalError(failed[0])
+    theta_new = stack[0, 0]
     t_new = st.t + dt
     s_new = advance_interface(
         st.s, one_sided_edge_flux(theta_new, dxi), t_new, dt, p.beta, domain_cap

@@ -10,11 +10,15 @@ Because both systems share one discrete operator, a zero-gain observer
 started on the true profile reproduces the plant bit for bit, and the two
 feedback laws then produce identical traces.
 
-The loop keeps theta and theta_hat as the two rows of one array and does
-only the sequential work per step: the feedback integral, the edge stencils,
-the two convection rates, the injection gain and one two-column solve.  The
-logged diagnostics depend on no later step, so they are computed for blocks
-of buffered rows at a time.
+Scenarios that share the grid and the time step advance in lockstep as one
+(2, B, N+1) stack, row 0 of each member its theta and row 1 its theta_hat,
+with one block-diagonal two-column solve per step; ``simulate`` is the batch
+of one.  The array work is batched: the trapezoid sums, the convection, the
+ghost-node flux, the source rows, the solve and the non-finite check.  The
+scalar work stays in Python floats, member by member: the feedback law, the
+edge stencils, the two convection rates and their clamp, the injection gain
+and the Stefan update.  The logged diagnostics depend on no later step, so
+they are computed for blocks of buffered rows at a time.
 """
 
 from dataclasses import dataclass, field, fields
@@ -32,6 +36,13 @@ from .plant import PlantState, advance_interface, convection_rate, init_plant
 # computed in one pass: large enough to amortise the per-call cost of the
 # array operations, small enough to stay in cache.
 _BLOCK_ROWS = 64
+
+# Bytes of logged columns and field buffers one lockstep batch may hold: four
+# 5,001-row members on a 64-interval grid hold 2.5 MB, a 90,001-row member
+# on a 200-interval grid 10.3 MB, so it runs alone.  Holding all 24 of such a
+# sweep's traces at once raised its peak resident size by 12 MB.
+_BATCH_BYTES = 3_000_000
+
 
 def _array_fields(cls) -> list[str]:
     """Names of the array fields of a dataclass, in declaration order."""
@@ -63,11 +74,11 @@ class Trace:
 
     def columns(self) -> dict:
         """Column name -> array in CSV order: the logged arrays, then the
-        constraint flags as 0/1."""
+        constraint flags as bool arrays (written as 0/1)."""
         report = diagnostics.monitor_constraints(self)
         out = {name: getattr(self, name) for name in _array_fields(Trace)}
         for name in _array_fields(diagnostics.ConstraintReport):
-            out[name] = getattr(report, name).astype(int)
+            out[name] = getattr(report, name)
         return out
 
 
@@ -127,96 +138,240 @@ def _log_block(cols: dict, start: int, block: np.ndarray, cfg: ScenarioConfig, p
     cols["utilde_max"][rows] = u_err.max(axis=-1)
 
 
+@dataclass(slots=True)
+class _Member:
+    """One scenario of a lockstep batch: its logs, its sequential state and
+    the constants its per-step scalar work reads."""
+
+    index: int
+    cfg: ScenarioConfig
+    p: PhysicalParams
+    cols: dict
+    checkpoint_rows: list
+    s: float
+    last_row: int
+    feedback_row: int
+    domain_cap: float
+    alpha: float
+    beta: float
+    k: float
+    s_prev: float | None = None
+    y_prev: float | None = None
+    v_prev: float | None = None
+    t_state: float = 0.0
+
+    def result(self, rows: int, block: np.ndarray, pair: np.ndarray, failure) -> SimulationResult:
+        """The run's result after `rows` logged rows; block holds the
+        member's buffered rows, pair its final (theta, theta_hat)."""
+        cfg, p, cols = self.cfg, self.p, self.cols
+        tail = rows % _BLOCK_ROWS
+        if tail:
+            _log_block(cols, rows - tail, block[:tail], cfg, p)
+        trace = Trace(
+            **{name: arr[:rows] for name, arr in cols.items()},
+            dt=cfg.dt,
+            grid_n=cfg.grid_n,
+            sr=cfg.sr,
+            mode=cfg.mode,
+        )
+        # row 0 is always a checkpoint; a run whose first checkpoint fails has none
+        names = self.checkpoint_rows[0] if self.checkpoint_rows else ()
+        checkpoints = {name: np.array([r[name] for r in self.checkpoint_rows]) for name in names}
+        return SimulationResult(
+            trace=trace,
+            checkpoints=checkpoints,
+            completed=failure is None,
+            failure=failure,
+            final_plant=PlantState(t=self.t_state, s=self.s, theta=pair[0].copy(), s_prev=self.s_prev),
+            final_observer=ObserverState(
+                t=self.t_state, y_prev=self.y_prev, theta_hat=pair[1].copy(), v_prev=self.v_prev
+            ),
+            constants=diagnostics.lyapunov_constants(cfg, p),
+        )
+
+
+def _held_bytes(cfg: ScenarioConfig) -> int:
+    """Bytes a member holds in a batch: its logged columns and its buffer of
+    _BLOCK_ROWS field pairs."""
+    rows = int(round(cfg.t_end / cfg.dt)) + 1
+    return 8 * (rows * len(_array_fields(Trace)) + _BLOCK_ROWS * 2 * (cfg.grid_n + 1))
+
+
+def lockstep_batches(cfgs) -> list[list[int]]:
+    """Indices of the configs grouped by (grid_n, dt), in order of first
+    appearance, each group cut into consecutive batches of at most
+    _BATCH_BYTES held (a member that alone holds more runs alone)."""
+    groups = {}
+    for j, cfg in enumerate(cfgs):
+        groups.setdefault((cfg.grid_n, cfg.dt), []).append(j)
+    batches = []
+    for group in groups.values():
+        batch, held = [], 0
+        for j in group:
+            cost = _held_bytes(cfgs[j])
+            if batch and held + cost > _BATCH_BYTES:
+                batches.append(batch)
+                batch, held = [], 0
+            batch.append(j)
+            held += cost
+        batches.append(batch)
+    return batches
+
+
+def simulate_batch(scenarios):
+    """Run (cfg, p) scenarios that share grid_n and dt in lockstep.
+
+    Yields (index into scenarios, SimulationResult) as each member leaves
+    the batch: when it completes, or when it fails (completed=False with the
+    failure message and the truncated trace, as from ``simulate``).  Each
+    member's result is bit-identical to its own ``simulate`` run.
+    """
+    scenarios = list(scenarios)
+    grids = {(cfg.grid_n, cfg.dt) for cfg, _ in scenarios}
+    if len(grids) != 1:
+        raise ValueError(f"lockstep members must share one (grid_n, dt), got {sorted(grids)}")
+    ((n, dt),) = grids
+    dxi = 1.0 / n
+    members = []
+    # members with an injection gain first: the observer source covers the
+    # first blocks of the stack
+    for j in sorted(range(len(scenarios)), key=lambda j: scenarios[j][0].lam == 0.0):
+        cfg, p = scenarios[j]
+        n_rows = int(round(cfg.t_end / dt)) + 1
+        if n_rows < 2:
+            raise ValueError("horizon shorter than one step")
+        cols = {name: np.empty(n_rows) for name in _array_fields(Trace)}
+        cols["V"].fill(np.nan)
+        cols["Vtot"].fill(np.nan)
+        members.append(
+            _Member(
+                index=j,
+                cfg=cfg,
+                p=p,
+                cols=cols,
+                checkpoint_rows=[],
+                s=cfg.s0,
+                last_row=n_rows - 1,
+                feedback_row=0 if cfg.mode == "state_feedback" else 1,
+                domain_cap=cfg.domain_cap if cfg.domain_cap is not None else 2.0 * cfg.sr,
+                alpha=p.alpha,
+                beta=p.beta,
+                k=p.k,
+            )
+        )
+
+    # block b of the stack is member b: row 0 its theta, row 1 its theta_hat
+    stack = np.stack(
+        [
+            [init_plant(m.cfg).theta for m in members],
+            [init_observer(m.cfg).theta_hat for m in members],
+        ]
+    )
+    # the buffered stacks of the current block of rows
+    block = np.empty((_BLOCK_ROWS, 2, len(members), n + 1))
+    i = 0
+    while True:
+        t = i * dt
+        rows = i + 1
+        block[i % _BLOCK_ROWS] = stack
+        log_block = rows % _BLOCK_ROWS == 0
+        heads = stack[..., 0].tolist()
+        interior = stack[..., 1:-1].sum(axis=-1).tolist()
+        tails = stack[..., -3:].tolist()
+
+        # per member in Python floats: the feedback law on the trapezoid
+        # integral of control._trapz_integral, the checkpoint, the rates and
+        # the injection source
+        leaving, stepping = {}, []
+        extent, qcs, rates, velocities, sources, alphas, ks = [], [], [], [], [], [], []
+        for j, m in enumerate(members):
+            cfg, cols, fb = m.cfg, m.cols, m.feedback_row
+            y = m.s  # measurement; the observer extent is rescaled to it
+            integral = y * dxi * (0.5 * (heads[fb][j] + tails[fb][j][2]) + interior[fb][j])
+            qc = control.feedback_law(integral, y, cfg, m.p)
+            cols["t"][i] = t
+            cols["s"][i] = y
+            cols["qc"][i] = qc
+            if log_block:
+                _log_block(cols, rows - _BLOCK_ROWS, block[:, :, j], cfg, m.p)
+            try:
+                if i % cfg.checkpoint_every == 0 or i == m.last_row:
+                    ck, sample = _checkpoint_row(stack[0, j], stack[1, j], y, t, cfg, m.p)
+                    m.checkpoint_rows.append(ck)
+                    cols["V"][i] = sample.V
+                    cols["Vtot"][i] = sample.Vtot
+                if i == m.last_row:
+                    leaving[j] = None
+                    continue
+                rate = convection_rate(y, m.s_prev, edge_stencil(*tails[0][j], dxi), dt, m.beta)
+                v, source = observer_forcing(
+                    y, m.y_prev, m.v_prev, edge_stencil(*tails[1][j], dxi) / y, dt, n, cfg, m.p
+                )
+            except (BlowUpError, NumericalError) as exc:
+                leaving[j] = str(exc)
+                continue
+            stepping.append(j)
+            extent.append(y)
+            qcs.append(qc)
+            rates.append(rate)
+            velocities.append(v)
+            alphas.append(m.alpha)
+            ks.append(m.k)
+            if source is not None:
+                sources.append(source)
+
+        for j, failure in leaving.items():
+            yield members[j].index, members[j].result(rows, block[:, :, j], stack[:, j], failure)
+        if not stepping:
+            return
+        if leaving:
+            # compaction keeps the order, so the gain members stay first
+            members = [members[j] for j in stepping]
+            stack, block = stack[:, stepping], block[:, :, stepping]
+
+        new, failed = advance_field(
+            stack,
+            extent,
+            (rates, velocities),
+            qcs,
+            dt,
+            alphas,
+            ks,
+            source=np.array(sources) if sources else None,
+        )
+        edges = new[0, :, -3:].tolist()
+        for j, m in enumerate(members):
+            if j not in failed:
+                try:
+                    s_next = advance_interface(
+                        m.s, edge_stencil(*edges[j], dxi), m.t_state + dt, dt, m.beta, m.domain_cap
+                    )
+                except BlowUpError as exc:
+                    failed[j] = str(exc)
+                    continue
+                y = m.s
+                m.s_prev, m.s = y, s_next
+                m.y_prev, m.v_prev = y, velocities[j]
+                m.t_state += dt
+        for j, failure in failed.items():
+            # the member's last state is the one before this step
+            yield members[j].index, members[j].result(rows, block[:, :, j], stack[:, j], failure)
+        if failed:
+            keep = [j for j in range(len(members)) if j not in failed]
+            if not keep:
+                return
+            members = [members[j] for j in keep]
+            new, block = new[:, keep], block[:, :, keep]
+        stack = new
+        i += 1
+
+
 def simulate(cfg: ScenarioConfig, p: PhysicalParams) -> SimulationResult:
-    """Run the closed loop over the configured horizon.
+    """Run the closed loop over the configured horizon: the lockstep batch
+    of one.
 
     Numerical failures do not raise: the result carries the truncated trace
     with completed=False and the failure message.
     """
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if n_steps < 1:
-        raise ValueError("horizon shorter than one step")
-    domain_cap = cfg.domain_cap if cfg.domain_cap is not None else 2.0 * cfg.sr
-    dt, n = cfg.dt, cfg.grid_n
-    dxi = 1.0 / n
-    alpha, beta = p.alpha, p.beta
-    feedback_row = 0 if cfg.mode == "state_feedback" else 1
-
-    # rows 0 and 1: the plant's theta and the observer's theta_hat
-    pair = np.stack([init_plant(cfg).theta, init_observer(cfg).theta_hat])
-    s = cfg.s0
-    s_prev = y_prev = v_prev = None
-    t_state = 0.0
-
-    n_rows = n_steps + 1
-    cols = {name: np.empty(n_rows) for name in _array_fields(Trace)}
-    cols["V"].fill(np.nan)
-    cols["Vtot"].fill(np.nan)
-    block = np.empty((_BLOCK_ROWS, 2, n + 1))
-    checkpoint_rows = []
-
-    completed = True
-    failure = None
-    rows = 0
-    for i in range(n_rows):
-        y = s  # measurement; the observer extent is rescaled to it
-        t = i * dt
-        qc = control.feedback_flux(pair[feedback_row], y, cfg, p)
-        cols["t"][i] = t
-        cols["s"][i] = y
-        cols["qc"][i] = qc
-        block[i % _BLOCK_ROWS] = pair
-        rows = i + 1
-        if rows % _BLOCK_ROWS == 0:
-            _log_block(cols, rows - _BLOCK_ROWS, block, cfg, p)
-
-        try:
-            if i % cfg.checkpoint_every == 0 or i == n_rows - 1:
-                row, sample = _checkpoint_row(pair[0], pair[1], y, t, cfg, p)
-                checkpoint_rows.append(row)
-                cols["V"][i] = sample.V
-                cols["Vtot"][i] = sample.Vtot
-            if i == n_rows - 1:
-                break
-
-            plant_tail, observer_tail = pair[:, -3:].tolist()
-            rate = convection_rate(s, s_prev, edge_stencil(*plant_tail, dxi), dt, beta)
-            v, source = observer_forcing(
-                y, y_prev, v_prev, edge_stencil(*observer_tail, dxi) / y, dt, n, cfg, p
-            )
-            pair_next = advance_field(pair, s, (rate, v), qc, dt, alpha, p.k, source=source)
-            edge = edge_stencil(*pair_next[0, -3:].tolist(), dxi)
-            s_next = advance_interface(s, edge, t_state + dt, dt, beta, domain_cap)
-        except (BlowUpError, NumericalError) as exc:
-            completed = False
-            failure = str(exc)
-            break
-        pair, s_prev, s = pair_next, s, s_next
-        y_prev, v_prev = y, v
-        t_state += dt
-
-    tail = rows % _BLOCK_ROWS
-    if tail:
-        _log_block(cols, rows - tail, block[:tail], cfg, p)
-
-    trace = Trace(
-        **{name: arr[:rows] for name, arr in cols.items()},
-        dt=cfg.dt,
-        grid_n=cfg.grid_n,
-        sr=cfg.sr,
-        mode=cfg.mode,
-    )
-    # row 0 is always a checkpoint; a run whose first checkpoint fails has none
-    names = checkpoint_rows[0] if checkpoint_rows else ()
-    checkpoints = {name: np.array([r[name] for r in checkpoint_rows]) for name in names}
-    return SimulationResult(
-        trace=trace,
-        checkpoints=checkpoints,
-        completed=completed,
-        failure=failure,
-        final_plant=PlantState(t=t_state, s=s, theta=pair[0].copy(), s_prev=s_prev),
-        final_observer=ObserverState(
-            t=t_state, y_prev=y_prev, theta_hat=pair[1].copy(), v_prev=v_prev
-        ),
-        constants=diagnostics.lyapunov_constants(cfg, p),
-    )
+    ((_, result),) = simulate_batch([(cfg, p)])
+    return result

@@ -295,8 +295,8 @@ def test_sweep_propagates_worst_exit(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("n_configs, pools_made", [(1, []), (2, [2])])
-def test_sweep_pool_has_no_more_workers_than_configs(monkeypatch, n_configs, pools_made):
+@pytest.mark.parametrize("n_batches, pools_made", [(1, []), (2, [2])])
+def test_sweep_pool_has_no_more_workers_than_batches(tmp_path, monkeypatch, n_batches, pools_made):
     # a fake pool that records its size and maps in-process; the real one
     # forks all of its workers at the first submit
     pools, swept = [], []
@@ -315,11 +315,71 @@ def test_sweep_pool_has_no_more_workers_than_configs(monkeypatch, n_configs, poo
             return [fn(item) for item in items]
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli, "_sweep_one", lambda job: swept.append(job[0]) or 0)
-    configs = [f"c{i}.cfg" for i in range(n_configs)]
-    assert main(["sweep", *configs, "--jobs", "5000"]) == 0
+    monkeypatch.setattr(cli, "_sweep_batch", lambda batch: swept.extend(r.out.name for r in batch) or 0)
+    # three valid configs on n_batches grids: one lockstep batch per grid
+    grids = [64, 64, 64 if n_batches == 1 else 72]
+    configs = [
+        str(_tweaked_config(tmp_path, {("numerics", "grid_n"): g}, name=f"c{i}.cfg"))
+        for i, g in enumerate(grids)
+    ]
+    assert main(["sweep", *configs, "--out-dir", str(tmp_path / "s"), "--jobs", "5000"]) == 0
     assert pools == pools_made
-    assert swept == configs
+    assert swept == [Path(c).stem for c in configs]
+
+
+def test_sweep_refuses_colliding_stems(tmp_path, capsys):
+    (tmp_path / "d1").mkdir()
+    (tmp_path / "d2").mkdir()
+    first = _tweaked_config(tmp_path / "d1", name="m.cfg")
+    second = _tweaked_config(tmp_path / "d2", name="m.cfg")
+    out = tmp_path / "s"
+    assert _run(["sweep", str(first), str(second), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(first) in err and str(second) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "edits, flag, message",
+    [
+        ({}, ["--checkpoint-every", "0"], "checkpoint_every must be at least 1"),
+        ({("numerics", "t_end"): 0.5}, ["--fast"], "t_end must exceed dt"),
+    ],
+    ids=["checkpoint_every_0", "fast_below_dt"],
+)
+def test_invalid_override_exits_2(tmp_path, capsys, command, edits, flag, message):
+    cfg = _tweaked_config(tmp_path, edits)
+    assert _run([command, str(cfg), "--out-dir", str(tmp_path / "o"), *flag]) == 2
+    assert f"invalid config: {message}" in capsys.readouterr().err
+
+
+# the smoke grid starts with Courant numbers above 0.5 (see test_runner)
+@pytest.mark.filterwarnings("ignore:explicit convection Courant number exceeds 0.5:RuntimeWarning")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_members_match_their_own_runs(tmp_path, jobs):
+    edits = {
+        "output": {},
+        "state": {("scenario", "mode"): "state_feedback"},
+        "zero_gain": {("scenario", "lambda"): 0.0},
+        "smoothing": {("output", "smoothing"): 0.3},
+        "blow_up": {("scenario", "c"): 1e9},
+        "invalid": {("scenario", "sr"): 0.05},
+        "coarse": {("numerics", "grid_n"): 32},
+    }
+    configs = [str(_tweaked_config(tmp_path, edit, name=f"{name}.cfg")) for name, edit in edits.items()]
+    out = tmp_path / "sweep"
+    assert main(["sweep", *configs, "--out-dir", str(out), "--jobs", jobs]) == 3
+    codes = {}
+    for path in configs:
+        stem = Path(path).stem
+        own = tmp_path / "own" / stem
+        codes[stem] = main(["run", path, "--out-dir", str(own)])
+        files = ["summary.txt"] if stem == "invalid" else ["trace.csv", "transforms.csv", "summary.txt"]
+        assert sorted(p.name for p in (out / stem).iterdir()) == sorted(files)
+        for f in files:
+            assert (out / stem / f).read_bytes() == (own / f).read_bytes(), (stem, f)
+    assert codes == {name: {"blow_up": 3, "invalid": 2}.get(name, 0) for name in edits}
 
 
 # the zinc grid starts with Courant numbers above 0.5 (see test_runner)

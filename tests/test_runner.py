@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from stefanlab import observer
+from stefanlab._scheme import advance_field
 from stefanlab.control import field_energy, output_feedback, state_feedback
 from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
 from stefanlab.errors import BlowUpError, NumericalError
 from stefanlab.observer import estimate_flux, init_observer, step_observer
 from stefanlab.params import PhysicalParams, ScenarioConfig
 from stefanlab.plant import init_plant, interface_flux, step_plant
-from stefanlab.runner import _BLOCK_ROWS, simulate
+from stefanlab.runner import _BLOCK_ROWS, lockstep_batches, simulate, simulate_batch
 from stefanlab.transforms import (
     apply_direct,
     apply_inverse,
@@ -248,21 +249,19 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize(
-    "over",
-    [
-        dict(lam=0.05, checkpoint_every=5),
-        dict(mode="state_feedback", lam=0.05),
-        dict(smoothing=0.3),
-        dict(lam=0.0),
-        dict(t_end=12.7),  # 128 rows: two full blocks, no partial one
-        dict(c=1e9, t_end=50.0),  # blows up part-way through a block
-    ],
-    ids=["output_feedback", "state_feedback", "smoothing", "zero_gain", "whole_blocks", "blow_up"],
-)
-def test_engine_matches_reference_loop(over):
-    cfg = cfg_for(**over)
-    res = run_quiet(cfg, P)
+# scenarios on one grid that mix the modes, zero and nonzero gains and
+# smoothing, end at different rows, and blow up part-way through a block
+REFERENCE_CASES = {
+    "output_feedback": dict(lam=0.05, checkpoint_every=5),
+    "state_feedback": dict(mode="state_feedback", lam=0.05),
+    "smoothing": dict(smoothing=0.3),
+    "zero_gain": dict(lam=0.0),
+    "whole_blocks": dict(t_end=12.7),  # 128 rows: two full blocks, no partial one
+    "blow_up": dict(c=1e9, t_end=50.0),  # blows up part-way through a block
+}
+
+
+def _assert_matches_reference(res, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         trace, checkpoints, failure, st, ob = _reference_run(cfg, P)
@@ -280,3 +279,88 @@ def test_engine_matches_reference_loop(over):
     assert (res.final_observer.y_prev, res.final_observer.v_prev) == (ob.y_prev, ob.v_prev)
     assert _same_bits(res.final_plant.theta, st.theta)
     assert _same_bits(res.final_observer.theta_hat, ob.theta_hat)
+
+
+@pytest.mark.parametrize("over", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
+def test_engine_matches_reference_loop(over):
+    cfg = cfg_for(**over)
+    _assert_matches_reference(run_quiet(cfg, P), cfg)
+
+
+def test_lockstep_batch_matches_reference_loop():
+    # all six reference scenarios advance as one batch; each member must
+    # still match its own per-step loop bit for bit
+    cfgs = [cfg_for(**over) for over in REFERENCE_CASES.values()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        left = list(simulate_batch([(cfg, P) for cfg in cfgs]))
+    # the blow-up leaves first; the shortest member completes next
+    assert [j for j, _ in left][:2] == [5, 4]
+    assert sorted(j for j, _ in left) == list(range(len(cfgs)))
+    for j, res in left:
+        _assert_matches_reference(res, cfgs[j])
+
+
+def test_lockstep_batches_group_by_grid_within_the_budget(zinc):
+    _, zinc_cfg = zinc
+    sweep = cfg_for(t_end=500.0)  # 5,001 rows on the 64-interval grid
+    cfgs = [sweep] * 6 + [zinc_cfg, cfg_for(grid_n=32), zinc_cfg, sweep]
+    # four sweep members fit the budget, a 90,001-row zinc run only alone
+    assert lockstep_batches(cfgs) == [[0, 1, 2, 3], [4, 5, 9], [6], [8], [7]]
+
+
+def test_lockstep_batch_refuses_mixed_grids():
+    with pytest.raises(ValueError, match="share one"):
+        list(simulate_batch([(cfg_for(), P), (cfg_for(dt=0.05), P)]))
+
+
+def _one_block_solves(rows, extent, rates, qc, alpha, k, source, dt=0.1):
+    """advance_field on each block alone."""
+    out, failed = np.empty_like(rows), {}
+    for b in range(rows.shape[1]):
+        one = slice(b, b + 1)
+        src = source[one] if b < source.shape[0] else None
+        out[:, one], bad = advance_field(
+            rows[:, one], extent[one], [r[one] for r in rates], qc[one], dt, alpha[one], k[one],
+            source=src, cfl_warn=False,
+        )
+        if bad:
+            failed[b] = bad[0]
+    return out, failed
+
+
+def _random_blocks(rng, blocks, n=32):
+    rows = rng.standard_normal((2, blocks, n + 1)) * 10.0 ** rng.integers(-3, 4, (2, blocks, 1))
+    rows[..., -1] = 0.0
+    extent = 0.01 + rng.random(blocks)
+    rates = list(rng.standard_normal((2, blocks)) * 0.03)  # some beyond the clamp
+    qc = rng.standard_normal(blocks) * 1e3
+    alpha = 4.5e-5 * (0.5 + rng.random(blocks))
+    k = 116.0 * (0.5 + rng.random(blocks))
+    source = rng.standard_normal((rng.integers(0, blocks + 1), n + 1))
+    return rows, extent, rates, qc, alpha, k, source
+
+
+def test_block_diagonal_solve_matches_one_block_solves():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        args = _random_blocks(rng, int(rng.integers(2, 9)))
+        rows, extent, rates, qc, alpha, k, source = args
+        got, failed = advance_field(
+            rows, extent, rates, qc, 0.1, alpha, k, source=source, cfl_warn=False
+        )
+        want, want_failed = _one_block_solves(*args)
+        assert failed == want_failed == {}
+        assert _same_bits(got, want)
+
+
+def test_block_diagonal_solve_isolates_a_non_finite_block():
+    # a non-finite block would spread NaN across the zero couplings (0 * inf)
+    rng = np.random.default_rng(3)
+    rows, extent, rates, qc, alpha, k, source = _random_blocks(rng, 4)
+    rows[1, 2, 5] = np.inf
+    got, failed = advance_field(rows, extent, rates, qc, 0.1, alpha, k, source=source, cfl_warn=False)
+    want, want_failed = _one_block_solves(rows, extent, rates, qc, alpha, k, source)
+    assert failed == want_failed == {2: "temperature field became non-finite"}
+    assert _same_bits(got[:, [0, 1, 3]], want[:, [0, 1, 3]])
+    assert np.isfinite(got[:, [0, 1, 3]]).all()
