@@ -72,10 +72,11 @@ class Trace:
     sr: float
     mode: str
 
-    def columns(self) -> dict:
+    def columns(self, constraints=None) -> dict:
         """Column name -> array in CSV order: the logged arrays, then the
-        constraint flags as bool arrays (written as 0/1)."""
-        report = diagnostics.monitor_constraints(self)
+        constraint flags as bool arrays (written as 0/1).  `constraints` is
+        this trace's ``monitor_constraints`` report, made here if not given."""
+        report = diagnostics.monitor_constraints(self) if constraints is None else constraints
         out = {name: getattr(self, name) for name in _array_fields(Trace)}
         for name in _array_fields(diagnostics.ConstraintReport):
             out[name] = getattr(report, name)

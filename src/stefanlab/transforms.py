@@ -1,9 +1,13 @@
 """Volterra transforms between physical fields and their stable target images.
 
 All four maps are diagnostic-only: the closed loop never needs them, so they
-operate on state snapshots.  Integrals are composite trapezoids over the
-upper-triangular part of the normalized grid, matching the order of the
-spatial scheme.
+operate on state snapshots.  Integrals are composite trapezoids on the nodes
+of the normalized grid, matching the order of the spatial scheme.  The
+Bessel kernels are applied as upper-triangular (N+1)^2 matrices.  The
+controller kernels are separable (x - y has rank 2, and
+sin k(x-y) = sin kx cos ky - cos kx sin ky), so both controller integrals are
+built in O(N) from reverse cumulative trapezoids T_i[g] = int_{xi_i}^1 g,
+with T_N = 0 exactly.
 
 Error-field pair (gain kernels in Bessel functions):
 
@@ -64,11 +68,11 @@ def _upper_weights(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _geometry(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only xi-grid i/n with its kernel geometry.  The Bessel kernels
+def _geometry(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only xi-grid i/n with the Bessel kernel geometry.  The kernels
     depend on (i, j) only through max(j^2 - i^2, 0), so they get its distinct
     values over n^2 and the index that gathers them into the (n+1)^2 grid
-    (11,436 values at n = 200); the controller pair gets xi_i - xi_j."""
+    (11,436 values at n = 200)."""
     k = np.arange(n + 1)
     xi = k / n
     sq_int = k[np.newaxis, :] ** 2 - k[:, np.newaxis] ** 2
@@ -78,10 +82,21 @@ def _geometry(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     distinct = np.unique(sq_int)
     index = distinct.searchsorted(sq_int)
     sq_gaps = distinct / n**2
-    gap = xi[:, np.newaxis] - xi[np.newaxis, :]
-    for arr in (xi, sq_gaps, index, gap):
+    for arr in (xi, sq_gaps, index):
         arr.flags.writeable = False
-    return xi, sq_gaps, index, gap
+    return xi, sq_gaps, index
+
+
+def _tail_integrals(g: np.ndarray) -> np.ndarray:
+    """Row-wise T_i[g] = int_{xi_i}^1 g dxi by the composite trapezoid,
+    summed from the right so that T_n = 0.0 exactly."""
+    n = g.shape[-1] - 1
+    tail = np.empty_like(g)
+    tail[:, n] = 0.0
+    panels = g[:, :-1] + g[:, 1:]
+    panels *= 0.5 / n
+    np.cumsum(panels[:, ::-1], axis=1, out=tail[:, n - 1 :: -1])
+    return tail
 
 
 def _volterra_apply(kernel: np.ndarray, f: np.ndarray, s: float) -> np.ndarray:
@@ -99,14 +114,16 @@ def _volterra_apply(kernel: np.ndarray, f: np.ndarray, s: float) -> np.ndarray:
 
 def _bessel_kernel_matrix(s: float, lam: float, alpha: float, n: int, kind: str) -> np.ndarray:
     """P or Q on the xi-grid: the series once per distinct gap, gathered."""
-    xi, sq_gaps, gap_index, _ = _geometry(n)
+    xi, sq_gaps, gap_index = _geometry(n)
     # allocated before the series temporaries, so that these free above it
     # and the heap keeps its pages: at N = 200 a checkpoint row then maps
     # no fresh page, against 205 to 500 when the gather allocates last
     kernel = np.empty(gap_index.shape)
     z2 = (lam / alpha) * s * s * sq_gaps
     ratio = i1_ratio_array(z2) if kind == "P" else j1_ratio_array(z2)
-    ratio.take(gap_index, out=kernel)
+    # searchsorted built the index in range, and "wrap", unlike the default
+    # "raise", gathers straight into `out` without buffering it
+    ratio.take(gap_index, out=kernel, mode="wrap")
     kernel *= (lam / alpha) * s * xi[np.newaxis, :]
     return kernel
 
@@ -134,23 +151,31 @@ def controller_transform(
 ) -> np.ndarray:
     """w = u - (c/alpha) int_x^s (x-y) u(y) dy + (c/beta)(s-x) X.
 
-    The boundary value w(s) vanishes exactly whenever u(s) = 0.
+    The integral is s^2 (xi T[u] - T[xi u]).  The boundary value w(s)
+    vanishes exactly whenever u(s) = 0.
     """
     u = np.asarray(u, dtype=float)
-    n = u.size - 1
-    xi, _, _, gap = _geometry(n)
-    diff = s * gap  # x - y
-    out = u - (c / alpha) * _volterra_apply(diff, u, s)
+    xi = _geometry(u.size - 1)[0]
+    tail_u, tail_xu = _tail_integrals(np.array((u, xi * u)))
+    integral = s * s * (xi * tail_u - tail_xu)
+    out = u - (c / alpha) * integral
     return out + (c / beta) * s * (1.0 - xi) * X
 
 
 def controller_inverse(
     w: np.ndarray, X: float, s: float, c: float, alpha: float, beta: float
 ) -> np.ndarray:
-    """u = w + (beta/alpha) int_x^s psi(x-y) w(y) dy + psi(x-s) X."""
+    """u = w + (beta/alpha) int_x^s psi(x-y) w(y) dy + psi(x-s) X.
+
+    With k = sqrt(c/alpha) and A = (c/beta)/k the integral is
+    s A (sin(k s xi) T[cos(k s xi) w] - cos(k s xi) T[sin(k s xi) w]).
+    """
     w = np.asarray(w, dtype=float)
-    n = w.size - 1
-    xi, _, _, gap = _geometry(n)
-    kern = psi_kernel(s * gap, c, alpha, beta)
-    out = w + (beta / alpha) * _volterra_apply(kern, w, s)
+    xi = _geometry(w.size - 1)[0]
+    kappa = np.sqrt(c / alpha)
+    phase = (kappa * s) * xi
+    sin, cos = np.sin(phase), np.cos(phase)
+    tail_cw, tail_sw = _tail_integrals(np.array((cos * w, sin * w)))
+    integral = s * ((c / beta) / kappa) * (sin * tail_cw - cos * tail_sw)
+    out = w + (beta / alpha) * integral
     return out + psi_kernel(s * (xi - 1.0), c, alpha, beta) * X

@@ -288,6 +288,31 @@ def test_sweep_runs_isolated_outputs(tmp_path):
     assert (out / "two" / "trace.csv").exists()
 
 
+def test_constraint_monitor_runs_once_per_trace(tmp_path, monkeypatch):
+    from stefanlab import diagnostics
+
+    traces = []
+    real = diagnostics.monitor_constraints
+
+    def counting(trace):
+        traces.append(trace)
+        return real(trace)
+
+    monkeypatch.setattr(diagnostics, "monitor_constraints", counting)
+    one = _tweaked_config(tmp_path, {("numerics", "t_end"): 20}, name="one.cfg")
+    assert _run(["run", str(one), "--out-dir", str(tmp_path / "run")]) == 0
+    assert len(traces) == 1
+    traces.clear()
+    two = _tweaked_config(tmp_path, {("scenario", "mode"): "state_feedback"}, name="two.cfg")
+    blow_up = _tweaked_config(tmp_path, {("scenario", "c"): 1e9}, name="blow_up.cfg")
+    invalid = _tweaked_config(tmp_path, {("scenario", "sr"): 0.05}, name="invalid.cfg")
+    configs = [str(c) for c in (one, two, blow_up, invalid)]
+    assert _run(["sweep", *configs, "--out-dir", str(tmp_path / "sweep")]) == 3
+    # one call per member that ran: the invalid member never made a trace
+    assert len(traces) == 3
+    assert len({id(trace) for trace in traces}) == 3
+
+
 def test_sweep_propagates_worst_exit(tmp_path):
     good = _tweaked_config(tmp_path, name="good.cfg")
     bad = _tweaked_config(tmp_path, {("scenario", "sr"): "0.05"}, name="bad.cfg")

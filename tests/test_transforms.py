@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,7 +130,56 @@ def test_controller_transform_boundary_value_vanishes():
     f = _smooth_field(n)
     f[-1] = 0.0
     w = controller_transform(f, -0.2, S, C, ALPHA, BETA)
-    assert w[-1] == pytest.approx(0.0, abs=1e-16)
+    assert w[-1] == 0.0
+
+
+def _reference_controller_pair(f, X, s, c, alpha, beta):
+    """The controller pair as (N+1)^2 kernel matrices: the same composite
+    trapezoid over the upper triangle, summed row by row."""
+    n = f.size - 1
+    xi = np.arange(n + 1) / n
+    weights = np.triu(np.ones((n + 1, n + 1)))
+    weights[np.arange(n + 1), np.arange(n + 1)] = 0.5
+    weights[:, n] = 0.5
+    weights[n, n] = 0.0
+    weights /= n
+    gap = s * (xi[:, np.newaxis] - xi[np.newaxis, :])  # x - y
+    forward = f - (c / alpha) * s * (weights * gap * f).sum(axis=1)
+    forward += (c / beta) * s * (1.0 - xi) * X
+    psi = psi_kernel(gap, c, alpha, beta)
+    inverse = f + (beta / alpha) * s * (weights * psi * f).sum(axis=1)
+    inverse += psi_kernel(s * (xi - 1.0), c, alpha, beta) * X
+    return forward, inverse
+
+
+@pytest.mark.parametrize("n", [16, 64, 200])
+@pytest.mark.parametrize("s", [0.01, 0.3, 0.7])
+@pytest.mark.parametrize("c", [1e-3, 1e-2])
+def test_controller_pair_matches_kernel_matrices(n, s, c):
+    rng = np.random.default_rng(1000 * n + int(1000 * s) + int(1e4 * c))
+    for X in (-0.3, 0.05):
+        f = rng.normal(size=n + 1)
+        ref_fwd, ref_inv = _reference_controller_pair(f, X, s, c, ALPHA, BETA)
+        fwd = controller_transform(f, X, s, c, ALPHA, BETA)
+        inv = controller_inverse(f, X, s, c, ALPHA, BETA)
+        assert np.max(np.abs(fwd - ref_fwd)) <= 1e-13 * np.max(np.abs(ref_fwd))
+        assert np.max(np.abs(inv - ref_inv)) <= 1e-13 * np.max(np.abs(ref_inv))
+
+
+def test_controller_pair_allocates_no_kernel_matrix():
+    """One (N+1)^2 float array at N = 200 is 323 KB."""
+    n = 200
+    f = _smooth_field(n)
+    # the first call caches the grid
+    controller_inverse(controller_transform(f, -0.1, S, C, ALPHA, BETA), -0.1, S, C, ALPHA, BETA)
+    tracemalloc.start()
+    try:
+        w = controller_transform(f, -0.1, S, C, ALPHA, BETA)
+        controller_inverse(w, -0.1, S, C, ALPHA, BETA)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_controller_transform_slope_identity_at_origin():
