@@ -14,7 +14,6 @@ from .diagnostics import (
 from .errors import BlowUpError, ConfigurationError, NumericalError
 from .observer import (
     ObserverState,
-    estimate_interface_velocity,
     init_observer,
     observer_gain,
     step_observer,
@@ -61,7 +60,6 @@ __all__ = [
     "bessel_j1_ratio",
     "controller_inverse",
     "controller_transform",
-    "estimate_interface_velocity",
     "fit_decay_rate",
     "h1_norm_sq",
     "init_observer",

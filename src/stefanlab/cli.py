@@ -4,10 +4,10 @@ Config files are flat ``key = value`` text with four sections::
 
     [physical]  rho, cp, k, dh, tm
     [scenario]  s0, H, Hhat, c, lambda, sr, mode
-    [numerics]  grid_n, dt, t_end            (+ optional domain_cap, h1_l2_term)
-    [output]    optional smoothing, checkpoint_every
+    [numerics]  grid_n, dt, t_end            (+ optional domain_cap)
+    [output]    optional checkpoint_every
 
-All keys are mandatory except the smoothing/checkpoint/domain-cap knobs.
+All keys are mandatory except domain_cap and checkpoint_every.
 Floats in the CSV artifacts are printed with 17 significant digits so that
 identical configs yield byte-identical files.
 
@@ -43,8 +43,8 @@ _REQUIRED = {
     "numerics": ("grid_n", "dt", "t_end"),
 }
 _OPTIONAL = {
-    "numerics": ("domain_cap", "h1_l2_term"),
-    "output": ("smoothing", "checkpoint_every"),
+    "numerics": ("domain_cap",),
+    "output": ("checkpoint_every",),
 }
 
 
@@ -100,8 +100,6 @@ def parse_config(path) -> tuple[PhysicalParams, ScenarioConfig]:
             dt=num.getfloat("dt"),
             t_end=num.getfloat("t_end"),
             domain_cap=num.getfloat("domain_cap") if "domain_cap" in num else None,
-            h1_l2_term=num.getboolean("h1_l2_term") if "h1_l2_term" in num else True,
-            smoothing=float(out.get("smoothing", 0.0)),
             checkpoint_every=int(out.get("checkpoint_every", 50)),
         )
     except ValueError as exc:
@@ -109,16 +107,6 @@ def parse_config(path) -> tuple[PhysicalParams, ScenarioConfig]:
             raise
         raise ConfigurationError(f"malformed value in config: {exc}") from exc
     return p, cfg
-
-
-def apply_fast_preset(cfg: ScenarioConfig) -> ScenarioConfig:
-    """CI smoke preset: shrink H, Hhat and the horizon tenfold.
-
-    Scaling both slopes by the same factor preserves the gain-bound ratio
-    H/Hhat and lowers the setpoint restriction, so a valid config stays valid.
-    Raises ConfigurationError when the shortened horizon no longer exceeds dt.
-    """
-    return replace(cfg, H=0.1 * cfg.H, Hhat=0.1 * cfg.Hhat, t_end=0.1 * cfg.t_end)
 
 
 # Rows formatted per write: enough to amortise the per-chunk calls, few
@@ -142,12 +130,22 @@ def write_csv(path: Path, columns: dict) -> None:
 
 
 def read_csv(path) -> dict:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise ConfigurationError(f"empty trace file: {path}")
-        names = header.split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    """Column name -> float array of a trace file.  Raises
+    ConfigurationError if the file cannot be read, is empty, or holds a
+    non-numeric cell or a row of the wrong length."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip()
+            if not header:
+                raise ConfigurationError(f"empty trace file: {path}")
+            names = header.split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except OSError as exc:
+        raise ConfigurationError(f"trace file not readable: {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        if isinstance(exc, ConfigurationError):
+            raise
+        raise ConfigurationError(f"malformed trace file: {path}: {exc}") from exc
     if data.size == 0:
         data = data.reshape(0, len(names))
     if data.shape[1] != len(names):
@@ -169,9 +167,10 @@ def compare_traces(path_a, path_b) -> dict:
         va, vb = a[name], b[name]
         if va.shape != vb.shape:
             raise ConfigurationError(f"column '{name}' length mismatch")
-        both_nan = np.isnan(va) & np.isnan(vb)
+        nan_a, nan_b = np.isnan(va), np.isnan(vb)
         diff = np.abs(va - vb)
-        diff[both_nan] = 0.0
+        diff[nan_a & nan_b] = 0.0
+        diff[nan_a != nan_b] = np.inf
         out[name] = float(np.max(diff)) if diff.size else 0.0
     return out
 
@@ -234,13 +233,11 @@ class _Run:
     out: Path
 
 
-def _prepare(config_path: Path, out: Path, checkpoint_every, fast) -> _Run | int:
-    """Parse the config, apply the overrides and validate; the exit code 2
+def _prepare(config_path: Path, out: Path, checkpoint_every) -> _Run | int:
+    """Parse the config, apply the override and validate; the exit code 2
     if the scenario cannot run (with summary.txt written when it parsed)."""
     try:
         p, cfg = parse_config(config_path)
-        if fast:
-            cfg = apply_fast_preset(cfg)
         if checkpoint_every is not None:
             cfg = replace(cfg, checkpoint_every=checkpoint_every)
     except ConfigurationError as exc:
@@ -273,16 +270,11 @@ def _write_outputs(run: _Run, result) -> int:
     return 0
 
 
-def run_scenario(
-    config_path,
-    out_dir=None,
-    checkpoint_every: int | None = None,
-    fast: bool = False,
-) -> int:
+def run_scenario(config_path, out_dir=None, checkpoint_every: int | None = None) -> int:
     """Validate, run, and write trace.csv / transforms.csv / summary.txt."""
     config_path = Path(config_path)
     out = Path(out_dir) if out_dir is not None else Path.cwd() / f"{config_path.stem}_out"
-    run = _prepare(config_path, out, checkpoint_every, fast)
+    run = _prepare(config_path, out, checkpoint_every)
     if isinstance(run, int):
         return run
     return _write_outputs(run, simulate(run.cfg, run.p))
@@ -316,7 +308,7 @@ def _sweep_batch(runs: list[_Run]) -> int:
     return max(_write_outputs(runs[j], result) for j, result in results)
 
 
-def _sweep(configs, out_root, checkpoint_every, fast, jobs) -> int:
+def _sweep(configs, out_root, checkpoint_every, jobs) -> int:
     """Run every config into out_root/<config stem>; the largest exit code.
 
     Every config is parsed and validated first.  The valid ones run in
@@ -337,7 +329,7 @@ def _sweep(configs, out_root, checkpoint_every, fast, jobs) -> int:
 
     codes, runs = [], []
     for path in paths:
-        run = _prepare(path, Path(out_root) / path.stem, checkpoint_every, fast)
+        run = _prepare(path, Path(out_root) / path.stem, checkpoint_every)
         if isinstance(run, int):
             codes.append(run)
         else:
@@ -366,7 +358,6 @@ def main(argv=None) -> int:
     run_p.add_argument("config")
     run_p.add_argument("--out-dir", default=None)
     run_p.add_argument("--checkpoint-every", type=int, default=None)
-    run_p.add_argument("--fast", action="store_true", help="CI smoke preset")
 
     val_p = sub.add_parser("validate", help="check the design restrictions")
     val_p.add_argument("config")
@@ -379,24 +370,18 @@ def main(argv=None) -> int:
     sweep_p.add_argument("configs", nargs="+")
     sweep_p.add_argument("--out-dir", default="sweep_out")
     sweep_p.add_argument("--checkpoint-every", type=int, default=None)
-    sweep_p.add_argument("--fast", action="store_true")
     sweep_p.add_argument("--jobs", type=int, default=1)
 
     args = parser.parse_args(argv)
 
     if args.command == "run":
-        return run_scenario(
-            args.config,
-            out_dir=args.out_dir,
-            checkpoint_every=args.checkpoint_every,
-            fast=args.fast,
-        )
+        return run_scenario(args.config, out_dir=args.out_dir, checkpoint_every=args.checkpoint_every)
     if args.command == "validate":
         return _validate_cmd(args.config)
     if args.command == "compare":
         return _compare_cmd(args.trace_a, args.trace_b)
     if args.command == "sweep":
-        return _sweep(args.configs, args.out_dir, args.checkpoint_every, args.fast, args.jobs)
+        return _sweep(args.configs, args.out_dir, args.checkpoint_every, args.jobs)
     return 2
 
 

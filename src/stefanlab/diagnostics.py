@@ -13,11 +13,10 @@ import numpy as np
 from .params import PhysicalParams, ScenarioConfig
 
 
-def h1_norm_sq(f: np.ndarray, s, include_l2: bool = True):
+def h1_norm_sq(f: np.ndarray, s):
     """Squared H1 norm over physical x in [0, s]:
     int f^2 dx + int f_x^2 dx (trapezoid; f_x by central differences with
-    second-order one-sided edges).  include_l2=False drops the first term,
-    the Poincare-equivalent seminorm variant.
+    second-order one-sided edges).
 
     The norm is taken along the last axis: a 1-D field gives a float, a
     stack of fields (with s holding one extent per field) an array.
@@ -31,9 +30,8 @@ def h1_norm_sq(f: np.ndarray, s, include_l2: bool = True):
     grad[..., -1] = (1.5 * f[..., -1] - 2.0 * f[..., -2] + 0.5 * f[..., -3]) * n
     g2 = grad * grad
     out = (0.5 * (g2[..., 0] + g2[..., -1]) + g2[..., 1:-1].sum(axis=-1)) * dxi / s
-    if include_l2:
-        f2 = f * f
-        out = out + s * (0.5 * (f2[..., 0] + f2[..., -1]) + f2[..., 1:-1].sum(axis=-1)) * dxi
+    f2 = f * f
+    out = out + s * (0.5 * (f2[..., 0] + f2[..., -1]) + f2[..., 1:-1].sum(axis=-1)) * dxi
     return float(out) if f.ndim == 1 else out
 
 
@@ -81,8 +79,8 @@ def lyapunov_sample(
     controller_transform(theta_hat), both over the extent s."""
     p_const, a, _, d = lyapunov_constants(cfg, p)
     X = s - cfg.sr
-    v1 = 0.5 * h1_norm_sq(w_err, s, include_l2=cfg.h1_l2_term)
-    vtot = 0.5 * h1_norm_sq(w_hat, s, include_l2=cfg.h1_l2_term) + 0.5 * p_const * X * X + d * v1
+    v1 = 0.5 * h1_norm_sq(w_err, s)
+    vtot = 0.5 * h1_norm_sq(w_hat, s) + 0.5 * p_const * X * X + d * v1
     return LyapunovSample(t=t, V1_tilde=v1, Vtot=vtot, V=vtot * np.exp(-a * s))
 
 
@@ -161,6 +159,8 @@ def fit_decay_rate(t, values) -> float:
     if np.any(values <= 0.0):
         raise ValueError("all samples must be strictly positive")
     half = t.size // 2
-    tt, vv = t[half:], np.log(values[half:])
-    slope = np.polyfit(tt, vv, 1)[0]
-    return float(-slope)
+    # closed-form least squares on centred samples: two half-trace temporaries
+    tc = t[half:] - t[half:].mean()
+    lv = np.log(values[half:])
+    lv -= lv.mean()
+    return float(-(tc @ lv) / (tc @ tc))

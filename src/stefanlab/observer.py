@@ -17,19 +17,18 @@ import numpy as np
 from ._scheme import advance_field, one_sided_edge_flux
 from .errors import NumericalError
 from .params import PhysicalParams, ScenarioConfig
+from .plant import convection_rate
 from .specfun import bessel_i1_ratio, i1_ratio_terms
 
 
 @dataclass(frozen=True)
 class ObserverState:
     """t: time (s); y_prev: last assimilated measurement (None before the
-    first step); theta_hat: u-estimate samples on the xi-grid; v_prev: last
-    interface-velocity estimate (feeds the optional smoothing filter)."""
+    first step); theta_hat: u-estimate samples on the xi-grid."""
 
     t: float
     y_prev: float | None
     theta_hat: np.ndarray
-    v_prev: float | None = None
 
 
 def init_observer(cfg: ScenarioConfig) -> ObserverState:
@@ -89,31 +88,6 @@ def gain_profile(y: float, lam: float, alpha: float, n: int) -> np.ndarray:
     return gain
 
 
-def estimate_interface_velocity(
-    y_now: float,
-    y_prev: float | None,
-    dt: float,
-    gamma: float = 0.0,
-    v_prev: float | None = None,
-    v_init: float | None = None,
-) -> float:
-    """Backward-difference estimate of Y'(t), optionally smoothed.
-
-    With no previous measurement the caller supplies the model-consistent
-    initial value ``v_init`` (e.g. -beta * u_hat_x(s0, 0)).  gamma = 0 returns
-    the raw difference; 0 < gamma < 1 blends in the previous estimate as
-    gamma*v_prev + (1-gamma)*raw.
-    """
-    if y_prev is None:
-        if v_init is None:
-            raise ValueError("no previous measurement: v_init is required")
-        return v_init
-    raw = (y_now - y_prev) / dt
-    if gamma > 0.0 and v_prev is not None:
-        return gamma * v_prev + (1.0 - gamma) * raw
-    return raw
-
-
 def estimate_flux(ob: ObserverState, y: float) -> float:
     """u_hat_x at the interface, one-sided stencil over extent y."""
     dxi = 1.0 / (ob.theta_hat.size - 1)
@@ -123,34 +97,28 @@ def estimate_flux(ob: ObserverState, y: float) -> float:
 def observer_forcing(
     y: float,
     y_prev: float | None,
-    v_prev: float | None,
-    flux_hat: float,
+    edge_flux: float,
     dt: float,
     n: int,
     cfg: ScenarioConfig,
     p: PhysicalParams,
 ) -> tuple[float, np.ndarray | None]:
     """Convection rate and injection source of one observer step on the
-    measured extent y, from the incoming estimate's u_hat_x(y) = flux_hat.
+    measured extent y, from the incoming estimate's edge flux
+    d(theta_hat)/d(xi) at xi = 1.
 
-    The rate is the estimated Y' (the model-consistent -beta*flux_hat before
-    the first measurement difference); the source is
+    The rate is the plant's ``convection_rate`` on the measurements: the
+    backward difference (y - y_prev)/dt, or on the first step the
+    model-consistent -beta*u_hat_x(y).  The source is
     -P1(xi*y, y) * (Y'/beta + u_hat_x(y)) on the n-interval grid, or None
     for a zero gain.
     """
     beta = p.beta
-    v = estimate_interface_velocity(
-        y,
-        y_prev,
-        dt,
-        gamma=cfg.smoothing,
-        v_prev=v_prev,
-        v_init=None if y_prev is not None else -beta * flux_hat,
-    )
+    v = convection_rate(y, y_prev, edge_flux, dt, beta)
     if cfg.lam == 0.0:
         return v, None
     source = gain_profile(y, cfg.lam, p.alpha, n)
-    source *= -(v / beta + flux_hat)
+    source *= -(v / beta + edge_flux / y)
     return v, source
 
 
@@ -171,9 +139,8 @@ def step_observer(
     if not y_now > 0.0:
         raise ValueError("measured interface position must be positive")
     n = ob.theta_hat.size - 1
-    v, source = observer_forcing(
-        y_now, ob.y_prev, ob.v_prev, estimate_flux(ob, y_now), dt, n, cfg, p
-    )
+    edge_flux = one_sided_edge_flux(ob.theta_hat, 1.0 / n)
+    v, source = observer_forcing(y_now, ob.y_prev, edge_flux, dt, n, cfg, p)
     stack, failed = advance_field(
         ob.theta_hat[np.newaxis, np.newaxis],
         (y_now,),
@@ -188,4 +155,4 @@ def step_observer(
     if failed:
         raise NumericalError(failed[0])
     theta_new = stack[0, 0]
-    return ObserverState(t=ob.t + dt, y_prev=y_now, theta_hat=theta_new, v_prev=v)
+    return ObserverState(t=ob.t + dt, y_prev=y_now, theta_hat=theta_new)

@@ -79,10 +79,8 @@ class ScenarioConfig:
     dt: float
     t_end: float
     mode: str = "output_feedback"
-    smoothing: float = 0.0
     checkpoint_every: int = 50
     domain_cap: float | None = None
-    h1_l2_term: bool = True
 
     def __post_init__(self):
         if not self.s0 > 0.0:
@@ -103,8 +101,6 @@ class ScenarioConfig:
             raise ConfigurationError("setpoint sr must be strictly positive")
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}")
-        if not 0.0 <= self.smoothing < 1.0:
-            raise ConfigurationError("smoothing must lie in [0, 1)")
         if self.checkpoint_every < 1:
             raise ConfigurationError("checkpoint_every must be at least 1")
         if self.domain_cap is not None and not self.domain_cap > self.s0:

@@ -131,8 +131,8 @@ def _log_block(cols: dict, start: int, block: np.ndarray, cfg: ScenarioConfig, p
     cols["T0"][rows] = p.tm + theta[:, 0]
     cols["That0"][rows] = p.tm + theta_hat[:, 0]
     cols["Ttilde0"][rows] = theta[:, 0] - theta_hat[:, 0]
-    cols["h1_u"][rows] = diagnostics.h1_norm_sq(theta, s, cfg.h1_l2_term)
-    cols["h1_err"][rows] = diagnostics.h1_norm_sq(u_err, s, cfg.h1_l2_term)
+    cols["h1_u"][rows] = diagnostics.h1_norm_sq(theta, s)
+    cols["h1_err"][rows] = diagnostics.h1_norm_sq(u_err, s)
     cols["energy"][rows] = control.field_energy(theta, s, p)
     cols["utilde_x_s"][rows] = flux[:, 0] / s - flux[:, 1] / s
     cols["theta_min"][rows] = theta.min(axis=-1)
@@ -157,8 +157,6 @@ class _Member:
     beta: float
     k: float
     s_prev: float | None = None
-    y_prev: float | None = None
-    v_prev: float | None = None
     t_state: float = 0.0
 
     def result(self, rows: int, block: np.ndarray, pair: np.ndarray, failure) -> SimulationResult:
@@ -184,9 +182,7 @@ class _Member:
             completed=failure is None,
             failure=failure,
             final_plant=PlantState(t=self.t_state, s=self.s, theta=pair[0].copy(), s_prev=self.s_prev),
-            final_observer=ObserverState(
-                t=self.t_state, y_prev=self.y_prev, theta_hat=pair[1].copy(), v_prev=self.v_prev
-            ),
+            final_observer=ObserverState(t=self.t_state, y_prev=self.s_prev, theta_hat=pair[1].copy()),
             constants=diagnostics.lyapunov_constants(cfg, p),
         )
 
@@ -306,7 +302,7 @@ def simulate_batch(scenarios):
                     continue
                 rate = convection_rate(y, m.s_prev, edge_stencil(*tails[0][j], dxi), dt, m.beta)
                 v, source = observer_forcing(
-                    y, m.y_prev, m.v_prev, edge_stencil(*tails[1][j], dxi) / y, dt, n, cfg, m.p
+                    y, m.s_prev, edge_stencil(*tails[1][j], dxi), dt, n, cfg, m.p
                 )
             except (BlowUpError, NumericalError) as exc:
                 leaving[j] = str(exc)
@@ -350,9 +346,7 @@ def simulate_batch(scenarios):
                 except BlowUpError as exc:
                     failed[j] = str(exc)
                     continue
-                y = m.s
-                m.s_prev, m.s = y, s_next
-                m.y_prev, m.v_prev = y, velocities[j]
+                m.s_prev, m.s = m.s, s_next
                 m.t_state += dt
         for j, failure in failed.items():
             # the member's last state is the one before this step

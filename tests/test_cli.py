@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +15,6 @@ import pytest
 from stefanlab import cli, observer
 from stefanlab.cli import (
     _CSV_CHUNK_ROWS,
-    apply_fast_preset,
     bundled_config,
     compare_traces,
     main,
@@ -25,7 +25,7 @@ from stefanlab.cli import (
 )
 from stefanlab.control import qc_ode_residual
 from stefanlab.errors import ConfigurationError
-from stefanlab.params import validate_scenario
+from stefanlab.params import PhysicalParams, ScenarioConfig, validate_scenario
 
 from conftest import refuse_j1_above
 
@@ -78,6 +78,34 @@ def test_parse_rejects_malformed_value(tmp_path):
 def test_parse_missing_file(tmp_path):
     with pytest.raises(ConfigurationError):
         parse_config(tmp_path / "nope.cfg")
+
+
+def test_parse_accepts_exactly_the_dataclass_fields():
+    keys = {k for group in (cli._REQUIRED, cli._OPTIONAL) for ks in group.values() for k in ks}
+    names = {"lam" if k == "lambda" else k for k in keys}
+    assert names == {f.name for f in fields(PhysicalParams) + fields(ScenarioConfig)}
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("output", "smoothing", 0.3), ("numerics", "h1_l2_term", "false")],
+    ids=["smoothing", "h1_l2_term"],
+)
+def test_removed_config_keys_exit_2(tmp_path, capsys, command, section, key, value):
+    cfg = _tweaked_config(tmp_path, {(section, key): value})
+    assert _run([command, str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"invalid config: unknown key '{key}' in [{section}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_fast_flag_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        _run([command, str(bundled_config("zinc_smoke")), "--out-dir", str(out), "--fast"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fast" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_smoke_scenario(tmp_path):
@@ -182,21 +210,6 @@ def test_summary_reports_full_trace_qc_residual(tmp_path):
     assert expected in (out / "summary.txt").read_text().splitlines()
 
 
-def test_fast_preset_scales_and_stays_valid():
-    p, cfg = parse_config(bundled_config("zinc"))
-    fast = apply_fast_preset(cfg)
-    assert fast.H == pytest.approx(0.1 * cfg.H)
-    assert fast.Hhat == pytest.approx(0.1 * cfg.Hhat)
-    assert fast.t_end == pytest.approx(0.1 * cfg.t_end)
-    assert validate_scenario(fast, p).passed
-
-
-def test_fast_flag_runs(tmp_path):
-    out = tmp_path / "fastout"
-    code = _run(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out), "--fast"])
-    assert code == 0
-
-
 def test_compare_identical_traces(tmp_path):
     out = tmp_path / "o"
     _run(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)])
@@ -240,6 +253,32 @@ def test_compare_length_mismatch(tmp_path):
     write_csv(tmp_path / "b.csv", {"t": np.array([0.0])})
     with pytest.raises(ConfigurationError):
         compare_traces(tmp_path / "a.csv", tmp_path / "b.csv")
+
+
+def test_compare_nan_in_one_file_is_infinite(tmp_path):
+    write_csv(tmp_path / "a.csv", {"t": np.array([0.0, 1.0]), "V": np.array([np.nan, 1.0])})
+    write_csv(tmp_path / "b.csv", {"t": np.array([0.0, 1.0]), "V": np.array([2.0, 1.0])})
+    write_csv(tmp_path / "c.csv", {"t": np.array([0.0, 1.0]), "V": np.array([np.nan, 1.5])})
+    assert compare_traces(tmp_path / "a.csv", tmp_path / "b.csv") == {"t": 0.0, "V": np.inf}
+    assert compare_traces(tmp_path / "b.csv", tmp_path / "a.csv") == {"t": 0.0, "V": np.inf}
+    # NaN in both files is a shared checkpoint gap
+    assert compare_traces(tmp_path / "a.csv", tmp_path / "c.csv") == {"t": 0.0, "V": 0.5}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(None, "not readable"), ("t,s\n0,1\n1,oops\n", "malformed"), ("t,s\n0,1\n1,2,3\n", "malformed")],
+    ids=["missing", "non_numeric", "ragged"],
+)
+def test_compare_bad_trace_exits_2(tmp_path, capsys, text, message):
+    write_csv(tmp_path / "good.csv", {"t": np.array([0.0, 1.0]), "s": np.array([1.0, 2.0])})
+    bad = tmp_path / "bad.csv"
+    if text is not None:
+        bad.write_text(text)
+    with pytest.raises(ConfigurationError, match=message):
+        compare_traces(tmp_path / "good.csv", bad)
+    assert _run(["compare", str(tmp_path / "good.csv"), str(bad)]) == 2
+    assert "compare failed: " in capsys.readouterr().err
 
 
 def test_csv_roundtrip_preserves_floats(tmp_path):
@@ -369,9 +408,8 @@ def test_sweep_refuses_colliding_stems(tmp_path, capsys):
     "edits, flag, message",
     [
         ({}, ["--checkpoint-every", "0"], "checkpoint_every must be at least 1"),
-        ({("numerics", "t_end"): 0.5}, ["--fast"], "t_end must exceed dt"),
     ],
-    ids=["checkpoint_every_0", "fast_below_dt"],
+    ids=["checkpoint_every_0"],
 )
 def test_invalid_override_exits_2(tmp_path, capsys, command, edits, flag, message):
     cfg = _tweaked_config(tmp_path, edits)
@@ -387,7 +425,6 @@ def test_sweep_members_match_their_own_runs(tmp_path, jobs):
         "output": {},
         "state": {("scenario", "mode"): "state_feedback"},
         "zero_gain": {("scenario", "lambda"): 0.0},
-        "smoothing": {("output", "smoothing"): 0.3},
         "blow_up": {("scenario", "c"): 1e9},
         "invalid": {("scenario", "sr"): 0.05},
         "coarse": {("numerics", "grid_n"): 32},

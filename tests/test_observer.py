@@ -8,14 +8,13 @@ import pytest
 from stefanlab.diagnostics import fit_decay_rate
 from stefanlab.errors import NumericalError
 from stefanlab.observer import (
-    estimate_interface_velocity,
     gain_profile,
     init_observer,
     observer_gain,
     step_observer,
 )
 from stefanlab.params import PhysicalParams, ScenarioConfig
-from stefanlab.plant import init_plant, step_plant
+from stefanlab.plant import convection_rate, init_plant, step_plant
 from stefanlab.specfun import bessel_i1_ratio
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
@@ -121,25 +120,19 @@ def test_gain_profile_refuses_unsummable_gain():
         _gain_at(float("nan"), n=32)
 
 
+# the observer's velocity is the plant's convection rate on the measurements;
+# the edge flux is read only before the first measurement difference
 def test_velocity_constant_measurement():
-    assert estimate_interface_velocity(0.02, 0.02, 0.1) == 0.0
+    assert convection_rate(0.02, 0.02, 55.0, 0.1, 1e-3) == 0.0
 
 
 def test_velocity_exact_for_linear_motion():
-    assert estimate_interface_velocity(0.01 + 3e-4, 0.01, 0.1) == pytest.approx(3e-3)
-
-
-def test_velocity_smoothing_passthrough_and_blend():
-    raw = estimate_interface_velocity(0.011, 0.01, 0.1, gamma=0.0, v_prev=55.0)
-    assert raw == pytest.approx(0.01)
-    blended = estimate_interface_velocity(0.011, 0.01, 0.1, gamma=0.5, v_prev=0.02)
-    assert blended == pytest.approx(0.5 * 0.02 + 0.5 * 0.01)
+    assert convection_rate(0.01 + 3e-4, 0.01, 55.0, 0.1, 1e-3) == pytest.approx(3e-3)
 
 
 def test_velocity_initial_fallback():
-    assert estimate_interface_velocity(0.01, None, 0.1, v_init=1.23) == 1.23
-    with pytest.raises(ValueError):
-        estimate_interface_velocity(0.01, None, 0.1)
+    # -beta * u_x(y) with u_x(y) = edge flux / y
+    assert convection_rate(0.5, None, -0.615, 0.1, 1.0) == 1.23
 
 
 def _drive(cfg, steps, qc=80.0):

@@ -149,7 +149,6 @@ def test_structural_config_errors():
         dict(c=0.0),
         dict(lam=-1e-3),
         dict(mode="bang_bang"),
-        dict(smoothing=1.0),
         dict(checkpoint_every=0),
         dict(domain_cap=0.005),
     ):
