@@ -23,7 +23,6 @@ where exact zeros arise, is reset to +0.0.
 """
 
 import math
-import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -92,7 +91,6 @@ def advance_field(
     alpha,
     k,
     source: np.ndarray | None = None,
-    cfl_warn: bool = True,
 ) -> tuple[np.ndarray, dict]:
     """One backward-Euler step of the immobilized diffusion problem for B
     independent blocks of m fields; the fields of a block share its extent,
@@ -106,7 +104,6 @@ def advance_field(
     alpha, k: B diffusivities and conductivities
     source:   optional (G, N+1) explicit source samples for the last field
               of the first G blocks (the observer's output injection)
-    cfl_warn: warn when a first-field Courant number exceeds 0.5
 
     Returns the advanced (m, B, N+1) stack and a dict block -> message for
     the blocks whose solve failed or left a non-finite value.
@@ -118,7 +115,6 @@ def advance_field(
     # one row of Python floats per block: the matrix entries, the Neumann
     # ghost-node term and the clamped rates over the extent (convection)
     table = []
-    courant = 0.0
     for b in range(blocks):
         ext, a = extent[b], alpha[b]
         mu = a * dt / (ext * ext * dxi * dxi)
@@ -130,17 +126,8 @@ def advance_field(
             r = rates[field][b]
             if abs(r) > cap:
                 r = cap if r > 0.0 else -cap
-            if field == 0:
-                courant = max(courant, dt * abs(r) / (ext * dxi))
             row.append(r / ext)
         table.append(row)
-    if cfl_warn and courant > 0.5:
-        # static message so the warnings machinery deduplicates per process
-        warnings.warn(
-            "explicit convection Courant number exceeds 0.5; consider reducing dt",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     values = np.array(table)
 
     # rhs: explicit convection (vanishes at xi=0, Dirichlet row at xi=1); the
@@ -197,7 +184,6 @@ def advance_field(
                     alpha[one],
                     k[one],
                     source=source[one] if b < g else None,
-                    cfl_warn=False,
                 )
                 if bad:
                     failed[b] = bad[0]

@@ -156,8 +156,8 @@ def read_csv(path) -> dict:
 def compare_traces(path_a, path_b) -> dict:
     """Column-wise max absolute difference between two trace files.
 
-    Raises ConfigurationError on schema mismatch.  NaNs compare equal where
-    both files have them (checkpoint gaps), infinite where only one does.
+    Raises ConfigurationError on schema mismatch.  Equal cells (infinite ones
+    too) and NaNs in both files (checkpoint gaps) are 0; NaN in one only is inf.
     """
     a, b = read_csv(path_a), read_csv(path_b)
     if list(a) != list(b):
@@ -168,8 +168,9 @@ def compare_traces(path_a, path_b) -> dict:
         if va.shape != vb.shape:
             raise ConfigurationError(f"column '{name}' length mismatch")
         nan_a, nan_b = np.isnan(va), np.isnan(vb)
-        diff = np.abs(va - vb)
-        diff[nan_a & nan_b] = 0.0
+        # subtract only unequal cells: inf - inf would be NaN
+        same = (va == vb) | (nan_a & nan_b)
+        diff = np.abs(np.subtract(va, vb, out=np.zeros_like(va), where=~same))
         diff[nan_a != nan_b] = np.inf
         out[name] = float(np.max(diff)) if diff.size else 0.0
     return out
@@ -200,7 +201,7 @@ def _summary_text(cfg, p, report, result, monitor="") -> str:
     lines.append("constraint monitor")
     lines.append(monitor)
     lines.append("")
-    p_const, a, b, d = result.constants
+    p_const, a, b, d = diagnostics.lyapunov_constants(cfg, p)
     lines.append(f"lyapunov constants: p = {p_const:.6g}  a = {a:.6g}  b = {b:.6g}  d = {d:.6g}")
     if tr.t.size >= 20 and np.all(tr.h1_err > 0.0):
         rate = diagnostics.fit_decay_rate(tr.t, tr.h1_err)

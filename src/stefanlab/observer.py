@@ -150,7 +150,6 @@ def step_observer(
         (p.alpha,),
         (p.k,),
         source=None if source is None else source[np.newaxis],
-        cfl_warn=False,
     )
     if failed:
         raise NumericalError(failed[0])

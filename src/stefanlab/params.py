@@ -8,11 +8,21 @@ scenario satisfies three restrictions: the initial temperature estimate is the l
 them and reports the computed bounds; it never raises.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError
 
 MODES = ("output_feedback", "state_feedback")
+
+
+def _require_finite(obj) -> None:
+    """Reject an infinite or NaN float field of obj, named by its config key."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            key = "lambda" if f.name == "lam" else f.name
+            raise ConfigurationError(f"{key} must be finite")
 
 
 @dataclass(frozen=True)
@@ -33,9 +43,12 @@ class PhysicalParams:
     tm: float
 
     def __post_init__(self):
+        _require_finite(self)
         for name in ("rho", "cp", "k", "dh"):
             if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"{name} must be strictly positive")
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+            raise ConfigurationError("derived alpha and beta must be finite and positive")
 
     @property
     def alpha(self) -> float:
@@ -52,11 +65,11 @@ class PhysicalParams:
 class ScenarioConfig:
     """One closed-loop scenario.
 
-    Structural sanity (positivity, grid size, time step) is enforced at
-    construction.  The stability restrictions are deliberately *not* enforced
-    here so that degenerate scenarios (e.g. ``Hhat == H`` with ``lam == 0``,
-    used to cross-check the two feedback laws) remain constructible; the CLI
-    gates runs on :func:`validate_scenario` instead.
+    Structural sanity (finite numbers, positivity, grid size, time step) is
+    enforced at construction.  The stability restrictions are deliberately
+    *not* enforced here so that degenerate scenarios (e.g. ``Hhat == H`` with
+    ``lam == 0``, used to cross-check the two feedback laws) remain
+    constructible; the CLI gates runs on :func:`validate_scenario` instead.
 
     s0:    initial interface position (m)
     H:     bound on the initial temperature slope (K/m)
@@ -83,6 +96,7 @@ class ScenarioConfig:
     domain_cap: float | None = None
 
     def __post_init__(self):
+        _require_finite(self)
         if not self.s0 > 0.0:
             raise ConfigurationError("s0 must be strictly positive")
         if self.grid_n < 8:

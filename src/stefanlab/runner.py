@@ -21,7 +21,7 @@ and the Stefan update.  The logged diagnostics depend on no later step, so
 they are computed for blocks of buffered rows at a time.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,7 +91,6 @@ class SimulationResult:
     failure: str | None = None
     final_plant: object = None
     final_observer: object = None
-    constants: tuple = field(default=())
 
 
 def _checkpoint_row(theta, theta_hat, y, t, cfg, p):
@@ -183,7 +182,6 @@ class _Member:
             failure=failure,
             final_plant=PlantState(t=self.t_state, s=self.s, theta=pair[0].copy(), s_prev=self.s_prev),
             final_observer=ObserverState(t=self.t_state, y_prev=self.s_prev, theta_hat=pair[1].copy()),
-            constants=diagnostics.lyapunov_constants(cfg, p),
         )
 
 

@@ -1,6 +1,5 @@
 """Shared fixtures: the bundled zinc scenario and its session-scoped runs."""
 
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +9,6 @@ from stefanlab import transforms
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.errors import NumericalError
 from stefanlab.runner import simulate
-
-
-def run_quiet(cfg, p):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return simulate(cfg, p)
 
 
 def refuse_j1_above(monkeypatch, cap):
@@ -44,7 +37,7 @@ def zinc():
 def zinc_run(zinc):
     """Full output-feedback zinc run (the acceptance scenario)."""
     p, cfg = zinc
-    res = run_quiet(cfg, p)
+    res = simulate(cfg, p)
     assert res.completed, res.failure
     return res
 
@@ -57,7 +50,7 @@ def conservation_pair(zinc):
     fine_cfg = replace(
         cfg, t_end=1000.0, grid_n=2 * cfg.grid_n, dt=0.5 * cfg.dt, checkpoint_every=10**9
     )
-    return run_quiet(base_cfg, p), run_quiet(fine_cfg, p), base_cfg, fine_cfg
+    return simulate(base_cfg, p), simulate(fine_cfg, p), base_cfg, fine_cfg
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +58,6 @@ def equivalence_runs(zinc):
     """Output- and state-feedback runs with Hhat = H and zero observer gain."""
     p, cfg = zinc
     degenerate = replace(cfg, Hhat=cfg.H, lam=0.0, t_end=200.0, checkpoint_every=10**9)
-    out = run_quiet(degenerate, p)
-    state = run_quiet(replace(degenerate, mode="state_feedback"), p)
+    out = simulate(degenerate, p)
+    state = simulate(replace(degenerate, mode="state_feedback"), p)
     return out, state

@@ -10,7 +10,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from stefanlab import transforms
 from stefanlab.cli import bundled_config, main, read_csv
@@ -22,7 +21,6 @@ from stefanlab.params import (
 )
 from stefanlab.specfun import bessel_i1_ratio, bessel_j1_ratio
 
-from conftest import run_quiet
 from test_specfun import oracle_ratio
 
 
@@ -203,8 +201,6 @@ def test_criterion_9_feedback_equivalence(equivalence_runs):
     )
 
 
-# the zinc grid starts with Courant numbers above 0.5 (see test_runner)
-@pytest.mark.filterwarnings("ignore:explicit convection Courant number exceeds 0.5:RuntimeWarning")
 def test_criterion_10_deterministic_csv(tmp_path):
     cfg = bundled_config("zinc_smoke")
     outs = []

@@ -4,7 +4,6 @@ import configparser
 import os
 import subprocess
 import sys
-import warnings
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -40,12 +39,6 @@ def _tweaked_config(tmp_path, edits=None, name="tweaked.cfg"):
     with open(out, "w") as fh:
         parser.write(fh)
     return out
-
-
-def _run(args):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return main(args)
 
 
 def test_bundled_configs_parse_and_validate():
@@ -94,7 +87,7 @@ def test_parse_accepts_exactly_the_dataclass_fields():
 )
 def test_removed_config_keys_exit_2(tmp_path, capsys, command, section, key, value):
     cfg = _tweaked_config(tmp_path, {(section, key): value})
-    assert _run([command, str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert main([command, str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     assert f"invalid config: unknown key '{key}' in [{section}]" in capsys.readouterr().err
 
 
@@ -102,7 +95,7 @@ def test_removed_config_keys_exit_2(tmp_path, capsys, command, section, key, val
 def test_fast_flag_exits_2(tmp_path, capsys, command):
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
-        _run([command, str(bundled_config("zinc_smoke")), "--out-dir", str(out), "--fast"])
+        main([command, str(bundled_config("zinc_smoke")), "--out-dir", str(out), "--fast"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --fast" in capsys.readouterr().err
     assert not out.exists()
@@ -110,7 +103,7 @@ def test_fast_flag_exits_2(tmp_path, capsys, command):
 
 def test_run_smoke_scenario(tmp_path):
     out = tmp_path / "out"
-    code = _run(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)])
+    code = main(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)])
     assert code == 0
     assert (out / "trace.csv").exists()
     assert (out / "transforms.csv").exists()
@@ -122,22 +115,22 @@ def test_run_smoke_scenario(tmp_path):
 def test_run_is_byte_deterministic(tmp_path):
     cfg = bundled_config("zinc_smoke")
     a, b = tmp_path / "a", tmp_path / "b"
-    assert _run(["run", str(cfg), "--out-dir", str(a)]) == 0
-    assert _run(["run", str(cfg), "--out-dir", str(b)]) == 0
+    assert main(["run", str(cfg), "--out-dir", str(a)]) == 0
+    assert main(["run", str(cfg), "--out-dir", str(b)]) == 0
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
     assert (a / "transforms.csv").read_bytes() == (b / "transforms.csv").read_bytes()
 
 
 def test_validate_subcommand_passes_and_fails(tmp_path, capsys):
-    assert _run(["validate", str(bundled_config("zinc_smoke"))]) == 0
+    assert main(["validate", str(bundled_config("zinc_smoke"))]) == 0
     bad = _tweaked_config(tmp_path, {("scenario", "lambda"): "2.0"})
-    assert _run(["validate", str(bad)]) == 2
+    assert main(["validate", str(bad)]) == 2
     assert "lambda_bound: FAIL" in capsys.readouterr().out
 
 
 def test_run_rejects_large_lambda(tmp_path, capsys):
     bad = _tweaked_config(tmp_path, {("scenario", "lambda"): "2.0"})
-    code = _run(["run", str(bad), "--out-dir", str(tmp_path / "o")])
+    code = main(["run", str(bad), "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert "lambda_bound" in capsys.readouterr().err
     assert "validation: FAIL" in (tmp_path / "o" / "summary.txt").read_text()
@@ -145,14 +138,14 @@ def test_run_rejects_large_lambda(tmp_path, capsys):
 
 def test_run_rejects_small_setpoint(tmp_path, capsys):
     bad = _tweaked_config(tmp_path, {("scenario", "sr"): "0.05"})
-    assert _run(["run", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
+    assert main(["run", str(bad), "--out-dir", str(tmp_path / "o")]) == 2
     assert "setpoint_bound" in capsys.readouterr().err
 
 
 def test_run_blow_up_exits_3_with_partial_trace(tmp_path):
     bad = _tweaked_config(tmp_path, {("scenario", "c"): "1e9"})
     out = tmp_path / "o"
-    assert _run(["run", str(bad), "--out-dir", str(out)]) == 3
+    assert main(["run", str(bad), "--out-dir", str(out)]) == 3
     cols = read_csv(out / "trace.csv")
     assert cols["t"].size >= 1
     assert "completed = False" in (out / "summary.txt").read_text()
@@ -161,7 +154,7 @@ def test_run_blow_up_exits_3_with_partial_trace(tmp_path):
 def test_run_gain_beyond_table_limit_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(observer, "_GAIN_MAX_ROWS", 3)
     out = tmp_path / "o"
-    assert _run(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)]) == 3
+    assert main(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)]) == 3
     assert read_csv(out / "trace.csv")["t"].size == 1
     summary = (out / "summary.txt").read_text()
     assert "completed = False" in summary
@@ -172,7 +165,7 @@ def test_run_checkpoint_beyond_series_cap_exits_3(tmp_path, monkeypatch):
     p, cfg = parse_config(bundled_config("zinc_smoke"))
     refuse_j1_above(monkeypatch, 0.5 * (cfg.lam / p.alpha) * cfg.s0**2)
     out = tmp_path / "o"
-    assert _run(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)]) == 3
+    assert main(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)]) == 3
     assert read_csv(out / "trace.csv")["t"].size == 1
     summary = (out / "summary.txt").read_text()
     assert "completed = False" in summary
@@ -189,15 +182,16 @@ def test_smoke_run_does_not_load_scipy_special(tmp_path):
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run(
-        [sys.executable, "-W", "ignore::RuntimeWarning", "-c", script],
+        [sys.executable, "-W", "error", "-c", script],
         capture_output=True, text=True, env=env, check=True,
     )
     assert out.stdout.split() == ["0", "False"]
+    assert out.stderr == ""
 
 
 def test_summary_reports_full_trace_qc_residual(tmp_path):
     out = tmp_path / "o"
-    assert _run(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)]) == 0
+    assert main(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)]) == 0
     p, cfg = parse_config(bundled_config("zinc_smoke"))
     tr = SimpleNamespace(**read_csv(out / "trace.csv"))
     r = np.abs(qc_ode_residual(tr, cfg, p))
@@ -212,7 +206,7 @@ def test_summary_reports_full_trace_qc_residual(tmp_path):
 
 def test_compare_identical_traces(tmp_path):
     out = tmp_path / "o"
-    _run(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)])
+    main(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)])
     diffs = compare_traces(out / "trace.csv", out / "trace.csv")
     assert set(diffs) and all(v == 0.0 for v in diffs.values())
 
@@ -220,8 +214,8 @@ def test_compare_identical_traces(tmp_path):
 def test_compare_distinguishes_feedback_modes(tmp_path):
     sf = _tweaked_config(tmp_path, {("scenario", "mode"): "state_feedback"}, name="sf.cfg")
     a, b = tmp_path / "a", tmp_path / "b"
-    _run(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(a)])
-    _run(["run", str(sf), "--out-dir", str(b)])
+    main(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(a)])
+    main(["run", str(sf), "--out-dir", str(b)])
     diffs = compare_traces(a / "trace.csv", b / "trace.csv")
     assert diffs["qc"] > 0.0
     assert diffs["t"] == 0.0
@@ -232,7 +226,7 @@ def test_compare_grid_refinement_shrinks_diffs(tmp_path):
     for n in (32, 64, 128):
         cfgp = _tweaked_config(tmp_path, {("numerics", "grid_n"): n}, name=f"n{n}.cfg")
         out = tmp_path / f"out{n}"
-        assert _run(["run", str(cfgp), "--out-dir", str(out)]) == 0
+        assert main(["run", str(cfgp), "--out-dir", str(out)]) == 0
         paths[n] = out / "trace.csv"
     coarse = compare_traces(paths[32], paths[64])
     fine = compare_traces(paths[64], paths[128])
@@ -245,7 +239,7 @@ def test_compare_schema_mismatch(tmp_path):
     write_csv(tmp_path / "b.csv", {"t": np.array([0.0]), "x": np.array([1.0])})
     with pytest.raises(ConfigurationError):
         compare_traces(tmp_path / "a.csv", tmp_path / "b.csv")
-    assert _run(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 2
 
 
 def test_compare_length_mismatch(tmp_path):
@@ -255,14 +249,21 @@ def test_compare_length_mismatch(tmp_path):
         compare_traces(tmp_path / "a.csv", tmp_path / "b.csv")
 
 
-def test_compare_nan_in_one_file_is_infinite(tmp_path):
-    write_csv(tmp_path / "a.csv", {"t": np.array([0.0, 1.0]), "V": np.array([np.nan, 1.0])})
-    write_csv(tmp_path / "b.csv", {"t": np.array([0.0, 1.0]), "V": np.array([2.0, 1.0])})
-    write_csv(tmp_path / "c.csv", {"t": np.array([0.0, 1.0]), "V": np.array([np.nan, 1.5])})
-    assert compare_traces(tmp_path / "a.csv", tmp_path / "b.csv") == {"t": 0.0, "V": np.inf}
-    assert compare_traces(tmp_path / "b.csv", tmp_path / "a.csv") == {"t": 0.0, "V": np.inf}
-    # NaN in both files is a shared checkpoint gap
-    assert compare_traces(tmp_path / "a.csv", tmp_path / "c.csv") == {"t": 0.0, "V": 0.5}
+@pytest.mark.parametrize(
+    "va, vb, want",
+    [
+        ([np.nan, 1.0], [2.0, 1.0], np.inf),
+        ([2.0, 1.0], [np.nan, 1.0], np.inf),
+        ([np.nan, 1.0], [np.nan, 1.5], 0.5),  # NaN in both files is a shared checkpoint gap
+        ([np.inf, 1.0], [np.inf, 1.5], 0.5),
+        ([np.inf, 1.0], [-np.inf, 1.0], np.inf),
+    ],
+    ids=["nan_in_a", "nan_in_b", "nan_in_both", "same_inf", "opposite_inf"],
+)
+def test_compare_nan_in_one_file_is_infinite(tmp_path, va, vb, want):
+    write_csv(tmp_path / "a.csv", {"t": np.array([0.0, 1.0]), "V": np.array(va)})
+    write_csv(tmp_path / "b.csv", {"t": np.array([0.0, 1.0]), "V": np.array(vb)})
+    assert compare_traces(tmp_path / "a.csv", tmp_path / "b.csv") == {"t": 0.0, "V": want}
 
 
 @pytest.mark.parametrize(
@@ -277,7 +278,7 @@ def test_compare_bad_trace_exits_2(tmp_path, capsys, text, message):
         bad.write_text(text)
     with pytest.raises(ConfigurationError, match=message):
         compare_traces(tmp_path / "good.csv", bad)
-    assert _run(["compare", str(tmp_path / "good.csv"), str(bad)]) == 2
+    assert main(["compare", str(tmp_path / "good.csv"), str(bad)]) == 2
     assert "compare failed: " in capsys.readouterr().err
 
 
@@ -321,7 +322,7 @@ def test_sweep_runs_isolated_outputs(tmp_path):
     c1 = _tweaked_config(tmp_path, name="one.cfg")
     c2 = _tweaked_config(tmp_path, {("numerics", "t_end"): 20}, name="two.cfg")
     out = tmp_path / "sweep"
-    code = _run(["sweep", str(c1), str(c2), "--out-dir", str(out)])
+    code = main(["sweep", str(c1), str(c2), "--out-dir", str(out)])
     assert code == 0
     assert (out / "one" / "trace.csv").exists()
     assert (out / "two" / "trace.csv").exists()
@@ -339,14 +340,14 @@ def test_constraint_monitor_runs_once_per_trace(tmp_path, monkeypatch):
 
     monkeypatch.setattr(diagnostics, "monitor_constraints", counting)
     one = _tweaked_config(tmp_path, {("numerics", "t_end"): 20}, name="one.cfg")
-    assert _run(["run", str(one), "--out-dir", str(tmp_path / "run")]) == 0
+    assert main(["run", str(one), "--out-dir", str(tmp_path / "run")]) == 0
     assert len(traces) == 1
     traces.clear()
     two = _tweaked_config(tmp_path, {("scenario", "mode"): "state_feedback"}, name="two.cfg")
     blow_up = _tweaked_config(tmp_path, {("scenario", "c"): 1e9}, name="blow_up.cfg")
     invalid = _tweaked_config(tmp_path, {("scenario", "sr"): 0.05}, name="invalid.cfg")
     configs = [str(c) for c in (one, two, blow_up, invalid)]
-    assert _run(["sweep", *configs, "--out-dir", str(tmp_path / "sweep")]) == 3
+    assert main(["sweep", *configs, "--out-dir", str(tmp_path / "sweep")]) == 3
     # one call per member that ran: the invalid member never made a trace
     assert len(traces) == 3
     assert len({id(trace) for trace in traces}) == 3
@@ -355,7 +356,7 @@ def test_constraint_monitor_runs_once_per_trace(tmp_path, monkeypatch):
 def test_sweep_propagates_worst_exit(tmp_path):
     good = _tweaked_config(tmp_path, name="good.cfg")
     bad = _tweaked_config(tmp_path, {("scenario", "sr"): "0.05"}, name="bad.cfg")
-    code = _run(["sweep", str(good), str(bad), "--out-dir", str(tmp_path / "s")])
+    code = main(["sweep", str(good), str(bad), "--out-dir", str(tmp_path / "s")])
     assert code == 2
 
 
@@ -397,7 +398,7 @@ def test_sweep_refuses_colliding_stems(tmp_path, capsys):
     first = _tweaked_config(tmp_path / "d1", name="m.cfg")
     second = _tweaked_config(tmp_path / "d2", name="m.cfg")
     out = tmp_path / "s"
-    assert _run(["sweep", str(first), str(second), "--out-dir", str(out)]) == 2
+    assert main(["sweep", str(first), str(second), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert str(first) in err and str(second) in err
     assert not out.exists()
@@ -408,17 +409,18 @@ def test_sweep_refuses_colliding_stems(tmp_path, capsys):
     "edits, flag, message",
     [
         ({}, ["--checkpoint-every", "0"], "checkpoint_every must be at least 1"),
+        ({("numerics", "t_end"): "inf"}, [], "t_end must be finite"),
+        ({("physical", "rho"): "inf"}, [], "rho must be finite"),
+        ({("physical", "tm"): "inf"}, [], "tm must be finite"),
     ],
-    ids=["checkpoint_every_0"],
+    ids=["checkpoint_every_0", "t_end_inf", "rho_inf", "tm_inf"],
 )
 def test_invalid_override_exits_2(tmp_path, capsys, command, edits, flag, message):
     cfg = _tweaked_config(tmp_path, edits)
-    assert _run([command, str(cfg), "--out-dir", str(tmp_path / "o"), *flag]) == 2
+    assert main([command, str(cfg), "--out-dir", str(tmp_path / "o"), *flag]) == 2
     assert f"invalid config: {message}" in capsys.readouterr().err
 
 
-# the smoke grid starts with Courant numbers above 0.5 (see test_runner)
-@pytest.mark.filterwarnings("ignore:explicit convection Courant number exceeds 0.5:RuntimeWarning")
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_members_match_their_own_runs(tmp_path, jobs):
     edits = {
@@ -444,8 +446,6 @@ def test_sweep_members_match_their_own_runs(tmp_path, jobs):
     assert codes == {name: {"blow_up": 3, "invalid": 2}.get(name, 0) for name in edits}
 
 
-# the zinc grid starts with Courant numbers above 0.5 (see test_runner)
-@pytest.mark.filterwarnings("ignore:explicit convection Courant number exceeds 0.5:RuntimeWarning")
 def test_run_scenario_accepts_checkpoint_override(tmp_path):
     out = tmp_path / "o"
     code = run_scenario(bundled_config("zinc_smoke"), out_dir=out, checkpoint_every=100)

@@ -1,7 +1,5 @@
 """Interface-measurement observer: gain, velocity estimate, tracking, sign."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -138,13 +136,11 @@ def test_velocity_initial_fallback():
 def _drive(cfg, steps, qc=80.0):
     """Run plant and observer side by side with a fixed heat flux."""
     st, ob = init_plant(cfg), init_observer(cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for _ in range(steps):
-            y = st.s
-            st_next = step_plant(st, qc, cfg.dt, P)
-            ob = step_observer(ob, y, qc, cfg.dt, cfg, P)
-            st = st_next
+    for _ in range(steps):
+        y = st.s
+        st_next = step_plant(st, qc, cfg.dt, P)
+        ob = step_observer(ob, y, qc, cfg.dt, cfg, P)
+        st = st_next
     return st, ob
 
 

@@ -59,10 +59,10 @@ def test_doubling_conductivity_doubles_both():
 
 @pytest.mark.parametrize("field", ["rho", "cp", "k", "dh"])
 def test_nonpositive_parameters_rejected(field):
-    with pytest.raises(ConfigurationError):
-        zinc_params(**{field: 0.0})
-    with pytest.raises(ConfigurationError):
-        zinc_params(**{field: -1.0})
+    # 1e-320 is positive and finite, but alpha or beta underflows to 0 or overflows to inf
+    for value in (0.0, -1.0, np.inf, np.nan, 1e-320):
+        with pytest.raises(ConfigurationError):
+            zinc_params(**{field: value})
 
 
 def test_lambda_bound_frozen():
@@ -151,6 +151,10 @@ def test_structural_config_errors():
         dict(mode="bang_bang"),
         dict(checkpoint_every=0),
         dict(domain_cap=0.005),
+        dict(t_end=np.inf),
+        dict(H=np.nan),
+        dict(lam=np.nan),
+        dict(domain_cap=np.inf),
     ):
         with pytest.raises(ConfigurationError):
             scenario(**bad)

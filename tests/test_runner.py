@@ -1,8 +1,5 @@
 """Closed-loop engine: loop ordering, logging, equivalence, failure modes."""
 
-import warnings
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -22,7 +19,7 @@ from stefanlab.transforms import (
     controller_transform,
 )
 
-from conftest import refuse_j1_above, run_quiet
+from conftest import refuse_j1_above
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 
@@ -49,7 +46,7 @@ def cfg_for(**over):
 
 def test_trace_shape_and_time_grid():
     cfg = cfg_for()
-    res = run_quiet(cfg, P)
+    res = simulate(cfg, P)
     tr = res.trace
     assert res.completed
     assert tr.t.size == int(round(cfg.t_end / cfg.dt)) + 1
@@ -61,7 +58,7 @@ def test_trace_shape_and_time_grid():
 
 def test_first_row_matches_initial_data():
     cfg = cfg_for()
-    tr = run_quiet(cfg, P).trace
+    tr = simulate(cfg, P).trace
     assert tr.s[0] == cfg.s0
     assert tr.T0[0] == pytest.approx(P.tm + cfg.H * cfg.s0, rel=1e-12)
     assert tr.That0[0] == pytest.approx(P.tm + cfg.Hhat * cfg.s0, rel=1e-12)
@@ -70,7 +67,7 @@ def test_first_row_matches_initial_data():
 
 def test_lyapunov_columns_nan_off_checkpoints():
     cfg = cfg_for(checkpoint_every=50)
-    tr = run_quiet(cfg, P).trace
+    tr = simulate(cfg, P).trace
     assert np.isfinite(tr.V[0]) and np.isfinite(tr.V[-1])
     assert np.isfinite(tr.V[50])
     assert np.isnan(tr.V[1]) and np.isnan(tr.Vtot[37])
@@ -93,14 +90,14 @@ def test_feedback_mode_equivalence_with_exact_estimate(equivalence_runs):
 
 
 def test_state_feedback_ignores_observer_gain():
-    a = run_quiet(cfg_for(mode="state_feedback", lam=0.001), P)
-    b = run_quiet(cfg_for(mode="state_feedback", lam=0.0), P)
+    a = simulate(cfg_for(mode="state_feedback", lam=0.001), P)
+    b = simulate(cfg_for(mode="state_feedback", lam=0.0), P)
     assert np.array_equal(a.trace.s, b.trace.s)
     assert np.array_equal(a.trace.qc, b.trace.qc)
 
 
 def test_blow_up_reports_partial_trace():
-    res = run_quiet(cfg_for(c=1e9, t_end=50.0), P)
+    res = simulate(cfg_for(c=1e9, t_end=50.0), P)
     assert not res.completed
     assert "domain cap" in res.failure
     assert 1 <= res.trace.t.size < 501
@@ -109,7 +106,7 @@ def test_blow_up_reports_partial_trace():
 def test_gain_beyond_table_limit_reports_partial_trace(monkeypatch):
     # the first step's gain series needs 5 terms
     monkeypatch.setattr(observer, "_GAIN_MAX_ROWS", 3)
-    res = run_quiet(cfg_for(), P)
+    res = simulate(cfg_for(), P)
     assert not res.completed
     assert "needs more than 3 terms" in res.failure
     assert res.trace.t.size == 1
@@ -118,7 +115,7 @@ def test_gain_beyond_table_limit_reports_partial_trace(monkeypatch):
 def test_first_checkpoint_beyond_series_cap_reports_partial_trace(monkeypatch):
     cfg = cfg_for()
     refuse_j1_above(monkeypatch, 0.5 * (cfg.lam / P.alpha) * cfg.s0**2)
-    res = run_quiet(cfg, P)
+    res = simulate(cfg, P)
     assert not res.completed
     assert "exceeds the series cap" in res.failure
     assert res.trace.t.size == 1
@@ -128,10 +125,10 @@ def test_first_checkpoint_beyond_series_cap_reports_partial_trace(monkeypatch):
 @pytest.mark.parametrize("every, bad", [(50, 2), (127, 1)], ids=["mid_block", "block_end"])
 def test_later_checkpoint_beyond_series_cap_keeps_its_row(monkeypatch, every, bad):
     cfg = cfg_for(checkpoint_every=every)
-    full = run_quiet(cfg, P)
+    full = simulate(cfg, P)
     z2 = (cfg.lam / P.alpha) * full.checkpoints["s"] ** 2
     refuse_j1_above(monkeypatch, 0.5 * (z2[bad - 1] + z2[bad]))
-    res = run_quiet(cfg, P)
+    res = simulate(cfg, P)
     row = bad * every
     assert not res.completed
     assert "exceeds the series cap" in res.failure
@@ -148,19 +145,9 @@ def test_later_checkpoint_beyond_series_cap_keeps_its_row(monkeypatch, every, ba
         assert _same_bits(got[name], want), name
 
 
-def test_zinc_start_warns_of_courant_number(zinc):
-    # the explicit convection term runs at Courant numbers up to 8.8 in the
-    # first 84 zinc steps
-    p, cfg = zinc
-    with pytest.warns(RuntimeWarning, match="Courant number exceeds 0.5"):
-        res = simulate(replace(cfg, t_end=100 * cfg.dt), p)
-    assert res.completed
-    assert res.trace.t.size == 101
-
-
 def test_determinism_in_process():
     cfg = cfg_for()
-    a, b = run_quiet(cfg, P), run_quiet(cfg, P)
+    a, b = simulate(cfg, P), simulate(cfg, P)
     for name in ("s", "qc", "h1_err", "energy"):
         assert np.array_equal(getattr(a.trace, name), getattr(b.trace, name))
 
@@ -261,9 +248,7 @@ REFERENCE_CASES = {
 
 
 def _assert_matches_reference(res, cfg):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        trace, checkpoints, failure, st, ob = _reference_run(cfg, P)
+    trace, checkpoints, failure, st, ob = _reference_run(cfg, P)
 
     assert res.failure == failure
     assert res.completed == (failure is None)
@@ -283,16 +268,14 @@ def _assert_matches_reference(res, cfg):
 @pytest.mark.parametrize("over", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())
 def test_engine_matches_reference_loop(over):
     cfg = cfg_for(**over)
-    _assert_matches_reference(run_quiet(cfg, P), cfg)
+    _assert_matches_reference(simulate(cfg, P), cfg)
 
 
 def test_lockstep_batch_matches_reference_loop():
     # all the reference scenarios advance as one batch; each member must
     # still match its own per-step loop bit for bit
     cfgs = [cfg_for(**over) for over in REFERENCE_CASES.values()]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        left = list(simulate_batch([(cfg, P) for cfg in cfgs]))
+    left = list(simulate_batch([(cfg, P) for cfg in cfgs]))
     # the blow-up leaves first; the shortest member completes next
     names = list(REFERENCE_CASES)
     assert [j for j, _ in left][:2] == [names.index("blow_up"), names.index("whole_blocks")]
@@ -322,7 +305,7 @@ def _one_block_solves(rows, extent, rates, qc, alpha, k, source, dt=0.1):
         src = source[one] if b < source.shape[0] else None
         out[:, one], bad = advance_field(
             rows[:, one], extent[one], [r[one] for r in rates], qc[one], dt, alpha[one], k[one],
-            source=src, cfl_warn=False,
+            source=src,
         )
         if bad:
             failed[b] = bad[0]
@@ -346,9 +329,7 @@ def test_block_diagonal_solve_matches_one_block_solves():
     for _ in range(200):
         args = _random_blocks(rng, int(rng.integers(2, 9)))
         rows, extent, rates, qc, alpha, k, source = args
-        got, failed = advance_field(
-            rows, extent, rates, qc, 0.1, alpha, k, source=source, cfl_warn=False
-        )
+        got, failed = advance_field(rows, extent, rates, qc, 0.1, alpha, k, source=source)
         want, want_failed = _one_block_solves(*args)
         assert failed == want_failed == {}
         assert _same_bits(got, want)
@@ -359,7 +340,7 @@ def test_block_diagonal_solve_isolates_a_non_finite_block():
     rng = np.random.default_rng(3)
     rows, extent, rates, qc, alpha, k, source = _random_blocks(rng, 4)
     rows[1, 2, 5] = np.inf
-    got, failed = advance_field(rows, extent, rates, qc, 0.1, alpha, k, source=source, cfl_warn=False)
+    got, failed = advance_field(rows, extent, rates, qc, 0.1, alpha, k, source=source)
     want, want_failed = _one_block_solves(rows, extent, rates, qc, alpha, k, source)
     assert failed == want_failed == {2: "temperature field became non-finite"}
     assert _same_bits(got[:, [0, 1, 3]], want[:, [0, 1, 3]])
