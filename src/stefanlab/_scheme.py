@@ -11,15 +11,15 @@ convection and source terms taken explicitly.  Keeping one implementation
 guarantees that the observer with zero injection gain reproduces the plant
 trajectory bit for bit.
 
-In the closed loop the observer runs on the measured extent Y = s, so plant
-and observer share the diffusion matrix at every step, and scenarios that
-share the grid and the time step advance together: ``advance_field`` takes B
-blocks of m fields, one extent per block, and solves them with one ``dgtsv``
-call with m right-hand sides on the block-diagonal system whose blocks are
-joined by zero couplings.  LAPACK eliminates each column with the same
-operations as a one-column solve, and a zero coupling adds only zero terms,
-which can flip nothing but the sign of an exact zero; the Dirichlet row,
-where exact zeros arise, is reset to +0.0.
+In the closed loop the observer runs on the measured extent Y = s and rate
+Y' = s', so plant and observer share the matrix and the rate at every step,
+and scenarios that share the grid and the time step advance together:
+``advance_field`` takes B blocks of m fields, one extent and rate per block,
+and solves them with one ``dgtsv`` call with m right-hand sides on the
+block-diagonal system whose blocks are joined by zero couplings.  LAPACK
+eliminates each column with the same operations as a one-column solve, and a
+zero coupling adds only zero terms, which can flip nothing but the sign of an
+exact zero; the Dirichlet row, where exact zeros arise, is reset to +0.0.
 """
 
 import math
@@ -61,7 +61,7 @@ def _interior_xi(n: int) -> np.ndarray:
 
 
 # Columns of advance_field's per-block table after the five matrix entries
-# (-mu, 1 + 2*mu, -2*mu, 1, 0): the ghost-node term, then one rate per field.
+# (-mu, 1 + 2*mu, -2*mu, 1, 0): the ghost-node term, then the block's rate.
 _GHOST_COLUMN = 5
 _RATE_COLUMN = 6
 
@@ -94,12 +94,12 @@ def advance_field(
 ) -> tuple[np.ndarray, dict]:
     """One backward-Euler step of the immobilized diffusion problem for B
     independent blocks of m fields; the fields of a block share its extent,
-    boundary heat flux and material.
+    convection rate, boundary heat flux and material.
 
     rows:     (m, B, N+1) samples on the uniform xi-grid, rows[..., -1] == 0
     extent:   B current physical domain lengths (s or Y), one per block
-    rates:    m sequences of B domain growth rates entering the convection
-              term; each is clamped to its block's explicit-stability range
+    rates:    B domain growth rates entering the convection term, one per
+              block, each clamped to its block's explicit-stability range
     qc:       B boundary heat fluxes, imposed as u_xi(0) = -(qc/k)*extent
     alpha, k: B diffusivities and conductivities
     source:   optional (G, N+1) explicit source samples for the last field
@@ -113,21 +113,17 @@ def advance_field(
     dxi = 1.0 / n
 
     # one row of Python floats per block: the matrix entries, the Neumann
-    # ghost-node term and the clamped rates over the extent (convection)
+    # ghost-node term and the clamped rate over the extent (convection)
     table = []
     for b in range(blocks):
         ext, a = extent[b], alpha[b]
         mu = a * dt / (ext * ext * dxi * dxi)
         # Neumann ghost node: theta[ghost] = theta[1] - 2*dxi*g, g = -(qc/k)*extent
         ghost = -2.0 * mu * dxi * (-(qc[b] / k[b]) * ext)
-        row = [-mu, 1.0 + 2.0 * mu, -2.0 * mu, 1.0, 0.0, ghost]
-        cap = stable_rate_cap(a, dt)
-        for field in range(m):
-            r = rates[field][b]
-            if abs(r) > cap:
-                r = cap if r > 0.0 else -cap
-            row.append(r / ext)
-        table.append(row)
+        r, cap = rates[b], stable_rate_cap(a, dt)
+        if abs(r) > cap:
+            r = cap if r > 0.0 else -cap
+        table.append([-mu, 1.0 + 2.0 * mu, -2.0 * mu, 1.0, 0.0, ghost, r / ext])
     values = np.array(table)
 
     # rhs: explicit convection (vanishes at xi=0, Dirichlet row at xi=1); the
@@ -136,7 +132,7 @@ def advance_field(
     rhs = rows.copy()
     conv = rows[..., 2:] - rows[..., :-2]
     conv *= 0.5 / dxi
-    conv *= np.multiply.outer(values[:, _RATE_COLUMN:].T, _interior_xi(n))
+    conv *= np.multiply.outer(values[:, _RATE_COLUMN], _interior_xi(n))
     conv *= dt
     interior = rhs[..., 1:-1]
     interior += conv
@@ -178,7 +174,7 @@ def advance_field(
                 out[:, one], bad = advance_field(
                     rows[:, one],
                     extent[one],
-                    [r[one] for r in rates],
+                    rates[one],
                     qc[one],
                     dt,
                     alpha[one],

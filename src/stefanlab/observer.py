@@ -5,9 +5,9 @@ injection term through the gain
 
     P1(x, s) = -lam * s * I1(sqrt(r))/sqrt(r),   r = (lam/alpha)*(s^2 - x^2),
 
-acting on the innovation Y'(t)/beta + u_hat_x(Y(t), t).  It shares the plant's
-normalized grid; its physical extent is whatever the newest measurement says,
-so assimilating a measurement costs nothing in closed loop.
+acting on the innovation Y'(t)/beta + u_hat_x(Y(t), t), Y' the measured rate.
+It shares the plant's normalized grid; its extent is whatever the newest
+measurement says, so assimilating a measurement costs nothing in closed loop.
 """
 
 from dataclasses import dataclass
@@ -17,17 +17,14 @@ import numpy as np
 from ._scheme import advance_field, one_sided_edge_flux
 from .errors import NumericalError
 from .params import PhysicalParams, ScenarioConfig
-from .plant import convection_rate
 from .specfun import bessel_i1_ratio, i1_ratio_terms
 
 
 @dataclass(frozen=True)
 class ObserverState:
-    """t: time (s); y_prev: last assimilated measurement (None before the
-    first step); theta_hat: u-estimate samples on the xi-grid."""
+    """t: time (s); theta_hat: u-estimate samples on the xi-grid."""
 
     t: float
-    y_prev: float | None
     theta_hat: np.ndarray
 
 
@@ -36,7 +33,7 @@ def init_observer(cfg: ScenarioConfig) -> ObserverState:
     xi = np.linspace(0.0, 1.0, cfg.grid_n + 1)
     theta_hat = cfg.Hhat * cfg.s0 * (1.0 - xi)
     theta_hat[-1] = 0.0
-    return ObserverState(t=0.0, y_prev=None, theta_hat=theta_hat)
+    return ObserverState(t=0.0, theta_hat=theta_hat)
 
 
 def observer_gain(x: float, s: float, lam: float, alpha: float) -> float:
@@ -94,57 +91,51 @@ def estimate_flux(ob: ObserverState, y: float) -> float:
     return one_sided_edge_flux(ob.theta_hat, dxi) / y
 
 
-def observer_forcing(
+def injection_source(
     y: float,
-    y_prev: float | None,
+    v: float,
     edge_flux: float,
-    dt: float,
+    lam: float,
+    alpha: float,
+    beta: float,
     n: int,
-    cfg: ScenarioConfig,
-    p: PhysicalParams,
-) -> tuple[float, np.ndarray | None]:
-    """Convection rate and injection source of one observer step on the
-    measured extent y, from the incoming estimate's edge flux
-    d(theta_hat)/d(xi) at xi = 1.
-
-    The rate is the plant's ``convection_rate`` on the measurements: the
-    backward difference (y - y_prev)/dt, or on the first step the
-    model-consistent -beta*u_hat_x(y).  The source is
-    -P1(xi*y, y) * (Y'/beta + u_hat_x(y)) on the n-interval grid, or None
-    for a zero gain.
-    """
-    beta = p.beta
-    v = convection_rate(y, y_prev, edge_flux, dt, beta)
-    if cfg.lam == 0.0:
-        return v, None
-    source = gain_profile(y, cfg.lam, p.alpha, n)
+) -> np.ndarray | None:
+    """Output-injection source of one observer step on the measured extent y
+    with the measured interface rate v, from the incoming estimate's edge
+    flux d(theta_hat)/d(xi) at xi = 1: -P1(xi*y, y) * (v/beta + u_hat_x(y))
+    on the n-interval grid, or None for a zero gain."""
+    if lam == 0.0:
+        return None
+    source = gain_profile(y, lam, alpha, n)
     source *= -(v / beta + edge_flux / y)
-    return v, source
+    return source
 
 
 def step_observer(
     ob: ObserverState,
     y_now: float,
+    v: float,
     qc: float,
     dt: float,
     cfg: ScenarioConfig,
     p: PhysicalParams,
 ) -> ObserverState:
-    """Advance one step on the measured extent y_now.
+    """Advance one step on the measured extent y_now and interface rate v.
 
     Same scheme as the plant (so a zero-gain observer started on the true
-    profile is an exact copy), plus the explicit injection source
-    -P1(xi*y, y) * (Y'/beta + u_hat_x(y)) evaluated on the incoming state.
+    profile and given the plant's rate is an exact copy), plus the explicit
+    injection source -P1(xi*y, y) * (v/beta + u_hat_x(y)) evaluated on the
+    incoming state.
     """
     if not y_now > 0.0:
         raise ValueError("measured interface position must be positive")
     n = ob.theta_hat.size - 1
     edge_flux = one_sided_edge_flux(ob.theta_hat, 1.0 / n)
-    v, source = observer_forcing(y_now, ob.y_prev, edge_flux, dt, n, cfg, p)
+    source = injection_source(y_now, v, edge_flux, cfg.lam, p.alpha, p.beta, n)
     stack, failed = advance_field(
         ob.theta_hat[np.newaxis, np.newaxis],
         (y_now,),
-        ((v,),),
+        (v,),
         (qc,),
         dt,
         (p.alpha,),
@@ -153,5 +144,4 @@ def step_observer(
     )
     if failed:
         raise NumericalError(failed[0])
-    theta_new = stack[0, 0]
-    return ObserverState(t=ob.t + dt, y_prev=y_now, theta_hat=theta_new)
+    return ObserverState(t=ob.t + dt, theta_hat=stack[0, 0])

@@ -11,6 +11,8 @@ them and reports the computed bounds; it never raises.
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 MODES = ("output_feedback", "state_feedback")
@@ -105,6 +107,12 @@ class ScenarioConfig:
             raise ConfigurationError("dt must be strictly positive")
         if not self.t_end > self.dt:
             raise ConfigurationError("t_end must exceed dt")
+        # the runner imports this module, so the trace's columns are read here
+        from .runner import Trace, _array_fields
+
+        row_bytes = 8 * len(_array_fields(Trace))
+        if math.isinf(self.t_end / self.dt) or self.rows * row_bytes > np.iinfo(np.intp).max:
+            raise ConfigurationError("t_end/dt is too large: the trace cannot be addressed")
         if self.H < 0.0 or self.Hhat < 0.0:
             raise ConfigurationError("H and Hhat must be nonnegative")
         if not self.c > 0.0:
@@ -119,6 +127,11 @@ class ScenarioConfig:
             raise ConfigurationError("checkpoint_every must be at least 1")
         if self.domain_cap is not None and not self.domain_cap > self.s0:
             raise ConfigurationError("domain_cap must exceed s0")
+
+    @property
+    def rows(self) -> int:
+        """Rows of the run's trace, one per time level 0, dt, ..., t_end."""
+        return int(round(self.t_end / self.dt)) + 1
 
 
 def lambda_upper_bound(cfg: ScenarioConfig, alpha: float) -> float:

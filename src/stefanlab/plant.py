@@ -21,8 +21,8 @@ class PlantState:
 
     s_prev holds the interface position one step earlier, so the next step's
     explicit convection term can use the backward-difference rate
-    (s - s_prev)/dt -- the same expression the observer forms from its
-    measurements.  None marks the initial state, where the rate comes from
+    (s - s_prev)/dt -- the rate the observer receives as its measured
+    interface rate.  None marks the initial state, where the rate comes from
     the initial profile's interface flux instead.
     """
 
@@ -49,9 +49,9 @@ def interface_flux(st: PlantState) -> float:
 def convection_rate(
     s: float, s_prev: float | None, edge_flux: float, dt: float, beta: float
 ) -> float:
-    """The interface rate entering the plant's convection term: the
-    backward difference (s - s_prev)/dt, or on the first step -beta*u_x(s)
-    from the current field's edge flux d(theta)/d(xi) at xi = 1."""
+    """The interface rate entering the convection term of plant and observer:
+    the backward difference (s - s_prev)/dt, or on the first step
+    -beta*u_x(s) from the plant field's edge flux d(theta)/d(xi) at xi = 1."""
     if s_prev is None:
         return -beta * (edge_flux / s)
     return (s - s_prev) / dt
@@ -99,7 +99,7 @@ def step_plant(
     dxi = 1.0 / (st.theta.size - 1)
     rate = convection_rate(st.s, st.s_prev, one_sided_edge_flux(st.theta, dxi), dt, p.beta)
     stack, failed = advance_field(
-        st.theta[np.newaxis, np.newaxis], (st.s,), ((rate,),), (qc,), dt, (p.alpha,), (p.k,)
+        st.theta[np.newaxis, np.newaxis], (st.s,), (rate,), (qc,), dt, (p.alpha,), (p.k,)
     )
     if failed:
         raise NumericalError(failed[0])

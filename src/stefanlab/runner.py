@@ -5,7 +5,8 @@ the interface is measured, the observer's extent is rescaled to that
 measurement (assimilation; a no-op on the normalized samples), the controller
 is evaluated on the assimilated observer state (or the true state in
 state-feedback mode), and then plant and observer advance over the same
-interval with the same heat flux and the same start-of-interval extent.
+interval with the same heat flux, start-of-interval extent and interface
+rate (the plant's ``convection_rate``, the observer's measured rate).
 Because both systems share one discrete operator, a zero-gain observer
 started on the true profile reproduces the plant bit for bit, and the two
 feedback laws then produce identical traces.
@@ -16,8 +17,8 @@ with one block-diagonal two-column solve per step; ``simulate`` is the batch
 of one.  The array work is batched: the trapezoid sums, the convection, the
 ghost-node flux, the source rows, the solve and the non-finite check.  The
 scalar work stays in Python floats, member by member: the feedback law, the
-edge stencils, the two convection rates and their clamp, the injection gain
-and the Stefan update.  The logged diagnostics depend on no later step, so
+edge stencils, the convection rate and its clamp, the injection gain and
+the Stefan update.  The logged diagnostics depend on no later step, so
 they are computed for blocks of buffered rows at a time.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import control, diagnostics, transforms
 from ._scheme import advance_field, edge_stencil, one_sided_edge_flux
 from .errors import BlowUpError, NumericalError
-from .observer import ObserverState, init_observer, observer_forcing
+from .observer import ObserverState, init_observer, injection_source
 from .params import PhysicalParams, ScenarioConfig
 from .plant import PlantState, advance_interface, convection_rate, init_plant
 
@@ -181,15 +182,14 @@ class _Member:
             completed=failure is None,
             failure=failure,
             final_plant=PlantState(t=self.t_state, s=self.s, theta=pair[0].copy(), s_prev=self.s_prev),
-            final_observer=ObserverState(t=self.t_state, y_prev=self.s_prev, theta_hat=pair[1].copy()),
+            final_observer=ObserverState(t=self.t_state, theta_hat=pair[1].copy()),
         )
 
 
 def _held_bytes(cfg: ScenarioConfig) -> int:
     """Bytes a member holds in a batch: its logged columns and its buffer of
     _BLOCK_ROWS field pairs."""
-    rows = int(round(cfg.t_end / cfg.dt)) + 1
-    return 8 * (rows * len(_array_fields(Trace)) + _BLOCK_ROWS * 2 * (cfg.grid_n + 1))
+    return 8 * (cfg.rows * len(_array_fields(Trace)) + _BLOCK_ROWS * 2 * (cfg.grid_n + 1))
 
 
 def lockstep_batches(cfgs) -> list[list[int]]:
@@ -232,9 +232,7 @@ def simulate_batch(scenarios):
     # first blocks of the stack
     for j in sorted(range(len(scenarios)), key=lambda j: scenarios[j][0].lam == 0.0):
         cfg, p = scenarios[j]
-        n_rows = int(round(cfg.t_end / dt)) + 1
-        if n_rows < 2:
-            raise ValueError("horizon shorter than one step")
+        n_rows = cfg.rows
         cols = {name: np.empty(n_rows) for name in _array_fields(Trace)}
         cols["V"].fill(np.nan)
         cols["Vtot"].fill(np.nan)
@@ -275,10 +273,10 @@ def simulate_batch(scenarios):
         tails = stack[..., -3:].tolist()
 
         # per member in Python floats: the feedback law on the trapezoid
-        # integral of control._trapz_integral, the checkpoint, the rates and
+        # integral of control._trapz_integral, the checkpoint, the rate and
         # the injection source
         leaving, stepping = {}, []
-        extent, qcs, rates, velocities, sources, alphas, ks = [], [], [], [], [], [], []
+        extent, qcs, rates, sources, alphas, ks = [], [], [], [], [], []
         for j, m in enumerate(members):
             cfg, cols, fb = m.cfg, m.cols, m.feedback_row
             y = m.s  # measurement; the observer extent is rescaled to it
@@ -299,9 +297,8 @@ def simulate_batch(scenarios):
                     leaving[j] = None
                     continue
                 rate = convection_rate(y, m.s_prev, edge_stencil(*tails[0][j], dxi), dt, m.beta)
-                v, source = observer_forcing(
-                    y, m.s_prev, edge_stencil(*tails[1][j], dxi), dt, n, cfg, m.p
-                )
+                edge_flux = edge_stencil(*tails[1][j], dxi)
+                source = injection_source(y, rate, edge_flux, cfg.lam, m.alpha, m.beta, n)
             except (BlowUpError, NumericalError) as exc:
                 leaving[j] = str(exc)
                 continue
@@ -309,7 +306,6 @@ def simulate_batch(scenarios):
             extent.append(y)
             qcs.append(qc)
             rates.append(rate)
-            velocities.append(v)
             alphas.append(m.alpha)
             ks.append(m.k)
             if source is not None:
@@ -327,7 +323,7 @@ def simulate_batch(scenarios):
         new, failed = advance_field(
             stack,
             extent,
-            (rates, velocities),
+            rates,
             qcs,
             dt,
             alphas,

@@ -12,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 
 from stefanlab import transforms
-from stefanlab.cli import bundled_config, main, read_csv
-from stefanlab.diagnostics import fit_decay_rate, lyapunov_constants, monitor_constraints
+from stefanlab.cli import bundled_config, main
+from stefanlab.diagnostics import fit_decay_rate, lyapunov_constants
 from stefanlab.params import (
     lambda_upper_bound,
     setpoint_lower_bound,

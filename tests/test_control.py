@@ -55,7 +55,7 @@ def test_equilibrium_gives_zero_flux():
     cfg = cfg_for()
     st = PlantState(t=0.0, s=cfg.sr, theta=np.zeros(cfg.grid_n + 1))
     assert state_feedback(st, cfg, P) == 0.0
-    ob = ObserverState(t=0.0, y_prev=cfg.sr, theta_hat=np.zeros(cfg.grid_n + 1))
+    ob = ObserverState(t=0.0, theta_hat=np.zeros(cfg.grid_n + 1))
     assert output_feedback(ob, cfg.sr, cfg, P) == 0.0
 
 
@@ -70,7 +70,7 @@ def test_cold_start_flux_sign():
 def test_output_feedback_equals_state_feedback_on_true_state():
     cfg = cfg_for()
     st = init_plant(cfg)
-    ob = ObserverState(t=0.0, y_prev=st.s, theta_hat=st.theta.copy())
+    ob = ObserverState(t=0.0, theta_hat=st.theta.copy())
     a = state_feedback(st, cfg, P)
     b = output_feedback(ob, st.s, cfg, P)
     assert b == a

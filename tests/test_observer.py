@@ -1,8 +1,10 @@
-"""Interface-measurement observer: gain, velocity estimate, tracking, sign."""
+"""Interface-measurement observer: gain, measured rate, tracking, sign."""
 
 import numpy as np
 import pytest
 
+from stefanlab._scheme import one_sided_edge_flux
+from stefanlab.cli import bundled_config, parse_config
 from stefanlab.diagnostics import fit_decay_rate
 from stefanlab.errors import NumericalError
 from stefanlab.observer import (
@@ -13,7 +15,7 @@ from stefanlab.observer import (
 )
 from stefanlab.params import PhysicalParams, ScenarioConfig
 from stefanlab.plant import convection_rate, init_plant, step_plant
-from stefanlab.specfun import bessel_i1_ratio
+from stefanlab.runner import simulate
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 ALPHA = P.alpha
@@ -35,7 +37,6 @@ def test_init_linear_estimate():
     ob = init_observer(cfg_for(grid_n=8))
     expected = [10.0, 8.75, 7.5, 6.25, 5.0, 3.75, 2.5, 1.25, 0.0]
     assert np.allclose(ob.theta_hat, expected, atol=1e-14)
-    assert ob.y_prev is None
 
 
 def test_initial_estimate_dominates_initial_profile():
@@ -118,8 +119,9 @@ def test_gain_profile_refuses_unsummable_gain():
         _gain_at(float("nan"), n=32)
 
 
-# the observer's velocity is the plant's convection rate on the measurements;
-# the edge flux is read only before the first measurement difference
+# the observer's measured rate is the plant's convection rate: the backward
+# difference of the measurements, or on the first step -beta*u_x(s0) from the
+# plant's own edge flux
 def test_velocity_constant_measurement():
     assert convection_rate(0.02, 0.02, 55.0, 0.1, 1e-3) == 0.0
 
@@ -134,12 +136,15 @@ def test_velocity_initial_fallback():
 
 
 def _drive(cfg, steps, qc=80.0):
-    """Run plant and observer side by side with a fixed heat flux."""
+    """Run plant and observer side by side with a fixed heat flux; the
+    observer measures the plant's interface position and rate."""
     st, ob = init_plant(cfg), init_observer(cfg)
     for _ in range(steps):
         y = st.s
+        edge_flux = one_sided_edge_flux(st.theta, 1.0 / cfg.grid_n)
+        v = convection_rate(y, st.s_prev, edge_flux, cfg.dt, P.beta)
         st_next = step_plant(st, qc, cfg.dt, P)
-        ob = step_observer(ob, y, qc, cfg.dt, cfg, P)
+        ob = step_observer(ob, y, v, qc, cfg.dt, cfg, P)
         st = st_next
     return st, ob
 
@@ -161,20 +166,24 @@ def test_step_observer_rejects_bad_measurement():
     cfg = cfg_for()
     ob = init_observer(cfg)
     with pytest.raises(ValueError):
-        step_observer(ob, 0.0, 50.0, cfg.dt, cfg, P)
+        step_observer(ob, 0.0, 0.0, 50.0, cfg.dt, cfg, P)
 
 
 def test_error_sign_and_decay_on_zinc_run(zinc_run):
     tr = zinc_run.trace
-    eps = (1.0 / tr.grid_n) ** 2 + tr.dt
-    # estimation error nonpositive up to grid tolerance, boundary error
+    # estimation error nonpositive at every node and step, boundary error
     # strictly negative after t = 0
-    assert np.all(tr.utilde_max <= eps)
+    assert np.all(tr.utilde_max <= 0.0)
     assert np.all(tr.Ttilde0[1:] < 0.0)
     # H1 error collapses and the fitted rate is positive
     assert tr.h1_err[-1] < 1e-4 * tr.h1_err[0]
     assert fit_decay_rate(tr.t, tr.h1_err) > 0.0
-    # interface-flux error nonnegative once past the first step, whose
-    # model-consistent velocity guess is not resolution-limited
-    assert np.min(tr.utilde_x_s[2:]) > -eps
-    assert tr.utilde_x_s[0] > 0.0
+    # interface-flux error positive at every step
+    assert np.all(tr.utilde_x_s > 0.0)
+
+
+def test_error_sign_on_smoke_run():
+    p, cfg = parse_config(bundled_config("zinc_smoke"))
+    tr = simulate(cfg, p).trace
+    assert np.all(tr.utilde_max <= 0.0)
+    assert np.all(tr.utilde_x_s > 0.0)

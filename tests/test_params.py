@@ -152,6 +152,8 @@ def test_structural_config_errors():
         dict(checkpoint_every=0),
         dict(domain_cap=0.005),
         dict(t_end=np.inf),
+        dict(t_end=1e300),  # a trace of more bytes than an index can address
+        dict(t_end=1e300, dt=1e-300),  # t_end/dt overflows
         dict(H=np.nan),
         dict(lam=np.nan),
         dict(domain_cap=np.inf),

@@ -1,16 +1,20 @@
 """Closed-loop engine: loop ordering, logging, equivalence, failure modes."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from stefanlab import observer
-from stefanlab._scheme import advance_field
+from stefanlab import observer, runner
+from stefanlab._scheme import advance_field, one_sided_edge_flux, stable_rate_cap
+from stefanlab.cli import bundled_config, parse_config
 from stefanlab.control import field_energy, output_feedback, state_feedback
 from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
 from stefanlab.errors import BlowUpError, NumericalError
 from stefanlab.observer import estimate_flux, init_observer, step_observer
-from stefanlab.params import PhysicalParams, ScenarioConfig
-from stefanlab.plant import init_plant, interface_flux, step_plant
+from stefanlab.params import PhysicalParams, ScenarioConfig, lambda_upper_bound
+from stefanlab.plant import convection_rate, init_plant, interface_flux, step_plant
 from stefanlab.runner import _BLOCK_ROWS, lockstep_batches, simulate, simulate_batch
 from stefanlab.transforms import (
     apply_direct,
@@ -221,9 +225,12 @@ def _reference_run(cfg, p):
             trace.setdefault(name, []).append(value)
         if i == n_rows - 1:
             break
+        # the observer measures the plant's interface rate
+        edge_flux = one_sided_edge_flux(st.theta, 1.0 / cfg.grid_n)
+        v = convection_rate(y, st.s_prev, edge_flux, cfg.dt, beta)
         try:
             st_next = step_plant(st, qc, cfg.dt, p, domain_cap=domain_cap)
-            ob = step_observer(ob, y, qc, cfg.dt, cfg, p)
+            ob = step_observer(ob, y, v, qc, cfg.dt, cfg, p)
         except (BlowUpError, NumericalError) as exc:
             failure = str(exc)
             break
@@ -260,7 +267,6 @@ def _assert_matches_reference(res, cfg):
     for name, values in checkpoints.items():
         assert _same_bits(res.checkpoints[name], values), name
     assert (res.final_plant.t, res.final_plant.s, res.final_plant.s_prev) == (st.t, st.s, st.s_prev)
-    assert res.final_observer.y_prev == ob.y_prev
     assert _same_bits(res.final_plant.theta, st.theta)
     assert _same_bits(res.final_observer.theta_hat, ob.theta_hat)
 
@@ -304,7 +310,7 @@ def _one_block_solves(rows, extent, rates, qc, alpha, k, source, dt=0.1):
         one = slice(b, b + 1)
         src = source[one] if b < source.shape[0] else None
         out[:, one], bad = advance_field(
-            rows[:, one], extent[one], [r[one] for r in rates], qc[one], dt, alpha[one], k[one],
+            rows[:, one], extent[one], rates[one], qc[one], dt, alpha[one], k[one],
             source=src,
         )
         if bad:
@@ -316,7 +322,7 @@ def _random_blocks(rng, blocks, n=32):
     rows = rng.standard_normal((2, blocks, n + 1)) * 10.0 ** rng.integers(-3, 4, (2, blocks, 1))
     rows[..., -1] = 0.0
     extent = 0.01 + rng.random(blocks)
-    rates = list(rng.standard_normal((2, blocks)) * 0.03)  # some beyond the clamp
+    rates = rng.standard_normal(blocks) * 0.03  # some beyond the clamp
     qc = rng.standard_normal(blocks) * 1e3
     alpha = 4.5e-5 * (0.5 + rng.random(blocks))
     k = 116.0 * (0.5 + rng.random(blocks))
@@ -345,3 +351,31 @@ def test_block_diagonal_solve_isolates_a_non_finite_block():
     assert failed == want_failed == {2: "temperature field became non-finite"}
     assert _same_bits(got[:, [0, 1, 3]], want[:, [0, 1, 3]])
     assert np.isfinite(got[:, [0, 1, 3]]).all()
+
+
+def _clamped_rates(monkeypatch, scenarios):
+    """The rates beyond their block's explicit-stability cap that the
+    lockstep batch of the scenarios hands to advance_field."""
+    clamped = []
+
+    def counting(rows, extent, rates, qc, dt, alpha, k, source=None):
+        clamped.extend(r for r, a in zip(rates, alpha) if abs(r) > stable_rate_cap(a, dt))
+        return advance_field(rows, extent, rates, qc, dt, alpha, k, source=source)
+
+    monkeypatch.setattr(runner, "advance_field", counting)
+    for _, res in simulate_batch(scenarios):
+        assert res.completed, res.failure
+    return clamped
+
+
+def test_rate_clamp_binds_nowhere_on_bundled_and_sweep_corner_runs(monkeypatch, zinc):
+    p, zinc_cfg = zinc
+    assert _clamped_rates(monkeypatch, [(replace(zinc_cfg, t_end=50.0), p)]) == []
+    # the smoke run and the corners of the benchmark sweep's box on its grid
+    p, smoke = parse_config(bundled_config("zinc_smoke"))
+    bound = lambda_upper_bound(smoke, p.alpha)
+    corners = [
+        replace(smoke, lam=lam, c=c, sr=sr)
+        for lam, c, sr in itertools.product((0.0, 0.1 * bound), (0.001, 0.01), (0.2, 0.35))
+    ]
+    assert _clamped_rates(monkeypatch, [(cfg, p) for cfg in [smoke, *corners]]) == []
