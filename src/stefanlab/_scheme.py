@@ -22,11 +22,44 @@ zero coupling adds only zero terms, which can flip nothing but the sign of an
 exact zero; the Dirichlet row, where exact zeros arise, is reset to +0.0.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import sysconfig
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+
+
+def _load_dgtsv():
+    """LAPACK's dgtsv from scipy's compiled ``scipy/linalg/_flapack``
+    extension, loaded by file, so that ``scipy.linalg``'s package init (a
+    quarter second of imports, numpy.f2py among them) never runs.
+
+    The file is found without importing scipy and loaded under its own name,
+    ``scipy.linalg._flapack``; CPython registers a single-phase extension in
+    ``sys.modules`` under that name, so a later ``import scipy.linalg``
+    reuses this module and ``scipy.linalg.lapack.dgtsv is dgtsv``.  This
+    reaches into a private file of scipy: on any failure the function comes
+    from ``scipy.linalg.lapack`` instead, the same compiled code either way.
+    """
+    name = "scipy.linalg._flapack"
+    try:
+        scipy_dir = Path(importlib.util.find_spec("scipy").origin).parent
+        path = str(scipy_dir / "linalg" / f"_flapack{sysconfig.get_config_var('EXT_SUFFIX')}")
+        loader = importlib.machinery.ExtensionFileLoader(name, path)
+        spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+        return module.dgtsv
+    except Exception:
+        from scipy.linalg.lapack import dgtsv
+
+        return dgtsv
+
+
+dgtsv = _load_dgtsv()
 
 # Safety factor on the von Neumann threshold |rate| <= sqrt(2*alpha/dt) for
 # the explicit centered convection term under implicit diffusion.

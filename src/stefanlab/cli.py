@@ -19,7 +19,6 @@ import argparse
 import configparser
 import itertools
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -224,6 +223,11 @@ def _summary_text(cfg, p, report, result, monitor="") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _invalid_config(exc: ConfigurationError) -> int:
+    print(f"invalid config: {exc}", file=sys.stderr)
+    return 2
+
+
 @dataclass(frozen=True)
 class _Run:
     """A parsed, overridden and validated scenario, and where it writes."""
@@ -242,8 +246,7 @@ def _prepare(config_path: Path, out: Path, checkpoint_every) -> _Run | int:
         if checkpoint_every is not None:
             cfg = replace(cfg, checkpoint_every=checkpoint_every)
     except ConfigurationError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
+        return _invalid_config(exc)
 
     out.mkdir(parents=True, exist_ok=True)
     report = validate_scenario(cfg, p)
@@ -278,15 +281,18 @@ def run_scenario(config_path, out_dir=None, checkpoint_every: int | None = None)
     run = _prepare(config_path, out, checkpoint_every)
     if isinstance(run, int):
         return run
-    return _write_outputs(run, simulate(run.cfg, run.p))
+    try:
+        result = simulate(run.cfg, run.p)
+    except ConfigurationError as exc:  # the trace cannot be allocated
+        return _invalid_config(exc)
+    return _write_outputs(run, result)
 
 
 def _validate_cmd(config_path) -> int:
     try:
         p, cfg = parse_config(config_path)
     except ConfigurationError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
+        return _invalid_config(exc)
     report = validate_scenario(cfg, p)
     print(report.format())
     return 0 if report.passed else 2
@@ -306,7 +312,12 @@ def _compare_cmd(a, b) -> int:
 def _sweep_batch(runs: list[_Run]) -> int:
     """Run one lockstep batch, writing each member's outputs as it leaves."""
     results = simulate_batch([(run.cfg, run.p) for run in runs])
-    return max(_write_outputs(runs[j], result) for j, result in results)
+    try:
+        return max(_write_outputs(runs[j], result) for j, result in results)
+    except ConfigurationError as exc:
+        # a trace that cannot be allocated, raised before the first step; a
+        # member that large runs alone in its batch
+        return _invalid_config(exc)
 
 
 def _sweep(configs, out_root, checkpoint_every, jobs) -> int:
@@ -340,6 +351,10 @@ def _sweep(configs, out_root, checkpoint_every, jobs) -> int:
     # more than there are batches
     workers = min(jobs, len(batches))
     if workers > 1:
+        # imported here: concurrent.futures and multiprocessing add 15-25 ms
+        # to every start that never uses a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             codes += pool.map(_sweep_batch, batches)
     else:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import control, diagnostics, transforms
 from ._scheme import advance_field, edge_stencil, one_sided_edge_flux
-from .errors import BlowUpError, NumericalError
+from .errors import BlowUpError, ConfigurationError, NumericalError
 from .observer import ObserverState, init_observer, injection_source
 from .params import PhysicalParams, ScenarioConfig
 from .plant import PlantState, advance_interface, convection_rate, init_plant
@@ -219,7 +219,9 @@ def simulate_batch(scenarios):
     Yields (index into scenarios, SimulationResult) as each member leaves
     the batch: when it completes, or when it fails (completed=False with the
     failure message and the truncated trace, as from ``simulate``).  Each
-    member's result is bit-identical to its own ``simulate`` run.
+    member's result is bit-identical to its own ``simulate`` run.  Raises
+    ConfigurationError, before the first step, if a member's trace cannot
+    be allocated.
     """
     scenarios = list(scenarios)
     grids = {(cfg.grid_n, cfg.dt) for cfg, _ in scenarios}
@@ -233,7 +235,14 @@ def simulate_batch(scenarios):
     for j in sorted(range(len(scenarios)), key=lambda j: scenarios[j][0].lam == 0.0):
         cfg, p = scenarios[j]
         n_rows = cfg.rows
-        cols = {name: np.empty(n_rows) for name in _array_fields(Trace)}
+        names = _array_fields(Trace)
+        try:
+            cols = {name: np.empty(n_rows) for name in names}
+        except MemoryError:
+            raise ConfigurationError(
+                f"t_end/dt is too large: the trace's {n_rows} rows need "
+                f"{8 * len(names) * n_rows} bytes, which cannot be allocated"
+            ) from None
         cols["V"].fill(np.nan)
         cols["Vtot"].fill(np.nan)
         members.append(
@@ -360,7 +369,8 @@ def simulate(cfg: ScenarioConfig, p: PhysicalParams) -> SimulationResult:
     of one.
 
     Numerical failures do not raise: the result carries the truncated trace
-    with completed=False and the failure message.
+    with completed=False and the failure message.  A trace that cannot be
+    allocated raises ConfigurationError.
     """
     ((_, result),) = simulate_batch([(cfg, p)])
     return result

@@ -1,5 +1,6 @@
 """Config parsing, CSV artifacts, exit codes, determinism, compare, sweep."""
 
+import concurrent.futures
 import configparser
 import os
 import subprocess
@@ -163,6 +164,16 @@ def test_run_checkpoint_beyond_series_cap_exits_3(tmp_path, monkeypatch):
     assert "exceeds the series cap" in summary
 
 
+def _python(script):
+    """Run script in a fresh interpreter under -W error, with this
+    process's import path; its completed process."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    )
+
+
 def test_smoke_run_does_not_load_scipy_special(tmp_path):
     # scipy.special adds 3.6 MB resident; only J1 kernels past z2 = 400 need it
     script = (
@@ -171,13 +182,59 @@ def test_smoke_run_does_not_load_scipy_special(tmp_path):
         f"code = main(['run', str(bundled_config('zinc_smoke')), '--out-dir', {str(tmp_path)!r}])\n"
         "print(code, 'scipy.special' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run(
-        [sys.executable, "-W", "error", "-c", script],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    out = _python(script)
     assert out.stdout.split() == ["0", "False"]
     assert out.stderr == ""
+
+
+def test_run_and_serial_sweep_load_no_linalg_f2py_or_pool(tmp_path):
+    # scipy.linalg's package init imports numpy.f2py (a quarter second and
+    # 25 MB resident); the process pool is for --jobs > 1 only
+    configs = [str(_tweaked_config(tmp_path, name=f"m{i}.cfg")) for i in range(2)]
+    script = (
+        "import sys\n"
+        "from stefanlab.cli import bundled_config, main\n"
+        f"run = main(['run', str(bundled_config('zinc_smoke')), '--out-dir', {str(tmp_path / 'run')!r}])\n"
+        f"sweep = main(['sweep', *{configs!r}, '--out-dir', {str(tmp_path / 'sweep')!r}, '--jobs', '1'])\n"
+        "print(run, sweep, *(m in sys.modules for m in ('scipy.linalg', 'numpy.f2py', 'concurrent.futures')))\n"
+    )
+    out = _python(script)
+    assert out.stdout.split() == ["0", "0", "False", "False", "False"]
+    assert out.stderr == ""
+
+
+def test_later_scipy_linalg_import_reuses_the_loaded_dgtsv():
+    script = (
+        "import sys\n"
+        "import stefanlab\n"
+        "loaded = 'scipy.linalg' in sys.modules\n"
+        "import scipy.linalg\n"
+        "print(loaded, scipy.linalg.lapack.dgtsv is stefanlab._scheme.dgtsv)\n"
+    )
+    out = _python(script)
+    assert out.stdout.split() == ["False", "True"]
+    assert out.stderr == ""
+
+
+def test_failed_file_load_falls_back_to_the_same_dgtsv(tmp_path):
+    # the path lookup fails before `import stefanlab`, so the fallback runs
+    smoke = str(bundled_config("zinc_smoke"))
+    assert main(["run", smoke, "--out-dir", str(tmp_path / "file")]) == 0
+    script = (
+        "import importlib.util, sys\n"
+        "find_spec = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, *a: None if name == 'scipy' else find_spec(name, *a)\n"
+        "from stefanlab import _scheme\n"
+        "from stefanlab.cli import main\n"
+        "fallback = 'scipy.linalg' in sys.modules\n"
+        "same = _scheme.dgtsv is sys.modules['scipy.linalg.lapack'].dgtsv\n"
+        f"print(fallback, same, main(['run', {smoke!r}, '--out-dir', {str(tmp_path / 'fallback')!r}]))\n"
+    )
+    out = _python(script)
+    assert out.stdout.split() == ["True", "True", "0"]
+    assert out.stderr == ""
+    for name in ("trace.csv", "transforms.csv", "summary.txt"):
+        assert (tmp_path / "fallback" / name).read_bytes() == (tmp_path / "file" / name).read_bytes(), name
 
 
 def test_summary_reports_full_trace_qc_residual(tmp_path):
@@ -370,7 +427,7 @@ def test_sweep_pool_has_no_more_workers_than_batches(tmp_path, monkeypatch, n_ba
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(cli, "_sweep_batch", lambda batch: swept.extend(r.out.name for r in batch) or 0)
     # three valid configs on n_batches grids: one lockstep batch per grid
     grids = [64, 64, 64 if n_batches == 1 else 72]
@@ -411,6 +468,38 @@ def test_invalid_override_exits_2(tmp_path, capsys, command, edits, flag, messag
     cfg = _tweaked_config(tmp_path, edits)
     assert main([command, str(cfg), "--out-dir", str(tmp_path / "o"), *flag]) == 2
     assert f"invalid config: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unallocatable_trace_exits_2(tmp_path, capsys, monkeypatch, command):
+    # an addressable horizon whose trace the host cannot hold: np.empty is
+    # made to refuse it, so nothing that large is ever really allocated
+    huge = _tweaked_config(tmp_path, {("numerics", "t_end"): "1e12"}, name="huge.cfg")
+    rows = parse_config(huge)[1].rows
+    empty = np.empty
+
+    def refusing(shape, *args, **kwargs):
+        if np.prod(shape) >= rows:
+            raise MemoryError("refused")
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+    out = tmp_path / "o"
+    if command == "run":
+        assert main(["run", str(huge), "--out-dir", str(out)]) == 2
+    else:
+        smoke = _tweaked_config(tmp_path, name="smoke.cfg")
+        assert main(["sweep", str(huge), str(smoke), "--out-dir", str(out), "--jobs", "1"]) == 2
+        own = tmp_path / "own"
+        assert main(["run", str(smoke), "--out-dir", str(own)]) == 0
+        for f in ("trace.csv", "transforms.csv", "summary.txt"):
+            assert (out / "smoke" / f).read_bytes() == (own / f).read_bytes(), f
+    message = (
+        f"invalid config: t_end/dt is too large: the trace's {rows} rows need "
+        f"{8 * 14 * rows} bytes, which cannot be allocated\n"
+    )
+    assert capsys.readouterr().err == message
+    assert not (out / "huge" / "trace.csv").exists() and not (out / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
