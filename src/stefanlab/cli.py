@@ -175,6 +175,18 @@ def compare_traces(path_a, path_b) -> dict:
     return out
 
 
+def _median_in_place(a: np.ndarray):
+    """np.median of a non-empty float array, partitioning `a` in place;
+    NaN anywhere gives NaN.  np.median itself imports numpy.ma on first use
+    for its NaN check, about 25 ms of every run."""
+    half = a.size // 2
+    # NaN sorts last, so the partition at -1 moves one there if there is any
+    a.partition((half - 1, half, -1) if a.size % 2 == 0 else (half, -1))
+    if np.isnan(a[-1]):
+        return a[-1]
+    return a[half] if a.size % 2 else (a[half - 1] + a[half]) / 2
+
+
 def _summary_text(cfg, p, report, result, monitor="") -> str:
     """summary.txt: the validation report, then, given a result, its run and
     `monitor`, the trace's ``monitor_constraints`` report as text."""
@@ -213,7 +225,7 @@ def _summary_text(cfg, p, report, result, monitor="") -> str:
         max_r = r[worst]
         lines.append(
             f"qc ODE residual: max|r| = {max_r:.6g} at t = {tr.t[worst]:.6g}"
-            f"  median|r| = {np.median(r, overwrite_input=True):.6g}"
+            f"  median|r| = {_median_in_place(r):.6g}"
         )
         del r
         qdot_floor = np.diff(tr.qc)

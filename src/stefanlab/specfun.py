@@ -112,42 +112,64 @@ def i1_ratio_terms(z2: float, max_terms: int) -> list[float]:
     return terms
 
 
-def _ratio_array(z2, sign: int) -> np.ndarray:
-    """sum_m a_m * (sign*g)^m with g = z2/max(z2) and a_m the I1 terms at
-    max(z2), by Horner; the J1 sum at max(z2) > _FLOAT_SERIES_CAP is
-    scipy's j1(z)/z instead."""
+def _j1_ratio_scipy(z2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """scipy's j1(z)/z into `out`, for J1 arguments past _FLOAT_SERIES_CAP."""
+    # imported here: scipy.special adds 3.6 MB resident, which runs that
+    # never sum J1 past the cap should not pay
+    from scipy.special import j1
+
+    z = np.sqrt(z2)
+    out.fill(0.5)
+    return np.divide(j1(z), z, out=out, where=z > 0.0)
+
+
+def _ratio_array(g: np.ndarray, z2_max: float, out: np.ndarray) -> np.ndarray:
+    """Fill `out` with sum_m a_m * g^m, a_m the I1 terms at z2_max, by Horner.
+
+    With g = z2/z2_max that is I1(sqrt(z2))/sqrt(z2), and with
+    g = -z2/z2_max it is J1's.  `g` is one row, or the stack of an I1 row
+    and a J1 row, shape (2, M), that gives both in one pass per term; past
+    _FLOAT_SERIES_CAP, where float64 cannot sum the alternating series,
+    the stack's J1 row is scipy's j1(z)/z at z = sqrt(-z2_max * g[1])
+    instead.
+    """
+    series_g, series_out = g, out
+    if g.ndim == 2 and z2_max > _FLOAT_SERIES_CAP:
+        _j1_ratio_scipy(-z2_max * g[1], out[1])
+        series_g, series_out = g[:1], out[:1]
+    terms = i1_ratio_terms(z2_max, _MAX_TERMS)
+    series_out.fill(terms[-1])
+    for a in reversed(terms[:-1]):
+        series_out *= series_g
+        series_out += a
+    return out
+
+
+def _grid_ratio(z2, sign: int) -> np.ndarray:
+    """I1 (sign +1) or J1 (sign -1) ratio at every entry of z2."""
     z2 = np.asarray(z2, dtype=float)
+    out = np.empty(z2.shape)
     if not z2.size:
-        return np.empty_like(z2)
+        return out
     # fmin/fmax skip NaN, as element-wise comparisons do, so NaN entries
     # pass the range check and come out as NaN
     if np.fmin.reduce(z2, axis=None) < 0.0:
         raise ValueError("squared argument must be nonnegative")
     z2_max = float(np.fmax.reduce(z2, axis=None))
     if sign < 0 and z2_max > _FLOAT_SERIES_CAP:
-        # imported here: scipy.special adds 3.6 MB resident, which runs that
-        # never sum J1 past the cap should not pay
-        from scipy.special import j1
-
-        z = np.sqrt(z2)
-        out = np.full_like(z, 0.5)
-        np.divide(j1(z), z, out=out, where=z > 0.0)
-        return out
-    terms = i1_ratio_terms(z2_max, _MAX_TERMS)
-    acc = np.full_like(z2, terms[-1])
-    if len(terms) > 1:  # then z2_max >= 8e-17, so g is finite
-        g = z2 * (sign / z2_max)
-        for a in reversed(terms[:-1]):
-            acc *= g
-            acc += a
-    return acc
+        return _j1_ratio_scipy(z2, out)
+    # below z2_max = 8e-17 the series has one term and never reads g, and
+    # sign/z2_max may overflow
+    g = z2 * (sign / z2_max) if z2_max >= 8 * _TERM_TOL else z2
+    _ratio_array(g.reshape(-1), z2_max, out.reshape(-1))
+    return out
 
 
 def i1_ratio_array(z2) -> np.ndarray:
     """Vectorized I1(sqrt(z2))/sqrt(z2) for kernel grids."""
-    return _ratio_array(z2, +1)
+    return _grid_ratio(z2, +1)
 
 
 def j1_ratio_array(z2) -> np.ndarray:
     """Vectorized J1(sqrt(z2))/sqrt(z2) for kernel grids."""
-    return _ratio_array(z2, -1)
+    return _grid_ratio(z2, -1)

@@ -3,8 +3,11 @@
 All four maps are diagnostic-only: the closed loop never needs them, so they
 operate on state snapshots.  Integrals are composite trapezoids on the nodes
 of the normalized grid, matching the order of the spatial scheme.  The
-Bessel kernels are applied as upper-triangular (N+1)^2 matrices.  The
-controller kernels are separable (x - y has rank 2, and
+Bessel kernels depend on (x, y) only through y^2 - x^2, so their series runs
+once per distinct gap of the grid, for both kernels at once; each transform
+gathers its ratios over the strict upper triangle into a reused buffer and
+applies them with one matrix-vector product, the trapezoid weights folded
+into the vector.  The controller kernels are separable (x - y has rank 2, and
 sin k(x-y) = sin kx cos ky - cos kx sin ky), so both controller integrals are
 built in O(N) from reverse cumulative trapezoids T_i[g] = int_{xi_i}^1 g,
 with T_N = 0 exactly.
@@ -27,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import bessel_i1_ratio, bessel_j1_ratio, i1_ratio_array, j1_ratio_array
+from .specfun import _ratio_array, bessel_i1_ratio, bessel_j1_ratio
 
 
 def kernel_P(x: float, y: float, lam: float, alpha: float) -> float:
@@ -57,34 +60,65 @@ def psi_kernel(x, c: float, alpha: float, beta: float):
 
 
 @lru_cache(maxsize=8)
-def _upper_weights(n: int) -> np.ndarray:
-    """Trapezoid weights for int_{xi_i}^{1}: W[i, j] for j in [i, n]."""
-    w = np.triu(np.ones((n + 1, n + 1)))
-    idx = np.arange(n + 1)
-    w[idx, idx] = 0.5
-    w[:, n] = 0.5
-    w[n, n] = 0.0  # empty interval at the last node
-    return w / n
-
-
-@lru_cache(maxsize=8)
 def _geometry(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only xi-grid i/n with the Bessel kernel geometry.  The kernels
-    depend on (i, j) only through max(j^2 - i^2, 0), so they get its distinct
-    values over n^2 and the index that gathers them into the (n+1)^2 grid
-    (11,436 values at n = 200)."""
+    """The xi-grid i/n with the Bessel kernel geometry, not to be written.
+
+    The kernels depend on (i, j), j > i, only through the gap
+    g = (j^2 - i^2)/n^2, so the series runs once per distinct positive gap
+    (11,435 at n = 200; the largest is exactly 1).  The index sends (i, j)
+    to its gap, and every entry on or below the diagonal to one trailing
+    slot after them.
+    """
     k = np.arange(n + 1)
     xi = k / n
     sq_int = k[np.newaxis, :] ** 2 - k[:, np.newaxis] ** 2
     np.maximum(sq_int, 0, out=sq_int)
-    # searchsorted, not unique's return_inverse, whose sort temporaries
-    # raise a checkpoint run's peak resident set by about 0.8 MB
-    distinct = np.unique(sq_int)
-    index = distinct.searchsorted(sq_int)
-    sq_gaps = distinct / n**2
-    for arr in (xi, sq_gaps, index):
+    # marks and a running count, not np.unique, which sorts and imports
+    # numpy.ma on first use
+    present = np.zeros(n * n + 1, dtype=bool)
+    present[sq_int] = True
+    present[0] = False
+    positive = np.flatnonzero(present)
+    slot = np.cumsum(present) - 1
+    slot[0] = positive.size
+    index = slot[sq_int]
+    gaps = positive / n**2
+    # the index stays writeable: `take` copies a read-only index, 323 KB
+    # per gather at n = 200
+    for arr in (xi, gaps):
         arr.flags.writeable = False
-    return xi, sq_gaps, index
+    return xi, gaps, index
+
+
+@lru_cache(maxsize=8)
+def _scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-grid buffers of the Bessel transforms: the stacked series
+    argument, one row per kernel with the gaps and then a 0 for the index's
+    trailing slot, and the (n+1)^2 kernel gather.  Reused, so that a
+    checkpoint row allocates no (n+1)^2 array; every caller in the process
+    shares them, so the transforms are not for concurrent threads."""
+    return np.zeros((2, _geometry(n)[1].size + 1)), np.empty((n + 1, n + 1))
+
+
+@lru_cache(maxsize=1)
+def _ratio_rows(n: int, z2_max: float) -> np.ndarray:
+    """Read-only I1 and J1 ratio rows at z2 = z2_max * g over the distinct
+    gaps, each with a trailing 0 for the index's empty slot.  One entry is
+    enough: the two transforms of a checkpoint share (n, z2_max)."""
+    gaps = _geometry(n)[1]
+    g = _scratch(n)[0]
+    m = gaps.size
+    # the series argument z2 * (+-1/z2_max) as i1_ratio_array and
+    # j1_ratio_array form it, so within the float series cap the rows are
+    # theirs at z2 bit for bit
+    np.multiply(gaps, z2_max, out=g[0, :m])
+    np.multiply(g[0, :m], -1.0 / z2_max, out=g[1, :m])
+    g[0, :m] *= 1.0 / z2_max
+    # summed over the trailing slot too: contiguous rows sum faster
+    rows = _ratio_array(g, z2_max, np.empty(g.shape))
+    rows[:, m] = 0.0
+    rows.flags.writeable = False
+    return rows
 
 
 def _tail_integrals(g: np.ndarray) -> np.ndarray:
@@ -99,33 +133,29 @@ def _tail_integrals(g: np.ndarray) -> np.ndarray:
     return tail
 
 
-def _volterra_apply(kernel: np.ndarray, f: np.ndarray, s: float) -> np.ndarray:
-    """Row-wise int_{x_i}^{s} kernel(x_i, y) f(y) dy on the xi-grid.
+def _bessel_integral(f: np.ndarray, s: float, lam: float, alpha: float, kind: int) -> np.ndarray:
+    """Row-wise int_{x_i}^{s} K(x_i, y) f(y) dy on the xi-grid, for K = P
+    (kind 0) or Q (kind 1), by the composite trapezoid.
 
-    Overwrites `kernel`, which every caller builds for this one use: at
-    N = 200 each avoided (N+1)^2 temporary is a fresh 323 KB allocation
-    and about 80 page faults.
+    With R the ratio over the strict upper triangle and c = 1 but c_n = 1/2
+    (the half weight at y = s), that is
+    s (lam/alpha) s/n (R @ (xi c f) + xi f/4), and 0 at the last node: the
+    diagonal has half weight and the ratio 1/2 at gap 0.
     """
     n = f.size - 1
-    kernel *= _upper_weights(n)
-    kernel *= f[np.newaxis, :]
-    return s * kernel.sum(axis=1)
-
-
-def _bessel_kernel_matrix(s: float, lam: float, alpha: float, n: int, kind: str) -> np.ndarray:
-    """P or Q on the xi-grid: the series once per distinct gap, gathered."""
-    xi, sq_gaps, gap_index = _geometry(n)
-    # allocated before the series temporaries, so that these free above it
-    # and the heap keeps its pages: at N = 200 a checkpoint row then maps
-    # no fresh page, against 205 to 500 when the gather allocates last
-    kernel = np.empty(gap_index.shape)
-    z2 = (lam / alpha) * s * s * sq_gaps
-    ratio = i1_ratio_array(z2) if kind == "P" else j1_ratio_array(z2)
-    # searchsorted built the index in range, and "wrap", unlike the default
-    # "raise", gathers straight into `out` without buffering it
-    ratio.take(gap_index, out=kernel, mode="wrap")
-    kernel *= (lam / alpha) * s * xi[np.newaxis, :]
-    return kernel
+    xi, _, index = _geometry(n)
+    kernel = _scratch(n)[1]
+    k = lam / alpha
+    # the index is in range, and "wrap", unlike the default "raise",
+    # gathers straight into `out` without buffering it
+    _ratio_rows(n, k * s * s)[kind].take(index, out=kernel, mode="wrap")
+    xf = xi * f
+    out = 0.25 * xf
+    xf[n] *= 0.5
+    out += kernel @ xf
+    out[n] = 0.0
+    out *= k * s * s / n
+    return out
 
 
 def apply_direct(w: np.ndarray, s: float, lam: float, alpha: float) -> np.ndarray:
@@ -133,8 +163,7 @@ def apply_direct(w: np.ndarray, s: float, lam: float, alpha: float) -> np.ndarra
     w = np.asarray(w, dtype=float)
     if lam == 0.0:
         return w.copy()
-    kp = _bessel_kernel_matrix(s, lam, alpha, w.size - 1, "P")
-    return w + _volterra_apply(kp, w, s)
+    return w + _bessel_integral(w, s, lam, alpha, 0)
 
 
 def apply_inverse(u: np.ndarray, s: float, lam: float, alpha: float) -> np.ndarray:
@@ -142,8 +171,7 @@ def apply_inverse(u: np.ndarray, s: float, lam: float, alpha: float) -> np.ndarr
     u = np.asarray(u, dtype=float)
     if lam == 0.0:
         return u.copy()
-    kq = _bessel_kernel_matrix(s, lam, alpha, u.size - 1, "Q")
-    return u - _volterra_apply(kq, u, s)
+    return u - _bessel_integral(u, s, lam, alpha, 1)
 
 
 def controller_transform(

@@ -2,7 +2,6 @@
 
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from stefanlab import transforms
@@ -14,17 +13,18 @@ from stefanlab.runner import simulate
 def refuse_j1_above(monkeypatch, cap):
     """Make the checkpoint J1 kernel raise NumericalError once its largest
     squared argument passes `cap`, as an unsummable kernel would."""
-    real = transforms.j1_ratio_array
+    real = transforms._ratio_array
 
-    def refusing(z2):
-        z2_max = float(np.max(z2))
+    def refusing(g, z2_max, out):
         if z2_max > cap:
             raise NumericalError(
                 f"checkpoint kernel argument {z2_max:.6g} exceeds the series cap {cap:g}"
             )
-        return real(z2)
+        return real(g, z2_max, out)
 
-    monkeypatch.setattr(transforms, "j1_ratio_array", refusing)
+    monkeypatch.setattr(transforms, "_ratio_array", refusing)
+    # the memo may hold rows summed before the patch
+    transforms._ratio_rows.cache_clear()
 
 
 @pytest.fixture(scope="session")

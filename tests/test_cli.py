@@ -187,6 +187,19 @@ def test_smoke_run_does_not_load_scipy_special(tmp_path):
     assert out.stderr == ""
 
 
+def test_run_does_not_import_numpy_ma(tmp_path):
+    # np.unique and np.median import numpy.ma on first use, about 25 ms
+    script = (
+        "import sys\n"
+        "from stefanlab.cli import bundled_config, main\n"
+        f"code = main(['run', str(bundled_config('zinc_smoke')), '--out-dir', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    out = _python(script)
+    assert out.stdout.split() == ["0", "False"]
+    assert out.stderr == ""
+
+
 def test_run_and_serial_sweep_load_no_linalg_f2py_or_pool(tmp_path):
     # scipy.linalg's package init imports numpy.f2py (a quarter second and
     # 25 MB resident); the process pool is for --jobs > 1 only

@@ -1,12 +1,13 @@
 """Closed-loop engine: loop ordering, logging, equivalence, failure modes."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stefanlab import observer, runner
+from stefanlab import observer, runner, specfun, transforms
 from stefanlab._scheme import advance_field, one_sided_edge_flux, stable_rate_cap
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.control import field_energy, output_feedback, state_feedback
@@ -124,6 +125,34 @@ def test_first_checkpoint_beyond_series_cap_reports_partial_trace(monkeypatch):
     assert "exceeds the series cap" in res.failure
     assert res.trace.t.size == 1
     assert res.checkpoints == {}
+
+
+def test_checkpoint_series_beyond_max_terms_reports_partial_trace(monkeypatch):
+    # the first checkpoint's series, at (lam/alpha)*s0^2 = 2.2e-3, needs 5 terms
+    monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
+    transforms._ratio_rows.cache_clear()
+    res = simulate(cfg_for(), P)
+    assert not res.completed
+    assert "needs more than 3 terms" in res.failure
+    assert res.trace.t.size == 1
+    assert res.checkpoints == {}
+
+
+def test_warm_checkpoint_row_allocates_no_kernel_matrix(zinc):
+    """One (N+1)^2 float array at N = 200 is 323 KB; the row's ratio rows,
+    summed afresh at each new extent, are 183 KB."""
+    p, cfg = zinc
+    xi = np.linspace(0.0, 1.0, cfg.grid_n + 1)
+    theta = 3.0 * (1.0 - xi) ** 2
+    theta_hat = theta + 0.1 * np.sin(np.pi * xi)
+    runner._checkpoint_row(theta, theta_hat, 0.2, 10.0, cfg, p)
+    tracemalloc.start()
+    try:
+        runner._checkpoint_row(theta, theta_hat, 0.21, 11.0, cfg, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 1024
 
 
 @pytest.mark.parametrize("every, bad", [(50, 2), (127, 1)], ids=["mid_block", "block_end"])

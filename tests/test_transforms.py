@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stefanlab.observer import observer_gain
+from stefanlab.specfun import i1_ratio_array, j1_ratio_array
 from stefanlab.transforms import (
     apply_direct,
     apply_inverse,
@@ -133,16 +134,21 @@ def test_controller_transform_boundary_value_vanishes():
     assert w[-1] == 0.0
 
 
+def _trapezoid_weights(n):
+    """W[i, j]: composite trapezoid weights of int_{xi_i}^1 over j >= i."""
+    weights = np.triu(np.ones((n + 1, n + 1)))
+    weights[np.arange(n + 1), np.arange(n + 1)] = 0.5
+    weights[:, n] = 0.5
+    weights[n, n] = 0.0
+    return weights / n
+
+
 def _reference_controller_pair(f, X, s, c, alpha, beta):
     """The controller pair as (N+1)^2 kernel matrices: the same composite
     trapezoid over the upper triangle, summed row by row."""
     n = f.size - 1
     xi = np.arange(n + 1) / n
-    weights = np.triu(np.ones((n + 1, n + 1)))
-    weights[np.arange(n + 1), np.arange(n + 1)] = 0.5
-    weights[:, n] = 0.5
-    weights[n, n] = 0.0
-    weights /= n
+    weights = _trapezoid_weights(n)
     gap = s * (xi[:, np.newaxis] - xi[np.newaxis, :])  # x - y
     forward = f - (c / alpha) * s * (weights * gap * f).sum(axis=1)
     forward += (c / beta) * s * (1.0 - xi) * X
@@ -150,6 +156,40 @@ def _reference_controller_pair(f, X, s, c, alpha, beta):
     inverse = f + (beta / alpha) * s * (weights * psi * f).sum(axis=1)
     inverse += psi_kernel(s * (xi - 1.0), c, alpha, beta) * X
     return forward, inverse
+
+
+def _reference_bessel_pair(f, s, lam, alpha):
+    """The error pair as (N+1)^2 kernel matrices: P and Q from
+    i1_ratio_array and j1_ratio_array at every (i, j), times the composite
+    trapezoid weights over the upper triangle, summed row by row."""
+    n = f.size - 1
+    k = np.arange(n + 1)
+    sq_gaps = np.maximum(k[np.newaxis, :] ** 2 - k[:, np.newaxis] ** 2, 0) / n**2
+    z2 = (lam / alpha) * s * s * sq_gaps
+    scale = (lam / alpha) * s * (k / n)[np.newaxis, :]
+    weights = _trapezoid_weights(n)
+    direct = f + s * (scale * i1_ratio_array(z2) * weights * f).sum(axis=1)
+    inverse = f - s * (scale * j1_ratio_array(z2) * weights * f).sum(axis=1)
+    return direct, inverse
+
+
+@pytest.mark.parametrize("n", [16, 200])
+@pytest.mark.parametrize("s", [0.01, 0.1, 0.3])
+@pytest.mark.parametrize("gain", [0.05, 0.5, 0.9])
+def test_error_pair_matches_kernel_matrices(zinc, n, s, gain):
+    """0.9 x the bound at s = 0.3 takes the J1 grid past the float series
+    cap, where it is scipy's j1(z)/z."""
+    from stefanlab.params import lambda_upper_bound
+
+    p, cfg = zinc
+    lam = gain * lambda_upper_bound(cfg, p.alpha)
+    rng = np.random.default_rng(1000 * n + int(1000 * s) + int(100 * gain))
+    for f in (rng.normal(size=n + 1), _smooth_field(n)):
+        ref_direct, ref_inverse = _reference_bessel_pair(f, s, lam, p.alpha)
+        direct = apply_direct(f, s, lam, p.alpha)
+        inverse = apply_inverse(f, s, lam, p.alpha)
+        assert np.max(np.abs(direct - ref_direct)) <= 1e-13 * np.max(np.abs(ref_direct))
+        assert np.max(np.abs(inverse - ref_inverse)) <= 1e-13 * np.max(np.abs(ref_inverse))
 
 
 @pytest.mark.parametrize("n", [16, 64, 200])
@@ -228,12 +268,16 @@ def test_kernels_over_admitted_range(zinc, s):
     import mpmath as mp
 
     from stefanlab.params import lambda_upper_bound
-    from stefanlab.transforms import _bessel_kernel_matrix
+    from stefanlab.transforms import _geometry, _ratio_rows
 
     p, cfg = zinc
     lam, alpha, n = 0.9 * lambda_upper_bound(cfg, p.alpha), p.alpha, 200
-    kp = _bessel_kernel_matrix(s, lam, alpha, n, "P")
-    kq = _bessel_kernel_matrix(s, lam, alpha, n, "Q")
+    # the ratios the engine gathers over the strict upper triangle, and on
+    # the diagonal the 1/2 it adds as xi f/4
+    xi, _, index = _geometry(n)
+    ratio = _ratio_rows(n, (lam / alpha) * s * s)[:, index]
+    ratio[:, np.arange(n + 1), np.arange(n + 1)] = 0.5
+    kp, kq = (lam / alpha) * s * xi * ratio
     # the row x = 0 and column y = s hold the largest arguments
     rng = np.random.default_rng(7)
     ij = np.sort(rng.integers(0, n + 1, (200, 2)), axis=1)
