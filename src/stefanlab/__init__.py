@@ -1,7 +1,7 @@
 """Simulation and verification lab for boundary control of a one-phase
 melting problem with interface-measurement-only output feedback."""
 
-from .control import output_feedback, qc_ode_residual, state_feedback
+from .control import qc_ode_residual
 from .diagnostics import (
     ConstraintReport,
     LyapunovSample,
@@ -12,12 +12,7 @@ from .diagnostics import (
     monitor_constraints,
 )
 from .errors import BlowUpError, ConfigurationError, NumericalError
-from .observer import (
-    ObserverState,
-    init_observer,
-    observer_gain,
-    step_observer,
-)
+from .observer import ObserverState, init_observer
 from .params import (
     PhysicalParams,
     ScenarioConfig,
@@ -26,16 +21,13 @@ from .params import (
     setpoint_lower_bound,
     validate_scenario,
 )
-from .plant import PlantState, init_plant, interface_flux, step_plant
+from .plant import PlantState, init_plant
 from .runner import SimulationResult, Trace, simulate, simulate_batch
-from .specfun import bessel_i1_ratio, bessel_j1_ratio
 from .transforms import (
     apply_direct,
     apply_inverse,
     controller_inverse,
     controller_transform,
-    kernel_P,
-    kernel_Q,
     psi_kernel,
 )
 
@@ -56,30 +48,20 @@ __all__ = [
     "ValidationReport",
     "apply_direct",
     "apply_inverse",
-    "bessel_i1_ratio",
-    "bessel_j1_ratio",
     "controller_inverse",
     "controller_transform",
     "fit_decay_rate",
     "h1_norm_sq",
     "init_observer",
     "init_plant",
-    "interface_flux",
-    "kernel_P",
-    "kernel_Q",
     "lambda_upper_bound",
     "lyapunov_constants",
     "lyapunov_sample",
     "monitor_constraints",
-    "observer_gain",
-    "output_feedback",
     "psi_kernel",
     "qc_ode_residual",
     "setpoint_lower_bound",
     "simulate",
     "simulate_batch",
-    "state_feedback",
-    "step_observer",
-    "step_plant",
     "validate_scenario",
 ]

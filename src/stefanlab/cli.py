@@ -214,7 +214,8 @@ def _summary_text(cfg, p, report, result, monitor="") -> str:
     lines.append("")
     p_const, a, b, d = diagnostics.lyapunov_constants(cfg, p)
     lines.append(f"lyapunov constants: p = {p_const:.6g}  a = {a:.6g}  b = {b:.6g}  d = {d:.6g}")
-    if tr.t.size >= 20 and np.all(tr.h1_err > 0.0):
+    # a diverged run logs inf norms, which have no decay rate
+    if tr.t.size >= 20 and np.all(np.isfinite(tr.h1_err)) and np.all(tr.h1_err > 0.0):
         rate = diagnostics.fit_decay_rate(tr.t, tr.h1_err)
         lines.append(f"fitted H1 estimation-error decay rate = {rate:.6g}")
     if result.completed and tr.t.size >= 3:

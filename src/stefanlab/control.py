@@ -1,22 +1,20 @@
-"""Feedback laws and energy bookkeeping.
+"""Feedback law and energy bookkeeping.
 
-Both laws share one formula,
+Both feedback modes share one law, ``feedback_law``,
 
     qc = -c*k*( (1/alpha) * integral of the temperature excess
                 + (extent - sr)/beta ),
 
-evaluated on the true state (state feedback) or on the observer estimate over
-the measured extent (output feedback).  The integral uses the composite
-trapezoid on the normalized grid, which is exact for the linear initial
-profiles, so the two laws coincide bit for bit whenever the estimate equals
-the true field.
+which the engine evaluates on the true state (state feedback) or on the
+observer estimate over the measured extent (output feedback).  The integral
+uses the composite trapezoid on the normalized grid, which is exact for the
+linear initial profiles, so the two modes coincide bit for bit whenever the
+estimate equals the true field.
 """
 
 import numpy as np
 
-from .observer import ObserverState
 from .params import PhysicalParams, ScenarioConfig
-from .plant import PlantState
 
 
 def _trapz_integral(theta: np.ndarray, extent):
@@ -37,23 +35,6 @@ def feedback_law(integral: float, extent: float, cfg: ScenarioConfig, p: Physica
     """qc = -c*k*((1/alpha)*integral + (extent - sr)/beta), where integral
     is int_0^extent u dx."""
     return -cfg.c * p.k * (integral / p.alpha + (extent - cfg.sr) / p.beta)
-
-
-def feedback_flux(theta: np.ndarray, extent: float, cfg: ScenarioConfig, p: PhysicalParams) -> float:
-    """qc = -c*k*((1/alpha)*int_0^extent u dx + (extent - sr)/beta)."""
-    return feedback_law(_trapz_integral(theta, extent), extent, cfg, p)
-
-
-def state_feedback(st: PlantState, cfg: ScenarioConfig, p: PhysicalParams) -> float:
-    """Heat flux qc from the true temperature profile and interface position."""
-    return feedback_flux(st.theta, st.s, cfg, p)
-
-
-def output_feedback(
-    ob: ObserverState, y_now: float, cfg: ScenarioConfig, p: PhysicalParams
-) -> float:
-    """Heat flux qc from the estimated profile over the measured extent y_now."""
-    return feedback_flux(ob.theta_hat, y_now, cfg, p)
 
 
 def kernel_mass(s, lam: float, alpha: float):

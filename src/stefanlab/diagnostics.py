@@ -28,10 +28,13 @@ def h1_norm_sq(f: np.ndarray, s):
     grad[..., 1:-1] = (f[..., 2:] - f[..., :-2]) * (0.5 * n)
     grad[..., 0] = (-1.5 * f[..., 0] + 2.0 * f[..., 1] - 0.5 * f[..., 2]) * n
     grad[..., -1] = (1.5 * f[..., -1] - 2.0 * f[..., -2] + 0.5 * f[..., -3]) * n
-    g2 = grad * grad
-    out = (0.5 * (g2[..., 0] + g2[..., -1]) + g2[..., 1:-1].sum(axis=-1)) * dxi / s
-    f2 = f * f
-    out = out + s * (0.5 * (f2[..., 0] + f2[..., -1]) + f2[..., 1:-1].sum(axis=-1)) * dxi
+    # the squares of a finite field or slope past about 1e154 overflow: the
+    # norm's honest value is then inf, which the trace logs, not clamped
+    with np.errstate(over="ignore"):
+        g2 = grad * grad
+        out = (0.5 * (g2[..., 0] + g2[..., -1]) + g2[..., 1:-1].sum(axis=-1)) * dxi / s
+        f2 = f * f
+        out = out + s * (0.5 * (f2[..., 0] + f2[..., -1]) + f2[..., 1:-1].sum(axis=-1)) * dxi
     return float(out) if f.ndim == 1 else out
 
 

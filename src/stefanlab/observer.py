@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scheme import advance_field, one_sided_edge_flux
-from .errors import NumericalError
-from .params import PhysicalParams, ScenarioConfig
-from .specfun import bessel_i1_ratio, i1_ratio_terms
+from .params import ScenarioConfig
+from .specfun import i1_ratio_terms
 
 
 @dataclass(frozen=True)
@@ -34,16 +32,6 @@ def init_observer(cfg: ScenarioConfig) -> ObserverState:
     theta_hat = cfg.Hhat * cfg.s0 * (1.0 - xi)
     theta_hat[-1] = 0.0
     return ObserverState(t=0.0, theta_hat=theta_hat)
-
-
-def observer_gain(x: float, s: float, lam: float, alpha: float) -> float:
-    """Output-injection gain P1(x, s) <= 0; equals -lam*s/2 at x = s."""
-    if not 0.0 <= x <= s:
-        raise ValueError(f"gain requires 0 <= x <= s, got x={x}, s={s}")
-    if lam == 0.0:
-        return 0.0
-    z2 = (lam / alpha) * (s * s - x * x)
-    return -lam * s * bessel_i1_ratio(max(z2, 0.0))
 
 
 # Most terms of the gain series, and so rows of a power table, a gain may
@@ -85,12 +73,6 @@ def gain_profile(y: float, lam: float, alpha: float, n: int) -> np.ndarray:
     return gain
 
 
-def estimate_flux(ob: ObserverState, y: float) -> float:
-    """u_hat_x at the interface, one-sided stencil over extent y."""
-    dxi = 1.0 / (ob.theta_hat.size - 1)
-    return one_sided_edge_flux(ob.theta_hat, dxi) / y
-
-
 def injection_source(
     y: float,
     v: float,
@@ -109,39 +91,3 @@ def injection_source(
     source = gain_profile(y, lam, alpha, n)
     source *= -(v / beta + edge_flux / y)
     return source
-
-
-def step_observer(
-    ob: ObserverState,
-    y_now: float,
-    v: float,
-    qc: float,
-    dt: float,
-    cfg: ScenarioConfig,
-    p: PhysicalParams,
-) -> ObserverState:
-    """Advance one step on the measured extent y_now and interface rate v.
-
-    Same scheme as the plant (so a zero-gain observer started on the true
-    profile and given the plant's rate is an exact copy), plus the explicit
-    injection source -P1(xi*y, y) * (v/beta + u_hat_x(y)) evaluated on the
-    incoming state.
-    """
-    if not y_now > 0.0:
-        raise ValueError("measured interface position must be positive")
-    n = ob.theta_hat.size - 1
-    edge_flux = one_sided_edge_flux(ob.theta_hat, 1.0 / n)
-    source = injection_source(y_now, v, edge_flux, cfg.lam, p.alpha, p.beta, n)
-    stack, failed = advance_field(
-        ob.theta_hat[np.newaxis, np.newaxis],
-        (y_now,),
-        (v,),
-        (qc,),
-        dt,
-        (p.alpha,),
-        (p.k,),
-        source=None if source is None else source[np.newaxis],
-    )
-    if failed:
-        raise NumericalError(failed[0])
-    return ObserverState(t=ob.t + dt, theta_hat=stack[0, 0])

@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scheme import advance_field, one_sided_edge_flux
-from .errors import BlowUpError, NumericalError
-from .params import PhysicalParams, ScenarioConfig
+from .errors import BlowUpError
+from .params import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -38,12 +37,6 @@ def init_plant(cfg: ScenarioConfig) -> PlantState:
     theta = cfg.H * cfg.s0 * (1.0 - xi)
     theta[-1] = 0.0
     return PlantState(t=0.0, s=cfg.s0, theta=theta)
-
-
-def interface_flux(st: PlantState) -> float:
-    """u_x at x = s(t), one-sided second-order difference scaled by 1/s."""
-    dxi = 1.0 / (st.theta.size - 1)
-    return one_sided_edge_flux(st.theta, dxi) / st.s
 
 
 def convection_rate(
@@ -79,33 +72,3 @@ def advance_interface(
             f"interface reached the domain cap: s = {s_new:.6g} at t = {t_new:.6g}"
         )
     return s_new
-
-
-def step_plant(
-    st: PlantState,
-    qc: float,
-    dt: float,
-    p: PhysicalParams,
-    domain_cap: float | None = None,
-) -> PlantState:
-    """Advance one step: implicit diffusion, explicit convection with the
-    previous step's interface rate, then the Stefan update
-    s+ = s + dt * (-beta) * u_x(s) with the flux evaluated on the new field.
-
-    Assumes a fixed dt across steps (the backward-difference rate divides by
-    the current dt).  Raises BlowUpError if the interface collapses or
-    reaches 95% of the domain cap, NumericalError if the solve fails.
-    """
-    dxi = 1.0 / (st.theta.size - 1)
-    rate = convection_rate(st.s, st.s_prev, one_sided_edge_flux(st.theta, dxi), dt, p.beta)
-    stack, failed = advance_field(
-        st.theta[np.newaxis, np.newaxis], (st.s,), (rate,), (qc,), dt, (p.alpha,), (p.k,)
-    )
-    if failed:
-        raise NumericalError(failed[0])
-    theta_new = stack[0, 0]
-    t_new = st.t + dt
-    s_new = advance_interface(
-        st.s, one_sided_edge_flux(theta_new, dxi), t_new, dt, p.beta, domain_cap
-    )
-    return PlantState(t=t_new, s=s_new, theta=theta_new, s_prev=st.s)

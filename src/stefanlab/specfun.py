@@ -8,29 +8,20 @@ which are entire functions of the squared argument z2 with value 1/2 at
 z2 = 0.  Working directly in z2 avoids square roots of small negatives
 produced by rounding on the kernel diagonal.
 
-Two evaluation paths are provided:
-
-* scalar functions summing the ascending series in exact rational
-  arithmetic (one final rounding, so accurate to the last bit even through
-  the heavy cancellation of the J1 series at large argument), the test
-  oracle for the rest;
-* the term list of the I1 series at one argument (``i1_ratio_terms``),
-  which the observer gain sums against a table of powers and the kernel
-  grids sum by Horner in z2/max(z2), with alternating signs for J1.  Past
-  ``_FLOAT_SERIES_CAP`` float64 cannot sum the alternating series, so the
-  J1 grids come from scipy's j1(z)/z there.
+The engine sums the term list of the I1 series at one argument
+(``i1_ratio_terms``): the observer gain against a table of powers, and the
+checkpoint kernel rows by Horner in z2/max(z2), with alternating signs for
+J1.  Past ``_FLOAT_SERIES_CAP`` float64 cannot sum the alternating series,
+so the J1 row comes from scipy's j1(z)/z there.  The reference evaluations
+the tests hold these to, an exact rational series and element-wise arrays,
+are in ``tests/oracles.py``.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import NumericalError
-
-# The scalar evaluators refuse arguments beyond this; past it the exact J1
-# sum stops too early (at z2 = 1e5 it returns 9.0e60 for 1.4e-4).
-Z2_CAP = 1.0e4
 
 # Up to here the float64 J1 sum loses about eps * I1(z)/z to cancellation,
 # 4.7e-10 at the cap.
@@ -39,49 +30,6 @@ _FLOAT_SERIES_CAP = 400.0
 # Most terms a kernel grid's series may take; (lam/alpha)*s^2 near 1.6e4
 # takes about 120.
 _MAX_TERMS = 400
-
-
-def _check_domain(z2: float) -> float:
-    z2 = float(z2)
-    if z2 < 0.0:
-        raise ValueError(f"squared argument must be nonnegative, got {z2}")
-    if z2 > Z2_CAP:
-        raise ValueError(f"squared argument {z2} exceeds the supported cap {Z2_CAP}")
-    return z2
-
-
-def _ratio_series_exact(z2: float, sign: int) -> float:
-    """Sum 0.5 * sum_m (sign*z2/4)^m / (m! (m+1)!) exactly, round once."""
-    if z2 == 0.0:
-        return 0.5
-    q = Fraction(z2)
-    term = Fraction(1, 2)
-    total = term
-    peak = term
-    m = 0
-    while True:
-        m += 1
-        term = term * sign * q / (4 * m * (m + 1))
-        total += term
-        peak = max(peak, abs(term))
-        # stop once the tail is negligible against both the sum and the
-        # largest partial term (the latter guards the alternating case near
-        # zeros of J1, where the sum itself is tiny)
-        if m > 5 and abs(term) * 10**40 < max(abs(total), peak * Fraction(1, 10**30)):
-            return float(total)
-        if m > 1000:
-            raise RuntimeError("ratio series failed to converge")
-
-
-def bessel_i1_ratio(z2: float) -> float:
-    """I1(sqrt(z2))/sqrt(z2) for z2 >= 0; exactly 0.5 at z2 = 0."""
-    return _ratio_series_exact(_check_domain(z2), +1)
-
-
-def bessel_j1_ratio(z2: float) -> float:
-    """J1(sqrt(z2))/sqrt(z2) for z2 >= 0; exactly 0.5 at z2 = 0."""
-    return _ratio_series_exact(_check_domain(z2), -1)
-
 
 # The term list stops at the first term below this fraction of its partial sum.
 _TERM_TOL = 1e-17
@@ -143,33 +91,3 @@ def _ratio_array(g: np.ndarray, z2_max: float, out: np.ndarray) -> np.ndarray:
         series_out *= series_g
         series_out += a
     return out
-
-
-def _grid_ratio(z2, sign: int) -> np.ndarray:
-    """I1 (sign +1) or J1 (sign -1) ratio at every entry of z2."""
-    z2 = np.asarray(z2, dtype=float)
-    out = np.empty(z2.shape)
-    if not z2.size:
-        return out
-    # fmin/fmax skip NaN, as element-wise comparisons do, so NaN entries
-    # pass the range check and come out as NaN
-    if np.fmin.reduce(z2, axis=None) < 0.0:
-        raise ValueError("squared argument must be nonnegative")
-    z2_max = float(np.fmax.reduce(z2, axis=None))
-    if sign < 0 and z2_max > _FLOAT_SERIES_CAP:
-        return _j1_ratio_scipy(z2, out)
-    # below z2_max = 8e-17 the series has one term and never reads g, and
-    # sign/z2_max may overflow
-    g = z2 * (sign / z2_max) if z2_max >= 8 * _TERM_TOL else z2
-    _ratio_array(g.reshape(-1), z2_max, out.reshape(-1))
-    return out
-
-
-def i1_ratio_array(z2) -> np.ndarray:
-    """Vectorized I1(sqrt(z2))/sqrt(z2) for kernel grids."""
-    return _grid_ratio(z2, +1)
-
-
-def j1_ratio_array(z2) -> np.ndarray:
-    """Vectorized J1(sqrt(z2))/sqrt(z2) for kernel grids."""
-    return _grid_ratio(z2, -1)

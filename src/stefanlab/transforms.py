@@ -30,27 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import _ratio_array, bessel_i1_ratio, bessel_j1_ratio
-
-
-def kernel_P(x: float, y: float, lam: float, alpha: float) -> float:
-    """Direct-transform kernel; P(x, x) = lam*x/(2*alpha), P >= 0."""
-    if x > y or x < 0.0:
-        raise ValueError(f"kernel domain is 0 <= x <= y, got x={x}, y={y}")
-    if lam == 0.0:
-        return 0.0
-    z2 = (lam / alpha) * (y * y - x * x)
-    return (lam / alpha) * y * bessel_i1_ratio(max(z2, 0.0))
-
-
-def kernel_Q(x: float, y: float, lam: float, alpha: float) -> float:
-    """Inverse-transform kernel; Q(x, x) = lam*x/(2*alpha), Q <= P."""
-    if x > y or x < 0.0:
-        raise ValueError(f"kernel domain is 0 <= x <= y, got x={x}, y={y}")
-    if lam == 0.0:
-        return 0.0
-    z2 = (lam / alpha) * (y * y - x * x)
-    return (lam / alpha) * y * bessel_j1_ratio(max(z2, 0.0))
+from .specfun import _ratio_array
 
 
 def psi_kernel(x, c: float, alpha: float, beta: float):
@@ -108,12 +88,15 @@ def _ratio_rows(n: int, z2_max: float) -> np.ndarray:
     gaps = _geometry(n)[1]
     g = _scratch(n)[0]
     m = gaps.size
-    # the series argument z2 * (+-1/z2_max) as i1_ratio_array and
-    # j1_ratio_array form it, so within the float series cap the rows are
-    # theirs at z2 bit for bit
+    # the series argument z2 * (+-1/z2_max), formed as the element-wise
+    # I1 and J1 ratio arrays of the test oracle (tests/oracles.py) form it,
+    # so up to the float series cap the rows equal theirs at z2 bit for bit
     np.multiply(gaps, z2_max, out=g[0, :m])
-    np.multiply(g[0, :m], -1.0 / z2_max, out=g[1, :m])
-    g[0, :m] *= 1.0 / z2_max
+    # below z2_max = 8e-17 the series has one term and never reads g, and
+    # 1/z2_max may overflow
+    if z2_max >= 8e-17:
+        np.multiply(g[0, :m], -1.0 / z2_max, out=g[1, :m])
+        g[0, :m] *= 1.0 / z2_max
     # summed over the trailing slot too: contiguous rows sum faster
     rows = _ratio_array(g, z2_max, np.empty(g.shape))
     rows[:, m] = 0.0

@@ -1,0 +1,247 @@
+"""Reference implementations the tests compare the engine against.
+
+Nothing in ``stefanlab`` calls these.  They are
+
+* the one-row plant and observer steps and the feedback laws on a state,
+  built from the engine's own ``advance_field``, ``convection_rate``,
+  ``advance_interface``, ``injection_source`` and ``feedback_law``, so that
+  a per-step loop of them reproduces ``runner.simulate`` bit for bit;
+* the scalar observer gain and transform kernels P and Q;
+* the ratio forms I1(sqrt(z2))/sqrt(z2) and J1(sqrt(z2))/sqrt(z2): summed in
+  exact rational arithmetic (one final rounding, so accurate to the last bit
+  even through the heavy cancellation of the J1 series at large argument),
+  element-wise over an array by the engine's float series, and in 50-digit
+  mpmath arithmetic.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+
+from stefanlab._scheme import advance_field, one_sided_edge_flux
+from stefanlab.control import _trapz_integral, feedback_law
+from stefanlab.errors import NumericalError
+from stefanlab.observer import ObserverState, injection_source
+from stefanlab.params import PhysicalParams, ScenarioConfig
+from stefanlab.plant import PlantState, advance_interface, convection_rate
+from stefanlab.specfun import _FLOAT_SERIES_CAP, _TERM_TOL, _j1_ratio_scipy, _ratio_array
+
+# The scalar evaluators refuse arguments beyond this; past it the exact J1
+# sum stops too early (at z2 = 1e5 it returns 9.0e60 for 1.4e-4).
+Z2_CAP = 1.0e4
+
+
+def _check_domain(z2: float) -> float:
+    z2 = float(z2)
+    if z2 < 0.0:
+        raise ValueError(f"squared argument must be nonnegative, got {z2}")
+    if z2 > Z2_CAP:
+        raise ValueError(f"squared argument {z2} exceeds the supported cap {Z2_CAP}")
+    return z2
+
+
+def _ratio_series_exact(z2: float, sign: int) -> float:
+    """Sum 0.5 * sum_m (sign*z2/4)^m / (m! (m+1)!) exactly, round once."""
+    if z2 == 0.0:
+        return 0.5
+    q = Fraction(z2)
+    term = Fraction(1, 2)
+    total = term
+    peak = term
+    m = 0
+    while True:
+        m += 1
+        term = term * sign * q / (4 * m * (m + 1))
+        total += term
+        peak = max(peak, abs(term))
+        # stop once the tail is negligible against both the sum and the
+        # largest partial term (the latter guards the alternating case near
+        # zeros of J1, where the sum itself is tiny)
+        if m > 5 and abs(term) * 10**40 < max(abs(total), peak * Fraction(1, 10**30)):
+            return float(total)
+        if m > 1000:
+            raise RuntimeError("ratio series failed to converge")
+
+
+def bessel_i1_ratio(z2: float) -> float:
+    """I1(sqrt(z2))/sqrt(z2) for z2 >= 0; exactly 0.5 at z2 = 0."""
+    return _ratio_series_exact(_check_domain(z2), +1)
+
+
+def bessel_j1_ratio(z2: float) -> float:
+    """J1(sqrt(z2))/sqrt(z2) for z2 >= 0; exactly 0.5 at z2 = 0."""
+    return _ratio_series_exact(_check_domain(z2), -1)
+
+
+def oracle_ratio(z2, sign, dps=50, min_terms=50):
+    """High-precision ascending series, summed in mpmath arithmetic."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        z2 = mp.mpf(z2)
+        term = mp.mpf(1) / 2
+        total = term
+        m = 0
+        while m < min_terms or abs(term) > abs(total) * mp.mpf(10) ** (-dps):
+            m += 1
+            term = term * sign * z2 / (4 * m * (m + 1))
+            total += term
+            if m > 5000:
+                raise RuntimeError("oracle did not converge")
+        return float(total)
+
+
+def _grid_ratio(z2, sign: int) -> np.ndarray:
+    """I1 (sign +1) or J1 (sign -1) ratio at every entry of z2."""
+    z2 = np.asarray(z2, dtype=float)
+    out = np.empty(z2.shape)
+    if not z2.size:
+        return out
+    # fmin/fmax skip NaN, as element-wise comparisons do, so NaN entries
+    # pass the range check and come out as NaN
+    if np.fmin.reduce(z2, axis=None) < 0.0:
+        raise ValueError("squared argument must be nonnegative")
+    z2_max = float(np.fmax.reduce(z2, axis=None))
+    if sign < 0 and z2_max > _FLOAT_SERIES_CAP:
+        return _j1_ratio_scipy(z2, out)
+    # below z2_max = 8e-17 the series has one term and never reads g, and
+    # sign/z2_max may overflow
+    g = z2 * (sign / z2_max) if z2_max >= 8 * _TERM_TOL else z2
+    _ratio_array(g.reshape(-1), z2_max, out.reshape(-1))
+    return out
+
+
+def i1_ratio_array(z2) -> np.ndarray:
+    """Element-wise I1(sqrt(z2))/sqrt(z2) by the engine's float series."""
+    return _grid_ratio(z2, +1)
+
+
+def j1_ratio_array(z2) -> np.ndarray:
+    """Element-wise J1(sqrt(z2))/sqrt(z2) by the engine's float series, or
+    scipy's j1(z)/z once the largest entry is past the float series cap."""
+    return _grid_ratio(z2, -1)
+
+
+def kernel_P(x: float, y: float, lam: float, alpha: float) -> float:
+    """Direct-transform kernel; P(x, x) = lam*x/(2*alpha), P >= 0."""
+    if x > y or x < 0.0:
+        raise ValueError(f"kernel domain is 0 <= x <= y, got x={x}, y={y}")
+    if lam == 0.0:
+        return 0.0
+    z2 = (lam / alpha) * (y * y - x * x)
+    return (lam / alpha) * y * bessel_i1_ratio(max(z2, 0.0))
+
+
+def kernel_Q(x: float, y: float, lam: float, alpha: float) -> float:
+    """Inverse-transform kernel; Q(x, x) = lam*x/(2*alpha), Q <= P."""
+    if x > y or x < 0.0:
+        raise ValueError(f"kernel domain is 0 <= x <= y, got x={x}, y={y}")
+    if lam == 0.0:
+        return 0.0
+    z2 = (lam / alpha) * (y * y - x * x)
+    return (lam / alpha) * y * bessel_j1_ratio(max(z2, 0.0))
+
+
+def observer_gain(x: float, s: float, lam: float, alpha: float) -> float:
+    """Output-injection gain P1(x, s) <= 0; equals -lam*s/2 at x = s."""
+    if not 0.0 <= x <= s:
+        raise ValueError(f"gain requires 0 <= x <= s, got x={x}, s={s}")
+    if lam == 0.0:
+        return 0.0
+    z2 = (lam / alpha) * (s * s - x * x)
+    return -lam * s * bessel_i1_ratio(max(z2, 0.0))
+
+
+def interface_flux(st: PlantState) -> float:
+    """u_x at x = s(t), one-sided second-order difference scaled by 1/s."""
+    dxi = 1.0 / (st.theta.size - 1)
+    return one_sided_edge_flux(st.theta, dxi) / st.s
+
+
+def estimate_flux(ob: ObserverState, y: float) -> float:
+    """u_hat_x at the interface, one-sided stencil over extent y."""
+    dxi = 1.0 / (ob.theta_hat.size - 1)
+    return one_sided_edge_flux(ob.theta_hat, dxi) / y
+
+
+def feedback_flux(theta: np.ndarray, extent: float, cfg: ScenarioConfig, p: PhysicalParams) -> float:
+    """qc = -c*k*((1/alpha)*int_0^extent u dx + (extent - sr)/beta)."""
+    return feedback_law(_trapz_integral(theta, extent), extent, cfg, p)
+
+
+def state_feedback(st: PlantState, cfg: ScenarioConfig, p: PhysicalParams) -> float:
+    """Heat flux qc from the true temperature profile and interface position."""
+    return feedback_flux(st.theta, st.s, cfg, p)
+
+
+def output_feedback(
+    ob: ObserverState, y_now: float, cfg: ScenarioConfig, p: PhysicalParams
+) -> float:
+    """Heat flux qc from the estimated profile over the measured extent y_now."""
+    return feedback_flux(ob.theta_hat, y_now, cfg, p)
+
+
+def step_plant(
+    st: PlantState,
+    qc: float,
+    dt: float,
+    p: PhysicalParams,
+    domain_cap: float | None = None,
+) -> PlantState:
+    """Advance one step: implicit diffusion, explicit convection with the
+    previous step's interface rate, then the Stefan update
+    s+ = s + dt * (-beta) * u_x(s) with the flux evaluated on the new field.
+
+    Assumes a fixed dt across steps (the backward-difference rate divides by
+    the current dt).  Raises BlowUpError if the interface collapses or
+    reaches 95% of the domain cap, NumericalError if the solve fails.
+    """
+    dxi = 1.0 / (st.theta.size - 1)
+    rate = convection_rate(st.s, st.s_prev, one_sided_edge_flux(st.theta, dxi), dt, p.beta)
+    stack, failed = advance_field(
+        st.theta[np.newaxis, np.newaxis], (st.s,), (rate,), (qc,), dt, (p.alpha,), (p.k,)
+    )
+    if failed:
+        raise NumericalError(failed[0])
+    theta_new = stack[0, 0]
+    t_new = st.t + dt
+    s_new = advance_interface(
+        st.s, one_sided_edge_flux(theta_new, dxi), t_new, dt, p.beta, domain_cap
+    )
+    return PlantState(t=t_new, s=s_new, theta=theta_new, s_prev=st.s)
+
+
+def step_observer(
+    ob: ObserverState,
+    y_now: float,
+    v: float,
+    qc: float,
+    dt: float,
+    cfg: ScenarioConfig,
+    p: PhysicalParams,
+) -> ObserverState:
+    """Advance one step on the measured extent y_now and interface rate v.
+
+    Same scheme as the plant (so a zero-gain observer started on the true
+    profile and given the plant's rate is an exact copy), plus the explicit
+    injection source -P1(xi*y, y) * (v/beta + u_hat_x(y)) evaluated on the
+    incoming state.
+    """
+    if not y_now > 0.0:
+        raise ValueError("measured interface position must be positive")
+    n = ob.theta_hat.size - 1
+    edge_flux = one_sided_edge_flux(ob.theta_hat, 1.0 / n)
+    source = injection_source(y_now, v, edge_flux, cfg.lam, p.alpha, p.beta, n)
+    stack, failed = advance_field(
+        ob.theta_hat[np.newaxis, np.newaxis],
+        (y_now,),
+        (v,),
+        (qc,),
+        dt,
+        (p.alpha,),
+        (p.k,),
+        source=None if source is None else source[np.newaxis],
+    )
+    if failed:
+        raise NumericalError(failed[0])
+    return ObserverState(t=ob.t + dt, theta_hat=stack[0, 0])

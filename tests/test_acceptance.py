@@ -19,9 +19,9 @@ from stefanlab.params import (
     setpoint_lower_bound,
     validate_scenario,
 )
-from stefanlab.specfun import bessel_i1_ratio, bessel_j1_ratio
+from stefanlab.specfun import i1_ratio_terms
 
-from test_specfun import oracle_ratio
+from oracles import oracle_ratio
 
 
 def _report(num, ok, text):
@@ -126,19 +126,27 @@ def test_criterion_5_conservation(zinc, conservation_pair):
 
 
 def test_criterion_6_series_oracle_equivalence():
+    """The engine's float paths: the checkpoint kernel rows, at their
+    largest gap (exactly 1, so z2 itself), and the observer gain's sum of
+    the I1 series terms."""
     points = [0.0, 0.25, 1.0, 4.0, 25.0, 100.0]
+    n = 200
+    last_gap = transforms._geometry(n)[1].size - 1
     worst = 0.0
     for z2 in points:
-        for impl, sign in ((bessel_i1_ratio, +1), (bessel_j1_ratio, -1)):
-            ref = oracle_ratio(z2, sign)
-            err = abs(impl(z2) - ref) / abs(ref)
-            worst = max(worst, err)
+        i1_ref, j1_ref = oracle_ratio(z2, +1), oracle_ratio(z2, -1)
+        values = [(sum(i1_ratio_terms(z2, 400)), i1_ref)]
+        if z2 > 0.0:
+            i1_row, j1_row = transforms._ratio_rows(n, z2)[:, last_gap]
+            values += [(i1_row, i1_ref), (j1_row, j1_ref)]
+        for value, ref in values:
+            worst = max(worst, abs(value - ref) / abs(ref))
     ok = worst < 1e-12
     _report(
         6,
         ok,
-        f"I1/J1 ratio forms match the 50-digit series oracle on {points}; "
-        f"worst relative error {worst:.3g} < 1e-12",
+        f"checkpoint kernel rows and gain series terms match the 50-digit "
+        f"I1/J1 series oracle on {points}; worst relative error {worst:.3g} < 1e-12",
     )
 
 

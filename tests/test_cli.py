@@ -25,15 +25,15 @@ from stefanlab.cli import (
 )
 from stefanlab.control import qc_ode_residual
 from stefanlab.errors import ConfigurationError
-from stefanlab.params import PhysicalParams, ScenarioConfig, validate_scenario
+from stefanlab.params import PhysicalParams, ScenarioConfig, lambda_upper_bound, validate_scenario
 
 from conftest import refuse_j1_above
 
 
-def _tweaked_config(tmp_path, edits=None, name="tweaked.cfg"):
-    """Copy the smoke config and override {(section, key): value} pairs."""
+def _tweaked_config(tmp_path, edits=None, name="tweaked.cfg", base="zinc_smoke"):
+    """Copy a bundled config and override {(section, key): value} pairs."""
     parser = configparser.ConfigParser()
-    parser.read(bundled_config("zinc_smoke"))
+    parser.read(bundled_config(base))
     for (section, key), value in (edits or {}).items():
         parser[section][key] = str(value)
     out = tmp_path / name
@@ -143,6 +143,26 @@ def test_run_blow_up_exits_3_with_partial_trace(tmp_path):
     assert "completed = False" in (out / "summary.txt").read_text()
 
 
+def test_run_diverging_admitted_gain_exits_3_with_inf_norms(tmp_path, capsys):
+    """Zinc at 0.9 x the gain bound collapses at t = 87 s.  The H1 norms of
+    its last rows overflow: they are logged as inf, with no warning (each is
+    an error in this suite), and the summary fits no decay rate to them."""
+    p, cfg = parse_config(bundled_config("zinc"))
+    lam = 0.9 * lambda_upper_bound(cfg, p.alpha)
+    edits = {("scenario", "lambda"): repr(lam), ("numerics", "t_end"): "300"}
+    bad = _tweaked_config(tmp_path, edits, base="zinc")
+    out = tmp_path / "o"
+    assert main(["run", str(bad), "--out-dir", str(out)]) == 3
+    assert "run aborted: interface collapsed" in capsys.readouterr().err
+    cols = read_csv(out / "trace.csv")
+    for name in ("h1_u", "h1_err"):
+        assert np.isposinf(cols[name]).any(), name
+        assert not np.isnan(cols[name]).any(), name
+    summary = (out / "summary.txt").read_text()
+    assert "completed = False" in summary
+    assert "decay rate" not in summary
+
+
 def test_run_gain_beyond_table_limit_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(observer, "_GAIN_MAX_ROWS", 3)
     out = tmp_path / "o"
@@ -202,17 +222,19 @@ def test_run_does_not_import_numpy_ma(tmp_path):
 
 def test_run_and_serial_sweep_load_no_linalg_f2py_or_pool(tmp_path):
     # scipy.linalg's package init imports numpy.f2py (a quarter second and
-    # 25 MB resident); the process pool is for --jobs > 1 only
+    # 25 MB resident); the process pool is for --jobs > 1 only; fractions
+    # and its import of decimal serve only the test oracles
     configs = [str(_tweaked_config(tmp_path, name=f"m{i}.cfg")) for i in range(2)]
     script = (
         "import sys\n"
         "from stefanlab.cli import bundled_config, main\n"
         f"run = main(['run', str(bundled_config('zinc_smoke')), '--out-dir', {str(tmp_path / 'run')!r}])\n"
         f"sweep = main(['sweep', *{configs!r}, '--out-dir', {str(tmp_path / 'sweep')!r}, '--jobs', '1'])\n"
-        "print(run, sweep, *(m in sys.modules for m in ('scipy.linalg', 'numpy.f2py', 'concurrent.futures')))\n"
+        "modules = ('scipy.linalg', 'numpy.f2py', 'concurrent.futures', 'fractions', 'decimal')\n"
+        "print(run, sweep, *(m in sys.modules for m in modules))\n"
     )
     out = _python(script)
-    assert out.stdout.split() == ["0", "0", "False", "False", "False"]
+    assert out.stdout.split() == ["0", "0"] + ["False"] * 5
     assert out.stderr == ""
 
 

@@ -7,15 +7,12 @@ from stefanlab._scheme import one_sided_edge_flux
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.diagnostics import fit_decay_rate
 from stefanlab.errors import NumericalError
-from stefanlab.observer import (
-    gain_profile,
-    init_observer,
-    observer_gain,
-    step_observer,
-)
+from stefanlab.observer import gain_profile, init_observer
 from stefanlab.params import PhysicalParams, ScenarioConfig
-from stefanlab.plant import convection_rate, init_plant, step_plant
+from stefanlab.plant import convection_rate, init_plant
 from stefanlab.runner import simulate
+
+from oracles import observer_gain, step_observer, step_plant
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 ALPHA = P.alpha

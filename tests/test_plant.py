@@ -8,7 +8,9 @@ import pytest
 from stefanlab.control import field_energy
 from stefanlab.errors import BlowUpError
 from stefanlab.params import PhysicalParams, ScenarioConfig
-from stefanlab.plant import PlantState, init_plant, interface_flux, step_plant
+from stefanlab.plant import PlantState, init_plant
+
+from oracles import interface_flux, step_plant
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 

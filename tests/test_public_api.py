@@ -1,7 +1,10 @@
-"""The package's public names, the README's library example, and the suite's
-warning policy: every warning is an error, with no "ignore" filter in tests/."""
+"""The package's public names, the README's library example, the test
+oracles' absence from the package, and the suite's warning policy: every
+warning is an error, with no "ignore" filter in tests/."""
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -28,6 +31,43 @@ def test_all_names_resolve_once_and_cover_readme_example():
     ]
     assert imported
     assert set(imported) <= set(names), set(imported) - set(names)
+
+
+# The reference implementations in tests/oracles.py, which the engine never calls.
+ORACLE_NAMES = (
+    "step_plant",
+    "interface_flux",
+    "step_observer",
+    "estimate_flux",
+    "observer_gain",
+    "state_feedback",
+    "output_feedback",
+    "feedback_flux",
+    "kernel_P",
+    "kernel_Q",
+    "Z2_CAP",
+    "_check_domain",
+    "_ratio_series_exact",
+    "bessel_i1_ratio",
+    "bessel_j1_ratio",
+    "i1_ratio_array",
+    "j1_ratio_array",
+    "_grid_ratio",
+    "oracle_ratio",
+)
+
+
+def test_oracles_live_only_in_tests():
+    import oracles
+
+    modules = [stefanlab] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(stefanlab.__path__, "stefanlab.")
+    ]
+    assert len(modules) > 10
+    for name in ORACLE_NAMES:
+        assert hasattr(oracles, name), name
+        assert not [m.__name__ for m in modules if hasattr(m, name)], name
 
 
 def ignore_filters(source: str) -> list[int]:

@@ -10,12 +10,12 @@ import pytest
 from stefanlab import observer, runner, specfun, transforms
 from stefanlab._scheme import advance_field, one_sided_edge_flux, stable_rate_cap
 from stefanlab.cli import bundled_config, parse_config
-from stefanlab.control import field_energy, output_feedback, state_feedback
+from stefanlab.control import field_energy
 from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
 from stefanlab.errors import BlowUpError, NumericalError
-from stefanlab.observer import estimate_flux, init_observer, step_observer
+from stefanlab.observer import init_observer
 from stefanlab.params import PhysicalParams, ScenarioConfig, lambda_upper_bound
-from stefanlab.plant import convection_rate, init_plant, interface_flux, step_plant
+from stefanlab.plant import convection_rate, init_plant
 from stefanlab.runner import _BLOCK_ROWS, lockstep_batches, simulate, simulate_batch
 from stefanlab.transforms import (
     apply_direct,
@@ -25,6 +25,14 @@ from stefanlab.transforms import (
 )
 
 from conftest import refuse_j1_above
+from oracles import (
+    estimate_flux,
+    interface_flux,
+    output_feedback,
+    state_feedback,
+    step_observer,
+    step_plant,
+)
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 

@@ -1,36 +1,21 @@
-"""Series evaluators for I1(z)/z and J1(z)/z against an independent oracle."""
+"""The reference I1(z)/z and J1(z)/z evaluators of tests/oracles.py: the
+exact rational series against frozen values and a 50-digit mpmath series,
+and the element-wise float arrays against the exact series."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stefanlab import specfun
-from stefanlab.specfun import (
+import oracles
+from oracles import (
     Z2_CAP,
     bessel_i1_ratio,
     bessel_j1_ratio,
     i1_ratio_array,
     j1_ratio_array,
+    oracle_ratio,
 )
-
-
-def oracle_ratio(z2, sign, dps=50, min_terms=50):
-    """High-precision ascending series, summed in mpmath arithmetic."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        z2 = mp.mpf(z2)
-        term = mp.mpf(1) / 2
-        total = term
-        m = 0
-        while m < min_terms or abs(term) > abs(total) * mp.mpf(10) ** (-dps):
-            m += 1
-            term = term * sign * z2 / (4 * m * (m + 1))
-            total += term
-            if m > 5000:
-                raise RuntimeError("oracle did not converge")
-        return float(total)
 
 
 # expected values computed with oracle_ratio (and cross-checked against
@@ -130,14 +115,14 @@ def test_array_takes_exact_path_only_above_float_cap(monkeypatch):
     z2 = 1000.0 * np.maximum(xi[np.newaxis, :] ** 2 - xi[:, np.newaxis] ** 2, 0.0)
     above = int(np.count_nonzero(z2 > 400.0))
     assert 0 < above < z2.size
-    exact = specfun._ratio_series_exact
+    exact = oracles._ratio_series_exact
     calls = []
 
     def counted(v, sign):
         calls.append(v)
         return exact(v, sign)
 
-    monkeypatch.setattr(specfun, "_ratio_series_exact", counted)
+    monkeypatch.setattr(oracles, "_ratio_series_exact", counted)
     i1 = i1_ratio_array(z2)
     j1 = j1_ratio_array(z2)
     assert calls == []

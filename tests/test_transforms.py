@@ -6,19 +6,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stefanlab.observer import observer_gain
-from stefanlab.specfun import i1_ratio_array, j1_ratio_array
 from stefanlab.transforms import (
     apply_direct,
     apply_inverse,
     controller_inverse,
     controller_transform,
+    psi_kernel,
+)
+
+from oracles import (
+    i1_ratio_array,
+    j1_ratio_array,
     kernel_P,
     kernel_Q,
-    psi_kernel,
+    observer_gain,
+    state_feedback,
 )
 
 ALPHA = 116.0 / (6570.0 * 389.5687)
@@ -225,7 +230,6 @@ def test_controller_pair_allocates_no_kernel_matrix():
 def test_controller_transform_slope_identity_at_origin():
     """When (u, X, qc) satisfy the feedback law, the transformed field has
     zero slope at x = 0: k*w_x(0) = -qc - c*k*(I/alpha + X/beta) = 0."""
-    from stefanlab.control import state_feedback
     from stefanlab.params import PhysicalParams, ScenarioConfig
     from stefanlab.plant import PlantState
 
@@ -259,6 +263,22 @@ def test_psi_kernel_properties():
     assert psi_kernel(-0.2, C, ALPHA, BETA) == pytest.approx(
         -psi_kernel(0.2, C, ALPHA, BETA), rel=1e-14
     )
+
+
+@given(st.floats(min_value=0.0, max_value=400.0, exclude_min=True))
+@example(5e-324)  # 1/z2_max is inf, and z2_max * gap underflows to 0
+@settings(max_examples=60, deadline=None)
+def test_ratio_rows_equal_the_oracle_arrays(z2_max):
+    """Up to the float series cap the engine's kernel rows are the
+    element-wise oracle arrays at z2 = z2_max * gap, bit for bit."""
+    from stefanlab.transforms import _geometry, _ratio_rows
+
+    n = 200
+    gaps = _geometry(n)[1]
+    z2 = gaps * z2_max
+    rows = _ratio_rows(n, z2_max)[:, : gaps.size]
+    assert rows[0].tobytes() == i1_ratio_array(z2).tobytes()
+    assert rows[1].tobytes() == j1_ratio_array(z2).tobytes()
 
 
 @pytest.mark.parametrize("s", [0.1, 0.3, 0.6, 0.7])
