@@ -13,13 +13,18 @@ trajectory bit for bit.
 
 In the closed loop the observer runs on the measured extent Y = s and rate
 Y' = s', so plant and observer share the matrix and the rate at every step,
-and scenarios that share the grid and the time step advance together:
-``advance_field`` takes B blocks of m fields, one extent and rate per block,
-and solves them with one ``dgtsv`` call with m right-hand sides on the
-block-diagonal system whose blocks are joined by zero couplings.  LAPACK
-eliminates each column with the same operations as a one-column solve, and a
-zero coupling adds only zero terms, which can flip nothing but the sign of an
-exact zero; the Dirichlet row, where exact zeros arise, is reset to +0.0.
+and scenarios that share the grid and the time step advance together as B
+blocks of m fields.  A ``Workspace`` holds a batch's work arrays, built once
+per batch: the two field buffers, the diagonals, the convection buffers, the
+coefficient row xi*dt/(2*dxi) and the source rows.  Per block and step only
+``block_row``'s Python floats change; a step folds them into one convection
+coefficient row per block, and one ``dgtsv`` call with m right-hand sides
+solves every block of the block-diagonal system whose blocks are joined by
+zero couplings.  LAPACK eliminates each column with the same operations as
+a one-column solve, and a zero coupling adds only zero terms, which can flip
+nothing but the sign of an exact zero; the Dirichlet row, where exact zeros
+arise, is reset to +0.0.  ``advance_field`` is the same step through a new
+workspace.
 """
 
 import importlib.machinery
@@ -86,28 +91,29 @@ def stable_rate_cap(alpha: float, dt: float) -> float:
     return _RATE_SAFETY * math.sqrt(2.0 * alpha / dt)
 
 
+def block_row(extent, rate, qc, alpha_dt, cap, k, dxi) -> list:
+    """A block's row of the step table from its extent, its convection rate
+    (clamped here to +-cap), its boundary heat flux and its constants: the
+    matrix entries (-mu, 1 + 2*mu, -2*mu, 1, 0), the Neumann ghost-node term
+    and the rate over the extent."""
+    mu = alpha_dt / (extent * extent * dxi * dxi)
+    if rate > cap:
+        rate = cap
+    elif rate < -cap:
+        rate = -cap
+    # ghost node: theta[-1] = theta[1] - 2*dxi*g with g = -(qc/k)*extent
+    ghost = -2.0 * mu * dxi * (-(qc / k) * extent)
+    return [-mu, 1.0 + 2.0 * mu, -2.0 * mu, 1.0, 0.0, ghost, rate / extent]
+
+
 @lru_cache(maxsize=8)
-def _interior_xi(n: int) -> np.ndarray:
-    xi = np.arange(1, n) * (1.0 / n)
-    xi.flags.writeable = False
-    return xi
-
-
-# Columns of advance_field's per-block table after the five matrix entries
-# (-mu, 1 + 2*mu, -2*mu, 1, 0): the ghost-node term, then the block's rate.
-_GHOST_COLUMN = 5
-_RATE_COLUMN = 6
-
-
-@lru_cache(maxsize=8)
-def _tri_index(blocks: int, n: int, width: int) -> np.ndarray:
-    """Index into a flattened (blocks, width) table whose rows begin with
-    the block's (-mu, 1 + 2*mu, -2*mu, 1, 0): it gathers the lower, main and
-    upper diagonals of the block-diagonal system, concatenated."""
+def _tri_index(blocks: int, n: int) -> np.ndarray:
+    """Index into a flattened (blocks, 7) step table: it gathers the lower,
+    main and upper diagonals of the block-diagonal system, concatenated."""
     lower = [0] * (n - 1) + [4, 4]  # the Dirichlet row's 0, then the coupling
     main = [1] * n + [3]  # the Dirichlet row's 1
     upper = [2] + [0] * (n - 1) + [4]  # the ghost row's -2*mu, then the coupling
-    base = width * np.arange(blocks)[:, np.newaxis]
+    base = 7 * np.arange(blocks)[:, np.newaxis]
     index = np.concatenate(
         [(base + lower).ravel()[:-1], (base + main).ravel(), (base + upper).ravel()[:-1]]
     )
@@ -115,106 +121,102 @@ def _tri_index(blocks: int, n: int, width: int) -> np.ndarray:
     return index
 
 
-def advance_field(
-    rows: np.ndarray,
-    extent,
-    rates,
-    qc,
-    dt: float,
-    alpha,
-    k,
-    source: np.ndarray | None = None,
-) -> tuple[np.ndarray, dict]:
-    """One backward-Euler step of the immobilized diffusion problem for B
-    independent blocks of m fields; the fields of a block share its extent,
-    convection rate, boundary heat flux and material.
+class Workspace:
+    """Work arrays of B blocks of m fields on the n-interval grid that step
+    together with one dt.  The fields live in two (m, B, N+1) buffers: a step
+    writes its right-hand side into the idle one, which dgtsv solves in
+    place, and they swap.  ``source`` holds the gain blocks' sources times
+    dt.  ``sample`` reads ``sums`` and ``corners``: each field's interior sum
+    and samples at xi = 0 and the last three nodes, field f of block b at
+    f*B + b."""
 
-    rows:     (m, B, N+1) samples on the uniform xi-grid, rows[..., -1] == 0
-    extent:   B current physical domain lengths (s or Y), one per block
-    rates:    B domain growth rates entering the convection term, one per
-              block, each clamped to its block's explicit-stability range
-    qc:       B boundary heat fluxes, imposed as u_xi(0) = -(qc/k)*extent
-    alpha, k: B diffusivities and conductivities
-    source:   optional (G, N+1) explicit source samples for the last field
-              of the first G blocks (the observer's output injection)
+    def __init__(self, rows: np.ndarray, dt: float):
+        m, blocks, n1 = rows.shape
+        n, size = n1 - 1, blocks * n1
+        self.dt, self.now = dt, 0
+        self.pair = np.zeros((2, m, blocks, n1))
+        self.fields = self.pair[0]
+        self.fields[...] = rows
+        tri = self.tri = np.empty(3 * size - 2)
+        self.diagonals = tri[: size - 1], tri[size - 1 : 2 * size - 1], tri[2 * size - 1 :]
+        self.index = _tri_index(blocks, n).copy()  # take copies a read-only index
+        # xi*dt/(2*dxi) at the interior nodes, times a block's rate over extent
+        self.xi_dt = np.arange(1, n) * (0.5 * dt)
+        self.coef, self.conv = np.empty((blocks, n - 1)), np.empty((m, blocks, n - 1))
+        self.source = np.empty((blocks, n1))
+        self.corners_at = np.array([0, n - 2, n - 1, n])
+        # per current buffer a (the other is b): the views a step works on
+        self.views = [
+            (
+                a[..., 2:], a[..., :-2], a[..., 1:-1], b[..., 1:-1],
+                a[..., 0], b[..., 0], b[-1], b.reshape(m, size).T,
+            )
+            for a, b in zip(self.pair, self.pair[::-1])
+        ]
 
-    Returns the advanced (m, B, N+1) stack and a dict block -> message for
-    the blocks whose solve failed or left a non-finite value.
-    """
-    m, blocks, n1 = rows.shape
-    n = n1 - 1
-    dxi = 1.0 / n
+    def sample(self) -> bool:
+        """Read ``sums`` and ``corners``, as every step does after its solve;
+        False if a field is not finite."""
+        rows = self.fields.reshape(-1, self.fields.shape[-1])  # as (m*B, N+1)
+        self.sums = np.add.reduce(rows[:, 1:-1], axis=-1).tolist()
+        self.corners = rows.take(self.corners_at, axis=-1).tolist()
+        # what this leaves out is the Dirichlet zeros; a sum of finite values
+        # that overflows sends the check to every entry
+        total = sum(self.sums) + sum(map(sum, self.corners))
+        return math.isfinite(total) or bool(np.isfinite(rows).all())
 
-    # one row of Python floats per block: the matrix entries, the Neumann
-    # ghost-node term and the clamped rate over the extent (convection)
+    def step(self, values: np.ndarray, gains: int = 0) -> dict:
+        """One step of every field with the (B, 7) table of ``block_row``s, the
+        last field of the first `gains` blocks adding its ``source`` row.
+        Returns block -> message for blocks whose solve failed or left a
+        non-finite value."""
+        later, earlier, interior, rhs, head, first, last, b = self.views[self.now]
+        # the explicit convection, which vanishes at xi = 0 (the Dirichlet
+        # row at xi = 1 stays 0), then the ghost-node term and the source
+        conv = np.subtract(later, earlier, out=self.conv)
+        conv *= np.multiply(values[:, 6, np.newaxis], self.xi_dt, out=self.coef)
+        np.add(interior, conv, out=rhs)
+        np.add(head, values[:, 5], out=first)
+        if gains:
+            injected = last[:gains, :-1]
+            injected += self.source[:gains, :-1]
+        values.take(self.index, out=self.tri, mode="clip")  # "raise" buffers `out`
+        info = dgtsv(*self.diagonals, b, 1, 1, 1, 1)[-1]  # overwrite all four
+        old, self.now = self.fields, 1 - self.now
+        self.fields = self.pair[self.now]
+        self.fields[..., -1] = 0.0
+        if self.sample() and info == 0:
+            return {}
+        if len(values) == 1:
+            if info == 0:
+                return {0: "temperature field became non-finite"}
+            return {0: f"tridiagonal solve failed: dgtsv info = {info}"}
+        # a failed block can spread NaN to its neighbours across the zero
+        # couplings (0 * inf), so every block is solved again on its own
+        failed = {}
+        for k in range(len(values)):
+            alone = Workspace(old[:, k : k + 1], self.dt)
+            alone.source[0] = self.source[k]
+            bad = alone.step(values[k : k + 1], int(k < gains))
+            if bad:
+                failed[k] = bad[0]
+            self.fields[:, k] = alone.fields[:, 0]
+        self.sample()
+        return failed
+
+
+def advance_field(rows, extent, rates, qc, dt, alpha, k, source=None) -> tuple[np.ndarray, dict]:
+    """``Workspace.step`` of rows (m, B, N+1), rows[..., -1] == 0, in a new
+    workspace: block b has extent (s or Y), rate, heat flux qc[b] (u_xi(0) =
+    -(qc/k)*extent) and material alpha[b], k[b]; the optional (G, N+1)
+    source times dt is that of the last field of the first G blocks."""
+    dxi = 1.0 / (rows.shape[-1] - 1)
+    ws = Workspace(rows, dt)
     table = []
-    for b in range(blocks):
-        ext, a = extent[b], alpha[b]
-        mu = a * dt / (ext * ext * dxi * dxi)
-        # Neumann ghost node: theta[ghost] = theta[1] - 2*dxi*g, g = -(qc/k)*extent
-        ghost = -2.0 * mu * dxi * (-(qc[b] / k[b]) * ext)
-        r, cap = rates[b], stable_rate_cap(a, dt)
-        if abs(r) > cap:
-            r = cap if r > 0.0 else -cap
-        table.append([-mu, 1.0 + 2.0 * mu, -2.0 * mu, 1.0, 0.0, ghost, r / ext])
-    values = np.array(table)
-
-    # rhs: explicit convection (vanishes at xi=0, Dirichlet row at xi=1); the
-    # in-place updates go through named views, which spares numpy the
-    # write-back of an indexed `+=`
-    rhs = rows.copy()
-    conv = rows[..., 2:] - rows[..., :-2]
-    conv *= 0.5 / dxi
-    conv *= np.multiply.outer(values[:, _RATE_COLUMN], _interior_xi(n))
-    conv *= dt
-    interior = rhs[..., 1:-1]
-    interior += conv
+    for b in range(len(extent)):
+        cap = stable_rate_cap(alpha[b], dt)
+        table.append(block_row(extent[b], rates[b], qc[b], alpha[b] * dt, cap, k[b], dxi))
     if source is not None:
-        injected = rhs[-1, : source.shape[0], :-1]
-        injected += dt * source[:, :-1]
-    first = rhs[..., 0]
-    first += values[:, _GHOST_COLUMN]
-    rhs[..., n] = 0.0
-
-    # block-diagonal system: dl lower, d main, du upper, in one allocation
-    size = blocks * n1
-    tri = values.take(_tri_index(blocks, n, values.shape[1]))
-    # the Fortran-ordered (B*(N+1), m) right-hand side, solved in place
-    _, _, _, out, info = dgtsv(
-        tri[: size - 1],
-        tri[size - 1 : 2 * size - 1],
-        tri[2 * size - 1 :],
-        rhs.reshape(m, size).T,
-        overwrite_dl=1,
-        overwrite_d=1,
-        overwrite_du=1,
-        overwrite_b=1,
-    )
-    out = out.T.reshape(m, blocks, n1)
-    failed = {}
-    if info != 0 or not np.isfinite(out).all():
-        if blocks == 1:
-            if info != 0:
-                failed[0] = f"tridiagonal solve failed: dgtsv info = {info}"
-            else:
-                failed[0] = "temperature field became non-finite"
-        else:
-            # a failed block can spread NaN to its neighbours across the zero
-            # couplings (0 * inf), so every block is solved again on its own
-            g = 0 if source is None else source.shape[0]
-            for b in range(blocks):
-                one = slice(b, b + 1)
-                out[:, one], bad = advance_field(
-                    rows[:, one],
-                    extent[one],
-                    rates[one],
-                    qc[one],
-                    dt,
-                    alpha[one],
-                    k[one],
-                    source=source[one] if b < g else None,
-                )
-                if bad:
-                    failed[b] = bad[0]
-    out[..., n] = 0.0
-    return out, failed
+        ws.source[: len(source)] = source
+    failed = ws.step(np.array(table), 0 if source is None else len(source))
+    return ws.fields, failed

@@ -10,12 +10,14 @@ It shares the plant's normalized grid; its extent is whatever the newest
 measurement says, so assimilating a measurement costs nothing in closed loop.
 """
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from .errors import NumericalError
 from .params import ScenarioConfig
-from .specfun import i1_ratio_terms
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ def init_observer(cfg: ScenarioConfig) -> ObserverState:
 
 
 # Most terms of the gain series, and so rows of a power table, a gain may
-# need; (lam/alpha)*y^2 near 1.6e4 takes about 120.
+# take; (lam/alpha)*y^2 near 1.6e4 takes 157.
 _GAIN_MAX_ROWS = 400
 
 # grid size n -> read-only W[m, j] = w_j^m with w_j = max(1 - xi_j^2, 0)
@@ -58,19 +60,47 @@ def _powers(n: int, rows: int) -> np.ndarray:
     return table[:rows]
 
 
-def gain_profile(y: float, lam: float, alpha: float, n: int) -> np.ndarray:
-    """P1 sampled along the n-interval grid x = xi*y.
+def gain_term_count(z2: float) -> int:
+    """Terms the gain series takes at (lam/alpha)*y^2 = z2: 31 + floor(sqrt(z2)).
+    Past term sqrt(z2) each term is below 1/4 of the last, so the rest sum to
+    under 2e-18 of the series (under 1e158 within 400 terms).  Raises
+    NumericalError past _GAIN_MAX_ROWS terms."""
+    if not z2 < (_GAIN_MAX_ROWS - 30) ** 2 or _GAIN_MAX_ROWS <= 30:
+        raise NumericalError(
+            f"gain series at (lam/alpha)*y^2 = {z2:.6g} needs more than {_GAIN_MAX_ROWS} terms"
+        )
+    return 31 + int(math.sqrt(z2))
 
-    With z = (lam/alpha)*y^2 and w = 1 - xi^2 the gain is
-    -lam*y * sum_m a_m(z) * w^m, one matvec of the series terms against the
-    cached powers of w.  Both factors stay finite wherever the sum does.
-    """
+
+@lru_cache(maxsize=8)
+def _denominators(terms: int) -> np.ndarray:
+    """The term ratios' denominators 4m(m+1), m = 1, ..., terms - 1."""
+    return 4.0 * np.arange(1.0, terms) * np.arange(2.0, terms + 1)
+
+
+def gain_sources(z2: list, scales: list, counts: list, n: int, out: np.ndarray) -> None:
+    """out[g] = scales[g] * sum_m a_m w^m on the n-interval grid, w = 1 - xi^2,
+    a_m the first counts[g] terms of I1(sqrt(z))/sqrt(z) at z = z2[g]: one
+    cumulative-product term table for the batch, then one matvec per gain of
+    its own terms, so row g's bits depend on its own arguments only."""
+    table = np.empty((len(z2), max(counts)))
+    table[:, 0] = [0.5 * scale for scale in scales]
+    np.divide.outer(z2, _denominators(table.shape[1]), out=table[:, 1:])
+    np.multiply.accumulate(table, axis=1, out=table)
+    powers = _powers(n, table.shape[1])
+    for g, count in enumerate(counts):
+        np.dot(table[g, :count], powers[:count], out=out[g])
+
+
+def gain_profile(y: float, lam: float, alpha: float, n: int) -> np.ndarray:
+    """P1 sampled along the n-interval grid x = xi*y: with z = (lam/alpha)*y^2
+    and w = 1 - xi^2, -lam*y * sum_m a_m(z) * w^m."""
     if lam == 0.0:
         return np.zeros(n + 1)
-    terms = i1_ratio_terms((lam / alpha) * y * y, _GAIN_MAX_ROWS)
-    gain = np.array(terms) @ _powers(n, len(terms))
-    gain *= -lam * y
-    return gain
+    out = np.empty((1, n + 1))
+    z2 = (lam / alpha) * y * y
+    gain_sources([z2], [-lam * y], [gain_term_count(z2)], n, out)
+    return out[0]
 
 
 def injection_source(
@@ -81,13 +111,16 @@ def injection_source(
     alpha: float,
     beta: float,
     n: int,
+    dt: float,
 ) -> np.ndarray | None:
-    """Output-injection source of one observer step on the measured extent y
-    with the measured interface rate v, from the incoming estimate's edge
-    flux d(theta_hat)/d(xi) at xi = 1: -P1(xi*y, y) * (v/beta + u_hat_x(y))
+    """dt times the output-injection source of one observer step on the
+    measured extent y and rate v, from the incoming estimate's edge flux
+    d(theta_hat)/d(xi) at xi = 1: -dt * P1(xi*y, y) * (v/beta + u_hat_x(y))
     on the n-interval grid, or None for a zero gain."""
     if lam == 0.0:
         return None
-    source = gain_profile(y, lam, alpha, n)
-    source *= -(v / beta + edge_flux / y)
-    return source
+    out = np.empty((1, n + 1))
+    z2 = (lam / alpha) * y * y
+    scale = lam * y * (v / beta + edge_flux / y) * dt
+    gain_sources([z2], [scale], [gain_term_count(z2)], n, out)
+    return out[0]

@@ -12,14 +12,17 @@ started on the true profile reproduces the plant bit for bit, and the two
 feedback laws then produce identical traces.
 
 Scenarios that share the grid and the time step advance in lockstep as one
-(2, B, N+1) stack, row 0 of each member its theta and row 1 its theta_hat,
-with one block-diagonal two-column solve per step; ``simulate`` is the batch
-of one.  The array work is batched: the trapezoid sums, the convection, the
-ghost-node flux, the source rows, the solve and the non-finite check.  The
-scalar work stays in Python floats, member by member: the feedback law, the
-edge stencils, the convection rate and its clamp, the injection gain and
-the Stefan update.  The logged diagnostics depend on no later step, so
-they are computed for blocks of buffered rows at a time.
+(2, B, N+1) stack, row 0 of each member its theta and row 1 its theta_hat;
+``simulate`` is the batch of one.  Once per batch, and again when a member
+leaves: the ``_scheme.Workspace`` and each member's constants.  Once per
+step for the whole batch: the step table, the gain series' term table (one
+cumulative product), the right-hand side, one two-column solve, the
+trapezoid sums and edge samples and the non-finite check.  Per member: in
+Python floats the feedback law, the edge stencils, the rate and its clamp,
+the gain series' argument, term count and scale, and the Stefan update; in
+numpy its own truncation and matvec of the term table, so that its bits do
+not depend on its batch-mates.  The logged diagnostics depend on no later
+step, so they are computed for blocks of buffered rows at a time.
 """
 
 from dataclasses import dataclass, fields
@@ -27,9 +30,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import control, diagnostics, transforms
-from ._scheme import advance_field, edge_stencil, one_sided_edge_flux
+from ._scheme import Workspace, block_row, edge_stencil, one_sided_edge_flux, stable_rate_cap
 from .errors import BlowUpError, ConfigurationError, NumericalError
-from .observer import ObserverState, init_observer, injection_source
+from .observer import ObserverState, gain_sources, gain_term_count, init_observer
 from .params import PhysicalParams, ScenarioConfig
 from .plant import PlantState, advance_interface, convection_rate, init_plant
 
@@ -153,9 +156,12 @@ class _Member:
     last_row: int
     feedback_row: int
     domain_cap: float
-    alpha: float
-    beta: float
+    alpha_dt: float
+    rate_cap: float
     k: float
+    beta: float
+    lam: float
+    lam_alpha: float
     s_prev: float | None = None
     t_state: float = 0.0
 
@@ -256,40 +262,44 @@ def simulate_batch(scenarios):
                 last_row=n_rows - 1,
                 feedback_row=0 if cfg.mode == "state_feedback" else 1,
                 domain_cap=cfg.domain_cap if cfg.domain_cap is not None else 2.0 * cfg.sr,
-                alpha=p.alpha,
-                beta=p.beta,
+                alpha_dt=p.alpha * dt,
+                rate_cap=stable_rate_cap(p.alpha, dt),
                 k=p.k,
+                beta=p.beta,
+                lam=cfg.lam,
+                lam_alpha=cfg.lam / p.alpha,
             )
         )
 
-    # block b of the stack is member b: row 0 its theta, row 1 its theta_hat
-    stack = np.stack(
-        [
-            [init_plant(m.cfg).theta for m in members],
-            [init_observer(m.cfg).theta_hat for m in members],
-        ]
+    # block b of the workspace is member b: row 0 its theta, row 1 its theta_hat
+    ws = Workspace(
+        np.stack(
+            [
+                [init_plant(m.cfg).theta for m in members],
+                [init_observer(m.cfg).theta_hat for m in members],
+            ]
+        ),
+        dt,
     )
+    ws.sample()
     # the buffered stacks of the current block of rows
     block = np.empty((_BLOCK_ROWS, 2, len(members), n + 1))
     i = 0
     while True:
         t = i * dt
         rows = i + 1
+        stack, sums, corners, blocks = ws.fields, ws.sums, ws.corners, len(members)
         block[i % _BLOCK_ROWS] = stack
         log_block = rows % _BLOCK_ROWS == 0
-        heads = stack[..., 0].tolist()
-        interior = stack[..., 1:-1].sum(axis=-1).tolist()
-        tails = stack[..., -3:].tolist()
 
         # per member in Python floats: the feedback law on the trapezoid
-        # integral of control._trapz_integral, the checkpoint, the rate and
-        # the injection source
-        leaving, stepping = {}, []
-        extent, qcs, rates, sources, alphas, ks = [], [], [], [], [], []
+        # integral of control._trapz_integral, the checkpoint, the rate, the
+        # step table row and the gain series' argument, term count and scale
+        leaving, stepping, table, z2s, counts, scales = {}, [], [], [], [], []
         for j, m in enumerate(members):
-            cfg, cols, fb = m.cfg, m.cols, m.feedback_row
+            cfg, cols, fb = m.cfg, m.cols, m.feedback_row * blocks + j
             y = m.s  # measurement; the observer extent is rescaled to it
-            integral = y * dxi * (0.5 * (heads[fb][j] + tails[fb][j][2]) + interior[fb][j])
+            integral = y * dxi * (0.5 * (corners[fb][0] + corners[fb][3]) + sums[fb])
             qc = control.feedback_law(integral, y, cfg, m.p)
             cols["t"][i] = t
             cols["s"][i] = y
@@ -305,20 +315,20 @@ def simulate_batch(scenarios):
                 if i == m.last_row:
                     leaving[j] = None
                     continue
-                rate = convection_rate(y, m.s_prev, edge_stencil(*tails[0][j], dxi), dt, m.beta)
-                edge_flux = edge_stencil(*tails[1][j], dxi)
-                source = injection_source(y, rate, edge_flux, cfg.lam, m.alpha, m.beta, n)
+                _, t3, t2, t1 = corners[j]
+                rate = convection_rate(y, m.s_prev, edge_stencil(t3, t2, t1, dxi), dt, m.beta)
+                if m.lam:
+                    z2 = m.lam_alpha * y * y
+                    counts.append(gain_term_count(z2))
+                    z2s.append(z2)
+                    _, t3, t2, t1 = corners[blocks + j]
+                    innovation = rate / m.beta + edge_stencil(t3, t2, t1, dxi) / y
+                    scales.append(m.lam * y * innovation * dt)
             except (BlowUpError, NumericalError) as exc:
                 leaving[j] = str(exc)
                 continue
             stepping.append(j)
-            extent.append(y)
-            qcs.append(qc)
-            rates.append(rate)
-            alphas.append(m.alpha)
-            ks.append(m.k)
-            if source is not None:
-                sources.append(source)
+            table += block_row(y, rate, qc, m.alpha_dt, m.rate_cap, m.k, dxi)
 
         for j, failure in leaving.items():
             yield members[j].index, members[j].result(rows, block[:, :, j], stack[:, j], failure)
@@ -328,23 +338,18 @@ def simulate_batch(scenarios):
             # compaction keeps the order, so the gain members stay first
             members = [members[j] for j in stepping]
             stack, block = stack[:, stepping], block[:, :, stepping]
-
-        new, failed = advance_field(
-            stack,
-            extent,
-            rates,
-            qcs,
-            dt,
-            alphas,
-            ks,
-            source=np.array(sources) if sources else None,
-        )
-        edges = new[0, :, -3:].tolist()
+            ws = Workspace(stack, dt)
+        # a diverging field fails the step, with no floating-point warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if z2s:
+                gain_sources(z2s, scales, counts, n, ws.source)
+            failed = ws.step(np.array(table).reshape(-1, 7), len(z2s))
         for j, m in enumerate(members):
             if j not in failed:
+                _, t3, t2, t1 = ws.corners[j]
                 try:
                     s_next = advance_interface(
-                        m.s, edge_stencil(*edges[j], dxi), m.t_state + dt, dt, m.beta, m.domain_cap
+                        m.s, edge_stencil(t3, t2, t1, dxi), m.t_state + dt, dt, m.beta, m.domain_cap
                     )
                 except BlowUpError as exc:
                     failed[j] = str(exc)
@@ -359,8 +364,8 @@ def simulate_batch(scenarios):
             if not keep:
                 return
             members = [members[j] for j in keep]
-            new, block = new[:, keep], block[:, :, keep]
-        stack = new
+            ws, block = Workspace(ws.fields[:, keep], dt), block[:, :, keep]
+            ws.sample()
         i += 1
 
 

@@ -231,7 +231,7 @@ def step_observer(
         raise ValueError("measured interface position must be positive")
     n = ob.theta_hat.size - 1
     edge_flux = one_sided_edge_flux(ob.theta_hat, 1.0 / n)
-    source = injection_source(y_now, v, edge_flux, cfg.lam, p.alpha, p.beta, n)
+    source = injection_source(y_now, v, edge_flux, cfg.lam, p.alpha, p.beta, n, dt)
     stack, failed = advance_field(
         ob.theta_hat[np.newaxis, np.newaxis],
         (y_now,),

@@ -163,6 +163,32 @@ def test_run_diverging_admitted_gain_exits_3_with_inf_norms(tmp_path, capsys):
     assert "decay rate" not in summary
 
 
+def test_run_diverging_observer_exits_3_with_inf_error_norms(tmp_path, capsys):
+    """Under state feedback the plant ignores the estimate, so an observer
+    that diverges at 0.9 x the gain bound grows for hundreds of rows after
+    its H1 error norm overflows, until its field is no longer finite.  The
+    run exits 3 with no warning, logs those norms as inf, and the summary
+    fits no decay rate to them."""
+    p, cfg = parse_config(bundled_config("zinc"))
+    lam = 0.9 * lambda_upper_bound(cfg, p.alpha)
+    edits = {
+        ("scenario", "lambda"): repr(lam),
+        ("scenario", "mode"): "state_feedback",
+        ("numerics", "t_end"): "300",
+    }
+    bad = _tweaked_config(tmp_path, edits, base="zinc")
+    out = tmp_path / "o"
+    assert main(["run", str(bad), "--out-dir", str(out)]) == 3
+    assert "run aborted: temperature field became non-finite" in capsys.readouterr().err
+    cols = read_csv(out / "trace.csv")
+    assert np.isposinf(cols["h1_err"]).sum() > 100
+    assert not np.isnan(cols["h1_err"]).any()
+    assert np.isfinite(cols["h1_u"]).all()
+    summary = (out / "summary.txt").read_text()
+    assert "completed = False" in summary
+    assert "decay rate" not in summary
+
+
 def test_run_gain_beyond_table_limit_exits_3(tmp_path, monkeypatch):
     monkeypatch.setattr(observer, "_GAIN_MAX_ROWS", 3)
     out = tmp_path / "o"

@@ -7,12 +7,12 @@ from stefanlab._scheme import one_sided_edge_flux
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.diagnostics import fit_decay_rate
 from stefanlab.errors import NumericalError
-from stefanlab.observer import gain_profile, init_observer
+from stefanlab.observer import gain_profile, gain_sources, gain_term_count, init_observer
 from stefanlab.params import PhysicalParams, ScenarioConfig
 from stefanlab.plant import convection_rate, init_plant
 from stefanlab.runner import simulate
 
-from oracles import observer_gain, step_observer, step_plant
+from oracles import observer_gain, oracle_ratio, step_observer, step_plant
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 ALPHA = P.alpha
@@ -114,6 +114,64 @@ def test_gain_profile_refuses_unsummable_gain():
         _gain_at(1e6, n=32)
     with pytest.raises(NumericalError):
         _gain_at(float("nan"), n=32)
+
+
+def _batch_sources(z2s, scales, n):
+    out = np.empty((len(z2s), n + 1))
+    gain_sources(list(z2s), list(scales), [gain_term_count(z2) for z2 in z2s], n, out)
+    return out
+
+
+def test_batched_gain_series_within_criterion_6_bound():
+    """Every row of a batch against the 50-digit series at its own argument
+    z2*w, for z2 across the admitted (0, 1.6e4], within criterion 6's bound."""
+    import mpmath as mp
+
+    z2s = list(np.geomspace(1e-6, 1.6e4, 20))
+    n = 8
+    out = _batch_sources(z2s, [1.0] * len(z2s), n)
+    xi = np.arange(n + 1) / n
+    weight = np.maximum(1.0 - xi * xi, 0.0)
+    worst = 0.0
+    for z2, row in zip(z2s, out):
+        for w, value in zip(weight, row):
+            with mp.workdps(50):
+                argument = mp.mpf(z2) * mp.mpf(float(w))
+            worst = max(worst, abs(value / oracle_ratio(argument, +1) - 1.0))
+    assert worst <= 1e-12
+
+
+def test_batched_gain_rows_match_one_gain_calls():
+    # mixed arguments, term counts from 31 to 157 and scales of both signs
+    z2s = [2.4, 1.6e4, 0.0, 440.0, 2.2e-3, 37.5]
+    scales = [-0.03, 7e-3, 0.0, -1e4, 0.5, 3e-9]
+    n = 64
+    for order in (slice(None), slice(None, None, -1)):
+        batch = _batch_sources(z2s[order], scales[order], n)
+        for z2, scale, got in zip(z2s[order], scales[order], batch):
+            alone = _batch_sources([z2], [scale], n)
+            assert got.tobytes() == alone[0].tobytes(), z2
+
+
+def test_gain_term_count_leaves_out_under_2e_18_of_the_series():
+    # the series' tail past the count against its sum, in 50-digit terms
+    import mpmath as mp
+
+    for z2 in [0.0, 5e-324, 1e-6, 0.3, 2.4, 37.5, 440.0, 1.6e4, 1.3e5]:
+        count = gain_term_count(z2)
+        with mp.workdps(50):
+            z2m, term, total, tail = mp.mpf(z2), mp.mpf(0.5), mp.mpf(0), mp.mpf(0)
+            for m in range(count + 200):
+                if m:
+                    term = term * z2m / (4 * m * (m + 1))
+                if m < count:
+                    total += term
+                else:
+                    tail += term
+            assert tail <= mp.mpf("2e-18") * total, z2
+    with pytest.raises(NumericalError, match="needs more than 400 terms"):
+        gain_term_count(370.0**2)
+    assert gain_term_count(369.99**2) == 400
 
 
 # the observer's measured rate is the plant's convection rate: the backward

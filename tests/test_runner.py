@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stefanlab import observer, runner, specfun, transforms
-from stefanlab._scheme import advance_field, one_sided_edge_flux, stable_rate_cap
+from stefanlab._scheme import advance_field, block_row, one_sided_edge_flux, stable_rate_cap
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.control import field_energy
 from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
@@ -117,12 +117,58 @@ def test_blow_up_reports_partial_trace():
 
 
 def test_gain_beyond_table_limit_reports_partial_trace(monkeypatch):
-    # the first step's gain series needs 5 terms
+    # every gain series takes at least 31 terms
     monkeypatch.setattr(observer, "_GAIN_MAX_ROWS", 3)
     res = simulate(cfg_for(), P)
     assert not res.completed
     assert "needs more than 3 terms" in res.failure
     assert res.trace.t.size == 1
+
+
+def test_gain_cap_stops_one_batch_member_mid_run(monkeypatch):
+    # the gain series of the first member takes one term more at its row
+    # 158 than at its row 40; with the cap at the count of row 40, that
+    # member leaves at row 158 and its batch-mates run on as they do alone
+    cfgs = [cfg_for(lam=1.0), cfg_for(lam=0.001), cfg_for(lam=0.0), cfg_for(mode="state_feedback")]
+    lam_alpha = cfgs[0].lam / P.alpha
+    s = simulate(cfgs[0], P).trace.s
+    counts = [observer.gain_term_count(lam_alpha * y * y) for y in s]
+    cap = counts[40]
+    row = next(i for i, count in enumerate(counts) if count > cap)
+    assert row == 158
+    monkeypatch.setattr(observer, "_GAIN_MAX_ROWS", cap)
+    alone = [simulate(cfg, P) for cfg in cfgs]
+    z2 = lam_alpha * s[row] * s[row]
+    assert alone[0].failure == f"gain series at (lam/alpha)*y^2 = {z2:.6g} needs more than {cap} terms"
+    assert alone[0].trace.t.size == row + 1
+    assert all(res.completed for res in alone[1:])
+    left = list(simulate_batch([(cfg, P) for cfg in cfgs]))
+    assert left[0][0] == 0
+    for j, res in left:
+        assert res.failure == alone[j].failure
+        for name, values in alone[j].trace.columns().items():
+            assert _same_bits(res.trace.columns()[name], values), (j, name)
+        for name, values in alone[j].checkpoints.items():
+            assert _same_bits(res.checkpoints[name], values), (j, name)
+        assert _same_bits(res.final_observer.theta_hat, alone[j].final_observer.theta_hat)
+
+
+def test_member_failing_as_another_completes_keeps_its_own_final_state():
+    # the first member's last row is the step in which the second reaches the
+    # domain cap, so the batch compacts and then reports the failure
+    blow = cfg_for(c=100.0)
+    alone_blow = simulate(blow, P)
+    row = alone_blow.trace.t.size - 1
+    assert row == 43 and "domain cap" in alone_blow.failure
+    short = cfg_for(t_end=row * blow.dt)
+    alone = [simulate(short, P), alone_blow]
+    assert alone[0].completed and alone[0].trace.t.size == row + 1
+    left = dict(simulate_batch([(short, P), (blow, P)]))
+    for j, res in left.items():
+        assert res.failure == alone[j].failure
+        assert _same_bits(res.trace.s, alone[j].trace.s)
+        assert _same_bits(res.final_plant.theta, alone[j].final_plant.theta), j
+        assert _same_bits(res.final_observer.theta_hat, alone[j].final_observer.theta_hat), j
 
 
 def test_first_checkpoint_beyond_series_cap_reports_partial_trace(monkeypatch):
@@ -390,24 +436,35 @@ def test_block_diagonal_solve_isolates_a_non_finite_block():
     assert np.isfinite(got[:, [0, 1, 3]]).all()
 
 
-def _clamped_rates(monkeypatch, scenarios):
-    """The rates beyond their block's explicit-stability cap that the
-    lockstep batch of the scenarios hands to advance_field."""
-    clamped = []
+def _seen_rates(monkeypatch, scenarios):
+    """The (rate, cap) pairs with which the lockstep batch of the scenarios
+    builds its step-table rows, where it clamps each rate to its cap; checks
+    that it sees one rate per stepping member per step."""
+    seen = []
 
-    def counting(rows, extent, rates, qc, dt, alpha, k, source=None):
-        clamped.extend(r for r, a in zip(rates, alpha) if abs(r) > stable_rate_cap(a, dt))
-        return advance_field(rows, extent, rates, qc, dt, alpha, k, source=source)
+    def counting(extent, rate, qc, alpha_dt, cap, *constants):
+        seen.append((rate, cap))
+        return block_row(extent, rate, qc, alpha_dt, cap, *constants)
 
-    monkeypatch.setattr(runner, "advance_field", counting)
+    monkeypatch.setattr(runner, "block_row", counting)
+    steps = 0
     for _, res in simulate_batch(scenarios):
         assert res.completed, res.failure
-    return clamped
+        steps += res.trace.t.size - 1
+    assert len(seen) == steps
+    return seen
+
+
+def _clamped(seen, p, dt):
+    assert {cap for _, cap in seen} == {stable_rate_cap(p.alpha, dt)}
+    return [rate for rate, cap in seen if abs(rate) > cap]
 
 
 def test_rate_clamp_binds_nowhere_on_bundled_and_sweep_corner_runs(monkeypatch, zinc):
     p, zinc_cfg = zinc
-    assert _clamped_rates(monkeypatch, [(replace(zinc_cfg, t_end=50.0), p)]) == []
+    seen = _seen_rates(monkeypatch, [(replace(zinc_cfg, t_end=50.0), p)])
+    assert len(seen) == 1000
+    assert _clamped(seen, p, zinc_cfg.dt) == []
     # the smoke run and the corners of the benchmark sweep's box on its grid
     p, smoke = parse_config(bundled_config("zinc_smoke"))
     bound = lambda_upper_bound(smoke, p.alpha)
@@ -415,4 +472,5 @@ def test_rate_clamp_binds_nowhere_on_bundled_and_sweep_corner_runs(monkeypatch, 
         replace(smoke, lam=lam, c=c, sr=sr)
         for lam, c, sr in itertools.product((0.0, 0.1 * bound), (0.001, 0.01), (0.2, 0.35))
     ]
-    assert _clamped_rates(monkeypatch, [(cfg, p) for cfg in [smoke, *corners]]) == []
+    seen = _seen_rates(monkeypatch, [(cfg, p) for cfg in [smoke, *corners]])
+    assert _clamped(seen, p, smoke.dt) == []
