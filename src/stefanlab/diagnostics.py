@@ -45,12 +45,14 @@ def lyapunov_constants(cfg: ScenarioConfig, p: PhysicalParams) -> tuple[float, f
     a       = max(sr^2, 16*c*sr/alpha)
     b       = min(alpha/(8*sr^2), c, 2*lam)
     d       = max(1, a*sr)   (any fixed positive weight works for monitoring)
+
+    with squares as float products, inf past the float range (``**`` raises).
     """
-    alpha, beta = p.alpha, p.beta
-    p_const = cfg.c * alpha / (16.0 * beta**2 * cfg.sr)
-    a = max(cfg.sr**2, 16.0 * cfg.c * cfg.sr / alpha)
-    b = min(alpha / (8.0 * cfg.sr**2), cfg.c, 2.0 * cfg.lam)
-    d = max(1.0, a * cfg.sr)
+    alpha, beta, sr = p.alpha, p.beta, cfg.sr
+    p_const = cfg.c * alpha / (16.0 * beta * beta * sr)
+    a = max(sr * sr, 16.0 * cfg.c * sr / alpha)
+    b = min(alpha / (8.0 * sr * sr), cfg.c, 2.0 * cfg.lam)
+    d = max(1.0, a * sr)
     return p_const, a, b, d
 
 
@@ -60,7 +62,7 @@ class LyapunovSample:
 
     V1_tilde = 0.5*||w_err||_H1^2 for the transformed estimation error;
     Vtot     = 0.5*||w_hat||_H1^2 + (p/2)*X^2 + d*V1_tilde;
-    V        = Vtot * exp(-a*s).
+    V        = Vtot * exp(-a*s), or inf when Vtot is.
     """
 
     t: float
@@ -76,15 +78,19 @@ def lyapunov_sample(
     t: float,
     cfg: ScenarioConfig,
     p: PhysicalParams,
+    constants: tuple | None = None,
 ) -> LyapunovSample:
     """Evaluate the functionals on one snapshot's transformed fields:
     w_err = apply_inverse(theta - theta_hat) and w_hat =
-    controller_transform(theta_hat), both over the extent s."""
-    p_const, a, _, d = lyapunov_constants(cfg, p)
+    controller_transform(theta_hat), both over the extent s, with the
+    scenario's ``lyapunov_constants`` if given.  V is inf when Vtot is."""
+    p_const, a, _, d = lyapunov_constants(cfg, p) if constants is None else constants
     X = s - cfg.sr
-    v1 = 0.5 * h1_norm_sq(w_err, s)
-    vtot = 0.5 * h1_norm_sq(w_hat, s) + 0.5 * p_const * X * X + d * v1
-    return LyapunovSample(t=t, V1_tilde=v1, Vtot=vtot, V=vtot * np.exp(-a * s))
+    h1_err, h1_hat = h1_norm_sq(np.array((w_err, w_hat)), s).tolist()
+    v1 = 0.5 * h1_err
+    vtot = 0.5 * h1_hat + 0.5 * p_const * X * X + d * v1
+    V = vtot if vtot == np.inf else vtot * np.exp(-a * s)
+    return LyapunovSample(t=t, V1_tilde=v1, Vtot=vtot, V=V)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ injection term through the gain
 acting on the innovation Y'(t)/beta + u_hat_x(Y(t), t), Y' the measured rate.
 It shares the plant's normalized grid; its extent is whatever the newest
 measurement says, so assimilating a measurement costs nothing in closed loop.
+Its gain is the I1 series' terms times a cached PowerTable of w = 1 - xi^2.
 """
 
 import math
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .params import ScenarioConfig
+from .specfun import PowerTable
 
 
 @dataclass(frozen=True)
@@ -40,24 +42,12 @@ def init_observer(cfg: ScenarioConfig) -> ObserverState:
 # take; (lam/alpha)*y^2 near 1.6e4 takes 157.
 _GAIN_MAX_ROWS = 400
 
-# grid size n -> read-only W[m, j] = w_j^m with w_j = max(1 - xi_j^2, 0)
-_weight_powers: dict[int, np.ndarray] = {}
 
-
-def _powers(n: int, rows: int) -> np.ndarray:
-    """The first `rows` rows of the power table of the n-interval grid; the
-    cached table is rebuilt with more rows when a run needs them."""
-    table = _weight_powers.get(n)
-    if table is None or table.shape[0] < rows:
-        xi = np.arange(n + 1) / n
-        weight = np.maximum(1.0 - xi * xi, 0.0)
-        table = np.empty((rows, n + 1))
-        table[0] = 1.0
-        for m in range(1, rows):
-            np.multiply(table[m - 1], weight, out=table[m])
-        table.flags.writeable = False
-        _weight_powers[n] = table
-    return table[:rows]
+@lru_cache(maxsize=8)
+def _weight_powers(n: int) -> PowerTable:
+    """The power table of w = max(1 - xi^2, 0) on the n-interval grid."""
+    xi = np.arange(n + 1) / n
+    return PowerTable(np.maximum(1.0 - xi * xi, 0.0))
 
 
 def gain_term_count(z2: float) -> int:
@@ -87,7 +77,7 @@ def gain_sources(z2: list, scales: list, counts: list, n: int, out: np.ndarray) 
     table[:, 0] = [0.5 * scale for scale in scales]
     np.divide.outer(z2, _denominators(table.shape[1]), out=table[:, 1:])
     np.multiply.accumulate(table, axis=1, out=table)
-    powers = _powers(n, table.shape[1])
+    powers = _weight_powers(n)(table.shape[1])
     for g, count in enumerate(counts):
         np.dot(table[g, :count], powers[:count], out=out[g])
 
@@ -100,27 +90,4 @@ def gain_profile(y: float, lam: float, alpha: float, n: int) -> np.ndarray:
     out = np.empty((1, n + 1))
     z2 = (lam / alpha) * y * y
     gain_sources([z2], [-lam * y], [gain_term_count(z2)], n, out)
-    return out[0]
-
-
-def injection_source(
-    y: float,
-    v: float,
-    edge_flux: float,
-    lam: float,
-    alpha: float,
-    beta: float,
-    n: int,
-    dt: float,
-) -> np.ndarray | None:
-    """dt times the output-injection source of one observer step on the
-    measured extent y and rate v, from the incoming estimate's edge flux
-    d(theta_hat)/d(xi) at xi = 1: -dt * P1(xi*y, y) * (v/beta + u_hat_x(y))
-    on the n-interval grid, or None for a zero gain."""
-    if lam == 0.0:
-        return None
-    out = np.empty((1, n + 1))
-    z2 = (lam / alpha) * y * y
-    scale = lam * y * (v / beta + edge_flux / y) * dt
-    gain_sources([z2], [scale], [gain_term_count(z2)], n, out)
     return out[0]

@@ -97,7 +97,16 @@ class SimulationResult:
     final_observer: object = None
 
 
-def _checkpoint_row(theta, theta_hat, y, t, cfg, p):
+# transforms.csv's columns, in the order _checkpoint_row gives their values
+_CHECKPOINT_COLUMNS = (
+    "t", "s", "X", "V1_tilde", "Vtot", "V", "wtilde_max", "utilde_sup",
+    "rt_error_pair_abs", "what_sup", "rt_ctrl_abs", "what_boundary",
+)
+
+
+def _checkpoint_row(theta, theta_hat, y, t, cfg, p, constants=None) -> tuple:
+    """One checkpoint's values of _CHECKPOINT_COLUMNS; `constants` is the
+    scenario's ``lyapunov_constants``, formed here if not given."""
     alpha, beta = p.alpha, p.beta
     X = y - cfg.sr
     u_err = theta - theta_hat
@@ -105,21 +114,9 @@ def _checkpoint_row(theta, theta_hat, y, t, cfg, p):
     rt_err = transforms.apply_direct(w_err, y, cfg.lam, alpha) - u_err
     w_hat = transforms.controller_transform(theta_hat, X, y, cfg.c, alpha, beta)
     rt_ctrl = transforms.controller_inverse(w_hat, X, y, cfg.c, alpha, beta) - theta_hat
-    sample = diagnostics.lyapunov_sample(w_err, w_hat, y, t, cfg, p)
-    return {
-        "t": t,
-        "s": y,
-        "X": X,
-        "V1_tilde": sample.V1_tilde,
-        "Vtot": sample.Vtot,
-        "V": sample.V,
-        "wtilde_max": float(np.max(w_err)),
-        "utilde_sup": float(np.max(np.abs(u_err))),
-        "rt_error_pair_abs": float(np.max(np.abs(rt_err))),
-        "what_sup": float(np.max(np.abs(w_hat))),
-        "rt_ctrl_abs": float(np.max(np.abs(rt_ctrl))),
-        "what_boundary": float(abs(w_hat[-1])),
-    }, sample
+    sample = diagnostics.lyapunov_sample(w_err, w_hat, y, t, cfg, p, constants)
+    sups = np.abs(np.array((u_err, rt_err, w_hat, rt_ctrl))).max(axis=1)
+    return (t, y, X, sample.V1_tilde, sample.Vtot, sample.V, np.max(w_err), *sups, abs(w_hat[-1]))
 
 
 def _log_block(cols: dict, start: int, block: np.ndarray, cfg: ScenarioConfig, p: PhysicalParams):
@@ -151,7 +148,8 @@ class _Member:
     cfg: ScenarioConfig
     p: PhysicalParams
     cols: dict
-    checkpoint_rows: list
+    checkpoints: np.ndarray
+    constants: tuple
     s: float
     last_row: int
     feedback_row: int
@@ -164,6 +162,7 @@ class _Member:
     lam_alpha: float
     s_prev: float | None = None
     t_state: float = 0.0
+    checkpoints_logged: int = 0
 
     def result(self, rows: int, block: np.ndarray, pair: np.ndarray, failure) -> SimulationResult:
         """The run's result after `rows` logged rows; block holds the
@@ -180,11 +179,10 @@ class _Member:
             mode=cfg.mode,
         )
         # row 0 is always a checkpoint; a run whose first checkpoint fails has none
-        names = self.checkpoint_rows[0] if self.checkpoint_rows else ()
-        checkpoints = {name: np.array([r[name] for r in self.checkpoint_rows]) for name in names}
+        logged = self.checkpoints[:, : self.checkpoints_logged]
         return SimulationResult(
             trace=trace,
-            checkpoints=checkpoints,
+            checkpoints=dict(zip(_CHECKPOINT_COLUMNS, logged)) if logged.size else {},
             completed=failure is None,
             failure=failure,
             final_plant=PlantState(t=self.t_state, s=self.s, theta=pair[0].copy(), s_prev=self.s_prev),
@@ -244,6 +242,8 @@ def simulate_batch(scenarios):
         names = _array_fields(Trace)
         try:
             cols = {name: np.empty(n_rows) for name in names}
+            # at most rows 0, every, 2 every, ... and the last
+            checkpoints = np.empty((len(_CHECKPOINT_COLUMNS), (n_rows - 1) // cfg.checkpoint_every + 2))
         except MemoryError:
             raise ConfigurationError(
                 f"t_end/dt is too large: the trace's {n_rows} rows need "
@@ -257,7 +257,8 @@ def simulate_batch(scenarios):
                 cfg=cfg,
                 p=p,
                 cols=cols,
-                checkpoint_rows=[],
+                checkpoints=checkpoints,
+                constants=diagnostics.lyapunov_constants(cfg, p),
                 s=cfg.s0,
                 last_row=n_rows - 1,
                 feedback_row=0 if cfg.mode == "state_feedback" else 1,
@@ -308,10 +309,10 @@ def simulate_batch(scenarios):
                 _log_block(cols, rows - _BLOCK_ROWS, block[:, :, j], cfg, m.p)
             try:
                 if i % cfg.checkpoint_every == 0 or i == m.last_row:
-                    ck, sample = _checkpoint_row(stack[0, j], stack[1, j], y, t, cfg, m.p)
-                    m.checkpoint_rows.append(ck)
-                    cols["V"][i] = sample.V
-                    cols["Vtot"][i] = sample.Vtot
+                    ck = _checkpoint_row(stack[0, j], stack[1, j], y, t, cfg, m.p, m.constants)
+                    m.checkpoints[:, m.checkpoints_logged] = ck
+                    m.checkpoints_logged += 1
+                    cols["Vtot"][i], cols["V"][i] = ck[4:6]
                 if i == m.last_row:
                     leaving[j] = None
                     continue

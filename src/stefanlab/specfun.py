@@ -8,13 +8,13 @@ which are entire functions of the squared argument z2 with value 1/2 at
 z2 = 0.  Working directly in z2 avoids square roots of small negatives
 produced by rounding on the kernel diagonal.
 
-The engine sums the term list of the I1 series at one argument
-(``i1_ratio_terms``): the observer gain against a table of powers, and the
-checkpoint kernel rows by Horner in z2/max(z2), with alternating signs for
-J1.  Past ``_FLOAT_SERIES_CAP`` float64 cannot sum the alternating series,
-so the J1 row comes from scipy's j1(z)/z there.  The reference evaluations
-the tests hold these to, an exact rational series and element-wise arrays,
-are in ``tests/oracles.py``.
+One closed form serves every caller: with a_m the I1 terms at z2_max
+(``i1_ratio_terms``) and x = z2/z2_max in [0, 1], I1r = sum_m a_m x^m and
+J1r = sum_m (-1)^m a_m x^m, a product of the terms with a cached
+``PowerTable`` of x.  The observer gain takes one per gain; the checkpoint
+kernel rows take both at once, per block of _BLOCK terms.  Past
+``_FLOAT_SERIES_CAP`` the J1 row is scipy's j1(z)/z.  The reference
+evaluations the tests hold these to are in ``tests/oracles.py``.
 """
 
 import math
@@ -33,6 +33,10 @@ _MAX_TERMS = 400
 
 # The term list stops at the first term below this fraction of its partial sum.
 _TERM_TOL = 1e-17
+
+# Terms per block of a kernel row's series, and so, plus one, the most rows
+# its power table holds: 2.3 MB at N = 200.  Up to z2 = 100 one block does.
+_BLOCK = 24
 
 
 def i1_ratio_terms(z2: float, max_terms: int) -> list[float]:
@@ -60,6 +64,34 @@ def i1_ratio_terms(z2: float, max_terms: int) -> list[float]:
     return terms
 
 
+class PowerTable:
+    """Read-only powers x^0, x^1, ... of one row x (from the last row up if
+    `descending`), filled on demand as power m-1 times x into `capacity`
+    rows, made afresh for more: a buffer made once frees no large block."""
+
+    def __init__(self, base: np.ndarray, capacity: int = 1, descending: bool = False):
+        self.base, self.descending = base, descending
+        self._reserve(capacity)
+
+    def _reserve(self, capacity: int) -> None:
+        buf = np.empty((capacity, self.base.size))
+        self._powers = buf[::-1] if self.descending else buf
+        self._powers[0] = 1.0
+        self.filled = 1
+        self.table = buf.view()
+        self.table.flags.writeable = False
+
+    def __call__(self, rows: int) -> np.ndarray:
+        """x^0, ..., x^(rows-1), or, descending, x^(rows-1), ..., x^0."""
+        if rows > self.filled:
+            if rows > self.table.shape[0]:
+                self._reserve(rows)
+            for m in range(self.filled, rows):
+                np.multiply(self._powers[m - 1], self.base, out=self._powers[m])
+            self.filled = rows
+        return self.table[-rows:] if self.descending else self.table[:rows]
+
+
 def _j1_ratio_scipy(z2: np.ndarray, out: np.ndarray) -> np.ndarray:
     """scipy's j1(z)/z into `out`, for J1 arguments past _FLOAT_SERIES_CAP."""
     # imported here: scipy.special adds 3.6 MB resident, which runs that
@@ -71,23 +103,25 @@ def _j1_ratio_scipy(z2: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(j1(z), z, out=out, where=z > 0.0)
 
 
-def _ratio_array(g: np.ndarray, z2_max: float, out: np.ndarray) -> np.ndarray:
-    """Fill `out` with sum_m a_m * g^m, a_m the I1 terms at z2_max, by Horner.
-
-    With g = z2/z2_max that is I1(sqrt(z2))/sqrt(z2), and with
-    g = -z2/z2_max it is J1's.  `g` is one row, or the stack of an I1 row
-    and a J1 row, shape (2, M), that gives both in one pass per term; past
-    _FLOAT_SERIES_CAP, where float64 cannot sum the alternating series,
-    the stack's J1 row is scipy's j1(z)/z at z = sqrt(-z2_max * g[1])
-    instead.
-    """
-    series_g, series_out = g, out
-    if g.ndim == 2 and z2_max > _FLOAT_SERIES_CAP:
-        _j1_ratio_scipy(-z2_max * g[1], out[1])
-        series_g, series_out = g[:1], out[:1]
-    terms = i1_ratio_terms(z2_max, _MAX_TERMS)
-    series_out.fill(terms[-1])
-    for a in reversed(terms[:-1]):
-        series_out *= series_g
-        series_out += a
+def kernel_rows(z2_max: float, powers: PowerTable, out: np.ndarray) -> np.ndarray:
+    """Fill `out`, shape (2, M), with the I1 and J1 ratios at z2 = z2_max * x
+    over the descending powers' row x in [0, 1]: a product of the I1 terms
+    and their alternating-sign J1 twins with the table per block of _BLOCK
+    terms, highest power first as in Horner's sum, and Horner in x^_BLOCK
+    over the blocks.  Past _FLOAT_SERIES_CAP out[1] is scipy's j1(z)/z."""
+    terms = i1_ratio_terms(z2_max, _MAX_TERMS)[::-1]
+    count = len(terms)
+    # column j holds the term of power count-1-j
+    coef = np.array((terms, terms))
+    coef[1, count % 2 :: 2] *= -1.0
+    rows = out
+    if z2_max > _FLOAT_SERIES_CAP:
+        _j1_ratio_scipy(z2_max * powers.base, out[1])
+        coef, rows = coef[:1], out[:1]
+    table = powers(min(count, _BLOCK + 1))
+    top = count - (count - 1) // _BLOCK * _BLOCK
+    np.matmul(coef[:, :top], table[-top:], out=rows)
+    for j in range(top, count, _BLOCK):
+        rows *= table[0]
+        rows += coef[:, j : j + _BLOCK] @ table[-_BLOCK:]
     return out

@@ -3,14 +3,14 @@
 All four maps are diagnostic-only: the closed loop never needs them, so they
 operate on state snapshots.  Integrals are composite trapezoids on the nodes
 of the normalized grid, matching the order of the spatial scheme.  The
-Bessel kernels depend on (x, y) only through y^2 - x^2, so their series runs
-once per distinct gap of the grid, for both kernels at once; each transform
-gathers its ratios over the strict upper triangle into a reused buffer and
-applies them with one matrix-vector product, the trapezoid weights folded
-into the vector.  The controller kernels are separable (x - y has rank 2, and
-sin k(x-y) = sin kx cos ky - cos kx sin ky), so both controller integrals are
-built in O(N) from reverse cumulative trapezoids T_i[g] = int_{xi_i}^1 g,
-with T_N = 0 exactly.
+Bessel kernels depend on (x, y) only through y^2 - x^2: both are summed at
+once per distinct gap, as a product with the grid's gap powers (specfun's
+``kernel_rows``); each transform gathers its ratios over the strict upper
+triangle into a reused buffer and applies them with one matrix-vector
+product, the trapezoid weights folded into the vector.  The controller
+kernels are separable (x - y has rank 2, and sin k(x-y) = sin kx cos ky -
+cos kx sin ky), so both controller integrals are built in O(N) from reverse
+cumulative trapezoids T_i[g] = int_{xi_i}^1 g, with T_N = 0 exactly.
 
 Error-field pair (gain kernels in Bessel functions):
 
@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import _ratio_array
+from .specfun import _BLOCK, PowerTable, kernel_rows
 
 
 def psi_kernel(x, c: float, alpha: float, beta: float):
@@ -71,13 +71,14 @@ def _geometry(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=8)
-def _scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-grid buffers of the Bessel transforms: the stacked series
-    argument, one row per kernel with the gaps and then a 0 for the index's
-    trailing slot, and the (n+1)^2 kernel gather.  Reused, so that a
-    checkpoint row allocates no (n+1)^2 array; every caller in the process
-    shares them, so the transforms are not for concurrent threads."""
-    return np.zeros((2, _geometry(n)[1].size + 1)), np.empty((n + 1, n + 1))
+def _scratch(n: int) -> tuple[PowerTable, np.ndarray]:
+    """Per-grid state of the Bessel transforms: the descending power table
+    of the distinct gaps and then a 0 for the index's trailing slot, and the
+    (n+1)^2 kernel gather.  Reused, so that a checkpoint row allocates no
+    (n+1)^2 array; every caller in the process shares them, so the
+    transforms are not for concurrent threads."""
+    powers = PowerTable(np.append(_geometry(n)[1], 0.0), _BLOCK + 1, descending=True)
+    return powers, np.empty((n + 1, n + 1))
 
 
 @lru_cache(maxsize=1)
@@ -85,21 +86,9 @@ def _ratio_rows(n: int, z2_max: float) -> np.ndarray:
     """Read-only I1 and J1 ratio rows at z2 = z2_max * g over the distinct
     gaps, each with a trailing 0 for the index's empty slot.  One entry is
     enough: the two transforms of a checkpoint share (n, z2_max)."""
-    gaps = _geometry(n)[1]
-    g = _scratch(n)[0]
-    m = gaps.size
-    # the series argument z2 * (+-1/z2_max), formed as the element-wise
-    # I1 and J1 ratio arrays of the test oracle (tests/oracles.py) form it,
-    # so up to the float series cap the rows equal theirs at z2 bit for bit
-    np.multiply(gaps, z2_max, out=g[0, :m])
-    # below z2_max = 8e-17 the series has one term and never reads g, and
-    # 1/z2_max may overflow
-    if z2_max >= 8e-17:
-        np.multiply(g[0, :m], -1.0 / z2_max, out=g[1, :m])
-        g[0, :m] *= 1.0 / z2_max
-    # summed over the trailing slot too: contiguous rows sum faster
-    rows = _ratio_array(g, z2_max, np.empty(g.shape))
-    rows[:, m] = 0.0
+    powers = _scratch(n)[0]
+    rows = kernel_rows(z2_max, powers, np.empty((2, powers.base.size)))
+    rows[:, -1] = 0.0
     rows.flags.writeable = False
     return rows
 

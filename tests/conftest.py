@@ -13,16 +13,16 @@ from stefanlab.runner import simulate
 def refuse_j1_above(monkeypatch, cap):
     """Make the checkpoint J1 kernel raise NumericalError once its largest
     squared argument passes `cap`, as an unsummable kernel would."""
-    real = transforms._ratio_array
+    real = transforms.kernel_rows
 
-    def refusing(g, z2_max, out):
+    def refusing(z2_max, powers, out):
         if z2_max > cap:
             raise NumericalError(
                 f"checkpoint kernel argument {z2_max:.6g} exceeds the series cap {cap:g}"
             )
-        return real(g, z2_max, out)
+        return real(z2_max, powers, out)
 
-    monkeypatch.setattr(transforms, "_ratio_array", refusing)
+    monkeypatch.setattr(transforms, "kernel_rows", refusing)
     # the memo may hold rows summed before the patch
     transforms._ratio_rows.cache_clear()
 

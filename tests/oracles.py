@@ -4,13 +4,13 @@ Nothing in ``stefanlab`` calls these.  They are
 
 * the one-row plant and observer steps and the feedback laws on a state,
   built from the engine's own ``advance_field``, ``convection_rate``,
-  ``advance_interface``, ``injection_source`` and ``feedback_law``, so that
+  ``advance_interface``, ``gain_sources`` and ``feedback_law``, so that
   a per-step loop of them reproduces ``runner.simulate`` bit for bit;
 * the scalar observer gain and transform kernels P and Q;
 * the ratio forms I1(sqrt(z2))/sqrt(z2) and J1(sqrt(z2))/sqrt(z2): summed in
   exact rational arithmetic (one final rounding, so accurate to the last bit
   even through the heavy cancellation of the J1 series at large argument),
-  element-wise over an array by the engine's float series, and in 50-digit
+  element-wise over an array in long double arithmetic, and in 50-digit
   mpmath arithmetic.
 """
 
@@ -21,10 +21,10 @@ import numpy as np
 from stefanlab._scheme import advance_field, one_sided_edge_flux
 from stefanlab.control import _trapz_integral, feedback_law
 from stefanlab.errors import NumericalError
-from stefanlab.observer import ObserverState, injection_source
+from stefanlab.observer import ObserverState, gain_sources, gain_term_count
 from stefanlab.params import PhysicalParams, ScenarioConfig
 from stefanlab.plant import PlantState, advance_interface, convection_rate
-from stefanlab.specfun import _FLOAT_SERIES_CAP, _TERM_TOL, _j1_ratio_scipy, _ratio_array
+from stefanlab.specfun import _FLOAT_SERIES_CAP, _j1_ratio_scipy
 
 # The scalar evaluators refuse arguments beyond this; past it the exact J1
 # sum stops too early (at z2 = 1e5 it returns 9.0e60 for 1.4e-4).
@@ -91,9 +91,37 @@ def oracle_ratio(z2, sign, dps=50, min_terms=50):
         return float(total)
 
 
+def _series_longdouble(z2: np.ndarray, sign: int) -> np.ndarray:
+    """0.5 * sum_m (sign*z2/4)^m / (m! (m+1)!) at every entry of z2, all in
+    np.longdouble (eps 1.1e-19 on x86-64): Horner in z2/max(z2), the
+    terms at max(z2) from their recurrence until one is below 1e-21 of
+    their sum."""
+    z2 = z2.astype(np.longdouble)
+    z2_max = np.fmax.reduce(z2, axis=None)
+    terms = [np.longdouble(0.5)]
+    total = terms[0]
+    m = 0
+    while terms[-1] >= 1e-21 * total:
+        m += 1
+        terms.append(terms[-1] * z2_max / (4 * m * (m + 1)))
+        total += terms[-1]
+        if m > 2000:
+            raise RuntimeError("ratio series failed to converge")
+    # in long double 1/max(z2) is finite for every positive double
+    g = z2 * (sign / z2_max) if z2_max > 0.0 else z2
+    out = np.full(z2.shape, terms[-1])
+    for a in reversed(terms[:-1]):
+        out *= g
+        out += a
+    return out
+
+
 def _grid_ratio(z2, sign: int) -> np.ndarray:
-    """I1 (sign +1) or J1 (sign -1) ratio at every entry of z2."""
-    z2 = np.asarray(z2, dtype=float)
+    """I1 (sign +1) or J1 (sign -1) ratio at every entry of z2, a float or
+    np.longdouble array, rounded once to float64 from the long double sum."""
+    z2 = np.asarray(z2)
+    if z2.dtype != np.longdouble:
+        z2 = z2.astype(float)
     out = np.empty(z2.shape)
     if not z2.size:
         return out
@@ -101,24 +129,21 @@ def _grid_ratio(z2, sign: int) -> np.ndarray:
     # pass the range check and come out as NaN
     if np.fmin.reduce(z2, axis=None) < 0.0:
         raise ValueError("squared argument must be nonnegative")
-    z2_max = float(np.fmax.reduce(z2, axis=None))
-    if sign < 0 and z2_max > _FLOAT_SERIES_CAP:
-        return _j1_ratio_scipy(z2, out)
-    # below z2_max = 8e-17 the series has one term and never reads g, and
-    # sign/z2_max may overflow
-    g = z2 * (sign / z2_max) if z2_max >= 8 * _TERM_TOL else z2
-    _ratio_array(g.reshape(-1), z2_max, out.reshape(-1))
+    if sign < 0 and np.fmax.reduce(z2, axis=None) > _FLOAT_SERIES_CAP:
+        return _j1_ratio_scipy(z2.astype(float), out)
+    out[...] = _series_longdouble(z2, sign)
     return out
 
 
 def i1_ratio_array(z2) -> np.ndarray:
-    """Element-wise I1(sqrt(z2))/sqrt(z2) by the engine's float series."""
+    """Element-wise I1(sqrt(z2))/sqrt(z2) by the long double series."""
     return _grid_ratio(z2, +1)
 
 
 def j1_ratio_array(z2) -> np.ndarray:
-    """Element-wise J1(sqrt(z2))/sqrt(z2) by the engine's float series, or
-    scipy's j1(z)/z once the largest entry is past the float series cap."""
+    """Element-wise J1(sqrt(z2))/sqrt(z2) by the long double series, or, as
+    the engine, scipy's j1(z)/z once the largest entry is past the float
+    series cap."""
     return _grid_ratio(z2, -1)
 
 
@@ -209,6 +234,29 @@ def step_plant(
         st.s, one_sided_edge_flux(theta_new, dxi), t_new, dt, p.beta, domain_cap
     )
     return PlantState(t=t_new, s=s_new, theta=theta_new, s_prev=st.s)
+
+
+def injection_source(
+    y: float,
+    v: float,
+    edge_flux: float,
+    lam: float,
+    alpha: float,
+    beta: float,
+    n: int,
+    dt: float,
+) -> np.ndarray | None:
+    """dt times the output-injection source of one observer step on the
+    measured extent y and rate v, from the incoming estimate's edge flux
+    d(theta_hat)/d(xi) at xi = 1: -dt * P1(xi*y, y) * (v/beta + u_hat_x(y))
+    on the n-interval grid, or None for a zero gain."""
+    if lam == 0.0:
+        return None
+    out = np.empty((1, n + 1))
+    z2 = (lam / alpha) * y * y
+    scale = lam * y * (v / beta + edge_flux / y) * dt
+    gain_sources([z2], [scale], [gain_term_count(z2)], n, out)
+    return out[0]
 
 
 def step_observer(

@@ -5,14 +5,14 @@ import configparser
 import os
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from stefanlab import cli, observer
+from stefanlab import cli, observer, runner
 from stefanlab.cli import (
     _CSV_CHUNK_ROWS,
     bundled_config,
@@ -25,7 +25,13 @@ from stefanlab.cli import (
 )
 from stefanlab.control import qc_ode_residual
 from stefanlab.errors import ConfigurationError
-from stefanlab.params import PhysicalParams, ScenarioConfig, lambda_upper_bound, validate_scenario
+from stefanlab.params import (
+    PhysicalParams,
+    ScenarioConfig,
+    lambda_upper_bound,
+    setpoint_lower_bound,
+    validate_scenario,
+)
 
 from conftest import refuse_j1_above
 
@@ -143,24 +149,78 @@ def test_run_blow_up_exits_3_with_partial_trace(tmp_path):
     assert "completed = False" in (out / "summary.txt").read_text()
 
 
-def test_run_diverging_admitted_gain_exits_3_with_inf_norms(tmp_path, capsys):
-    """Zinc at 0.9 x the gain bound collapses at t = 87 s.  The H1 norms of
-    its last rows overflow: they are logged as inf, with no warning (each is
-    an error in this suite), and the summary fits no decay rate to them."""
-    p, cfg = parse_config(bundled_config("zinc"))
-    lam = 0.9 * lambda_upper_bound(cfg, p.alpha)
-    edits = {("scenario", "lambda"): repr(lam), ("numerics", "t_end"): "300"}
-    bad = _tweaked_config(tmp_path, edits, base="zinc")
-    out = tmp_path / "o"
-    assert main(["run", str(bad), "--out-dir", str(out)]) == 3
-    assert "run aborted: interface collapsed" in capsys.readouterr().err
-    cols = read_csv(out / "trace.csv")
+@pytest.mark.parametrize("overflowed", [("h1_u",), ("h1_u", "h1_err")], ids=["h1_u", "both"])
+def test_overflowed_norms_are_logged_as_inf(tmp_path, capsys, overflowed):
+    """A diverging run's H1 norms overflow to inf (``h1_norm_sq``): trace.csv
+    logs them as inf with no warning, and the summary fits a decay rate only
+    to a finite h1_err.  A synthetic trace, so the check does not rest on
+    which admitted gain happens to overflow before it collapses."""
+    p, cfg = parse_config(bundled_config("zinc_smoke"))
+    names = [f.name for f in fields(runner.Trace) if f.type is np.ndarray]
+    cols = {name: np.linspace(1.0, 2.0, 30) for name in names}
+    cols["t"] = cfg.dt * np.arange(30)
+    cols["h1_err"] = np.exp(-0.5 * cols["t"])
+    for name in overflowed:
+        cols[name][-5:] = np.inf
+    trace = runner.Trace(**cols, dt=cfg.dt, grid_n=cfg.grid_n, sr=cfg.sr, mode=cfg.mode)
+    failure = "interface collapsed: s = -1 at t = 2.9"
+    result = runner.SimulationResult(trace, {}, completed=False, failure=failure)
+    run = cli._Run(cfg, p, validate_scenario(cfg, p), tmp_path)
+    assert cli._write_outputs(run, result) == 3
+    assert f"run aborted: {failure}" in capsys.readouterr().err
+    written = read_csv(tmp_path / "trace.csv")
     for name in ("h1_u", "h1_err"):
-        assert np.isposinf(cols[name]).any(), name
-        assert not np.isnan(cols[name]).any(), name
-    summary = (out / "summary.txt").read_text()
+        assert np.isposinf(written[name]).sum() == (5 if name in overflowed else 0), name
+        assert not np.isnan(written[name]).any(), name
+    summary = (tmp_path / "summary.txt").read_text()
     assert "completed = False" in summary
-    assert "decay rate" not in summary
+    assert ("decay rate = 0.5\n" in summary) == ("h1_err" not in overflowed)
+
+
+def _steep_zinc(tmp_path, H, Hhat, setpoint_factor):
+    """Zinc over 2 s with initial slopes H and Hhat, the gain at 0.9 x its
+    bound and the setpoint at setpoint_factor x its bound; admitted."""
+    p, cfg = parse_config(bundled_config("zinc"))
+    steep = replace(cfg, H=H, Hhat=Hhat)
+    lam = 0.9 * lambda_upper_bound(steep, p.alpha)
+    sr = setpoint_factor * setpoint_lower_bound(steep, p.alpha, p.beta)
+    assert validate_scenario(replace(steep, lam=lam, sr=sr), p).passed
+    edits = {
+        ("scenario", "H"): repr(H),
+        ("scenario", "Hhat"): repr(Hhat),
+        ("scenario", "lambda"): repr(lam),
+        ("scenario", "sr"): repr(sr),
+        ("numerics", "t_end"): "2",
+    }
+    return _tweaked_config(tmp_path, edits, base="zinc")
+
+
+def test_run_with_setpoint_past_float_square_exits_without_traceback(tmp_path, capsys):
+    """sr = 1.8e154 m: sr^2 overflows, and ``lyapunov_constants`` forms it as
+    a float product (inf), where ``**`` raised OverflowError."""
+    out = tmp_path / "o"
+    config = _steep_zinc(tmp_path, 1e155, 1.01e155, 1000.0)
+    assert main(["run", str(config), "--out-dir", str(out)]) == 3
+    assert "run aborted: interface collapsed" in capsys.readouterr().err
+    assert "a = inf  b = 0  d = inf" in (out / "summary.txt").read_text()
+
+
+def test_run_with_overflowed_lyapunov_total_logs_inf_v(tmp_path, capsys):
+    """H = 1e156: Vtot overflows while exp(-a*s) is 0, so V is inf, not the
+    NaN of inf * 0 and its warning.  The slope's square overflows too, so
+    h1_u is inf from row 0 on."""
+    out = tmp_path / "o"
+    config = _steep_zinc(tmp_path, 1e156, 2e156, 2.0)
+    assert main(["run", str(config), "--out-dir", str(out)]) == 3
+    assert "run aborted: interface collapsed" in capsys.readouterr().err
+    trace, checkpoints = read_csv(out / "trace.csv"), read_csv(out / "transforms.csv")
+    assert np.isposinf(trace["h1_u"][0])
+    logged = np.isin(trace["t"], checkpoints["t"])
+    assert logged.sum() == checkpoints["t"].size >= 1
+    for name in ("V", "Vtot"):
+        assert not np.isnan(checkpoints[name]).any(), name
+        assert np.array_equal(trace[name][logged], checkpoints[name]), name
+    assert np.isposinf(checkpoints["V"]).all()
 
 
 def test_run_diverging_observer_exits_3_with_inf_error_norms(tmp_path, capsys):

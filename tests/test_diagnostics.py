@@ -68,6 +68,31 @@ def test_lyapunov_constants_frozen():
     assert d == pytest.approx(D_CONST, rel=1e-12)
 
 
+def test_lyapunov_constants_past_the_float_range_are_inf():
+    """sr^2 overflows at sr = 1e200: a and d are inf and b is 0, not an
+    OverflowError; a sample whose Vtot is then inf has V = inf, not the NaN
+    of inf * exp(-inf)."""
+    cfg = cfg_for(sr=1e200)
+    pc, a, b, d = lyapunov_constants(cfg, P)
+    assert (a, b, d) == (np.inf, 0.0, np.inf)
+    assert 0.0 < pc < 1e-190
+    xi = np.linspace(0.0, 1.0, 65)
+    sample = lyapunov_sample(np.sin(xi), np.cos(xi), 0.3, 1.0, cfg, P)
+    assert sample.Vtot == sample.V == np.inf
+
+
+def test_stacked_h1_norms_equal_one_field_calls():
+    """lyapunov_sample takes both of its norms in one stacked call: each
+    row's bits are those of its own call."""
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(64, 301))
+        pair = rng.normal(size=(2, n + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2, 1))
+        s = float(rng.uniform(0.01, 1.0))
+        one_by_one = np.array([h1_norm_sq(row, s) for row in pair])
+        assert h1_norm_sq(pair, s).tobytes() == one_by_one.tobytes()
+
+
 def test_lyapunov_constants_branch_selection():
     # raise c so that b = alpha/(8 sr^2) stops being the binding branch
     pc, a, b, d = lyapunov_constants(cfg_for(c=1.0, lam=5.0), P)

@@ -54,6 +54,7 @@ ORACLE_NAMES = (
     "j1_ratio_array",
     "_grid_ratio",
     "oracle_ratio",
+    "injection_source",
 )
 
 

@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -183,18 +184,27 @@ def _reference_bessel_pair(f, s, lam, alpha):
 @pytest.mark.parametrize("gain", [0.05, 0.5, 0.9])
 def test_error_pair_matches_kernel_matrices(zinc, n, s, gain):
     """0.9 x the bound at s = 0.3 takes the J1 grid past the float series
-    cap, where it is scipy's j1(z)/z."""
+    cap, where it is scipy's j1(z)/z.  Below the cap the float64 J1 sum loses
+    up to eps * I1r(z2_max) per kernel entry to cancellation, and the
+    inverse's integral of xi*f at most (lam/alpha) s^2 max|f| / 2 times that."""
     from stefanlab.params import lambda_upper_bound
 
     p, cfg = zinc
     lam = gain * lambda_upper_bound(cfg, p.alpha)
+    z2_max = (lam / p.alpha) * s * s
+    cancellation = 0.0
+    if z2_max <= 400.0:
+        i1_max = i1_ratio_array(np.array([z2_max]))[0]
+        cancellation = 0.5 * np.finfo(float).eps * i1_max * z2_max
     rng = np.random.default_rng(1000 * n + int(1000 * s) + int(100 * gain))
     for f in (rng.normal(size=n + 1), _smooth_field(n)):
         ref_direct, ref_inverse = _reference_bessel_pair(f, s, lam, p.alpha)
         direct = apply_direct(f, s, lam, p.alpha)
         inverse = apply_inverse(f, s, lam, p.alpha)
         assert np.max(np.abs(direct - ref_direct)) <= 1e-13 * np.max(np.abs(ref_direct))
-        assert np.max(np.abs(inverse - ref_inverse)) <= 1e-13 * np.max(np.abs(ref_inverse))
+        assert np.max(np.abs(inverse - ref_inverse)) <= (
+            1e-13 * np.max(np.abs(ref_inverse)) + cancellation * np.max(np.abs(f))
+        )
 
 
 @pytest.mark.parametrize("n", [16, 64, 200])
@@ -266,19 +276,62 @@ def test_psi_kernel_properties():
 
 
 @given(st.floats(min_value=0.0, max_value=400.0, exclude_min=True))
-@example(5e-324)  # 1/z2_max is inf, and z2_max * gap underflows to 0
+@example(5e-324)  # z2_max * gap underflows to 0 in float64
 @settings(max_examples=60, deadline=None)
 def test_ratio_rows_equal_the_oracle_arrays(z2_max):
-    """Up to the float series cap the engine's kernel rows are the
-    element-wise oracle arrays at z2 = z2_max * gap, bit for bit."""
+    """Up to the float series cap the engine's kernel rows are the long
+    double oracle arrays at z2 = z2_max * gap within float64's limits: I1,
+    a sum of positive terms, within 8 eps relative, and J1 within
+    eps * I1r(z2_max), what the alternating sum loses to cancellation."""
     from stefanlab.transforms import _geometry, _ratio_rows
 
     n = 200
+    eps = np.finfo(float).eps
     gaps = _geometry(n)[1]
-    z2 = gaps * z2_max
+    i1 = i1_ratio_array(gaps.astype(np.longdouble) * z2_max)
+    j1 = j1_ratio_array(gaps.astype(np.longdouble) * z2_max)
     rows = _ratio_rows(n, z2_max)[:, : gaps.size]
-    assert rows[0].tobytes() == i1_ratio_array(z2).tobytes()
-    assert rows[1].tobytes() == j1_ratio_array(z2).tobytes()
+    assert np.max(np.abs(rows[0] / i1 - 1.0)) <= 8 * eps
+    # the largest gap is 1, so i1[-1] is I1r(z2_max)
+    assert np.max(np.abs(rows[1] - j1)) <= eps * i1[-1]
+
+
+@pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+def test_power_table_rows_do_not_depend_on_fill_order(descending):
+    """Row m is row m-1 times the base however the table was filled or
+    regrown; rows come back read-only, highest power first if descending."""
+    from stefanlab.specfun import PowerTable
+
+    base = np.random.default_rng(0).uniform(0.0, 1.0, 50)
+    expected = np.cumprod(np.vstack([np.ones(50)] + [base] * 11), axis=0)
+    whole = PowerTable(base, 12, descending)(12)
+    assert whole.tobytes() == (expected[::-1] if descending else expected).tobytes()
+    grown = PowerTable(base, 3, descending)
+    for rows, held in ((1, 3), (3, 3), (2, 3), (7, 7), (12, 12)):
+        got = grown(rows)
+        want = expected[rows - 1 :: -1] if descending else expected[:rows]
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        assert grown.table.shape[0] == held
+
+
+def test_gap_power_table_holds_one_block_at_the_largest_admitted_extent(zinc):
+    """A checkpoint at 0.9 x the zinc gain bound and s = 0.7 m, where
+    (lam/alpha)*s^2 = 1.59e4 takes 116 terms, leaves _BLOCK + 1 rows in the
+    grid's power table, 2.3 MB at N = 200."""
+    from stefanlab import runner, specfun
+    from stefanlab.params import lambda_upper_bound
+    from stefanlab.transforms import _scratch
+
+    p, cfg = zinc
+    lam = 0.9 * lambda_upper_bound(cfg, p.alpha)
+    cfg = replace(cfg, lam=lam)
+    assert len(specfun.i1_ratio_terms((lam / p.alpha) * 0.49, 400)) == 116
+    xi = np.linspace(0.0, 1.0, cfg.grid_n + 1)
+    theta = 3.0 * (1.0 - xi) ** 2
+    ck = runner._checkpoint_row(theta, theta + 0.1 * np.sin(np.pi * xi), 0.7, 1.0, cfg, p)
+    assert np.all(np.isfinite(ck))
+    assert _scratch(cfg.grid_n)[0].table.shape[0] == specfun._BLOCK + 1
 
 
 @pytest.mark.parametrize("s", [0.1, 0.3, 0.6, 0.7])
