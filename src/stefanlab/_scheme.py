@@ -14,17 +14,16 @@ trajectory bit for bit.
 In the closed loop the observer runs on the measured extent Y = s and rate
 Y' = s', so plant and observer share the matrix and the rate at every step,
 and scenarios that share the grid and the time step advance together as B
-blocks of m fields.  A ``Workspace`` holds a batch's work arrays, built once
-per batch: the two field buffers, the diagonals, the convection buffers, the
-coefficient row xi*dt/(2*dxi) and the source rows.  Per block and step only
-``block_row``'s Python floats change; a step folds them into one convection
-coefficient row per block, and one ``dgtsv`` call with m right-hand sides
-solves every block of the block-diagonal system whose blocks are joined by
-zero couplings.  LAPACK eliminates each column with the same operations as
-a one-column solve, and a zero coupling adds only zero terms, which can flip
-nothing but the sign of an exact zero; the Dirichlet row, where exact zeros
-arise, is reset to +0.0.  ``advance_field`` is the same step through a new
-workspace.
+blocks of m fields.  A ``Workspace`` holds a batch's work arrays, built when
+the batch starts and again only when a member leaves: the two field buffers,
+the diagonals, the convection buffers, the coefficient row xi*dt/(2*dxi) and
+the source rows.  Per block and step only ``block_row``'s Python floats
+change; a step folds them into one convection coefficient row per block, and
+one ``dgtsv`` call with m right-hand sides solves every block of the
+block-diagonal system whose blocks are joined by zero couplings.  LAPACK
+eliminates each column with the same operations as a one-column solve, and a
+zero coupling adds only zero terms, which can flip nothing but the sign of an
+exact zero; the Dirichlet row, where exact zeros arise, is reset to +0.0.
 """
 
 import importlib.machinery
@@ -203,20 +202,3 @@ class Workspace:
             self.fields[:, k] = alone.fields[:, 0]
         self.sample()
         return failed
-
-
-def advance_field(rows, extent, rates, qc, dt, alpha, k, source=None) -> tuple[np.ndarray, dict]:
-    """``Workspace.step`` of rows (m, B, N+1), rows[..., -1] == 0, in a new
-    workspace: block b has extent (s or Y), rate, heat flux qc[b] (u_xi(0) =
-    -(qc/k)*extent) and material alpha[b], k[b]; the optional (G, N+1)
-    source times dt is that of the last field of the first G blocks."""
-    dxi = 1.0 / (rows.shape[-1] - 1)
-    ws = Workspace(rows, dt)
-    table = []
-    for b in range(len(extent)):
-        cap = stable_rate_cap(alpha[b], dt)
-        table.append(block_row(extent[b], rates[b], qc[b], alpha[b] * dt, cap, k[b], dxi))
-    if source is not None:
-        ws.source[: len(source)] = source
-    failed = ws.step(np.array(table), 0 if source is None else len(source))
-    return ws.fields, failed

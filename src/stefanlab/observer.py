@@ -80,14 +80,3 @@ def gain_sources(z2: list, scales: list, counts: list, n: int, out: np.ndarray) 
     powers = _weight_powers(n)(table.shape[1])
     for g, count in enumerate(counts):
         np.dot(table[g, :count], powers[:count], out=out[g])
-
-
-def gain_profile(y: float, lam: float, alpha: float, n: int) -> np.ndarray:
-    """P1 sampled along the n-interval grid x = xi*y: with z = (lam/alpha)*y^2
-    and w = 1 - xi^2, -lam*y * sum_m a_m(z) * w^m."""
-    if lam == 0.0:
-        return np.zeros(n + 1)
-    out = np.empty((1, n + 1))
-    z2 = (lam / alpha) * y * y
-    gain_sources([z2], [-lam * y], [gain_term_count(z2)], n, out)
-    return out[0]

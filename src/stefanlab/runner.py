@@ -13,16 +13,19 @@ feedback laws then produce identical traces.
 
 Scenarios that share the grid and the time step advance in lockstep as one
 (2, B, N+1) stack, row 0 of each member its theta and row 1 its theta_hat;
-``simulate`` is the batch of one.  Once per batch, and again when a member
-leaves: the ``_scheme.Workspace`` and each member's constants.  Once per
-step for the whole batch: the step table, the gain series' term table (one
-cumulative product), the right-hand side, one two-column solve, the
-trapezoid sums and edge samples and the non-finite check.  Per member: in
-Python floats the feedback law, the edge stencils, the rate and its clamp,
-the gain series' argument, term count and scale, and the Stefan update; in
-numpy its own truncation and matvec of the term table, so that its bits do
-not depend on its batch-mates.  The logged diagnostics depend on no later
-step, so they are computed for blocks of buffered rows at a time.
+``simulate`` is the batch of one.  Once per batch: each member's constants.
+Once per batch, and again only when a member leaves: the
+``_scheme.Workspace``.  Once per step for the whole batch: the step table,
+the gain series' term table (one cumulative product), the right-hand side,
+one two-column solve, the trapezoid sums and edge samples and the
+non-finite check.  Per member: in Python floats the previous step's Stefan
+update, the feedback law, the edge stencils, the rate and its clamp and the
+gain series' argument, term count and scale; in numpy its own truncation
+and matvec of the term table, so that its bits do not depend on its
+batch-mates.  Members leave at one point of a step, after the per-member
+pass, with their final fields read from their newest buffered row.  The logged
+diagnostics depend on no later step, so they are computed for blocks of
+buffered rows at a time.
 """
 
 from dataclasses import dataclass, fields
@@ -122,21 +125,22 @@ def _checkpoint_row(theta, theta_hat, y, t, cfg, p, constants=None) -> tuple:
 def _log_block(cols: dict, start: int, block: np.ndarray, cfg: ScenarioConfig, p: PhysicalParams):
     """Fill the per-step diagnostic columns of rows start, start+1, ... from
     their buffered (theta, theta_hat) pairs; cols["s"] already holds the
-    extents."""
+    extents.  A value that overflows is logged as inf, as in h1_norm_sq."""
     rows = slice(start, start + block.shape[0])
     s = cols["s"][rows]
     theta, theta_hat = block[:, 0], block[:, 1]
-    u_err = theta - theta_hat
-    flux = one_sided_edge_flux(block, 1.0 / cfg.grid_n)
-    cols["T0"][rows] = p.tm + theta[:, 0]
-    cols["That0"][rows] = p.tm + theta_hat[:, 0]
-    cols["Ttilde0"][rows] = theta[:, 0] - theta_hat[:, 0]
-    cols["h1_u"][rows] = diagnostics.h1_norm_sq(theta, s)
-    cols["h1_err"][rows] = diagnostics.h1_norm_sq(u_err, s)
-    cols["energy"][rows] = control.field_energy(theta, s, p)
-    cols["utilde_x_s"][rows] = flux[:, 0] / s - flux[:, 1] / s
-    cols["theta_min"][rows] = theta.min(axis=-1)
-    cols["utilde_max"][rows] = u_err.max(axis=-1)
+    with np.errstate(over="ignore"):
+        u_err = theta - theta_hat
+        flux = one_sided_edge_flux(block, 1.0 / cfg.grid_n)
+        cols["T0"][rows] = p.tm + theta[:, 0]
+        cols["That0"][rows] = p.tm + theta_hat[:, 0]
+        cols["Ttilde0"][rows] = theta[:, 0] - theta_hat[:, 0]
+        cols["h1_u"][rows] = diagnostics.h1_norm_sq(theta, s)
+        cols["h1_err"][rows] = diagnostics.h1_norm_sq(u_err, s)
+        cols["energy"][rows] = control.field_energy(theta, s, p)
+        cols["utilde_x_s"][rows] = flux[:, 0] / s - flux[:, 1] / s
+        cols["theta_min"][rows] = theta.min(axis=-1)
+        cols["utilde_max"][rows] = u_err.max(axis=-1)
 
 
 @dataclass(slots=True)
@@ -164,10 +168,11 @@ class _Member:
     t_state: float = 0.0
     checkpoints_logged: int = 0
 
-    def result(self, rows: int, block: np.ndarray, pair: np.ndarray, failure) -> SimulationResult:
+    def result(self, rows: int, block: np.ndarray, failure) -> SimulationResult:
         """The run's result after `rows` logged rows; block holds the
-        member's buffered rows, pair its final (theta, theta_hat)."""
+        member's buffered rows, the newest its final (theta, theta_hat)."""
         cfg, p, cols = self.cfg, self.p, self.cols
+        theta, theta_hat = block[(rows - 1) % _BLOCK_ROWS]
         tail = rows % _BLOCK_ROWS
         if tail:
             _log_block(cols, rows - tail, block[:tail], cfg, p)
@@ -185,8 +190,8 @@ class _Member:
             checkpoints=dict(zip(_CHECKPOINT_COLUMNS, logged)) if logged.size else {},
             completed=failure is None,
             failure=failure,
-            final_plant=PlantState(t=self.t_state, s=self.s, theta=pair[0].copy(), s_prev=self.s_prev),
-            final_observer=ObserverState(t=self.t_state, theta_hat=pair[1].copy()),
+            final_plant=PlantState(t=self.t_state, s=self.s, theta=theta.copy(), s_prev=self.s_prev),
+            final_observer=ObserverState(t=self.t_state, theta_hat=theta_hat.copy()),
         )
 
 
@@ -222,8 +227,13 @@ def simulate_batch(scenarios):
 
     Yields (index into scenarios, SimulationResult) as each member leaves
     the batch: when it completes, or when it fails (completed=False with the
-    failure message and the truncated trace, as from ``simulate``).  Each
-    member's result is bit-identical to its own ``simulate`` run.  Raises
+    failure message and the truncated trace, as from ``simulate``).  Every
+    member leaves from one place in step i: after the Stefan update of step
+    i - 1, with i rows, if that step's solve or interface update failed;
+    after logging row i if row i is its last or its checkpoint or gain
+    series fails.  Members that leave in the same step are yielded in batch
+    order, the members with an injection gain first.  Each member's result
+    is bit-identical to its own ``simulate`` run.  Raises
     ConfigurationError, before the first step, if a member's trace cannot
     be allocated.
     """
@@ -285,6 +295,7 @@ def simulate_batch(scenarios):
     ws.sample()
     # the buffered stacks of the current block of rows
     block = np.empty((_BLOCK_ROWS, 2, len(members), n + 1))
+    failed = {}
     i = 0
     while True:
         t = i * dt
@@ -293,12 +304,28 @@ def simulate_batch(scenarios):
         block[i % _BLOCK_ROWS] = stack
         log_block = rows % _BLOCK_ROWS == 0
 
-        # per member in Python floats: the feedback law on the trapezoid
-        # integral of control._trapz_integral, the checkpoint, the rate, the
-        # step table row and the gain series' argument, term count and scale
+        # per member in Python floats: the Stefan update of step i - 1, the
+        # feedback law on the trapezoid integral of control._trapz_integral,
+        # the checkpoint, the rate, the step table row and the gain series'
+        # argument, term count and scale; `leaving` maps a departing member
+        # to its logged rows and its failure
         leaving, stepping, table, z2s, counts, scales = {}, [], [], [], [], []
         for j, m in enumerate(members):
             cfg, cols, fb = m.cfg, m.cols, m.feedback_row * blocks + j
+            _, t3, t2, t1 = corners[j]
+            edge = edge_stencil(t3, t2, t1, dxi)  # the plant's, on the field step i - 1 solved
+            failure = failed.get(j)
+            if i and failure is None:
+                try:
+                    s_next = advance_interface(m.s, edge, m.t_state + dt, dt, m.beta, m.domain_cap)
+                except BlowUpError as exc:
+                    failure = str(exc)
+                else:
+                    m.s_prev, m.s = m.s, s_next
+                    m.t_state += dt
+            if failure is not None:
+                leaving[j] = i, failure
+                continue
             y = m.s  # measurement; the observer extent is rescaled to it
             integral = y * dxi * (0.5 * (corners[fb][0] + corners[fb][3]) + sums[fb])
             qc = control.feedback_law(integral, y, cfg, m.p)
@@ -314,10 +341,9 @@ def simulate_batch(scenarios):
                     m.checkpoints_logged += 1
                     cols["Vtot"][i], cols["V"][i] = ck[4:6]
                 if i == m.last_row:
-                    leaving[j] = None
+                    leaving[j] = rows, None
                     continue
-                _, t3, t2, t1 = corners[j]
-                rate = convection_rate(y, m.s_prev, edge_stencil(t3, t2, t1, dxi), dt, m.beta)
+                rate = convection_rate(y, m.s_prev, edge, dt, m.beta)
                 if m.lam:
                     z2 = m.lam_alpha * y * y
                     counts.append(gain_term_count(z2))
@@ -326,47 +352,24 @@ def simulate_batch(scenarios):
                     innovation = rate / m.beta + edge_stencil(t3, t2, t1, dxi) / y
                     scales.append(m.lam * y * innovation * dt)
             except (BlowUpError, NumericalError) as exc:
-                leaving[j] = str(exc)
+                leaving[j] = rows, str(exc)
                 continue
             stepping.append(j)
             table += block_row(y, rate, qc, m.alpha_dt, m.rate_cap, m.k, dxi)
 
-        for j, failure in leaving.items():
-            yield members[j].index, members[j].result(rows, block[:, :, j], stack[:, j], failure)
+        for j, (logged, failure) in leaving.items():
+            yield members[j].index, members[j].result(logged, block[:, :, j], failure)
         if not stepping:
             return
         if leaving:
             # compaction keeps the order, so the gain members stay first
             members = [members[j] for j in stepping]
-            stack, block = stack[:, stepping], block[:, :, stepping]
-            ws = Workspace(stack, dt)
+            ws, block = Workspace(stack[:, stepping], dt), block[:, :, stepping]
         # a diverging field fails the step, with no floating-point warning
         with np.errstate(over="ignore", invalid="ignore"):
             if z2s:
                 gain_sources(z2s, scales, counts, n, ws.source)
             failed = ws.step(np.array(table).reshape(-1, 7), len(z2s))
-        for j, m in enumerate(members):
-            if j not in failed:
-                _, t3, t2, t1 = ws.corners[j]
-                try:
-                    s_next = advance_interface(
-                        m.s, edge_stencil(t3, t2, t1, dxi), m.t_state + dt, dt, m.beta, m.domain_cap
-                    )
-                except BlowUpError as exc:
-                    failed[j] = str(exc)
-                    continue
-                m.s_prev, m.s = m.s, s_next
-                m.t_state += dt
-        for j, failure in failed.items():
-            # the member's last state is the one before this step
-            yield members[j].index, members[j].result(rows, block[:, :, j], stack[:, j], failure)
-        if failed:
-            keep = [j for j in range(len(members)) if j not in failed]
-            if not keep:
-                return
-            members = [members[j] for j in keep]
-            ws, block = Workspace(ws.fields[:, keep], dt), block[:, :, keep]
-            ws.sample()
         i += 1
 
 

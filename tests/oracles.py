@@ -2,11 +2,14 @@
 
 Nothing in ``stefanlab`` calls these.  They are
 
-* the one-row plant and observer steps and the feedback laws on a state,
-  built from the engine's own ``advance_field``, ``convection_rate``,
-  ``advance_interface``, ``gain_sources`` and ``feedback_law``, so that
-  a per-step loop of them reproduces ``runner.simulate`` bit for bit;
-* the scalar observer gain and transform kernels P and Q;
+* ``advance_field``, one ``Workspace.step`` of a stack of blocks in a new
+  workspace, and on it the one-row plant and observer steps and the
+  feedback laws on a state, built from the engine's own
+  ``convection_rate``, ``advance_interface``, ``gain_sources`` and
+  ``feedback_law``, so that a per-step loop of them reproduces
+  ``runner.simulate`` bit for bit;
+* the observer gain profile on the grid by the engine's ``gain_sources``,
+  and the scalar observer gain and transform kernels P and Q;
 * the ratio forms I1(sqrt(z2))/sqrt(z2) and J1(sqrt(z2))/sqrt(z2): summed in
   exact rational arithmetic (one final rounding, so accurate to the last bit
   even through the heavy cancellation of the J1 series at large argument),
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from stefanlab._scheme import advance_field, one_sided_edge_flux
+from stefanlab._scheme import Workspace, block_row, one_sided_edge_flux, stable_rate_cap
 from stefanlab.control import _trapz_integral, feedback_law
 from stefanlab.errors import NumericalError
 from stefanlab.observer import ObserverState, gain_sources, gain_term_count
@@ -175,6 +178,35 @@ def observer_gain(x: float, s: float, lam: float, alpha: float) -> float:
         return 0.0
     z2 = (lam / alpha) * (s * s - x * x)
     return -lam * s * bessel_i1_ratio(max(z2, 0.0))
+
+
+def gain_profile(y: float, lam: float, alpha: float, n: int) -> np.ndarray:
+    """P1 sampled along the n-interval grid x = xi*y: with z = (lam/alpha)*y^2
+    and w = 1 - xi^2, -lam*y * sum_m a_m(z) * w^m, by the engine's
+    ``gain_sources``."""
+    if lam == 0.0:
+        return np.zeros(n + 1)
+    out = np.empty((1, n + 1))
+    z2 = (lam / alpha) * y * y
+    gain_sources([z2], [-lam * y], [gain_term_count(z2)], n, out)
+    return out[0]
+
+
+def advance_field(rows, extent, rates, qc, dt, alpha, k, source=None) -> tuple[np.ndarray, dict]:
+    """``Workspace.step`` of rows (m, B, N+1), rows[..., -1] == 0, in a new
+    workspace: block b has extent (s or Y), rate, heat flux qc[b] (u_xi(0) =
+    -(qc/k)*extent) and material alpha[b], k[b]; the optional (G, N+1)
+    source times dt is that of the last field of the first G blocks."""
+    dxi = 1.0 / (rows.shape[-1] - 1)
+    ws = Workspace(rows, dt)
+    table = []
+    for b in range(len(extent)):
+        cap = stable_rate_cap(alpha[b], dt)
+        table.append(block_row(extent[b], rates[b], qc[b], alpha[b] * dt, cap, k[b], dxi))
+    if source is not None:
+        ws.source[: len(source)] = source
+    failed = ws.step(np.array(table), 0 if source is None else len(source))
+    return ws.fields, failed
 
 
 def interface_flux(st: PlantState) -> float:

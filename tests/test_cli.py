@@ -205,6 +205,20 @@ def test_run_with_setpoint_past_float_square_exits_without_traceback(tmp_path, c
     assert "a = inf  b = 0  d = inf" in (out / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("sr", [1e160, 1e300])
+def test_run_with_huge_setpoint_logs_overflowed_energy_as_inf(tmp_path, capsys, sr):
+    """The first heat flux sends s past 1e154, so the energy column of row 1
+    overflows in the trapezoid integral; it is logged as inf."""
+    edits = {("scenario", "sr"): sr, ("numerics", "domain_cap"): 2 * sr, ("numerics", "t_end"): 2}
+    config = _tweaked_config(tmp_path, edits)
+    assert main(["validate", str(config)]) == 0
+    out = tmp_path / "o"
+    assert main(["run", str(config), "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "run aborted: gain series at (lam/alpha)*y^2 = inf needs more than 400 terms" in err
+    assert np.isposinf(read_csv(out / "trace.csv")["energy"][1])
+
+
 def test_run_with_overflowed_lyapunov_total_logs_inf_v(tmp_path, capsys):
     """H = 1e156: Vtot overflows while exp(-a*s) is 0, so V is inf, not the
     NaN of inf * 0 and its warning.  The slope's square overflows too, so

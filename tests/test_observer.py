@@ -7,12 +7,12 @@ from stefanlab._scheme import one_sided_edge_flux
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.diagnostics import fit_decay_rate
 from stefanlab.errors import NumericalError
-from stefanlab.observer import gain_profile, gain_sources, gain_term_count, init_observer
+from stefanlab.observer import gain_sources, gain_term_count, init_observer
 from stefanlab.params import PhysicalParams, ScenarioConfig
 from stefanlab.plant import convection_rate, init_plant
 from stefanlab.runner import simulate
 
-from oracles import observer_gain, oracle_ratio, step_observer, step_plant
+from oracles import gain_profile, observer_gain, oracle_ratio, step_observer, step_plant
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 ALPHA = P.alpha

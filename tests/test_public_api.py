@@ -1,6 +1,7 @@
 """The package's public names, the README's library example, the test
-oracles' absence from the package, and the suite's warning policy: every
-warning is an error, with no "ignore" filter in tests/."""
+oracles' absence from the package, the package's lack of unused definitions,
+and the suite's warning policy: every warning is an error, with no "ignore"
+filter in tests/."""
 
 import ast
 import importlib
@@ -55,6 +56,8 @@ ORACLE_NAMES = (
     "_grid_ratio",
     "oracle_ratio",
     "injection_source",
+    "advance_field",
+    "gain_profile",
 )
 
 
@@ -69,6 +72,38 @@ def test_oracles_live_only_in_tests():
     for name in ORACLE_NAMES:
         assert hasattr(oracles, name), name
         assert not [m.__name__ for m in modules if hasattr(m, name)], name
+
+
+# Top-level definitions kept with no caller in the package: the README
+# documents bundled_config as the way to find a bundled config.
+UNREFERENCED_KEPT = {"cli.bundled_config"}
+
+
+def test_every_definition_is_referenced_or_public():
+    """A top-level function or class of the package that nothing in it
+    names and that __all__ does not export is test-only code: it belongs in
+    tests/oracles.py."""
+    package = Path(stefanlab.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    referenced = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    defined = [
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    assert len(defined) > 50
+    unreferenced = {
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in referenced and name not in stefanlab.__all__
+    }
+    assert unreferenced == UNREFERENCED_KEPT
 
 
 def ignore_filters(source: str) -> list[int]:

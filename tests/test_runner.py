@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stefanlab import observer, runner, specfun, transforms
-from stefanlab._scheme import advance_field, block_row, one_sided_edge_flux, stable_rate_cap
+from stefanlab._scheme import block_row, one_sided_edge_flux, stable_rate_cap
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.control import field_energy
 from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
@@ -26,6 +26,7 @@ from stefanlab.transforms import (
 
 from conftest import refuse_j1_above
 from oracles import (
+    advance_field,
     estimate_flux,
     interface_flux,
     output_feedback,
@@ -154,8 +155,9 @@ def test_gain_cap_stops_one_batch_member_mid_run(monkeypatch):
 
 
 def test_member_failing_as_another_completes_keeps_its_own_final_state():
-    # the first member's last row is the step in which the second reaches the
-    # domain cap, so the batch compacts and then reports the failure
+    # the first member's last row is the step whose interface update takes
+    # the second to the domain cap: the first leaves and the batch compacts,
+    # and then the second leaves with its final state from the compacted buffer
     blow = cfg_for(c=100.0)
     alone_blow = simulate(blow, P)
     row = alone_blow.trace.t.size - 1
@@ -334,6 +336,7 @@ REFERENCE_CASES = {
     "zero_gain": dict(lam=0.0),
     "whole_blocks": dict(t_end=12.7),  # 128 rows: two full blocks, no partial one
     "blow_up": dict(c=1e9, t_end=50.0),  # blows up part-way through a block
+    "solve_fails": dict(sr=1e307, domain_cap=None),  # the first heat flux overflows
 }
 
 
@@ -365,9 +368,11 @@ def test_lockstep_batch_matches_reference_loop():
     # still match its own per-step loop bit for bit
     cfgs = [cfg_for(**over) for over in REFERENCE_CASES.values()]
     left = list(simulate_batch([(cfg, P) for cfg in cfgs]))
-    # the blow-up leaves first; the shortest member completes next
+    # the two first-step failures leave first; the shortest member completes next
     names = list(REFERENCE_CASES)
-    assert [j for j, _ in left][:2] == [names.index("blow_up"), names.index("whole_blocks")]
+    order = [j for j, _ in left]
+    assert set(order[:2]) == {names.index("blow_up"), names.index("solve_fails")}
+    assert order[2] == names.index("whole_blocks")
     assert sorted(j for j, _ in left) == list(range(len(cfgs)))
     for j, res in left:
         _assert_matches_reference(res, cfgs[j])
