@@ -12,7 +12,6 @@ from .diagnostics import (
     monitor_constraints,
 )
 from .errors import BlowUpError, ConfigurationError, NumericalError
-from .observer import ObserverState, init_observer
 from .params import (
     PhysicalParams,
     ScenarioConfig,
@@ -21,7 +20,6 @@ from .params import (
     setpoint_lower_bound,
     validate_scenario,
 )
-from .plant import PlantState, init_plant
 from .runner import SimulationResult, Trace, simulate, simulate_batch
 from .transforms import (
     apply_direct,
@@ -39,9 +37,7 @@ __all__ = [
     "ConstraintReport",
     "LyapunovSample",
     "NumericalError",
-    "ObserverState",
     "PhysicalParams",
-    "PlantState",
     "ScenarioConfig",
     "SimulationResult",
     "Trace",
@@ -52,8 +48,6 @@ __all__ = [
     "controller_transform",
     "fit_decay_rate",
     "h1_norm_sq",
-    "init_observer",
-    "init_plant",
     "lambda_upper_bound",
     "lyapunov_constants",
     "lyapunov_sample",

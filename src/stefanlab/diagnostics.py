@@ -97,9 +97,11 @@ def lyapunov_sample(
 class ConstraintReport:
     """Per-step monitor flags plus the first violation time of each claim.
 
-    epsilon is the grid tolerance C*(dxi^2 + dt) used for the field-sign
-    claims (nonnegativity of u, nonpositivity of the estimation error);
-    the control-sign and interface claims are strict.
+    epsilon is the grid tolerance 1/N^2 + dt, with no constant factor, used
+    for the field-sign claims (nonnegativity of u, nonpositivity of the
+    estimation error); the control-sign and interface claims are strict.
+    Its units do not agree: it adds seconds to a dimensionless number and is
+    read as kelvin (see ROADMAP item 5, "Tolerance units").
     """
 
     qc_positive: np.ndarray

@@ -12,31 +12,12 @@ Its gain is the I1 series' terms times a cached PowerTable of w = 1 - xi^2.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import NumericalError
-from .params import ScenarioConfig
 from .specfun import PowerTable
-
-
-@dataclass(frozen=True)
-class ObserverState:
-    """t: time (s); theta_hat: u-estimate samples on the xi-grid."""
-
-    t: float
-    theta_hat: np.ndarray
-
-
-def init_observer(cfg: ScenarioConfig) -> ObserverState:
-    """Initial estimate: the linear profile Hhat*(s0 - x)."""
-    xi = np.linspace(0.0, 1.0, cfg.grid_n + 1)
-    theta_hat = cfg.Hhat * cfg.s0 * (1.0 - xi)
-    theta_hat[-1] = 0.0
-    return ObserverState(t=0.0, theta_hat=theta_hat)
-
 
 # Most terms of the gain series, and so rows of a power table, a gain may
 # take; (lam/alpha)*y^2 near 1.6e4 takes 157.

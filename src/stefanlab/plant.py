@@ -6,37 +6,7 @@ interface obeys the local energy balance s' = -beta * u_x(s, t); the heat
 flux qc enters at x = 0.
 """
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from .errors import BlowUpError
-from .params import ScenarioConfig
-
-
-@dataclass(frozen=True)
-class PlantState:
-    """t: time (s); s: interface position (m); theta: u samples on the xi-grid.
-
-    s_prev holds the interface position one step earlier, so the next step's
-    explicit convection term can use the backward-difference rate
-    (s - s_prev)/dt -- the rate the observer receives as its measured
-    interface rate.  None marks the initial state, where the rate comes from
-    the initial profile's interface flux instead.
-    """
-
-    t: float
-    s: float
-    theta: np.ndarray
-    s_prev: float | None = None
-
-
-def init_plant(cfg: ScenarioConfig) -> PlantState:
-    """Initial state: s = s0 and the linear profile u = H*(s0 - x)."""
-    xi = np.linspace(0.0, 1.0, cfg.grid_n + 1)
-    theta = cfg.H * cfg.s0 * (1.0 - xi)
-    theta[-1] = 0.0
-    return PlantState(t=0.0, s=cfg.s0, theta=theta)
 
 
 def convection_rate(

@@ -35,9 +35,9 @@ import numpy as np
 from . import control, diagnostics, transforms
 from ._scheme import Workspace, block_row, edge_stencil, one_sided_edge_flux, stable_rate_cap
 from .errors import BlowUpError, ConfigurationError, NumericalError
-from .observer import ObserverState, gain_sources, gain_term_count, init_observer
+from .observer import gain_sources, gain_term_count
 from .params import PhysicalParams, ScenarioConfig
-from .plant import PlantState, advance_interface, convection_rate, init_plant
+from .plant import advance_interface, convection_rate
 
 # Rows of (theta, theta_hat) buffered before their logged diagnostics are
 # computed in one pass: large enough to amortise the per-call cost of the
@@ -92,12 +92,14 @@ class Trace:
 
 @dataclass
 class SimulationResult:
+    """A run's logs.  final_fields holds (theta, theta_hat) of the trace's
+    last row, whose time and extent are trace.t[-1] and trace.s[-1]."""
+
     trace: Trace
     checkpoints: dict
     completed: bool
     failure: str | None = None
-    final_plant: object = None
-    final_observer: object = None
+    final_fields: np.ndarray | None = None
 
 
 # transforms.csv's columns, in the order _checkpoint_row gives their values
@@ -165,14 +167,12 @@ class _Member:
     lam: float
     lam_alpha: float
     s_prev: float | None = None
-    t_state: float = 0.0
     checkpoints_logged: int = 0
 
     def result(self, rows: int, block: np.ndarray, failure) -> SimulationResult:
         """The run's result after `rows` logged rows; block holds the
         member's buffered rows, the newest its final (theta, theta_hat)."""
         cfg, p, cols = self.cfg, self.p, self.cols
-        theta, theta_hat = block[(rows - 1) % _BLOCK_ROWS]
         tail = rows % _BLOCK_ROWS
         if tail:
             _log_block(cols, rows - tail, block[:tail], cfg, p)
@@ -190,9 +190,17 @@ class _Member:
             checkpoints=dict(zip(_CHECKPOINT_COLUMNS, logged)) if logged.size else {},
             completed=failure is None,
             failure=failure,
-            final_plant=PlantState(t=self.t_state, s=self.s, theta=theta.copy(), s_prev=self.s_prev),
-            final_observer=ObserverState(t=self.t_state, theta_hat=theta_hat.copy()),
+            final_fields=block[(rows - 1) % _BLOCK_ROWS].copy(),
         )
+
+
+def initial_fields(cfg: ScenarioConfig) -> np.ndarray:
+    """The initial (theta, theta_hat) on the grid_n-interval grid: the linear
+    profiles H*(s0 - x) and Hhat*(s0 - x), zero at the interface."""
+    xi = np.linspace(0.0, 1.0, cfg.grid_n + 1)
+    rows = np.array([cfg.H * cfg.s0 * (1.0 - xi), cfg.Hhat * cfg.s0 * (1.0 - xi)])
+    rows[:, -1] = 0.0
+    return rows
 
 
 def _held_bytes(cfg: ScenarioConfig) -> int:
@@ -283,15 +291,7 @@ def simulate_batch(scenarios):
         )
 
     # block b of the workspace is member b: row 0 its theta, row 1 its theta_hat
-    ws = Workspace(
-        np.stack(
-            [
-                [init_plant(m.cfg).theta for m in members],
-                [init_observer(m.cfg).theta_hat for m in members],
-            ]
-        ),
-        dt,
-    )
+    ws = Workspace(np.stack([initial_fields(m.cfg) for m in members], axis=1), dt)
     ws.sample()
     # the buffered stacks of the current block of rows
     block = np.empty((_BLOCK_ROWS, 2, len(members), n + 1))
@@ -317,12 +317,11 @@ def simulate_batch(scenarios):
             failure = failed.get(j)
             if i and failure is None:
                 try:
-                    s_next = advance_interface(m.s, edge, m.t_state + dt, dt, m.beta, m.domain_cap)
+                    s_next = advance_interface(m.s, edge, t, dt, m.beta, m.domain_cap)
                 except BlowUpError as exc:
                     failure = str(exc)
                 else:
                     m.s_prev, m.s = m.s, s_next
-                    m.t_state += dt
             if failure is not None:
                 leaving[j] = i, failure
                 continue

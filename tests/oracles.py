@@ -3,8 +3,9 @@
 Nothing in ``stefanlab`` calls these.  They are
 
 * ``advance_field``, one ``Workspace.step`` of a stack of blocks in a new
-  workspace, and on it the one-row plant and observer steps and the
-  feedback laws on a state, built from the engine's own
+  workspace, and on it the one-row plant and observer steps, their state
+  records ``PlantState`` and ``ObserverState``, and the feedback laws on a
+  state, built from the engine's own
   ``convection_rate``, ``advance_interface``, ``gain_sources`` and
   ``feedback_law``, so that a per-step loop of them reproduces
   ``runner.simulate`` bit for bit;
@@ -17,6 +18,7 @@ Nothing in ``stefanlab`` calls these.  They are
   mpmath arithmetic.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,9 +26,9 @@ import numpy as np
 from stefanlab._scheme import Workspace, block_row, one_sided_edge_flux, stable_rate_cap
 from stefanlab.control import _trapz_integral, feedback_law
 from stefanlab.errors import NumericalError
-from stefanlab.observer import ObserverState, gain_sources, gain_term_count
+from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import PhysicalParams, ScenarioConfig
-from stefanlab.plant import PlantState, advance_interface, convection_rate
+from stefanlab.plant import advance_interface, convection_rate
 from stefanlab.specfun import _FLOAT_SERIES_CAP, _j1_ratio_scipy
 
 # The scalar evaluators refuse arguments beyond this; past it the exact J1
@@ -207,6 +209,31 @@ def advance_field(rows, extent, rates, qc, dt, alpha, k, source=None) -> tuple[n
         ws.source[: len(source)] = source
     failed = ws.step(np.array(table), 0 if source is None else len(source))
     return ws.fields, failed
+
+
+@dataclass(frozen=True)
+class PlantState:
+    """t: time (s); s: interface position (m); theta: u samples on the xi-grid.
+
+    s_prev holds the interface position one step earlier, so the next step's
+    explicit convection term can use the backward-difference rate
+    (s - s_prev)/dt -- the rate the observer receives as its measured
+    interface rate.  None marks the initial state, where the rate comes from
+    the initial profile's interface flux instead.
+    """
+
+    t: float
+    s: float
+    theta: np.ndarray
+    s_prev: float | None = None
+
+
+@dataclass(frozen=True)
+class ObserverState:
+    """t: time (s); theta_hat: u-estimate samples on the xi-grid."""
+
+    t: float
+    theta_hat: np.ndarray
 
 
 def interface_flux(st: PlantState) -> float:

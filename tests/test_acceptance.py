@@ -14,6 +14,7 @@ import numpy as np
 from stefanlab import transforms
 from stefanlab.cli import bundled_config, main
 from stefanlab.diagnostics import fit_decay_rate, lyapunov_constants
+from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import (
     lambda_upper_bound,
     setpoint_lower_bound,
@@ -127,11 +128,15 @@ def test_criterion_5_conservation(zinc, conservation_pair):
 
 def test_criterion_6_series_oracle_equivalence():
     """The engine's float paths: the checkpoint kernel rows, at their
-    largest gap (exactly 1, so z2 itself), and the observer gain's sum of
-    the I1 series terms."""
+    largest gap (exactly 1, so z2 itself), and the sum of their I1 terms;
+    and the observer gain row of ``gain_sources`` at unit scale,
+    I1r(z2*(1 - xi^2)), at every node of the grid."""
     points = [0.0, 0.25, 1.0, 4.0, 25.0, 100.0]
     n = 200
     last_gap = transforms._geometry(n)[1].size - 1
+    xi = np.arange(n + 1) / n
+    w = np.maximum(1.0 - xi * xi, 0.0)
+    gain = np.empty((1, n + 1))
     worst = 0.0
     for z2 in points:
         i1_ref, j1_ref = oracle_ratio(z2, +1), oracle_ratio(z2, -1)
@@ -139,14 +144,17 @@ def test_criterion_6_series_oracle_equivalence():
         if z2 > 0.0:
             i1_row, j1_row = transforms._ratio_rows(n, z2)[:, last_gap]
             values += [(i1_row, i1_ref), (j1_row, j1_ref)]
+        gain_sources([z2], [1.0], [gain_term_count(z2)], n, gain)
+        values += zip(gain[0], [oracle_ratio(z2 * x, +1) for x in w])
         for value, ref in values:
             worst = max(worst, abs(value - ref) / abs(ref))
     ok = worst < 1e-12
     _report(
         6,
         ok,
-        f"checkpoint kernel rows and gain series terms match the 50-digit "
-        f"I1/J1 series oracle on {points}; worst relative error {worst:.3g} < 1e-12",
+        f"checkpoint kernel rows, their I1 terms and the observer gain row match "
+        f"the 50-digit I1/J1 series oracle on {points}; worst relative error "
+        f"{worst:.3g} < 1e-12",
     )
 
 

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stefanlab.control import field_energy, kernel_mass, qc_ode_residual
-from stefanlab.observer import ObserverState, init_observer
 from stefanlab.params import PhysicalParams, ScenarioConfig, lambda_upper_bound
-from stefanlab.plant import PlantState, init_plant
+from stefanlab.runner import initial_fields
 
-from oracles import kernel_P, output_feedback, state_feedback
+from oracles import ObserverState, PlantState, kernel_P, output_feedback, state_feedback
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 
@@ -34,16 +33,21 @@ def cfg_for(**over):
 BOUND = lambda_upper_bound(cfg_for(), P.alpha)  # the zinc gain bound, about 1.63 1/s
 
 
+def _initial_plant(cfg):
+    return PlantState(t=0.0, s=cfg.s0, theta=initial_fields(cfg)[0])
+
+
 def test_state_feedback_zinc_t0_frozen():
     cfg = cfg_for()
-    st = init_plant(cfg)
+    st = _initial_plant(cfg)
     assert state_feedback(st, cfg, P) == pytest.approx(QC_STATE_T0, rel=1e-12)
     assert field_energy(st.theta, st.s, P) == pytest.approx(ENERGY_T0, rel=1e-12)
 
 
 def test_output_feedback_zinc_t0_frozen():
     cfg = cfg_for()
-    qc = output_feedback(init_observer(cfg), cfg.s0, cfg, P)
+    ob = ObserverState(t=0.0, theta_hat=initial_fields(cfg)[1])
+    qc = output_feedback(ob, cfg.s0, cfg, P)
     assert qc == pytest.approx(QC_OUTPUT_T0, rel=1e-12)
 
 
@@ -57,7 +61,7 @@ def test_equilibrium_gives_zero_flux():
 
 def test_cold_start_flux_sign():
     cfg = cfg_for(H=0.0)
-    qc = state_feedback(init_plant(cfg), cfg, P)
+    qc = state_feedback(_initial_plant(cfg), cfg, P)
     expected = cfg.c * P.k * (cfg.sr - cfg.s0) / P.beta
     assert qc == pytest.approx(expected, rel=1e-12)
     assert qc > 0.0
@@ -65,7 +69,7 @@ def test_cold_start_flux_sign():
 
 def test_output_feedback_equals_state_feedback_on_true_state():
     cfg = cfg_for()
-    st = init_plant(cfg)
+    st = _initial_plant(cfg)
     ob = ObserverState(t=0.0, theta_hat=st.theta.copy())
     a = state_feedback(st, cfg, P)
     b = output_feedback(ob, st.s, cfg, P)
@@ -74,7 +78,7 @@ def test_output_feedback_equals_state_feedback_on_true_state():
 
 def test_internal_energy_values():
     cfg = cfg_for()
-    st = init_plant(cfg)
+    st = _initial_plant(cfg)
     assert field_energy(st.theta, st.s, P) == pytest.approx(ENERGY_T0, rel=1e-12)
     flat = PlantState(t=0.0, s=0.02, theta=np.zeros(65))
     assert field_energy(flat.theta, flat.s, P) == pytest.approx(0.02 / P.beta, rel=1e-14)
@@ -82,13 +86,13 @@ def test_internal_energy_values():
 
 def test_field_energy_of_observer_estimate():
     cfg = cfg_for(grid_n=64)
-    ob = init_observer(cfg)
-    v = field_energy(ob.theta_hat, cfg.s0, P)
+    theta_hat = initial_fields(cfg)[1]
+    v = field_energy(theta_hat, cfg.s0, P)
     assert v == pytest.approx(
         cfg.Hhat * cfg.s0**2 / 2 / P.alpha + cfg.s0 / P.beta, rel=1e-12
     )
     # one value per field when the extents come as an array
-    both = field_energy(np.stack([ob.theta_hat, ob.theta_hat]), np.array([cfg.s0, cfg.s0]), P)
+    both = field_energy(np.stack([theta_hat, theta_hat]), np.array([cfg.s0, cfg.s0]), P)
     assert np.array_equal(both, [v, v])
 
 
@@ -99,7 +103,7 @@ def test_field_energy_of_observer_estimate():
 @settings(max_examples=60, deadline=None)
 def test_flux_weakly_decreases_in_any_sample(bump, idx):
     cfg = cfg_for(grid_n=64)
-    st = init_plant(cfg)
+    st = _initial_plant(cfg)
     theta = st.theta.copy()
     theta[idx] += bump
     hotter = PlantState(t=0.0, s=st.s, theta=theta)
@@ -108,7 +112,7 @@ def test_flux_weakly_decreases_in_any_sample(bump, idx):
 
 def test_flux_decreasing_in_interface_position():
     cfg = cfg_for()
-    st = init_plant(cfg)
+    st = _initial_plant(cfg)
     ahead = PlantState(t=0.0, s=2 * st.s, theta=st.theta.copy())
     assert state_feedback(ahead, cfg, P) < state_feedback(st, cfg, P)
 

@@ -13,9 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from stefanlab.plant import PlantState
-
-from oracles import step_plant
+from oracles import PlantState, step_plant
 
 S0, V, T_END = 0.01, 1e-4, 200.0  # m, m/s, s
 

@@ -7,12 +7,20 @@ from stefanlab._scheme import one_sided_edge_flux
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.diagnostics import fit_decay_rate
 from stefanlab.errors import NumericalError
-from stefanlab.observer import gain_sources, gain_term_count, init_observer
+from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import PhysicalParams, ScenarioConfig
-from stefanlab.plant import convection_rate, init_plant
-from stefanlab.runner import simulate
+from stefanlab.plant import convection_rate
+from stefanlab.runner import initial_fields, simulate
 
-from oracles import gain_profile, observer_gain, oracle_ratio, step_observer, step_plant
+from oracles import (
+    ObserverState,
+    PlantState,
+    gain_profile,
+    observer_gain,
+    oracle_ratio,
+    step_observer,
+    step_plant,
+)
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 ALPHA = P.alpha
@@ -31,15 +39,14 @@ def cfg_for(**over):
 
 
 def test_init_linear_estimate():
-    ob = init_observer(cfg_for(grid_n=8))
+    theta_hat = initial_fields(cfg_for(grid_n=8))[1]
     expected = [10.0, 8.75, 7.5, 6.25, 5.0, 3.75, 2.5, 1.25, 0.0]
-    assert np.allclose(ob.theta_hat, expected, atol=1e-14)
+    assert np.allclose(theta_hat, expected, atol=1e-14)
 
 
 def test_initial_estimate_dominates_initial_profile():
-    cfg = cfg_for(grid_n=32)
-    ob, st = init_observer(cfg), init_plant(cfg)
-    diff = ob.theta_hat - st.theta
+    theta, theta_hat = initial_fields(cfg_for(grid_n=32))
+    diff = theta_hat - theta
     assert np.all(diff[:-1] > 0.0)
     assert diff[-1] == 0.0
 
@@ -193,7 +200,8 @@ def test_velocity_initial_fallback():
 def _drive(cfg, steps, qc=80.0):
     """Run plant and observer side by side with a fixed heat flux; the
     observer measures the plant's interface position and rate."""
-    st, ob = init_plant(cfg), init_observer(cfg)
+    theta, theta_hat = initial_fields(cfg)
+    st, ob = PlantState(t=0.0, s=cfg.s0, theta=theta), ObserverState(t=0.0, theta_hat=theta_hat)
     for _ in range(steps):
         y = st.s
         edge_flux = one_sided_edge_flux(st.theta, 1.0 / cfg.grid_n)
@@ -219,7 +227,7 @@ def test_zero_error_start_tracks_to_discretization():
 
 def test_step_observer_rejects_bad_measurement():
     cfg = cfg_for()
-    ob = init_observer(cfg)
+    ob = ObserverState(t=0.0, theta_hat=initial_fields(cfg)[1])
     with pytest.raises(ValueError):
         step_observer(ob, 0.0, 0.0, 50.0, cfg.dt, cfg, P)
 

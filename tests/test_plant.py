@@ -8,9 +8,9 @@ import pytest
 from stefanlab.control import field_energy
 from stefanlab.errors import BlowUpError
 from stefanlab.params import PhysicalParams, ScenarioConfig
-from stefanlab.plant import PlantState, init_plant
+from stefanlab.runner import initial_fields
 
-from oracles import interface_flux, step_plant
+from oracles import PlantState, interface_flux, step_plant
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 
@@ -22,33 +22,36 @@ def cfg_for(n=200, dt=0.05, H=100.0, s0=0.01, t_end=10.0):
     )
 
 
+def _initial_plant(cfg):
+    return PlantState(t=0.0, s=cfg.s0, theta=initial_fields(cfg)[0])
+
+
 def test_init_linear_profile():
-    st = init_plant(cfg_for(n=8))
+    # the initial extent, s0, is checked on the engine's trace in test_runner
+    theta = initial_fields(cfg_for(n=8))[0]
     expected = [1.0, 0.875, 0.75, 0.625, 0.5, 0.375, 0.25, 0.125, 0.0]
-    assert np.allclose(st.theta, expected, rtol=0, atol=1e-15)
-    assert st.s == 0.01
-    assert st.theta[-1] == 0.0
+    assert np.allclose(theta, expected, rtol=0, atol=1e-15)
+    assert theta[-1] == 0.0
 
 
 def test_init_zero_slope():
-    st = init_plant(cfg_for(n=16, H=0.0))
-    assert np.all(st.theta == 0.0)
+    assert np.all(initial_fields(cfg_for(n=16, H=0.0))[0] == 0.0)
 
 
 def test_equilibrium_is_fixed_point():
-    st = init_plant(cfg_for(n=32, H=0.0))
+    st = _initial_plant(cfg_for(n=32, H=0.0))
     nxt = step_plant(st, 0.0, 0.1, P)
     assert np.all(nxt.theta == 0.0)
     assert nxt.s == st.s
 
 
 def test_interface_flux_linear_profile():
-    st = init_plant(cfg_for(n=64, H=123.0))
+    st = _initial_plant(cfg_for(n=64, H=123.0))
     assert interface_flux(st) == pytest.approx(-123.0, rel=1e-12)
 
 
 def test_interface_flux_zero_profile():
-    st = init_plant(cfg_for(n=64, H=0.0))
+    st = _initial_plant(cfg_for(n=64, H=0.0))
     assert interface_flux(st) == 0.0
 
 
@@ -67,7 +70,7 @@ def test_flux_matched_step_melts_at_beta_a():
     from the profile deforming over one step and vanishes with dt."""
     A = 100.0
     cfg = cfg_for(n=200, dt=1e-5)
-    st = init_plant(cfg)
+    st = _initial_plant(cfg)
     nxt = step_plant(st, P.k * A, cfg.dt, P)
     sdot = (nxt.s - st.s) / cfg.dt
     assert sdot == pytest.approx(P.beta * A, rel=0.01)
@@ -75,7 +78,7 @@ def test_flux_matched_step_melts_at_beta_a():
 
 def test_dirichlet_node_pinned_every_step():
     cfg = cfg_for(n=64, dt=0.05)
-    st = init_plant(cfg)
+    st = _initial_plant(cfg)
     for _ in range(50):
         st = step_plant(st, 80.0, cfg.dt, P)
         assert st.theta[-1] == 0.0
@@ -83,7 +86,7 @@ def test_dirichlet_node_pinned_every_step():
 
 def test_positive_heat_gives_monotone_interface_and_nonnegative_field():
     cfg = cfg_for(n=128, dt=0.05)
-    st = init_plant(cfg)
+    st = _initial_plant(cfg)
     eps = (1.0 / cfg.grid_n) ** 2 + cfg.dt
     s_prev = st.s
     for _ in range(200):
@@ -100,7 +103,7 @@ def test_single_step_energy_balance():
 
     def defect(dt):
         cfg = cfg_for(n=200, dt=dt)
-        st = init_plant(cfg)
+        st = _initial_plant(cfg)
         e0 = field_energy(st.theta, st.s, P)
         nxt = step_plant(st, qc, cfg.dt, P)
         return abs((field_energy(nxt.theta, nxt.s, P) - e0) - cfg.dt * qc / P.k)
@@ -113,7 +116,7 @@ def test_single_step_energy_balance():
 def test_blow_up_on_interface_collapse():
     # strong cooling shrinks the melt; the solver must refuse s <= 0
     cfg = cfg_for(n=32, dt=0.5, H=1.0, s0=1e-3, t_end=1e3)
-    st = init_plant(cfg)
+    st = _initial_plant(cfg)
     with pytest.raises(BlowUpError):
         for _ in range(2000):
             st = step_plant(st, -5e4, cfg.dt, P)
@@ -121,7 +124,7 @@ def test_blow_up_on_interface_collapse():
 
 def test_blow_up_on_domain_cap():
     cfg = cfg_for(n=32, dt=0.5, t_end=1e3)
-    st = init_plant(cfg)
+    st = _initial_plant(cfg)
     with pytest.raises(BlowUpError):
         for _ in range(2000):
             st = step_plant(st, 1e7, cfg.dt, P, domain_cap=0.02)
@@ -129,7 +132,7 @@ def test_blow_up_on_domain_cap():
 
 def _conservation_residual(n, dt, t_total, signed=False):
     cfg = cfg_for(n=n, dt=dt, t_end=max(t_total, 2 * dt))
-    st = init_plant(cfg)
+    st = _initial_plant(cfg)
     qc = P.k * cfg.H
     e0 = field_energy(st.theta, st.s, P)
     steps = int(round(t_total / dt))

@@ -13,10 +13,9 @@ from stefanlab.cli import bundled_config, parse_config
 from stefanlab.control import field_energy
 from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
 from stefanlab.errors import BlowUpError, NumericalError
-from stefanlab.observer import init_observer
 from stefanlab.params import PhysicalParams, ScenarioConfig, lambda_upper_bound
-from stefanlab.plant import convection_rate, init_plant
-from stefanlab.runner import _BLOCK_ROWS, lockstep_batches, simulate, simulate_batch
+from stefanlab.plant import convection_rate
+from stefanlab.runner import _BLOCK_ROWS, initial_fields, lockstep_batches, simulate, simulate_batch
 from stefanlab.transforms import (
     apply_direct,
     apply_inverse,
@@ -26,6 +25,8 @@ from stefanlab.transforms import (
 
 from conftest import refuse_j1_above
 from oracles import (
+    ObserverState,
+    PlantState,
     advance_field,
     estimate_flux,
     interface_flux,
@@ -111,10 +112,13 @@ def test_state_feedback_ignores_observer_gain():
 
 
 def test_blow_up_reports_partial_trace():
-    res = simulate(cfg_for(c=1e9, t_end=50.0), P)
+    cfg = cfg_for(c=1e9, t_end=50.0)
+    res = simulate(cfg, P)
     assert not res.completed
     assert "domain cap" in res.failure
     assert 1 <= res.trace.t.size < 501
+    # the failed update is labelled with the time of the row it did not reach
+    assert res.failure.endswith(f" at t = {res.trace.t[-1] + cfg.dt:.6g}")
 
 
 def test_gain_beyond_table_limit_reports_partial_trace(monkeypatch):
@@ -151,7 +155,7 @@ def test_gain_cap_stops_one_batch_member_mid_run(monkeypatch):
             assert _same_bits(res.trace.columns()[name], values), (j, name)
         for name, values in alone[j].checkpoints.items():
             assert _same_bits(res.checkpoints[name], values), (j, name)
-        assert _same_bits(res.final_observer.theta_hat, alone[j].final_observer.theta_hat)
+        assert _same_bits(res.final_fields, alone[j].final_fields), j
 
 
 def test_member_failing_as_another_completes_keeps_its_own_final_state():
@@ -169,8 +173,7 @@ def test_member_failing_as_another_completes_keeps_its_own_final_state():
     for j, res in left.items():
         assert res.failure == alone[j].failure
         assert _same_bits(res.trace.s, alone[j].trace.s)
-        assert _same_bits(res.final_plant.theta, alone[j].final_plant.theta), j
-        assert _same_bits(res.final_observer.theta_hat, alone[j].final_observer.theta_hat), j
+        assert _same_bits(res.final_fields, alone[j].final_fields), j
 
 
 def test_first_checkpoint_beyond_series_cap_reports_partial_trace(monkeypatch):
@@ -254,7 +257,8 @@ def _reference_run(cfg, p):
     n_rows = int(round(cfg.t_end / cfg.dt)) + 1
     domain_cap = cfg.domain_cap if cfg.domain_cap is not None else 2.0 * cfg.sr
     alpha, beta = p.alpha, p.beta
-    st, ob = init_plant(cfg), init_observer(cfg)
+    theta, theta_hat = initial_fields(cfg)
+    st, ob = PlantState(t=0.0, s=cfg.s0, theta=theta), ObserverState(t=0.0, theta_hat=theta_hat)
     trace = {}
     checkpoints = {name: [] for name in CHECKPOINT_HEADER}
     failure = None
@@ -352,9 +356,11 @@ def _assert_matches_reference(res, cfg):
     assert tuple(res.checkpoints) == CHECKPOINT_HEADER
     for name, values in checkpoints.items():
         assert _same_bits(res.checkpoints[name], values), name
-    assert (res.final_plant.t, res.final_plant.s, res.final_plant.s_prev) == (st.t, st.s, st.s_prev)
-    assert _same_bits(res.final_plant.theta, st.theta)
-    assert _same_bits(res.final_observer.theta_hat, ob.theta_hat)
+    # the oracle's clock adds dt once per step; the trace's is i*dt
+    tr = res.trace
+    assert tr.t[-1] == pytest.approx(st.t, rel=1e-13, abs=0.0)
+    assert (tr.s[-1], tr.s[-2] if tr.s.size > 1 else None) == (st.s, st.s_prev)
+    assert _same_bits(res.final_fields, [st.theta, ob.theta_hat])
 
 
 @pytest.mark.parametrize("over", REFERENCE_CASES.values(), ids=REFERENCE_CASES.keys())

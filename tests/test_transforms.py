@@ -19,6 +19,7 @@ from stefanlab.transforms import (
 )
 
 from oracles import (
+    PlantState,
     i1_ratio_array,
     j1_ratio_array,
     kernel_P,
@@ -241,7 +242,6 @@ def test_controller_transform_slope_identity_at_origin():
     """When (u, X, qc) satisfy the feedback law, the transformed field has
     zero slope at x = 0: k*w_x(0) = -qc - c*k*(I/alpha + X/beta) = 0."""
     from stefanlab.params import PhysicalParams, ScenarioConfig
-    from stefanlab.plant import PlantState
 
     p = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
     cfg = ScenarioConfig(
