@@ -58,24 +58,25 @@ def lyapunov_constants(cfg: ScenarioConfig, p: PhysicalParams) -> tuple[float, f
 
 @dataclass(frozen=True)
 class LyapunovSample:
-    """One checkpoint of the Lyapunov diagnostics.
+    """Checkpoints of the Lyapunov diagnostics: floats for one snapshot,
+    arrays with one entry per row for a stack.
 
     V1_tilde = 0.5*||w_err||_H1^2 for the transformed estimation error;
     Vtot     = 0.5*||w_hat||_H1^2 + (p/2)*X^2 + d*V1_tilde;
     V        = Vtot * exp(-a*s), or inf when Vtot is.
     """
 
-    t: float
-    V1_tilde: float
-    Vtot: float
-    V: float
+    t: float | np.ndarray
+    V1_tilde: float | np.ndarray
+    Vtot: float | np.ndarray
+    V: float | np.ndarray
 
 
 def lyapunov_sample(
     w_err: np.ndarray,
     w_hat: np.ndarray,
-    s: float,
-    t: float,
+    s: float | np.ndarray,
+    t: float | np.ndarray,
     cfg: ScenarioConfig,
     p: PhysicalParams,
     constants: tuple | None = None,
@@ -83,13 +84,24 @@ def lyapunov_sample(
     """Evaluate the functionals on one snapshot's transformed fields:
     w_err = apply_inverse(theta - theta_hat) and w_hat =
     controller_transform(theta_hat), both over the extent s, with the
-    scenario's ``lyapunov_constants`` if given.  V is inf when Vtot is."""
+    scenario's ``lyapunov_constants`` if given.  V is inf when Vtot is.
+
+    (K, N+1) stacks of w_err and w_hat, with one s and one t per row, give
+    one sample per row, each row's bits those of its own call.
+    """
     p_const, a, _, d = lyapunov_constants(cfg, p) if constants is None else constants
+    s = np.asarray(s, dtype=float)
     X = s - cfg.sr
-    h1_err, h1_hat = h1_norm_sq(np.array((w_err, w_hat)), s).tolist()
-    v1 = 0.5 * h1_err
-    vtot = 0.5 * h1_hat + 0.5 * p_const * X * X + d * v1
-    V = vtot if vtot == np.inf else vtot * np.exp(-a * s)
+    h1_err, h1_hat = h1_norm_sq(np.array((w_err, w_hat)), s)
+    # as in Python floats: a product past the float range is inf, and inf
+    # times a zero norm is NaN, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        v1 = 0.5 * h1_err
+        vtot = 0.5 * h1_hat + 0.5 * p_const * X * X + d * v1
+    # only where Vtot is below inf: inf * exp(-a*s) is NaN once exp underflows
+    V = np.multiply(vtot, np.exp(-a * s), out=np.array(vtot), where=vtot != np.inf)
+    if s.ndim == 0:
+        return LyapunovSample(t=t, V1_tilde=float(v1), Vtot=float(vtot), V=float(V))
     return LyapunovSample(t=t, V1_tilde=v1, Vtot=vtot, V=V)
 
 

@@ -111,8 +111,15 @@ class ScenarioConfig:
         from .runner import Trace, _array_fields
 
         row_bytes = 8 * len(_array_fields(Trace))
-        if math.isinf(self.t_end / self.dt) or self.rows * row_bytes > np.iinfo(np.intp).max:
+        steps = self.t_end / self.dt
+        if math.isinf(steps) or self.rows * row_bytes > np.iinfo(np.intp).max:
             raise ConfigurationError("t_end/dt is too large: the trace cannot be addressed")
+        # t_end, dt and their quotient are each rounded once, which moves a
+        # whole number of steps by under 3 units in its last place
+        if abs(steps - round(steps)) > 4.0 * math.ulp(steps):
+            raise ConfigurationError(
+                f"t_end must be a whole number of steps dt: t_end/dt = {steps:.17g}"
+            )
         if self.H < 0.0 or self.Hhat < 0.0:
             raise ConfigurationError("H and Hhat must be nonnegative")
         if not self.c > 0.0:
@@ -130,7 +137,8 @@ class ScenarioConfig:
 
     @property
     def rows(self) -> int:
-        """Rows of the run's trace, one per time level 0, dt, ..., t_end."""
+        """Rows of the run's trace, one per time level 0, dt, ..., t_end
+        (t_end/dt is a whole number up to rounding)."""
         return int(round(self.t_end / self.dt)) + 1
 
 

@@ -26,9 +26,19 @@ batch-mates.  Members leave at one point of a step, after the per-member
 pass, with their final fields read from their newest buffered row.  The logged
 diagnostics depend on no later step, so they are computed for blocks of
 buffered rows at a time.
+
+A checkpoint's Bessel error pair (``apply_inverse`` for w_err, then the
+``apply_direct`` round trip) runs at the checkpoint's own row: each extent
+has its own kernel rows, 183 KB at N = 200, and a kernel series that fails
+must stop the member at that row.  The row keeps w_err and the round-trip
+error until its block is logged.  The rest of the checkpoint (the controller
+pair, the Lyapunov sample, the sup norms) needs only the buffered fields, so
+it is formed for all of a block's checkpoints in one stacked pass, when the
+block's diagnostics are.  A block's per-step columns are logged before its
+last row's error pair, so that a failure there keeps them.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -102,26 +112,48 @@ class SimulationResult:
     final_fields: np.ndarray | None = None
 
 
-# transforms.csv's columns, in the order _checkpoint_row gives their values
+# transforms.csv's columns, in the order _log_checkpoints fills them
 _CHECKPOINT_COLUMNS = (
     "t", "s", "X", "V1_tilde", "Vtot", "V", "wtilde_max", "utilde_sup",
     "rt_error_pair_abs", "what_sup", "rt_ctrl_abs", "what_boundary",
 )
 
 
-def _checkpoint_row(theta, theta_hat, y, t, cfg, p, constants=None) -> tuple:
-    """One checkpoint's values of _CHECKPOINT_COLUMNS; `constants` is the
-    scenario's ``lyapunov_constants``, formed here if not given."""
-    alpha, beta = p.alpha, p.beta
-    X = y - cfg.sr
+def _error_pair(theta, theta_hat, y, lam, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """A checkpoint's work at its own row: w_err = apply_inverse(theta -
+    theta_hat) and the round-trip error apply_direct(w_err) - (theta -
+    theta_hat).  Raises NumericalError if a kernel series fails."""
     u_err = theta - theta_hat
-    w_err = transforms.apply_inverse(u_err, y, cfg.lam, alpha)
-    rt_err = transforms.apply_direct(w_err, y, cfg.lam, alpha) - u_err
-    w_hat = transforms.controller_transform(theta_hat, X, y, cfg.c, alpha, beta)
-    rt_ctrl = transforms.controller_inverse(w_hat, X, y, cfg.c, alpha, beta) - theta_hat
-    sample = diagnostics.lyapunov_sample(w_err, w_hat, y, t, cfg, p, constants)
-    sups = np.abs(np.array((u_err, rt_err, w_hat, rt_ctrl))).max(axis=1)
-    return (t, y, X, sample.V1_tilde, sample.Vtot, sample.V, np.max(w_err), *sups, abs(w_hat[-1]))
+    w_err = transforms.apply_inverse(u_err, y, lam, alpha)
+    return w_err, transforms.apply_direct(w_err, y, lam, alpha) - u_err
+
+
+def _log_checkpoints(m, block: np.ndarray) -> None:
+    """Log member m's pending checkpoints, (row, w_err, round-trip error)
+    triples of rows of the current block, in one stacked pass: their
+    entries of the checkpoint table and their V and Vtot columns.  block
+    holds m's buffered (theta, theta_hat) rows, and m's columns already
+    hold each row's t and s."""
+    if not m.pending:
+        return
+    cfg, p, cols = m.cfg, m.p, m.cols
+    rows, w_err, rt_err = (np.array(column) for column in zip(*m.pending))
+    pairs = block[rows % _BLOCK_ROWS]
+    theta, theta_hat = pairs[:, 0], pairs[:, 1]
+    t, y = cols["t"][rows], cols["s"][rows]
+    X = y - cfg.sr
+    w_hat = transforms.controller_transform(theta_hat, X, y, cfg.c, p.alpha, p.beta)
+    rt_ctrl = transforms.controller_inverse(w_hat, X, y, cfg.c, p.alpha, p.beta) - theta_hat
+    sample = diagnostics.lyapunov_sample(w_err, w_hat, y, t, cfg, p, m.constants)
+    sups = np.abs(np.array((theta - theta_hat, rt_err, w_hat, rt_ctrl))).max(axis=-1)
+    logged = slice(m.checkpoints_logged, m.checkpoints_logged + rows.size)
+    m.checkpoints[:, logged] = (
+        t, y, X, sample.V1_tilde, sample.Vtot, sample.V,
+        w_err.max(axis=-1), *sups, np.abs(w_hat[:, -1]),
+    )
+    cols["Vtot"][rows], cols["V"][rows] = sample.Vtot, sample.V
+    m.checkpoints_logged += rows.size
+    m.pending.clear()
 
 
 def _log_block(cols: dict, start: int, block: np.ndarray, cfg: ScenarioConfig, p: PhysicalParams):
@@ -168,6 +200,9 @@ class _Member:
     lam_alpha: float
     s_prev: float | None = None
     checkpoints_logged: int = 0
+    # (row, w_err, round-trip error) of the current block's checkpoints not
+    # yet logged by _log_checkpoints
+    pending: list = field(default_factory=list)
 
     def result(self, rows: int, block: np.ndarray, failure) -> SimulationResult:
         """The run's result after `rows` logged rows; block holds the
@@ -176,6 +211,7 @@ class _Member:
         tail = rows % _BLOCK_ROWS
         if tail:
             _log_block(cols, rows - tail, block[:tail], cfg, p)
+        _log_checkpoints(self, block)
         trace = Trace(
             **{name: arr[:rows] for name, arr in cols.items()},
             dt=cfg.dt,
@@ -204,9 +240,11 @@ def initial_fields(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _held_bytes(cfg: ScenarioConfig) -> int:
-    """Bytes a member holds in a batch: its logged columns and its buffer of
-    _BLOCK_ROWS field pairs."""
-    return 8 * (cfg.rows * len(_array_fields(Trace)) + _BLOCK_ROWS * 2 * (cfg.grid_n + 1))
+    """Bytes a member holds in a batch: its logged columns, its buffer of
+    _BLOCK_ROWS field pairs and the error pairs of one block's checkpoints."""
+    pending = min(_BLOCK_ROWS, _BLOCK_ROWS // cfg.checkpoint_every + 2)
+    fields_held = (_BLOCK_ROWS + pending) * 2 * (cfg.grid_n + 1)
+    return 8 * (cfg.rows * len(_array_fields(Trace)) + fields_held)
 
 
 def lockstep_batches(cfgs) -> list[list[int]]:
@@ -306,9 +344,9 @@ def simulate_batch(scenarios):
 
         # per member in Python floats: the Stefan update of step i - 1, the
         # feedback law on the trapezoid integral of control._trapz_integral,
-        # the checkpoint, the rate, the step table row and the gain series'
-        # argument, term count and scale; `leaving` maps a departing member
-        # to its logged rows and its failure
+        # a checkpoint's error pair, the block's logs, the rate, the step
+        # table row and the gain series' argument, term count and scale;
+        # `leaving` maps a departing member to its logged rows and its failure
         leaving, stepping, table, z2s, counts, scales = {}, [], [], [], [], []
         for j, m in enumerate(members):
             cfg, cols, fb = m.cfg, m.cols, m.feedback_row * blocks + j
@@ -335,10 +373,10 @@ def simulate_batch(scenarios):
                 _log_block(cols, rows - _BLOCK_ROWS, block[:, :, j], cfg, m.p)
             try:
                 if i % cfg.checkpoint_every == 0 or i == m.last_row:
-                    ck = _checkpoint_row(stack[0, j], stack[1, j], y, t, cfg, m.p, m.constants)
-                    m.checkpoints[:, m.checkpoints_logged] = ck
-                    m.checkpoints_logged += 1
-                    cols["Vtot"][i], cols["V"][i] = ck[4:6]
+                    pair = _error_pair(stack[0, j], stack[1, j], y, m.lam, m.p.alpha)
+                    m.pending.append((i, *pair))
+                if log_block:
+                    _log_checkpoints(m, block[:, :, j])
                 if i == m.last_row:
                     leaving[j] = rows, None
                     continue

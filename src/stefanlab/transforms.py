@@ -94,15 +94,21 @@ def _ratio_rows(n: int, z2_max: float) -> np.ndarray:
 
 
 def _tail_integrals(g: np.ndarray) -> np.ndarray:
-    """Row-wise T_i[g] = int_{xi_i}^1 g dxi by the composite trapezoid,
-    summed from the right so that T_n = 0.0 exactly."""
+    """T_i[g] = int_{xi_i}^1 g dxi along the last axis by the composite
+    trapezoid, summed from the right so that T_n = 0.0 exactly."""
     n = g.shape[-1] - 1
     tail = np.empty_like(g)
-    tail[:, n] = 0.0
-    panels = g[:, :-1] + g[:, 1:]
+    tail[..., n] = 0.0
+    panels = g[..., :-1] + g[..., 1:]
     panels *= 0.5 / n
-    np.cumsum(panels[:, ::-1], axis=1, out=tail[:, n - 1 :: -1])
+    np.cumsum(panels[..., ::-1], axis=-1, out=tail[..., n - 1 :: -1])
     return tail
+
+
+def _per_row(value) -> np.ndarray:
+    """A scalar, or one value per row of a (K, N+1) stack, shaped to
+    broadcast against the fields."""
+    return np.asarray(value, dtype=float)[..., np.newaxis]
 
 
 def _bessel_integral(f: np.ndarray, s: float, lam: float, alpha: float, kind: int) -> np.ndarray:
@@ -152,10 +158,13 @@ def controller_transform(
     """w = u - (c/alpha) int_x^s (x-y) u(y) dy + (c/beta)(s-x) X.
 
     The integral is s^2 (xi T[u] - T[xi u]).  The boundary value w(s)
-    vanishes exactly whenever u(s) = 0.
+    vanishes exactly whenever u(s) = 0.  A (K, N+1) stack of fields, with
+    one s and one X per row, maps row by row, each row's bits those of its
+    own call.
     """
     u = np.asarray(u, dtype=float)
-    xi = _geometry(u.size - 1)[0]
+    xi = _geometry(u.shape[-1] - 1)[0]
+    s, X = _per_row(s), _per_row(X)
     tail_u, tail_xu = _tail_integrals(np.array((u, xi * u)))
     integral = s * s * (xi * tail_u - tail_xu)
     out = u - (c / alpha) * integral
@@ -169,9 +178,11 @@ def controller_inverse(
 
     With k = sqrt(c/alpha) and A = (c/beta)/k the integral is
     s A (sin(k s xi) T[cos(k s xi) w] - cos(k s xi) T[sin(k s xi) w]).
+    Stacks map row by row, as in ``controller_transform``.
     """
     w = np.asarray(w, dtype=float)
-    xi = _geometry(w.size - 1)[0]
+    xi = _geometry(w.shape[-1] - 1)[0]
+    s, X = _per_row(s), _per_row(X)
     kappa = np.sqrt(c / alpha)
     phase = (kappa * s) * xi
     sin, cos = np.sin(phase), np.cos(phase)

@@ -1,11 +1,14 @@
 """Shared fixtures: the bundled zinc scenario and its session-scoped runs."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from stefanlab import transforms
+from stefanlab import runner, transforms
 from stefanlab.cli import bundled_config, parse_config
+from stefanlab.diagnostics import lyapunov_constants
 from stefanlab.errors import NumericalError
 from stefanlab.runner import simulate
 
@@ -25,6 +28,34 @@ def refuse_j1_above(monkeypatch, cap):
     monkeypatch.setattr(transforms, "kernel_rows", refusing)
     # the memo may hold rows summed before the patch
     transforms._ratio_rows.cache_clear()
+
+
+def checkpoint_member(cfg, p):
+    """What ``runner._log_checkpoints`` reads and writes of a batch member,
+    with room for one block of checkpoints."""
+    rows = runner._BLOCK_ROWS
+    return SimpleNamespace(
+        cfg=cfg,
+        p=p,
+        constants=lyapunov_constants(cfg, p),
+        cols={name: np.full(rows, np.nan) for name in ("t", "s", "V", "Vtot")},
+        checkpoints=np.empty((len(runner._CHECKPOINT_COLUMNS), rows)),
+        checkpoints_logged=0,
+        pending=[],
+    )
+
+
+def log_checkpoints(member, block, snapshots):
+    """Log (theta, theta_hat, y, t) snapshots as the member's checkpoints at
+    rows 0, 1, ... of one block, as the engine does: the error pair at each
+    row, then one stacked pass over the block's checkpoints.  block is the
+    (_BLOCK_ROWS, 2, N+1) buffer the rows are written to."""
+    cfg, p, cols = member.cfg, member.p, member.cols
+    for i, (theta, theta_hat, y, t) in enumerate(snapshots):
+        block[i] = theta, theta_hat
+        cols["t"][i], cols["s"][i] = t, y
+        member.pending.append((i, *runner._error_pair(theta, theta_hat, y, cfg.lam, p.alpha)))
+    runner._log_checkpoints(member, block)
 
 
 @pytest.fixture(scope="session")

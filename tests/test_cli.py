@@ -596,8 +596,9 @@ def test_sweep_refuses_colliding_stems(tmp_path, capsys):
         ({("physical", "rho"): "inf"}, [], "rho must be finite"),
         ({("physical", "tm"): "inf"}, [], "tm must be finite"),
         ({("numerics", "t_end"): "1e300"}, [], "t_end/dt is too large"),
+        ({("numerics", "t_end"): "1.07"}, [], "t_end must be a whole number of steps dt"),
     ],
-    ids=["checkpoint_every_0", "t_end_inf", "rho_inf", "tm_inf", "t_end_huge"],
+    ids=["checkpoint_every_0", "t_end_inf", "rho_inf", "tm_inf", "t_end_huge", "t_end_off_grid"],
 )
 def test_invalid_override_exits_2(tmp_path, capsys, command, edits, flag, message):
     cfg = _tweaked_config(tmp_path, edits)

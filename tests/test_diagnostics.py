@@ -15,7 +15,7 @@ from stefanlab.diagnostics import (
     monitor_constraints,
 )
 from stefanlab.params import PhysicalParams, ScenarioConfig
-from stefanlab.transforms import apply_inverse, controller_transform
+from stefanlab.transforms import apply_inverse, controller_inverse, controller_transform
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 
@@ -91,6 +91,39 @@ def test_stacked_h1_norms_equal_one_field_calls():
         s = float(rng.uniform(0.01, 1.0))
         one_by_one = np.array([h1_norm_sq(row, s) for row in pair])
         assert h1_norm_sq(pair, s).tobytes() == one_by_one.tobytes()
+
+
+def test_stacked_checkpoint_rows_equal_one_row_calls():
+    """The engine forms a block's checkpoints in one stacked call of each of
+    controller_transform, controller_inverse and lyapunov_sample, with one
+    extent, setpoint error and time per row: each row's bits are those of
+    its own call, through the sines, cosines and exponentials too."""
+    rng = np.random.default_rng(11)
+    cfg = cfg_for()
+    constants = lyapunov_constants(cfg, P)
+    args = (cfg.c, P.alpha, P.beta)
+    for _ in range(60):
+        n, rows = int(rng.integers(16, 301)), int(rng.integers(1, 65))
+        u = rng.normal(size=(rows, n + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
+        u[:, -1] = 0.0
+        w_err = rng.normal(size=(rows, n + 1))
+        s = rng.uniform(0.001, 1.0, size=rows)
+        t = rng.uniform(0.0, 4500.0, size=rows)
+        X = s - cfg.sr
+        w_hat = controller_transform(u, X, s, *args)
+        one_by_one = np.array([controller_transform(*row, *args) for row in zip(u, X, s)])
+        assert w_hat.tobytes() == one_by_one.tobytes()
+        back = controller_inverse(w_hat, X, s, *args)
+        one_by_one = np.array([controller_inverse(*row, *args) for row in zip(w_hat, X, s)])
+        assert back.tobytes() == one_by_one.tobytes()
+        # one row's Vtot overflows to inf, where V is inf too
+        w_hat[rng.integers(rows)] *= 1e160
+        stacked = lyapunov_sample(w_err, w_hat, s, t, cfg, P, constants)
+        samples = [lyapunov_sample(*row, cfg, P, constants) for row in zip(w_err, w_hat, s, t)]
+        assert np.isinf(stacked.Vtot).sum() == np.isinf(stacked.V).sum() == 1
+        for name in ("t", "V1_tilde", "Vtot", "V"):
+            one_by_one = np.array([getattr(sample, name) for sample in samples])
+            assert getattr(stacked, name).tobytes() == one_by_one.tobytes(), name
 
 
 def test_lyapunov_constants_branch_selection():

@@ -162,6 +162,22 @@ def test_structural_config_errors():
             scenario(**bad)
 
 
+@pytest.mark.parametrize("t_end", [1.07, 1.03, 4500.01])
+def test_horizon_off_the_step_grid_is_refused(t_end):
+    """Rounded, 1.07 s at dt = 0.1 s would run to t = 1.1 s and 1.03 s stop
+    at t = 1.0 s."""
+    with pytest.raises(ConfigurationError, match="t_end must be a whole number of steps dt"):
+        scenario(t_end=t_end, dt=0.1)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, rows", [(12.7, 0.1, 128), (4.3, 0.1, 44), (4500.0, 0.05, 90001)]
+)
+def test_horizon_on_the_step_grid_up_to_rounding_is_accepted(t_end, dt, rows):
+    # 12.7/0.1 and 4.3/0.1 come out one unit in the last place below 127 and 43
+    assert scenario(t_end=t_end, dt=dt).rows == rows
+
+
 @given(
     s0=st.floats(min_value=1e-3, max_value=1.0),
     H=st.floats(min_value=0.0, max_value=1e3),

@@ -23,7 +23,7 @@ from stefanlab.transforms import (
     controller_transform,
 )
 
-from conftest import refuse_j1_above
+from conftest import checkpoint_member, log_checkpoints, refuse_j1_above
 from oracles import (
     ObserverState,
     PlantState,
@@ -198,24 +198,31 @@ def test_checkpoint_series_beyond_max_terms_reports_partial_trace(monkeypatch):
 
 
 def test_warm_checkpoint_row_allocates_no_kernel_matrix(zinc):
-    """One (N+1)^2 float array at N = 200 is 323 KB; the row's ratio rows,
-    summed afresh at each new extent, are 183 KB."""
+    """One (N+1)^2 float array at N = 200 is 323 KB; the error pair's ratio
+    rows, summed afresh at each new extent, are 183 KB."""
     p, cfg = zinc
     xi = np.linspace(0.0, 1.0, cfg.grid_n + 1)
     theta = 3.0 * (1.0 - xi) ** 2
     theta_hat = theta + 0.1 * np.sin(np.pi * xi)
-    runner._checkpoint_row(theta, theta_hat, 0.2, 10.0, cfg, p)
+    member = checkpoint_member(cfg, p)
+    block = np.empty((_BLOCK_ROWS, 2, cfg.grid_n + 1))
+    log_checkpoints(member, block, [(theta, theta_hat, 0.2, 10.0)])
     tracemalloc.start()
     try:
-        runner._checkpoint_row(theta, theta_hat, 0.21, 11.0, cfg, p)
+        log_checkpoints(member, block, [(theta, theta_hat, 0.21, 11.0)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert member.checkpoints_logged == 2
     assert peak < 400 * 1024
 
 
-@pytest.mark.parametrize("every, bad", [(50, 2), (127, 1)], ids=["mid_block", "block_end"])
+@pytest.mark.parametrize(
+    "every, bad", [(50, 2), (127, 1), (5, 19)], ids=["mid_block", "block_end", "dense_mid_block"]
+)
 def test_later_checkpoint_beyond_series_cap_keeps_its_row(monkeypatch, every, bad):
+    # dense_mid_block fails at row 95, with the checkpoints of rows 65 to 90
+    # of its block still to be logged
     cfg = cfg_for(checkpoint_every=every)
     full = simulate(cfg, P)
     z2 = (cfg.lam / P.alpha) * full.checkpoints["s"] ** 2
@@ -235,6 +242,8 @@ def test_later_checkpoint_beyond_series_cap_keeps_its_row(monkeypatch, every, ba
         if name in ("V", "Vtot"):
             want[row] = np.nan
         assert _same_bits(got[name], want), name
+    for name in ("V", "Vtot"):
+        assert np.isfinite(got[name][0:row:every]).all() and np.isnan(got[name][row]), name
 
 
 def test_determinism_in_process():
@@ -341,6 +350,9 @@ REFERENCE_CASES = {
     "whole_blocks": dict(t_end=12.7),  # 128 rows: two full blocks, no partial one
     "blow_up": dict(c=1e9, t_end=50.0),  # blows up part-way through a block
     "solve_fails": dict(sr=1e307, domain_cap=None),  # the first heat flux overflows
+    "dense": dict(lam=0.05, checkpoint_every=1),  # 64 checkpoints per block
+    # 164 rows: 36 in the last block, whose last row is a checkpoint off the stride
+    "dense_state_feedback": dict(mode="state_feedback", lam=0.05, checkpoint_every=5, t_end=16.3),
 }
 
 

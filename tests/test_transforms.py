@@ -18,6 +18,7 @@ from stefanlab.transforms import (
     psi_kernel,
 )
 
+from conftest import checkpoint_member, log_checkpoints
 from oracles import (
     PlantState,
     i1_ratio_array,
@@ -319,8 +320,9 @@ def test_gap_power_table_holds_one_block_at_the_largest_admitted_extent(zinc):
     """A checkpoint at 0.9 x the zinc gain bound and s = 0.7 m, where
     (lam/alpha)*s^2 = 1.59e4 takes 116 terms, leaves _BLOCK + 1 rows in the
     grid's power table, 2.3 MB at N = 200."""
-    from stefanlab import runner, specfun
+    from stefanlab import specfun
     from stefanlab.params import lambda_upper_bound
+    from stefanlab.runner import _BLOCK_ROWS
     from stefanlab.transforms import _scratch
 
     p, cfg = zinc
@@ -329,8 +331,11 @@ def test_gap_power_table_holds_one_block_at_the_largest_admitted_extent(zinc):
     assert len(specfun.i1_ratio_terms((lam / p.alpha) * 0.49, 400)) == 116
     xi = np.linspace(0.0, 1.0, cfg.grid_n + 1)
     theta = 3.0 * (1.0 - xi) ** 2
-    ck = runner._checkpoint_row(theta, theta + 0.1 * np.sin(np.pi * xi), 0.7, 1.0, cfg, p)
-    assert np.all(np.isfinite(ck))
+    member = checkpoint_member(cfg, p)
+    block = np.empty((_BLOCK_ROWS, 2, cfg.grid_n + 1))
+    log_checkpoints(member, block, [(theta, theta + 0.1 * np.sin(np.pi * xi), 0.7, 1.0)])
+    assert member.checkpoints_logged == 1
+    assert np.all(np.isfinite(member.checkpoints[:, 0]))
     assert _scratch(cfg.grid_n)[0].table.shape[0] == specfun._BLOCK + 1
 
 
