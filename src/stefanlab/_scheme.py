@@ -14,13 +14,16 @@ trajectory bit for bit.
 In the closed loop the observer runs on the measured extent Y = s and rate
 Y' = s', so plant and observer share the matrix and the rate at every step,
 and scenarios that share the grid and the time step advance together as B
-blocks of m fields.  A ``Workspace`` holds a batch's work arrays, built when
-the batch starts and again only when a member leaves: the two field buffers,
-the diagonals, the convection buffers, the coefficient row xi*dt/(2*dxi) and
-the source rows.  Per block and step only ``block_row``'s Python floats
+blocks of m fields.  A ``Workspace`` is the per-step kernel of a batch,
+built when the batch starts and again only when a member leaves, with every
+array a step writes: the step table, the diagonals, the convection and
+coefficient buffers, the source rows and the gain series' term table, and
+the views of each row of the caller's ring of fields that a step and its
+sample read.  Per block and step only ``block_row``'s Python floats
 change; a step folds them into one convection coefficient row per block, and
 one ``dgtsv`` call with m right-hand sides solves every block of the
-block-diagonal system whose blocks are joined by zero couplings.  LAPACK
+block-diagonal system whose blocks are joined by zero couplings, in place
+in the ring's next row.  LAPACK
 eliminates each column with the same operations as a one-column solve, and a
 zero coupling adds only zero terms, which can flip nothing but the sign of an
 exact zero; the Dirichlet row, where exact zeros arise, is reset to +0.0.
@@ -34,6 +37,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+
+from . import observer
 
 
 def _load_dgtsv():
@@ -121,84 +126,112 @@ def _tri_index(blocks: int, n: int) -> np.ndarray:
 
 
 class Workspace:
-    """Work arrays of B blocks of m fields on the n-interval grid that step
-    together with one dt.  The fields live in two (m, B, N+1) buffers: a step
-    writes its right-hand side into the idle one, which dgtsv solves in
-    place, and they swap.  ``source`` holds the gain blocks' sources times
-    dt.  ``sample`` reads ``sums`` and ``corners``: each field's interior sum
-    and samples at xi = 0 and the last three nodes, field f of block b at
+    """The per-step kernel of B blocks of m fields on the n-interval grid that
+    step together with one dt, the first `gains` blocks' last field with an
+    injection source; every buffer is made here, none by a step.
+
+    The fields live in the caller's ring, R >= 2 rows of (m, B, N+1), row
+    ``now`` the current ones: a step writes its right-hand side into the next
+    row (mod R), which dgtsv solves in place.  A step reads ``table``, the
+    (B, 7) step table of ``block_row``s, and adds ``source``, the gain
+    blocks' sources times dt; ``terms`` holds the gain series' term table.
+    ``sample`` reads ``sums`` and ``corners``: each field's interior sum and
+    samples at xi = 0 and the last three nodes, field f of block b at
     f*B + b."""
 
-    def __init__(self, rows: np.ndarray, dt: float):
-        m, blocks, n1 = rows.shape
+    def __init__(self, ring: np.ndarray, dt: float, gains: int = 0, now: int = 0):
+        if not ring.flags.c_contiguous:
+            raise ValueError("a step solves in place, so the ring must be C-contiguous")
+        _, m, blocks, n1 = ring.shape
         n, size = n1 - 1, blocks * n1
-        self.dt, self.now = dt, 0
-        self.pair = np.zeros((2, m, blocks, n1))
-        self.fields = self.pair[0]
-        self.fields[...] = rows
+        self.ring, self.dt, self.gains, self.now = ring, dt, gains, now
+        # a right-hand side's Dirichlet entry is the one its row holds: the
+        # +0.0 that a solve leaves there, as the current fields hold
+        ring[..., -1] = 0.0
+        self.table = np.empty((blocks, 7))
+        # the table as one row, for a flat list of block rows, and its
+        # ghost-node and rate-over-extent columns
+        self.entries, self.ghost, self.rate = self.table.ravel(), self.table[:, 5], self.table[:, 6:]
         tri = self.tri = np.empty(3 * size - 2)
         self.diagonals = tri[: size - 1], tri[size - 1 : 2 * size - 1], tri[2 * size - 1 :]
         self.index = _tri_index(blocks, n).copy()  # take copies a read-only index
         # xi*dt/(2*dxi) at the interior nodes, times a block's rate over extent
         self.xi_dt = np.arange(1, n) * (0.5 * dt)
-        self.coef, self.conv = np.empty((blocks, n - 1)), np.empty((m, blocks, n - 1))
-        self.source = np.empty((blocks, n1))
+        self.coef, self.conv = np.empty((m, blocks, n - 1)), np.empty((m, blocks, n - 1))
+        self.source = np.empty((gains, n1))
+        self.injection = self.source[:, :-1]
+        self.terms = np.empty((gains, observer._GAIN_MAX_ROWS))
         self.corners_at = np.array([0, n - 2, n - 1, n])
-        # per current buffer a (the other is b): the views a step works on
+        self.sum_buf, self.corner_buf = np.empty(m * blocks), np.empty((m * blocks, 4))
+        # per ring row: the views a step from it works on (b the next row),
+        # and those sample reads of it
         self.views = [
             (
-                a[..., 2:], a[..., :-2], a[..., 1:-1], b[..., 1:-1],
-                a[..., 0], b[..., 0], b[-1], b.reshape(m, size).T,
+                a[..., 2:], a[..., :-2], a[..., 1:-1], b[..., 1:-1], a[..., 0], b[..., 0],
+                b[-1, :gains, :-1], b[..., -1], b.reshape(m, size).T,
             )
-            for a, b in zip(self.pair, self.pair[::-1])
+            for a, b in zip(ring, [*ring[1:], ring[0]])
         ]
+        self.rows = [(a, a[:, 1:-1]) for a in ring.reshape(len(ring), m * blocks, n1)]
+
+    @property
+    def fields(self) -> np.ndarray:
+        """The current (m, B, N+1) fields, row ``now`` of the ring."""
+        return self.ring[self.now]
 
     def sample(self) -> bool:
         """Read ``sums`` and ``corners``, as every step does after its solve;
         False if a field is not finite."""
-        rows = self.fields.reshape(-1, self.fields.shape[-1])  # as (m*B, N+1)
-        self.sums = np.add.reduce(rows[:, 1:-1], axis=-1).tolist()
-        self.corners = rows.take(self.corners_at, axis=-1).tolist()
+        rows, interior = self.rows[self.now]  # as (m*B, N+1)
+        self.sums = np.add.reduce(interior, axis=-1, out=self.sum_buf).tolist()
+        self.corners = rows.take(self.corners_at, axis=-1, out=self.corner_buf, mode="clip").tolist()
         # what this leaves out is the Dirichlet zeros; a sum of finite values
         # that overflows sends the check to every entry
         total = sum(self.sums) + sum(map(sum, self.corners))
         return math.isfinite(total) or bool(np.isfinite(rows).all())
 
-    def step(self, values: np.ndarray, gains: int = 0) -> dict:
-        """One step of every field with the (B, 7) table of ``block_row``s, the
-        last field of the first `gains` blocks adding its ``source`` row.
-        Returns block -> message for blocks whose solve failed or left a
-        non-finite value."""
-        later, earlier, interior, rhs, head, first, last, b = self.views[self.now]
+    def step(self) -> dict:
+        """One step of every field with ``table``, the last field of the first
+        `gains` blocks adding its ``source`` row.  Returns block -> message
+        for blocks whose solve failed or left a non-finite value."""
+        later, earlier, interior, rhs, head, first, injected, edge, b = self.views[self.now]
         # the explicit convection, which vanishes at xi = 0 (the Dirichlet
         # row at xi = 1 stays 0), then the ghost-node term and the source
         conv = np.subtract(later, earlier, out=self.conv)
-        conv *= np.multiply(values[:, 6, np.newaxis], self.xi_dt, out=self.coef)
+        # each block's coefficient row, copied to its every field: a product
+        # that broadcast it over the fields would have numpy allocate
+        # buffers of the row's length on every call
+        coef = self.coef
+        np.multiply(self.rate, self.xi_dt, out=coef[0])
+        coef[1:] = coef[0]
+        conv *= coef
         np.add(interior, conv, out=rhs)
-        np.add(head, values[:, 5], out=first)
-        if gains:
-            injected = last[:gains, :-1]
-            injected += self.source[:gains, :-1]
-        values.take(self.index, out=self.tri, mode="clip")  # "raise" buffers `out`
+        np.add(head, self.ghost, out=first)
+        if self.gains:
+            injected += self.injection
+        self.table.take(self.index, out=self.tri, mode="clip")  # "raise" buffers `out`
         info = dgtsv(*self.diagonals, b, 1, 1, 1, 1)[-1]  # overwrite all four
-        old, self.now = self.fields, 1 - self.now
-        self.fields = self.pair[self.now]
-        self.fields[..., -1] = 0.0
+        old, self.now = self.now, (self.now + 1) % len(self.views)
+        edge.fill(0.0)
         if self.sample() and info == 0:
             return {}
-        if len(values) == 1:
+        blocks = len(self.table)
+        if blocks == 1:
             if info == 0:
                 return {0: "temperature field became non-finite"}
             return {0: f"tridiagonal solve failed: dgtsv info = {info}"}
         # a failed block can spread NaN to its neighbours across the zero
         # couplings (0 * inf), so every block is solved again on its own
-        failed = {}
-        for k in range(len(values)):
-            alone = Workspace(old[:, k : k + 1], self.dt)
-            alone.source[0] = self.source[k]
-            bad = alone.step(values[k : k + 1], int(k < gains))
+        failed, fields = {}, self.fields
+        for k in range(blocks):
+            ring = np.empty((2, fields.shape[0], 1, fields.shape[-1]))
+            ring[0] = self.ring[old, :, k : k + 1]
+            alone = Workspace(ring, self.dt, int(k < self.gains))
+            alone.table[0] = self.table[k]
+            alone.source[:] = self.source[k : k + 1]
+            bad = alone.step()
             if bad:
                 failed[k] = bad[0]
-            self.fields[:, k] = alone.fields[:, 0]
+            fields[:, k] = alone.fields[:, 0]
         self.sample()
         return failed

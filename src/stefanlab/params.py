@@ -10,6 +10,7 @@ them and reports the computed bounds; it never raises.
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -52,12 +53,13 @@ class PhysicalParams:
         if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
             raise ConfigurationError("derived alpha and beta must be finite and positive")
 
-    @property
+    # computed once per instance: the engine reads both on every step
+    @cached_property
     def alpha(self) -> float:
         """Thermal diffusivity k/(rho*cp), m^2/s."""
         return self.k / (self.rho * self.cp)
 
-    @property
+    @cached_property
     def beta(self) -> float:
         """Stefan-condition coefficient k/(rho*dh)."""
         return self.k / (self.rho * self.dh)

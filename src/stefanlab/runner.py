@@ -13,19 +13,28 @@ feedback laws then produce identical traces.
 
 Scenarios that share the grid and the time step advance in lockstep as one
 (2, B, N+1) stack, row 0 of each member its theta and row 1 its theta_hat;
-``simulate`` is the batch of one.  Once per batch: each member's constants.
-Once per batch, and again only when a member leaves: the
-``_scheme.Workspace``.  Once per step for the whole batch: the step table,
-the gain series' term table (one cumulative product), the right-hand side,
-one two-column solve, the trapezoid sums and edge samples and the
-non-finite check.  Per member: in Python floats the previous step's Stefan
-update, the feedback law, the edge stencils, the rate and its clamp and the
-gain series' argument, term count and scale; in numpy its own truncation
-and matvec of the term table, so that its bits do not depend on its
-batch-mates.  Members leave at one point of a step, after the per-member
-pass, with their final fields read from their newest buffered row.  The logged
-diagnostics depend on no later step, so they are computed for blocks of
-buffered rows at a time.
+``simulate`` is the batch of one.  The stacks live in a ring of
+_BLOCK_ROWS of them, row i of the trace in ring row i % _BLOCK_ROWS: the
+``_scheme.Workspace`` steps the fields inside it, and the logged
+diagnostics, which depend on no later step, are computed from it for a
+block of rows at a time.  Once per batch: each member's constants.  Once
+per batch, and again only when a member leaves: the ring and the
+workspace, with every buffer a step writes.  Once per step for the whole
+batch: the step table filled, the gain series' term table (one cumulative
+product), the right-hand side, one two-column solve, the trapezoid sums and
+edge samples and the non-finite check.  Per member: in Python floats the
+previous step's Stefan update, the feedback law, the edge stencils, the rate
+and its clamp and the gain series' argument, term count and scale; in numpy
+its own truncation and matvec of the term table, so that its bits do not
+depend on its batch-mates.  Members leave at one point of a step, after the
+per-member pass, with their final fields read from their newest row.
+
+The steps run with overflow and invalid operations ignored, so that a
+diverging field fails its step without a warning.  That error state is
+entered once per stretch of steps and left for what runs diagnostics or
+yields: a block's logs, a checkpoint's error pair and a departure.  What
+it covers besides ``gain_sources`` and ``Workspace.step`` is the member
+pass's Python-float arithmetic, which numpy's error state does not touch.
 
 A checkpoint's Bessel error pair (``apply_inverse`` for w_err, then the
 ``apply_direct`` round trip) runs at the checkpoint's own row: each extent
@@ -268,6 +277,28 @@ def lockstep_batches(cfgs) -> list[list[int]]:
     return batches
 
 
+class _Quiet:
+    """np.errstate(over="ignore", invalid="ignore") held over a stretch of
+    steps: ``enter`` starts a stretch unless one is open, ``leave`` ends the
+    open one.  Both run within one resumption of a generator, which leaves
+    before it yields, so the consumer never sees the quiet state."""
+
+    __slots__ = ("state",)
+
+    def __init__(self):
+        self.state = None
+
+    def enter(self) -> None:
+        if self.state is None:
+            self.state = np.errstate(over="ignore", invalid="ignore")
+            self.state.__enter__()
+
+    def leave(self) -> None:
+        if self.state is not None:
+            self.state.__exit__(None, None, None)
+            self.state = None
+
+
 def simulate_batch(scenarios):
     """Run (cfg, p) scenarios that share grid_n and dt in lockstep.
 
@@ -328,86 +359,96 @@ def simulate_batch(scenarios):
             )
         )
 
-    # block b of the workspace is member b: row 0 its theta, row 1 its theta_hat
-    ws = Workspace(np.stack([initial_fields(m.cfg) for m in members], axis=1), dt)
-    ws.sample()
-    # the buffered stacks of the current block of rows
+    # the block ring the fields step in, row i % _BLOCK_ROWS holding row i's
+    # (theta, theta_hat); block b of the workspace is member b
     block = np.empty((_BLOCK_ROWS, 2, len(members), n + 1))
+    block[0] = np.stack([initial_fields(m.cfg) for m in members], axis=1)
+    ws = Workspace(block, dt, sum(m.lam != 0.0 for m in members))
+    ws.sample()
+    quiet = _Quiet()
     failed = {}
     i = 0
-    while True:
-        t = i * dt
-        rows = i + 1
-        stack, sums, corners, blocks = ws.fields, ws.sums, ws.corners, len(members)
-        block[i % _BLOCK_ROWS] = stack
-        log_block = rows % _BLOCK_ROWS == 0
-
-        # per member in Python floats: the Stefan update of step i - 1, the
-        # feedback law on the trapezoid integral of control._trapz_integral,
-        # a checkpoint's error pair, the block's logs, the rate, the step
-        # table row and the gain series' argument, term count and scale;
-        # `leaving` maps a departing member to its logged rows and its failure
-        leaving, stepping, table, z2s, counts, scales = {}, [], [], [], [], []
-        for j, m in enumerate(members):
-            cfg, cols, fb = m.cfg, m.cols, m.feedback_row * blocks + j
-            _, t3, t2, t1 = corners[j]
-            edge = edge_stencil(t3, t2, t1, dxi)  # the plant's, on the field step i - 1 solved
-            failure = failed.get(j)
-            if i and failure is None:
-                try:
-                    s_next = advance_interface(m.s, edge, t, dt, m.beta, m.domain_cap)
-                except BlowUpError as exc:
-                    failure = str(exc)
-                else:
-                    m.s_prev, m.s = m.s, s_next
-            if failure is not None:
-                leaving[j] = i, failure
-                continue
-            y = m.s  # measurement; the observer extent is rescaled to it
-            integral = y * dxi * (0.5 * (corners[fb][0] + corners[fb][3]) + sums[fb])
-            qc = control.feedback_law(integral, y, cfg, m.p)
-            cols["t"][i] = t
-            cols["s"][i] = y
-            cols["qc"][i] = qc
+    try:
+        while True:
+            t = i * dt
+            rows = i + 1
+            sums, corners, blocks = ws.sums, ws.corners, len(members)
+            log_block = rows % _BLOCK_ROWS == 0
             if log_block:
-                _log_block(cols, rows - _BLOCK_ROWS, block[:, :, j], cfg, m.p)
-            try:
-                if i % cfg.checkpoint_every == 0 or i == m.last_row:
-                    pair = _error_pair(stack[0, j], stack[1, j], y, m.lam, m.p.alpha)
-                    m.pending.append((i, *pair))
-                if log_block:
-                    _log_checkpoints(m, block[:, :, j])
-                if i == m.last_row:
-                    leaving[j] = rows, None
-                    continue
-                rate = convection_rate(y, m.s_prev, edge, dt, m.beta)
-                if m.lam:
-                    z2 = m.lam_alpha * y * y
-                    counts.append(gain_term_count(z2))
-                    z2s.append(z2)
-                    _, t3, t2, t1 = corners[blocks + j]
-                    innovation = rate / m.beta + edge_stencil(t3, t2, t1, dxi) / y
-                    scales.append(m.lam * y * innovation * dt)
-            except (BlowUpError, NumericalError) as exc:
-                leaving[j] = rows, str(exc)
-                continue
-            stepping.append(j)
-            table += block_row(y, rate, qc, m.alpha_dt, m.rate_cap, m.k, dxi)
+                quiet.leave()
 
-        for j, (logged, failure) in leaving.items():
-            yield members[j].index, members[j].result(logged, block[:, :, j], failure)
-        if not stepping:
-            return
-        if leaving:
-            # compaction keeps the order, so the gain members stay first
-            members = [members[j] for j in stepping]
-            ws, block = Workspace(stack[:, stepping], dt), block[:, :, stepping]
-        # a diverging field fails the step, with no floating-point warning
-        with np.errstate(over="ignore", invalid="ignore"):
+            # per member in Python floats: the Stefan update of step i - 1, the
+            # feedback law on the trapezoid integral of control._trapz_integral,
+            # a checkpoint's error pair, the block's logs, the rate, the step
+            # table row and the gain series' argument, term count and scale;
+            # `leaving` maps a departing member to its logged rows and its failure
+            leaving, stepping, table, z2s, counts, scales = {}, [], [], [], [], []
+            for j, m in enumerate(members):
+                cfg, cols, fb = m.cfg, m.cols, m.feedback_row * blocks + j
+                _, t3, t2, t1 = corners[j]
+                edge = edge_stencil(t3, t2, t1, dxi)  # the plant's, on the field step i - 1 solved
+                failure = failed.get(j)
+                if i and failure is None:
+                    try:
+                        s_next = advance_interface(m.s, edge, t, dt, m.beta, m.domain_cap)
+                    except BlowUpError as exc:
+                        failure = str(exc)
+                    else:
+                        m.s_prev, m.s = m.s, s_next
+                if failure is not None:
+                    leaving[j] = i, failure
+                    continue
+                y = m.s  # measurement; the observer extent is rescaled to it
+                integral = y * dxi * (0.5 * (corners[fb][0] + corners[fb][3]) + sums[fb])
+                qc = control.feedback_law(integral, y, cfg, m.p)
+                cols["t"][i] = t
+                cols["s"][i] = y
+                cols["qc"][i] = qc
+                if log_block:
+                    _log_block(cols, rows - _BLOCK_ROWS, block[:, :, j], cfg, m.p)
+                try:
+                    if i % cfg.checkpoint_every == 0 or i == m.last_row:
+                        quiet.leave()
+                        pair = _error_pair(*block[ws.now, :, j], y, m.lam, m.p.alpha)
+                        m.pending.append((i, *pair))
+                    if log_block:
+                        _log_checkpoints(m, block[:, :, j])
+                    if i == m.last_row:
+                        leaving[j] = rows, None
+                        continue
+                    rate = convection_rate(y, m.s_prev, edge, dt, m.beta)
+                    if m.lam:
+                        z2 = m.lam_alpha * y * y
+                        counts.append(gain_term_count(z2))
+                        z2s.append(z2)
+                        _, t3, t2, t1 = corners[blocks + j]
+                        innovation = rate / m.beta + edge_stencil(t3, t2, t1, dxi) / y
+                        scales.append(m.lam * y * innovation * dt)
+                except (BlowUpError, NumericalError) as exc:
+                    leaving[j] = rows, str(exc)
+                    continue
+                stepping.append(j)
+                table += block_row(y, rate, qc, m.alpha_dt, m.rate_cap, m.k, dxi)
+
+            if leaving:
+                quiet.leave()
+                for j, (logged, failure) in leaving.items():
+                    yield members[j].index, members[j].result(logged, block[:, :, j], failure)
+                if not stepping:
+                    return
+                # compaction keeps the order, so the gain members stay first
+                members = [members[j] for j in stepping]
+                block = block.take(stepping, axis=2)  # C-contiguous, as the ring must be
+                ws = Workspace(block, dt, len(z2s), ws.now)
+            # a diverging field fails the step, with no floating-point warning
+            quiet.enter()
             if z2s:
-                gain_sources(z2s, scales, counts, n, ws.source)
-            failed = ws.step(np.array(table).reshape(-1, 7), len(z2s))
-        i += 1
+                gain_sources(z2s, scales, counts, n, ws.source, ws.terms)
+            ws.entries[:] = table
+            failed = ws.step()
+            i += 1
+    finally:
+        quiet.leave()
 
 
 def simulate(cfg: ScenarioConfig, p: PhysicalParams) -> SimulationResult:

@@ -58,6 +58,15 @@ def log_checkpoints(member, block, snapshots):
     runner._log_checkpoints(member, block)
 
 
+@pytest.fixture(autouse=True)
+def error_state_kept():
+    """Fail a test that leaves numpy's floating-point error state other than
+    it found it."""
+    before = np.geterr()
+    yield
+    assert np.geterr() == before, "the test changed numpy's floating-point error state"
+
+
 @pytest.fixture(scope="session")
 def zinc():
     """(PhysicalParams, ScenarioConfig) from the bundled zinc config."""

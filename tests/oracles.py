@@ -200,14 +200,15 @@ def advance_field(rows, extent, rates, qc, dt, alpha, k, source=None) -> tuple[n
     -(qc/k)*extent) and material alpha[b], k[b]; the optional (G, N+1)
     source times dt is that of the last field of the first G blocks."""
     dxi = 1.0 / (rows.shape[-1] - 1)
-    ws = Workspace(rows, dt)
-    table = []
+    ring = np.empty((2, *rows.shape))
+    ring[0] = rows
+    ws = Workspace(ring, dt, 0 if source is None else len(source))
     for b in range(len(extent)):
         cap = stable_rate_cap(alpha[b], dt)
-        table.append(block_row(extent[b], rates[b], qc[b], alpha[b] * dt, cap, k[b], dxi))
+        ws.table[b] = block_row(extent[b], rates[b], qc[b], alpha[b] * dt, cap, k[b], dxi)
     if source is not None:
-        ws.source[: len(source)] = source
-    failed = ws.step(np.array(table), 0 if source is None else len(source))
+        ws.source[:] = source
+    failed = ws.step()
     return ws.fields, failed
 
 

@@ -49,6 +49,14 @@ def test_unit_parameters_give_unit_diffusivities():
     assert beta == 1.0
 
 
+def test_diffusivities_are_computed_once_with_the_same_bits():
+    p = zinc_params()
+    assert p.alpha == ZINC["k"] / (ZINC["rho"] * ZINC["cp"])
+    assert p.beta == ZINC["k"] / (ZINC["rho"] * ZINC["dh"])
+    # a property would make a new float at every access
+    assert p.alpha is p.alpha and p.beta is p.beta
+
+
 def test_doubling_conductivity_doubles_both():
     p1, p2 = zinc_params(), zinc_params(k=2 * ZINC["k"])
     a1, b1 = p1.alpha, p1.beta

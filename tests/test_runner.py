@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from stefanlab import observer, runner, specfun, transforms
-from stefanlab._scheme import block_row, one_sided_edge_flux, stable_rate_cap
+from stefanlab._scheme import Workspace, block_row, one_sided_edge_flux, stable_rate_cap
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.control import field_energy
 from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
 from stefanlab.errors import BlowUpError, NumericalError
+from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import PhysicalParams, ScenarioConfig, lambda_upper_bound
 from stefanlab.plant import convection_rate
 from stefanlab.runner import _BLOCK_ROWS, initial_fields, lockstep_batches, simulate, simulate_batch
@@ -394,6 +395,85 @@ def test_lockstep_batch_matches_reference_loop():
     assert sorted(j for j, _ in left) == list(range(len(cfgs)))
     for j, res in left:
         _assert_matches_reference(res, cfgs[j])
+
+
+def _warm_step_peak(cfg, p, n):
+    """tracemalloc's peak over 200 steps of a workspace of one gain block on
+    the n-interval grid, once round the ring first."""
+    y = cfg.s0
+    ring = np.empty((_BLOCK_ROWS, 2, 1, n + 1))
+    ring[0, :, 0] = initial_fields(replace(cfg, grid_n=n))
+    ws = Workspace(ring, cfg.dt, gains=1)
+    z2 = (cfg.lam / p.alpha) * y * y
+    row = block_row(y, 0.0, 50.0, p.alpha * cfg.dt, stable_rate_cap(p.alpha, cfg.dt), p.k, 1.0 / n)
+
+    def steps(count):
+        for _ in range(count):
+            gain_sources([z2], [-cfg.lam * y * cfg.dt], [gain_term_count(z2)], n, ws.source, ws.terms)
+            ws.entries[:] = row
+            assert ws.step() == {}
+
+    steps(_BLOCK_ROWS)
+    tracemalloc.start()
+    try:
+        steps(200)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_warm_steps_allocate_no_field_sized_array(zinc):
+    """Every buffer of a step is made with its workspace: 200 warm steps on
+    zinc's grid allocate no array of N+1 floats.  numpy's own bookkeeping
+    per call (up to about 1.5 KB, no array) does not grow with the grid, and
+    an array of N+1 floats would: with it the peak on a grid four times
+    finer would be at least 3*(N+1) floats higher."""
+    p, cfg = zinc
+    n = cfg.grid_n
+    assert _warm_step_peak(cfg, p, 4 * n) - _warm_step_peak(cfg, p, n) < 8 * (n + 1)
+
+
+def test_workspace_refuses_a_ring_it_cannot_solve_in_place():
+    ring = np.zeros((4, 2, 3, 9))[:, :, [0, 2]]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        Workspace(ring, 0.1)
+
+
+# a caller's error state that differs from numpy's default and from the
+# engine's quiet one
+CALLER_ERRSTATE = dict(divide="ignore", over="warn", under="ignore", invalid="warn")
+
+
+# members that leave with 1, 1, 44 and 201 rows, the first three on failures
+# off their checkpoint rows
+APART = {"blow_up": 1, "solve_fails": 1, "blow_up_mid_block": 44, "output_feedback": 201}
+
+
+@pytest.mark.parametrize(
+    "cases, close",
+    [
+        (["output_feedback"], False),
+        (["blow_up_mid_block"], False),
+        (list(APART), False),
+        (list(APART), True),
+    ],
+    ids=["completes", "blow_up_mid_block", "members_leave_apart", "closed_after_first"],
+)
+def test_consumer_sees_its_own_error_state(cases, close):
+    """simulate_batch quiets overflow and invalid operations over its steps,
+    but its consumer sees the error state it set at every result, after the
+    last and after closing the generator early."""
+    over = {**REFERENCE_CASES, "blow_up_mid_block": dict(c=100.0)}
+    batch = simulate_batch([(cfg_for(**over[name]), P) for name in cases])
+    rows = {}
+    with np.errstate(**CALLER_ERRSTATE):
+        for j, res in batch:
+            assert np.geterr() == CALLER_ERRSTATE
+            rows[cases[j]] = res.trace.t.size
+            if close:
+                batch.close()
+        assert np.geterr() == CALLER_ERRSTATE
+    assert rows == ({"blow_up": 1} if close else {name: APART[name] for name in cases})
 
 
 def test_lockstep_batches_group_by_grid_within_the_budget(zinc):
