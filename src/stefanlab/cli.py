@@ -9,7 +9,9 @@ Config files are flat ``key = value`` text with four sections::
 
 All keys are mandatory except domain_cap and checkpoint_every.
 Floats in the CSV artifacts are printed with 17 significant digits so that
-identical configs yield byte-identical files.
+identical configs yield byte-identical files.  trace.csv is written block by
+block as the run goes, so a run stopped from outside keeps its completed
+blocks of rows.
 
 Exit codes: 0 success, 2 invalid config, 3 numerical blow-up (partial trace
 still written).  ``sweep`` returns the largest exit code of its members.
@@ -17,11 +19,13 @@ still written).  ``sweep`` returns the largest exit code of its members.
 
 import argparse
 import configparser
+import contextlib
 import itertools
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,7 +38,14 @@ from .params import (
     ValidationReport,
     validate_scenario,
 )
-from .runner import lockstep_batches, simulate, simulate_batch
+from .runner import (
+    SUMMARY_COLUMNS,
+    Trace,
+    allocate_columns,
+    lockstep_batches,
+    simulate,
+    simulate_batch,
+)
 
 _REQUIRED = {
     "physical": ("rho", "cp", "k", "dh", "tm"),
@@ -113,19 +124,23 @@ def parse_config(path) -> tuple[PhysicalParams, ScenarioConfig]:
 _CSV_CHUNK_ROWS = 256
 
 
+def _write_rows(fh, arrays) -> None:
+    """Append one row per index of the equal-length arrays: integers and
+    booleans as %d, floats with 17 significant digits (%.17g)."""
+    n_rows = arrays[0].shape[0] if arrays else 0
+    row_fmt = ",".join("%d" if a.dtype.kind in "bi" else "%.17g" for a in arrays) + "\n"
+    for start in range(0, n_rows, _CSV_CHUNK_ROWS):
+        chunk = [a[start : start + _CSV_CHUNK_ROWS].tolist() for a in arrays]
+        values = tuple(itertools.chain.from_iterable(zip(*chunk)))
+        fh.write((row_fmt * len(chunk[0])) % values)
+
+
 def write_csv(path: Path, columns: dict) -> None:
     """Header line, then one row per index: integers and booleans as %d,
     floats with 17 significant digits (%.17g)."""
-    names = list(columns)
-    arrays = [np.asarray(columns[n]) for n in names]
-    n_rows = arrays[0].shape[0] if arrays else 0
-    row_fmt = ",".join("%d" if a.dtype.kind in "bi" else "%.17g" for a in arrays) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for start in range(0, n_rows, _CSV_CHUNK_ROWS):
-            chunk = [a[start : start + _CSV_CHUNK_ROWS].tolist() for a in arrays]
-            values = tuple(itertools.chain.from_iterable(zip(*chunk)))
-            fh.write((row_fmt * len(chunk[0])) % values)
+        fh.write(",".join(columns) + "\n")
+        _write_rows(fh, [np.asarray(a) for a in columns.values()])
 
 
 def read_csv(path) -> dict:
@@ -270,15 +285,59 @@ def _prepare(config_path: Path, out: Path, checkpoint_every) -> _Run | int:
     return _Run(cfg, p, report, out)
 
 
+class _TraceWriter:
+    """The log ``run`` and ``sweep`` give a member of ``simulate_batch``.
+
+    Each block of rows is appended to trace.csv as ``write_csv`` would
+    write the whole trace's ``Trace.columns``, its flags from
+    ``monitor_constraints`` on the block; the file is opened at the first
+    block and closed by ``trace()`` or on leaving a ``with``.  Of the run
+    it keeps only SUMMARY_COLUMNS, which ``trace()`` gives with the report
+    of the last block (the run's first violations) as `constraints`.
+    Raises ConfigurationError if those columns cannot be allocated."""
+
+    def __init__(self, run: _Run):
+        self.path = run.out / "trace.csv"
+        self.kept = allocate_columns(run.cfg, SUMMARY_COLUMNS)
+        self.rows = 0
+        self.constraints = None
+        self.fh = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self.fh is not None:
+            self.fh.close()
+            self.fh = None
+
+    def write(self, block: Trace) -> None:
+        s_prev = self.kept["s"][self.rows - 1] if self.rows else None
+        self.constraints = diagnostics.monitor_constraints(block, s_prev, self.constraints)
+        columns = block.columns(self.constraints)
+        if self.fh is None:
+            self.fh = open(self.path, "w", newline="\n")
+            self.fh.write(",".join(columns) + "\n")
+        _write_rows(self.fh, list(columns.values()))
+        rows = slice(self.rows, self.rows + block.t.size)
+        for name, col in self.kept.items():
+            col[rows] = columns[name]
+        self.rows = rows.stop
+
+    def trace(self) -> SimpleNamespace:
+        self.close()
+        kept = {name: col[: self.rows] for name, col in self.kept.items()}
+        return SimpleNamespace(**kept, constraints=self.constraints)
+
+
 def _write_outputs(run: _Run, result) -> int:
-    """Write trace.csv, transforms.csv and summary.txt; the exit code."""
-    constraints = diagnostics.monitor_constraints(result.trace)
-    write_csv(run.out / "trace.csv", result.trace.columns(constraints))
-    monitor = constraints.format()
-    # the flag arrays (0.45 MB on zinc) would otherwise stay alive through
-    # the summary's full-trace temporaries, which set the run's peak
-    del constraints
+    """Write transforms.csv and summary.txt of a result whose trace is a
+    ``_TraceWriter``'s; the exit code."""
     write_csv(run.out / "transforms.csv", result.checkpoints)
+    monitor = result.trace.constraints.format()
     summary = _summary_text(run.cfg, run.p, run.report, result, monitor)
     (run.out / "summary.txt").write_text(summary)
     if not result.completed:
@@ -295,7 +354,8 @@ def run_scenario(config_path, out_dir=None, checkpoint_every: int | None = None)
     if isinstance(run, int):
         return run
     try:
-        result = simulate(run.cfg, run.p)
+        with _TraceWriter(run) as log:
+            result = simulate(run.cfg, run.p, log)
     except ConfigurationError as exc:  # the trace cannot be allocated
         return _invalid_config(exc)
     return _write_outputs(run, result)
@@ -324,9 +384,11 @@ def _compare_cmd(a, b) -> int:
 
 def _sweep_batch(runs: list[_Run]) -> int:
     """Run one lockstep batch, writing each member's outputs as it leaves."""
-    results = simulate_batch([(run.cfg, run.p) for run in runs])
     try:
-        return max(_write_outputs(runs[j], result) for j, result in results)
+        with contextlib.ExitStack() as stack:
+            logs = [stack.enter_context(_TraceWriter(run)) for run in runs]
+            results = simulate_batch([(run.cfg, run.p) for run in runs], logs)
+            return max(_write_outputs(runs[j], result) for j, result in results)
     except ConfigurationError as exc:
         # a trace that cannot be allocated, raised before the first step; a
         # member that large runs alone in its batch

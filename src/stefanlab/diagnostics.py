@@ -138,12 +138,19 @@ class ConstraintReport:
         return "\n".join(lines)
 
 
-def monitor_constraints(trace) -> ConstraintReport:
+def monitor_constraints(trace, s_prev=None, before=None) -> ConstraintReport:
     """Evaluate the five physical-constraint flags on a logged trace.
 
     Duck-typed trace: needs t, s, qc, theta_min, utilde_max arrays plus dt
     and grid_n metadata.  theta_min[i] is the minimum temperature-excess
     sample at step i, utilde_max[i] the maximum estimation-error sample.
+
+    A trace may also be given block by block: s_prev is then the extent of
+    the row before the block, and `before` the report of the blocks before
+    it.  The flags are the block's, and each first violation is before's if
+    it has one, else the block's; so the last block's report holds the
+    first violations of the whole trace, and its flags are bit-identical to
+    the whole trace's rows.
     """
     t = np.asarray(trace.t, dtype=float)
     s = np.asarray(trace.s, dtype=float)
@@ -153,7 +160,8 @@ def monitor_constraints(trace) -> ConstraintReport:
     eps = (1.0 / trace.grid_n) ** 2 + trace.dt
 
     s_increasing = np.empty(t.size, dtype=bool)
-    s_increasing[0] = True
+    # the difference, as np.diff forms it within the block
+    s_increasing[0] = True if s_prev is None else s[0] - s_prev > 0.0
     s_increasing[1:] = np.diff(s) > 0.0
     flags = {
         "qc_positive": qc > 0.0,
@@ -164,6 +172,9 @@ def monitor_constraints(trace) -> ConstraintReport:
     }
     first = {}
     for name, ok in flags.items():
+        if before is not None and before.first_violation[name] is not None:
+            first[name] = before.first_violation[name]
+            continue
         bad = np.nonzero(~ok)[0]
         first[name] = None if bad.size == 0 else float(t[bad[0]])
     return ConstraintReport(**flags, first_violation=first, epsilon=eps)

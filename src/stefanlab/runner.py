@@ -36,6 +36,14 @@ yields: a block's logs, a checkpoint's error pair and a departure.  What
 it covers besides ``gain_sources`` and ``Workspace.step`` is the member
 pass's Python-float arithmetic, which numpy's error state does not touch.
 
+Each member's per-step columns live in a block of _BLOCK_ROWS rows too.
+The member's log takes the block once its rows are complete, at the block's
+flush and at the member's departure, as a ``Trace`` of views that stay valid
+only for that call.  The default log, ``_TraceLog``, copies every block into
+full-length columns, so ``simulate`` and ``simulate_batch`` return the whole
+trace; the CLI's writes each block to trace.csv and keeps only the columns
+its summary reads (``SUMMARY_COLUMNS``).
+
 A checkpoint's Bessel error pair (``apply_inverse`` for w_err, then the
 ``apply_direct`` round trip) runs at the checkpoint's own row: each extent
 has its own kernel rows, 183 KB at N = 200, and a kernel series that fails
@@ -44,10 +52,12 @@ error until its block is logged.  The rest of the checkpoint (the controller
 pair, the Lyapunov sample, the sup norms) needs only the buffered fields, so
 it is formed for all of a block's checkpoints in one stacked pass, when the
 block's diagnostics are.  A block's per-step columns are logged before its
-last row's error pair, so that a failure there keeps them.
+last row's error pair, so that a failure there keeps them; the block goes to
+the log after the pass, or at the departure if the pair fails.
 """
 
 from dataclasses import dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
@@ -63,16 +73,22 @@ from .plant import advance_interface, convection_rate
 # array operations, small enough to stay in cache.
 _BLOCK_ROWS = 64
 
-# Bytes of logged columns and field buffers one lockstep batch may hold: four
-# 5,001-row members on a 64-interval grid hold 2.5 MB, a 90,001-row member
-# on a 200-interval grid 10.3 MB, so it runs alone.  Holding all 24 of such a
-# sweep's traces at once raised its peak resident size by 12 MB.
+# Bytes of kept columns and field buffers one lockstep batch of the CLI may
+# hold: eleven 5,001-row members on a 64-interval grid hold 2.97 MB (269,720
+# B each), a 90,001-row member on a 200-interval grid 3.8 MB, so it runs
+# alone.  Holding all 24 of such a sweep's full traces at once raised its
+# peak resident size by 12 MB.
 _BATCH_BYTES = 3_000_000
 
+# The columns the CLI keeps of a run for its summary; the others it writes
+# to trace.csv block by block and lets go.
+SUMMARY_COLUMNS = ("t", "s", "qc", "h1_err", "utilde_x_s")
 
-def _array_fields(cls) -> list[str]:
+
+@cache
+def _array_fields(cls) -> tuple[str, ...]:
     """Names of the array fields of a dataclass, in declaration order."""
-    return [f.name for f in fields(cls) if f.type is np.ndarray]
+    return tuple(f.name for f in fields(cls) if f.type is np.ndarray)
 
 
 @dataclass
@@ -109,6 +125,17 @@ class Trace:
         return out
 
 
+def _trace_of(cols: dict, rows: int, cfg: ScenarioConfig) -> Trace:
+    """The Trace of the first `rows` rows of cfg's columns, as views."""
+    return Trace(
+        **{name: col[:rows] for name, col in cols.items()},
+        dt=cfg.dt,
+        grid_n=cfg.grid_n,
+        sr=cfg.sr,
+        mode=cfg.mode,
+    )
+
+
 @dataclass
 class SimulationResult:
     """A run's logs.  final_fields holds (theta, theta_hat) of the trace's
@@ -141,15 +168,16 @@ def _log_checkpoints(m, block: np.ndarray) -> None:
     """Log member m's pending checkpoints, (row, w_err, round-trip error)
     triples of rows of the current block, in one stacked pass: their
     entries of the checkpoint table and their V and Vtot columns.  block
-    holds m's buffered (theta, theta_hat) rows, and m's columns already
-    hold each row's t and s."""
+    holds m's buffered (theta, theta_hat) rows, and m's block of columns
+    already holds each row's t and s."""
     if not m.pending:
         return
     cfg, p, cols = m.cfg, m.p, m.cols
     rows, w_err, rt_err = (np.array(column) for column in zip(*m.pending))
-    pairs = block[rows % _BLOCK_ROWS]
+    at = rows % _BLOCK_ROWS
+    pairs = block[at]
     theta, theta_hat = pairs[:, 0], pairs[:, 1]
-    t, y = cols["t"][rows], cols["s"][rows]
+    t, y = cols["t"][at], cols["s"][at]
     X = y - cfg.sr
     w_hat = transforms.controller_transform(theta_hat, X, y, cfg.c, p.alpha, p.beta)
     rt_ctrl = transforms.controller_inverse(w_hat, X, y, cfg.c, p.alpha, p.beta) - theta_hat
@@ -160,16 +188,16 @@ def _log_checkpoints(m, block: np.ndarray) -> None:
         t, y, X, sample.V1_tilde, sample.Vtot, sample.V,
         w_err.max(axis=-1), *sups, np.abs(w_hat[:, -1]),
     )
-    cols["Vtot"][rows], cols["V"][rows] = sample.Vtot, sample.V
+    cols["Vtot"][at], cols["V"][at] = sample.Vtot, sample.V
     m.checkpoints_logged += rows.size
     m.pending.clear()
 
 
-def _log_block(cols: dict, start: int, block: np.ndarray, cfg: ScenarioConfig, p: PhysicalParams):
-    """Fill the per-step diagnostic columns of rows start, start+1, ... from
+def _log_block(cols: dict, block: np.ndarray, cfg: ScenarioConfig, p: PhysicalParams):
+    """Fill the per-step diagnostic columns of a block's first rows from
     their buffered (theta, theta_hat) pairs; cols["s"] already holds the
     extents.  A value that overflows is logged as inf, as in h1_norm_sq."""
-    rows = slice(start, start + block.shape[0])
+    rows = slice(0, block.shape[0])
     s = cols["s"][rows]
     theta, theta_hat = block[:, 0], block[:, 1]
     with np.errstate(over="ignore"):
@@ -186,14 +214,51 @@ def _log_block(cols: dict, start: int, block: np.ndarray, cfg: ScenarioConfig, p
         cols["utilde_max"][rows] = u_err.max(axis=-1)
 
 
+def _unallocatable(n_rows: int) -> ConfigurationError:
+    return ConfigurationError(
+        f"t_end/dt is too large: the trace's {n_rows} rows need "
+        f"{8 * len(_array_fields(Trace)) * n_rows} bytes, which cannot be allocated"
+    )
+
+
+def allocate_columns(cfg: ScenarioConfig, names) -> dict:
+    """Uninitialised float columns, by name, of all of cfg's trace rows.
+    Raises ConfigurationError if they cannot be allocated."""
+    try:
+        return {name: np.empty(cfg.rows) for name in names}
+    except MemoryError:
+        raise _unallocatable(cfg.rows) from None
+
+
+class _TraceLog:
+    """The default log of a batch member: every block of rows it is given,
+    copied into full-length columns.  ``trace()`` is the Trace of the rows
+    given so far."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg = cfg
+        self.cols = allocate_columns(cfg, _array_fields(Trace))
+        self.rows = 0
+
+    def write(self, block: Trace) -> None:
+        rows = slice(self.rows, self.rows + block.t.size)
+        for name, col in self.cols.items():
+            col[rows] = getattr(block, name)
+        self.rows = rows.stop
+
+    def trace(self) -> Trace:
+        return _trace_of(self.cols, self.rows, self.cfg)
+
+
 @dataclass(slots=True)
 class _Member:
-    """One scenario of a lockstep batch: its logs, its sequential state and
-    the constants its per-step scalar work reads."""
+    """One scenario of a lockstep batch: its log, its block of columns, its
+    sequential state and the constants its per-step scalar work reads."""
 
     index: int
     cfg: ScenarioConfig
     p: PhysicalParams
+    log: object
     cols: dict
     checkpoints: np.ndarray
     constants: tuple
@@ -208,30 +273,33 @@ class _Member:
     lam: float
     lam_alpha: float
     s_prev: float | None = None
+    flushed: int = 0  # rows handed to the log
     checkpoints_logged: int = 0
     # (row, w_err, round-trip error) of the current block's checkpoints not
     # yet logged by _log_checkpoints
     pending: list = field(default_factory=list)
 
+    def flush(self, rows: int) -> None:
+        """Hand the first `rows` rows of the block of columns, complete, to
+        the log, and clear the block's Lyapunov columns for the next."""
+        self.log.write(_trace_of(self.cols, rows, self.cfg))
+        self.flushed += rows
+        self.cols["V"].fill(np.nan)
+        self.cols["Vtot"].fill(np.nan)
+
     def result(self, rows: int, block: np.ndarray, failure) -> SimulationResult:
         """The run's result after `rows` logged rows; block holds the
         member's buffered rows, the newest its final (theta, theta_hat)."""
-        cfg, p, cols = self.cfg, self.p, self.cols
         tail = rows % _BLOCK_ROWS
         if tail:
-            _log_block(cols, rows - tail, block[:tail], cfg, p)
+            _log_block(self.cols, block[:tail], self.cfg, self.p)
         _log_checkpoints(self, block)
-        trace = Trace(
-            **{name: arr[:rows] for name, arr in cols.items()},
-            dt=cfg.dt,
-            grid_n=cfg.grid_n,
-            sr=cfg.sr,
-            mode=cfg.mode,
-        )
+        if rows > self.flushed:
+            self.flush(rows - self.flushed)
         # row 0 is always a checkpoint; a run whose first checkpoint fails has none
         logged = self.checkpoints[:, : self.checkpoints_logged]
         return SimulationResult(
-            trace=trace,
+            trace=self.log.trace(),
             checkpoints=dict(zip(_CHECKPOINT_COLUMNS, logged)) if logged.size else {},
             completed=failure is None,
             failure=failure,
@@ -249,11 +317,12 @@ def initial_fields(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _held_bytes(cfg: ScenarioConfig) -> int:
-    """Bytes a member holds in a batch: its logged columns, its buffer of
-    _BLOCK_ROWS field pairs and the error pairs of one block's checkpoints."""
+    """Bytes a member of the CLI's batch holds: its SUMMARY_COLUMNS, its
+    buffer of _BLOCK_ROWS field pairs and the error pairs of one block's
+    checkpoints."""
     pending = min(_BLOCK_ROWS, _BLOCK_ROWS // cfg.checkpoint_every + 2)
     fields_held = (_BLOCK_ROWS + pending) * 2 * (cfg.grid_n + 1)
-    return 8 * (cfg.rows * len(_array_fields(Trace)) + fields_held)
+    return 8 * (cfg.rows * len(SUMMARY_COLUMNS) + fields_held)
 
 
 def lockstep_batches(cfgs) -> list[list[int]]:
@@ -299,7 +368,7 @@ class _Quiet:
             self.state = None
 
 
-def simulate_batch(scenarios):
+def simulate_batch(scenarios, logs=None):
     """Run (cfg, p) scenarios that share grid_n and dt in lockstep.
 
     Yields (index into scenarios, SimulationResult) as each member leaves
@@ -311,8 +380,14 @@ def simulate_batch(scenarios):
     series fails.  Members that leave in the same step are yielded in batch
     order, the members with an injection gain first.  Each member's result
     is bit-identical to its own ``simulate`` run.  Raises
-    ConfigurationError, before the first step, if a member's trace cannot
-    be allocated.
+    ConfigurationError, before the first step, if a member's trace or
+    checkpoint table cannot be allocated.
+
+    logs[j], if logs is given, takes scenario j's rows instead of a
+    full-length Trace: its ``write(block)`` gets each block of completed
+    rows in order, as a Trace of views into buffers that the next block
+    reuses, and its ``trace()``, called when the member leaves, gives the
+    result's trace.
     """
     scenarios = list(scenarios)
     grids = {(cfg.grid_n, cfg.dt) for cfg, _ in scenarios}
@@ -326,23 +401,19 @@ def simulate_batch(scenarios):
     for j in sorted(range(len(scenarios)), key=lambda j: scenarios[j][0].lam == 0.0):
         cfg, p = scenarios[j]
         n_rows = cfg.rows
-        names = _array_fields(Trace)
+        log = _TraceLog(cfg) if logs is None else logs[j]
         try:
-            cols = {name: np.empty(n_rows) for name in names}
             # at most rows 0, every, 2 every, ... and the last
             checkpoints = np.empty((len(_CHECKPOINT_COLUMNS), (n_rows - 1) // cfg.checkpoint_every + 2))
         except MemoryError:
-            raise ConfigurationError(
-                f"t_end/dt is too large: the trace's {n_rows} rows need "
-                f"{8 * len(names) * n_rows} bytes, which cannot be allocated"
-            ) from None
-        cols["V"].fill(np.nan)
-        cols["Vtot"].fill(np.nan)
+            raise _unallocatable(n_rows) from None
+        cols = {name: np.full(_BLOCK_ROWS, np.nan) for name in _array_fields(Trace)}
         members.append(
             _Member(
                 index=j,
                 cfg=cfg,
                 p=p,
+                log=log,
                 cols=cols,
                 checkpoints=checkpoints,
                 constants=diagnostics.lyapunov_constants(cfg, p),
@@ -372,6 +443,7 @@ def simulate_batch(scenarios):
         while True:
             t = i * dt
             rows = i + 1
+            at = i % _BLOCK_ROWS  # row i's place in the ring and the blocks of columns
             sums, corners, blocks = ws.sums, ws.corners, len(members)
             log_block = rows % _BLOCK_ROWS == 0
             if log_block:
@@ -401,11 +473,11 @@ def simulate_batch(scenarios):
                 y = m.s  # measurement; the observer extent is rescaled to it
                 integral = y * dxi * (0.5 * (corners[fb][0] + corners[fb][3]) + sums[fb])
                 qc = control.feedback_law(integral, y, cfg, m.p)
-                cols["t"][i] = t
-                cols["s"][i] = y
-                cols["qc"][i] = qc
+                cols["t"][at] = t
+                cols["s"][at] = y
+                cols["qc"][at] = qc
                 if log_block:
-                    _log_block(cols, rows - _BLOCK_ROWS, block[:, :, j], cfg, m.p)
+                    _log_block(cols, block[:, :, j], cfg, m.p)
                 try:
                     if i % cfg.checkpoint_every == 0 or i == m.last_row:
                         quiet.leave()
@@ -413,6 +485,7 @@ def simulate_batch(scenarios):
                         m.pending.append((i, *pair))
                     if log_block:
                         _log_checkpoints(m, block[:, :, j])
+                        m.flush(_BLOCK_ROWS)
                     if i == m.last_row:
                         leaving[j] = rows, None
                         continue
@@ -451,13 +524,13 @@ def simulate_batch(scenarios):
         quiet.leave()
 
 
-def simulate(cfg: ScenarioConfig, p: PhysicalParams) -> SimulationResult:
+def simulate(cfg: ScenarioConfig, p: PhysicalParams, log=None) -> SimulationResult:
     """Run the closed loop over the configured horizon: the lockstep batch
-    of one.
+    of one, whose rows go to `log` if given (see ``simulate_batch``).
 
     Numerical failures do not raise: the result carries the truncated trace
     with completed=False and the failure message.  A trace that cannot be
     allocated raises ConfigurationError.
     """
-    ((_, result),) = simulate_batch([(cfg, p)])
+    ((_, result),) = simulate_batch([(cfg, p)], None if log is None else [log])
     return result

@@ -5,6 +5,7 @@ import configparser
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stefanlab import cli, observer, runner
+from stefanlab import _scheme, cli, diagnostics, observer, runner
 from stefanlab.cli import (
     _CSV_CHUNK_ROWS,
     bundled_config,
@@ -32,8 +33,12 @@ from stefanlab.params import (
     setpoint_lower_bound,
     validate_scenario,
 )
+from stefanlab.runner import lockstep_batches
 
 from conftest import refuse_j1_above
+
+
+FLAG_COLUMNS = ("qc_positive", "s_increasing", "s_below_sr", "u_nonnegative", "error_nonpositive")
 
 
 def _tweaked_config(tmp_path, edits=None, name="tweaked.cfg", base="zinc_smoke"):
@@ -164,8 +169,11 @@ def test_overflowed_norms_are_logged_as_inf(tmp_path, capsys, overflowed):
         cols[name][-5:] = np.inf
     trace = runner.Trace(**cols, dt=cfg.dt, grid_n=cfg.grid_n, sr=cfg.sr, mode=cfg.mode)
     failure = "interface collapsed: s = -1 at t = 2.9"
-    result = runner.SimulationResult(trace, {}, completed=False, failure=failure)
     run = cli._Run(cfg, p, validate_scenario(cfg, p), tmp_path)
+    # the CLI's log, given the synthetic trace as one block
+    with cli._TraceWriter(run) as log:
+        log.write(trace)
+        result = runner.SimulationResult(log.trace(), {}, completed=False, failure=failure)
     assert cli._write_outputs(run, result) == 3
     assert f"run aborted: {failure}" in capsys.readouterr().err
     written = read_csv(tmp_path / "trace.csv")
@@ -511,29 +519,143 @@ def test_sweep_runs_isolated_outputs(tmp_path):
     assert (out / "two" / "trace.csv").exists()
 
 
-def test_constraint_monitor_runs_once_per_trace(tmp_path, monkeypatch):
-    from stefanlab import diagnostics
+def _library_run(config, out: Path):
+    """The library ``simulate`` result of a config, with its whole trace
+    written to out/trace.csv by ``write_csv(result.trace.columns())`` and
+    ``_summary_text`` on the whole trace written to out/summary.txt."""
+    p, cfg = parse_config(config)
+    result = runner.simulate(cfg, p)
+    monitor = diagnostics.monitor_constraints(result.trace).format()
+    out.mkdir(parents=True)
+    write_csv(out / "trace.csv", result.trace.columns())
+    (out / "summary.txt").write_text(
+        cli._summary_text(cfg, p, validate_scenario(cfg, p), result, monitor)
+    )
+    return result
 
-    traces = []
-    real = diagnostics.monitor_constraints
 
-    def counting(trace):
-        traces.append(trace)
-        return real(trace)
+def _summary_monitor_lines(summary: str) -> list[str]:
+    lines = summary.splitlines()
+    start = lines.index("constraint monitor") + 1
+    return lines[start : lines.index("", start)]
 
-    monkeypatch.setattr(diagnostics, "monitor_constraints", counting)
-    one = _tweaked_config(tmp_path, {("numerics", "t_end"): 20}, name="one.cfg")
-    assert main(["run", str(one), "--out-dir", str(tmp_path / "run")]) == 0
-    assert len(traces) == 1
-    traces.clear()
-    two = _tweaked_config(tmp_path, {("scenario", "mode"): "state_feedback"}, name="two.cfg")
+
+def test_constraint_flags_and_verdicts_match_the_whole_trace_monitor(tmp_path):
+    # the diverging gain violates four claims, each first after six blocks,
+    # so the monitor of a later block carries the verdicts
+    p, smoke = parse_config(bundled_config("zinc_smoke"))
+    lam = 0.9 * lambda_upper_bound(smoke, p.alpha)
+    diverging = _tweaked_config(tmp_path, {("scenario", "lambda"): repr(lam)}, name="diverging.cfg")
+    state = _tweaked_config(tmp_path, {("scenario", "mode"): "state_feedback"}, name="state.cfg")
     blow_up = _tweaked_config(tmp_path, {("scenario", "c"): 1e9}, name="blow_up.cfg")
-    invalid = _tweaked_config(tmp_path, {("scenario", "sr"): 0.05}, name="invalid.cfg")
-    configs = [str(c) for c in (one, two, blow_up, invalid)]
+    assert main(["run", str(diverging), "--out-dir", str(tmp_path / "run" / "diverging")]) == 3
+    configs = [str(c) for c in (diverging, state, blow_up)]
     assert main(["sweep", *configs, "--out-dir", str(tmp_path / "sweep")]) == 3
-    # one call per member that ran: the invalid member never made a trace
-    assert len(traces) == 3
-    assert len({id(trace) for trace in traces}) == 3
+    for out in [tmp_path / "run" / "diverging"] + [tmp_path / "sweep" / Path(c).stem for c in configs]:
+        p, cfg = parse_config(tmp_path / f"{out.name}.cfg")
+        want = diagnostics.monitor_constraints(runner.simulate(cfg, p).trace)
+        written = read_csv(out / "trace.csv")
+        for name in FLAG_COLUMNS:
+            assert np.array_equal(written[name], getattr(want, name)), (out, name)
+        summary = (out / "summary.txt").read_text()
+        assert _summary_monitor_lines(summary) == want.format().splitlines(), out
+        if out.name == "diverging":
+            first = [t for t in want.first_violation.values() if t is not None]
+            assert len(first) == 4 and min(first) > 6 * runner._BLOCK_ROWS * cfg.dt, first
+
+
+@pytest.mark.parametrize(
+    "edits, code",
+    [({}, 0), ({("scenario", "mode"): "state_feedback"}, 0), ({("scenario", "c"): 30.0}, 3)],
+    ids=["smoke", "state_feedback", "fails_mid_block"],
+)
+def test_run_writes_the_library_trace_and_summary(tmp_path, edits, code):
+    # c = 30 reaches the domain cap after 224 rows, half-way through a block
+    config = _tweaked_config(tmp_path, edits)
+    assert main(["run", str(config), "--out-dir", str(tmp_path / "cli")]) == code
+    result = _library_run(config, tmp_path / "lib")
+    assert result.completed == (code == 0)
+    if code:
+        assert result.trace.t.size == 224
+    for name in ("trace.csv", "summary.txt"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
+
+
+def test_sweep_writes_the_library_traces_and_summaries(tmp_path):
+    # two zero-gain members (which take no injection source) beside a gain
+    # member that fails mid-block, in one lockstep batch
+    edits = {
+        "zero_gain": {("scenario", "lambda"): 0.0},
+        "zero_gain_state": {("scenario", "lambda"): 0.0, ("scenario", "mode"): "state_feedback"},
+        "fails": {("scenario", "c"): 30.0},
+        "smoke": {},
+    }
+    configs = [_tweaked_config(tmp_path, edit, name=f"{name}.cfg") for name, edit in edits.items()]
+    runs = [cli._prepare(c, tmp_path / "unused", None) for c in configs]
+    assert lockstep_batches([r.cfg for r in runs]) == [[0, 1, 2, 3]]
+    assert main(["sweep", *map(str, configs), "--out-dir", str(tmp_path / "sweep"), "--jobs", "1"]) == 3
+    for config in configs:
+        _library_run(config, tmp_path / "lib" / config.stem)
+        for name in ("trace.csv", "summary.txt"):
+            got = (tmp_path / "sweep" / config.stem / name).read_bytes()
+            assert got == (tmp_path / "lib" / config.stem / name).read_bytes(), (config.stem, name)
+
+
+def test_trace_writer_flags_a_stall_across_blocks(tmp_path):
+    # the interface stalls at the first row of the second block and falls at
+    # the first of the third: only the extent of the row before tells
+    p, cfg = parse_config(bundled_config("zinc_smoke"))
+    trace = runner.simulate(cfg, p).trace
+    trace.s[64], trace.s[128] = trace.s[63], trace.s[127] - 1e-9
+    run = cli._Run(cfg, p, validate_scenario(cfg, p), tmp_path / "blocks")
+    run.out.mkdir()
+    names = runner._array_fields(runner.Trace)
+    with cli._TraceWriter(run) as log:
+        for start in range(0, trace.t.size, runner._BLOCK_ROWS):
+            block = {name: getattr(trace, name)[start:] for name in names}
+            log.write(runner._trace_of(block, runner._BLOCK_ROWS, cfg))
+        kept = log.trace()
+    report = diagnostics.monitor_constraints(trace)
+    assert report.first_violation["s_increasing"] == trace.t[64]
+    assert kept.constraints.format() == report.format()
+    write_csv(tmp_path / "whole.csv", trace.columns(report))
+    assert (run.out / "trace.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_run_stopped_from_outside_keeps_its_completed_blocks(tmp_path, monkeypatch):
+    smoke = str(bundled_config("zinc_smoke"))
+    assert main(["run", smoke, "--out-dir", str(tmp_path / "full")]) == 0
+    real, calls = _scheme.Workspace.step, []
+
+    def interrupted(ws):
+        calls.append(None)
+        if len(calls) == 200:
+            raise KeyboardInterrupt
+        return real(ws)
+
+    monkeypatch.setattr(_scheme.Workspace, "step", interrupted)
+    out = tmp_path / "stopped"
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", smoke, "--out-dir", str(out)])
+    # rows 0 to 199 were logged; the three blocks of 64 completed reached the file
+    full = (tmp_path / "full" / "trace.csv").read_bytes().splitlines(keepends=True)
+    assert (out / "trace.csv").read_bytes() == b"".join(full[: 1 + 3 * runner._BLOCK_ROWS])
+    assert sorted(f.name for f in out.iterdir()) == ["trace.csv"]
+
+
+def test_run_holds_less_than_its_whole_trace(tmp_path):
+    # 20,001 rows of the 14 logged columns are 2.24 MB; the run keeps five
+    config = _tweaked_config(tmp_path, {("numerics", "t_end"): 2000})
+    rows = parse_config(config)[1].rows
+    assert rows == 20_001
+    run_scenario(config, out_dir=tmp_path / "warm")  # caches and lazy imports
+    tracemalloc.start()
+    try:
+        assert run_scenario(config, out_dir=tmp_path / "o") == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * 14 * 8
 
 
 def test_sweep_propagates_worst_exit(tmp_path):

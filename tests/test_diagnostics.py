@@ -211,6 +211,33 @@ def test_monitor_is_pure():
     assert np.array_equal(a.qc_positive, b.qc_positive)
 
 
+FLAGS = ("qc_positive", "s_increasing", "s_below_sr", "u_nonnegative", "error_nonpositive")
+
+
+@pytest.mark.parametrize("cuts", [(3,), (1, 2, 3, 4, 5, 6, 7), (2, 6)], ids=["at_stall", "rows", "wide"])
+def test_monitor_block_by_block_equals_whole_trace(cuts):
+    # a stall from row 2 to row 3, and the other violations in later blocks
+    s = [0.01, 0.02, 0.03, 0.03, 0.04, 0.36, 0.37, 0.38]
+    qc = [5.0, 4.0, 3.0, 2.0, 1.0, -1.0, 1.0, -2.0]
+    theta_min = [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0]
+    whole = _trace(range(8), s, qc, theta_min=theta_min)
+    report, flags, edges = None, {name: [] for name in FLAGS}, [0, *cuts, 8]
+    for lo, hi in zip(edges, edges[1:]):
+        block = _trace(range(lo, hi), s[lo:hi], qc[lo:hi], theta_min=theta_min[lo:hi])
+        report = monitor_constraints(block, s[lo - 1] if lo else None, report)
+        for name in FLAGS:
+            flags[name].append(getattr(report, name))
+    want = monitor_constraints(whole)
+    assert want.first_violation == {
+        "qc_positive": 5.0, "s_increasing": 3.0, "s_below_sr": 5.0,
+        "u_nonnegative": 5.0, "error_nonpositive": None,
+    }
+    assert report.first_violation == want.first_violation
+    assert report.format() == want.format()
+    for name in FLAGS:
+        assert np.array_equal(np.concatenate(flags[name]), getattr(want, name)), name
+
+
 def test_fit_decay_rate_exact_exponential():
     t = np.linspace(0.0, 5.0, 101)
     assert fit_decay_rate(t, np.exp(-3.0 * t)) == pytest.approx(3.0, abs=1e-6)

@@ -480,8 +480,18 @@ def test_lockstep_batches_group_by_grid_within_the_budget(zinc):
     _, zinc_cfg = zinc
     sweep = cfg_for(t_end=500.0)  # 5,001 rows on the 64-interval grid
     cfgs = [sweep] * 6 + [zinc_cfg, cfg_for(grid_n=32), zinc_cfg, sweep]
-    # four sweep members fit the budget, a 90,001-row zinc run only alone
-    assert lockstep_batches(cfgs) == [[0, 1, 2, 3], [4, 5, 9], [6], [8], [7]]
+    # the seven sweep members fit the budget, a 90,001-row zinc run only alone
+    assert lockstep_batches(cfgs) == [[0, 1, 2, 3, 4, 5, 9], [6], [8], [7]]
+
+
+def test_lockstep_batches_split_the_benchmark_sweep_in_three():
+    # 24 members shaped as the benchmark's sweep: each holds its five kept
+    # columns and its ring, 269,720 B, so eleven fit the 3 MB budget
+    bench = cfg_for(t_end=500.0, checkpoint_every=50)
+    assert runner._held_bytes(bench) == 5_001 * 5 * 8 + (64 + 3) * 2 * 65 * 8 == 269_720
+    batches = lockstep_batches([bench] * 24)
+    assert [len(batch) for batch in batches] == [11, 11, 2]
+    assert sum(batches, []) == list(range(24))
 
 
 def test_lockstep_batch_refuses_mixed_grids():
