@@ -8,8 +8,8 @@ normalized coordinate xi = x/extent in [0, 1]:
 with a heat-flux (Neumann) condition at xi = 0 imposed through a ghost node,
 a pinned zero at xi = 1, diffusion advanced by backward Euler, and the
 convection and source terms taken explicitly.  Keeping one implementation
-guarantees that the observer with zero injection gain reproduces the plant
-trajectory bit for bit.
+guarantees that the observer with zero injection gain, whose source row is
+zero, reproduces the plant trajectory bit for bit.
 
 In the closed loop the observer runs on the measured extent Y = s and rate
 Y' = s', so plant and observer share the matrix and the rate at every step,
@@ -17,16 +17,16 @@ and scenarios that share the grid and the time step advance together as B
 blocks of m fields.  A ``Workspace`` is the per-step kernel of a batch,
 built when the batch starts and again only when a member leaves, with every
 array a step writes: the step table, the diagonals, the convection and
-coefficient buffers, the source rows and the gain series' term table, and
-the views of each row of the caller's ring of fields that a step and its
-sample read.  Per block and step only ``block_row``'s Python floats
-change; a step folds them into one convection coefficient row per block, and
-one ``dgtsv`` call with m right-hand sides solves every block of the
-block-diagonal system whose blocks are joined by zero couplings, in place
-in the ring's next row.  LAPACK
-eliminates each column with the same operations as a one-column solve, and a
-zero coupling adds only zero terms, which can flip nothing but the sign of an
-exact zero; the Dirichlet row, where exact zeros arise, is reset to +0.0.
+coefficient buffers, every block's source row, and the views of each row of
+the caller's ring of fields that a step and its sample read.  Per block and
+step only ``block_row``'s Python floats change; a step folds them into one
+convection coefficient row per block, and one ``dgtsv`` call with m
+right-hand sides solves every block of the block-diagonal system whose
+blocks are joined by zero couplings, in place in the ring's next row.
+LAPACK eliminates each column with the same operations as a one-column
+solve, and a zero coupling adds only zero terms, which can flip nothing but
+the sign of an exact zero; the Dirichlet row, where exact zeros arise, is
+reset to +0.0.
 """
 
 import importlib.machinery
@@ -37,8 +37,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-
-from . import observer
 
 
 def _load_dgtsv():
@@ -127,24 +125,23 @@ def _tri_index(blocks: int, n: int) -> np.ndarray:
 
 class Workspace:
     """The per-step kernel of B blocks of m fields on the n-interval grid that
-    step together with one dt, the first `gains` blocks' last field with an
-    injection source; every buffer is made here, none by a step.
+    step together with one dt, each block's last field with a source; every
+    buffer is made here, none by a step.
 
     The fields live in the caller's ring, R >= 2 rows of (m, B, N+1), row
     ``now`` the current ones: a step writes its right-hand side into the next
     row (mod R), which dgtsv solves in place.  A step reads ``table``, the
-    (B, 7) step table of ``block_row``s, and adds ``source``, the gain
-    blocks' sources times dt; ``terms`` holds the gain series' term table.
-    ``sample`` reads ``sums`` and ``corners``: each field's interior sum and
-    samples at xi = 0 and the last three nodes, field f of block b at
-    f*B + b."""
+    (B, 7) step table of ``block_row``s, and adds ``source``, the (B, N+1)
+    sources times dt, to the last fields.  ``sample`` reads ``sums`` and
+    ``corners``: each field's interior sum and samples at xi = 0 and the
+    last three nodes, field f of block b at f*B + b."""
 
-    def __init__(self, ring: np.ndarray, dt: float, gains: int = 0, now: int = 0):
+    def __init__(self, ring: np.ndarray, dt: float, now: int = 0):
         if not ring.flags.c_contiguous:
             raise ValueError("a step solves in place, so the ring must be C-contiguous")
         _, m, blocks, n1 = ring.shape
         n, size = n1 - 1, blocks * n1
-        self.ring, self.dt, self.gains, self.now = ring, dt, gains, now
+        self.ring, self.dt, self.now = ring, dt, now
         # a right-hand side's Dirichlet entry is the one its row holds: the
         # +0.0 that a solve leaves there, as the current fields hold
         ring[..., -1] = 0.0
@@ -158,9 +155,8 @@ class Workspace:
         # xi*dt/(2*dxi) at the interior nodes, times a block's rate over extent
         self.xi_dt = np.arange(1, n) * (0.5 * dt)
         self.coef, self.conv = np.empty((m, blocks, n - 1)), np.empty((m, blocks, n - 1))
-        self.source = np.empty((gains, n1))
+        self.source = np.empty((blocks, n1))
         self.injection = self.source[:, :-1]
-        self.terms = np.empty((gains, observer._GAIN_MAX_ROWS))
         self.corners_at = np.array([0, n - 2, n - 1, n])
         self.sum_buf, self.corner_buf = np.empty(m * blocks), np.empty((m * blocks, 4))
         # per ring row: the views a step from it works on (b the next row),
@@ -168,7 +164,7 @@ class Workspace:
         self.views = [
             (
                 a[..., 2:], a[..., :-2], a[..., 1:-1], b[..., 1:-1], a[..., 0], b[..., 0],
-                b[-1, :gains, :-1], b[..., -1], b.reshape(m, size).T,
+                b[-1, :, :-1], b[..., -1], b.reshape(m, size).T,
             )
             for a, b in zip(ring, [*ring[1:], ring[0]])
         ]
@@ -191,9 +187,9 @@ class Workspace:
         return math.isfinite(total) or bool(np.isfinite(rows).all())
 
     def step(self) -> dict:
-        """One step of every field with ``table``, the last field of the first
-        `gains` blocks adding its ``source`` row.  Returns block -> message
-        for blocks whose solve failed or left a non-finite value."""
+        """One step of every field with ``table``, the last field of each
+        block adding its ``source`` row.  Returns block -> message for
+        blocks whose solve failed or left a non-finite value."""
         later, earlier, interior, rhs, head, first, injected, edge, b = self.views[self.now]
         # the explicit convection, which vanishes at xi = 0 (the Dirichlet
         # row at xi = 1 stays 0), then the ghost-node term and the source
@@ -207,8 +203,7 @@ class Workspace:
         conv *= coef
         np.add(interior, conv, out=rhs)
         np.add(head, self.ghost, out=first)
-        if self.gains:
-            injected += self.injection
+        injected += self.injection
         self.table.take(self.index, out=self.tri, mode="clip")  # "raise" buffers `out`
         info = dgtsv(*self.diagonals, b, 1, 1, 1, 1)[-1]  # overwrite all four
         old, self.now = self.now, (self.now + 1) % len(self.views)
@@ -226,7 +221,7 @@ class Workspace:
         for k in range(blocks):
             ring = np.empty((2, fields.shape[0], 1, fields.shape[-1]))
             ring[0] = self.ring[old, :, k : k + 1]
-            alone = Workspace(ring, self.dt, int(k < self.gains))
+            alone = Workspace(ring, self.dt)
             alone.table[0] = self.table[k]
             alone.source[:] = self.source[k : k + 1]
             bad = alone.step()

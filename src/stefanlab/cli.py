@@ -41,7 +41,7 @@ from .params import (
 from .runner import (
     SUMMARY_COLUMNS,
     Trace,
-    allocate_columns,
+    _TraceLog,
     lockstep_batches,
     simulate,
     simulate_batch,
@@ -67,7 +67,12 @@ def bundled_config(name: str) -> Path:
 
 def parse_config(path) -> tuple[PhysicalParams, ScenarioConfig]:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(str(path), encoding="utf-8")
+    except configparser.Error as exc:  # its message names the file and the line
+        raise ConfigurationError(f"malformed config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file not UTF-8: {path}: {exc}") from None
     if not read:
         raise ConfigurationError(f"config file not readable: {path}")
 
@@ -112,7 +117,7 @@ def parse_config(path) -> tuple[PhysicalParams, ScenarioConfig]:
             domain_cap=num.getfloat("domain_cap") if "domain_cap" in num else None,
             checkpoint_every=int(out.get("checkpoint_every", 50)),
         )
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:  # an interpolation error among them
         if isinstance(exc, ConfigurationError):
             raise
         raise ConfigurationError(f"malformed value in config: {exc}") from exc
@@ -285,21 +290,21 @@ def _prepare(config_path: Path, out: Path, checkpoint_every) -> _Run | int:
     return _Run(cfg, p, report, out)
 
 
-class _TraceWriter:
-    """The log ``run`` and ``sweep`` give a member of ``simulate_batch``.
+class _TraceWriter(_TraceLog):
+    """The log ``run`` and ``sweep`` give a member of ``simulate_batch``: the
+    library's log of SUMMARY_COLUMNS only, which also appends each block of
+    rows to trace.csv.
 
-    Each block of rows is appended to trace.csv as ``write_csv`` would
-    write the whole trace's ``Trace.columns``, its flags from
-    ``monitor_constraints`` on the block; the file is opened at the first
-    block and closed by ``trace()`` or on leaving a ``with``.  Of the run
-    it keeps only SUMMARY_COLUMNS, which ``trace()`` gives with the report
+    A block is written as ``write_csv`` would write the whole trace's
+    ``Trace.columns``, its flags from ``monitor_constraints`` on the block;
+    the file is opened at the first block and closed by ``trace()`` or on
+    leaving a ``with``.  ``trace()`` gives the kept columns with the report
     of the last block (the run's first violations) as `constraints`.
     Raises ConfigurationError if those columns cannot be allocated."""
 
     def __init__(self, run: _Run):
+        super().__init__(run.cfg, SUMMARY_COLUMNS)
         self.path = run.out / "trace.csv"
-        self.kept = allocate_columns(run.cfg, SUMMARY_COLUMNS)
-        self.rows = 0
         self.constraints = None
         self.fh = None
 
@@ -315,21 +320,18 @@ class _TraceWriter:
             self.fh = None
 
     def write(self, block: Trace) -> None:
-        s_prev = self.kept["s"][self.rows - 1] if self.rows else None
+        s_prev = self.cols["s"][self.rows - 1] if self.rows else None
         self.constraints = diagnostics.monitor_constraints(block, s_prev, self.constraints)
         columns = block.columns(self.constraints)
         if self.fh is None:
             self.fh = open(self.path, "w", newline="\n")
             self.fh.write(",".join(columns) + "\n")
         _write_rows(self.fh, list(columns.values()))
-        rows = slice(self.rows, self.rows + block.t.size)
-        for name, col in self.kept.items():
-            col[rows] = columns[name]
-        self.rows = rows.stop
+        super().write(block)
 
     def trace(self) -> SimpleNamespace:
         self.close()
-        kept = {name: col[: self.rows] for name, col in self.kept.items()}
+        kept = {name: col[: self.rows] for name, col in self.cols.items()}
         return SimpleNamespace(**kept, constraints=self.constraints)
 
 

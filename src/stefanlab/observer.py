@@ -49,19 +49,15 @@ def _denominators(terms: int) -> np.ndarray:
     return 4.0 * np.arange(1.0, terms) * np.arange(2.0, terms + 1)
 
 
-def gain_sources(
-    z2: list, scales: list, counts: list, n: int, out: np.ndarray, terms: np.ndarray | None = None
-) -> None:
+def gain_sources(z2: list, scales: list, counts: list, n: int, out: np.ndarray) -> None:
     """out[g] = scales[g] * sum_m a_m w^m on the n-interval grid, w = 1 - xi^2,
     a_m the first counts[g] terms of I1(sqrt(z))/sqrt(z) at z = z2[g]: one
     cumulative-product term table for the batch, then one matvec per gain of
-    its own terms, so row g's bits depend on its own arguments only.  The
-    table is made in `terms`, if given, of at least len(z2) rows and
-    max(counts) columns."""
-    shape = len(z2), max(counts)
-    table = np.empty(shape) if terms is None else terms[: shape[0], : shape[1]]
+    its own terms, so row g's bits depend on its own arguments only.  At
+    z = 0 and scale 0 the row is zero."""
+    table = np.empty((len(z2), max(counts)))
     table[:, 0] = [0.5 * scale for scale in scales]
-    np.divide.outer(z2, _denominators(shape[1]), out=table[:, 1:])
+    np.divide.outer(z2, _denominators(table.shape[1]), out=table[:, 1:])
     np.multiply.accumulate(table, axis=1, out=table)
     powers = _weight_powers(n)(table.shape[1])
     for g, count in enumerate(counts):

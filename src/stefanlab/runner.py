@@ -26,23 +26,27 @@ edge samples and the non-finite check.  Per member: in Python floats the
 previous step's Stefan update, the feedback law, the edge stencils, the rate
 and its clamp and the gain series' argument, term count and scale; in numpy
 its own truncation and matvec of the term table, so that its bits do not
-depend on its batch-mates.  Members leave at one point of a step, after the
-per-member pass, with their final fields read from their newest row.
+depend on its batch-mates.  Every member steps alike: a zero gain takes the
+series at argument 0 and scale 0, so its observer's source row is zero.
+Members leave at one point of a step, after the per-member pass, with their
+final fields read from their newest row.
 
 The steps run with overflow and invalid operations ignored, so that a
 diverging field fails its step without a warning.  That error state is
 entered once per stretch of steps and left for what runs diagnostics or
-yields: a block's logs, a checkpoint's error pair and a departure.  What
+yields: a block's flush, a checkpoint's error pair and a departure.  What
 it covers besides ``gain_sources`` and ``Workspace.step`` is the member
 pass's Python-float arithmetic, which numpy's error state does not touch.
 
 Each member's per-step columns live in a block of _BLOCK_ROWS rows too.
-The member's log takes the block once its rows are complete, at the block's
-flush and at the member's departure, as a ``Trace`` of views that stay valid
-only for that call.  The default log, ``_TraceLog``, copies every block into
-full-length columns, so ``simulate`` and ``simulate_batch`` return the whole
-trace; the CLI's writes each block to trace.csv and keeps only the columns
-its summary reads (``SUMMARY_COLUMNS``).
+Every row leaves a member through one method, ``_Member.flush``, at the
+block's last row or at the member's departure: it fills the rows' per-step
+columns, logs their pending checkpoints and hands the rows to the log, as a
+``Trace`` of views that stay valid only for that call.  The default log,
+``_TraceLog``, copies every block into full-length columns, so ``simulate``
+and ``simulate_batch`` return the whole trace; the CLI's is a ``_TraceLog``
+of only the columns its summary reads (``SUMMARY_COLUMNS``) that also writes
+each block to trace.csv.
 
 A checkpoint's Bessel error pair (``apply_inverse`` for w_err, then the
 ``apply_direct`` round trip) runs at the checkpoint's own row: each extent
@@ -50,10 +54,8 @@ has its own kernel rows, 183 KB at N = 200, and a kernel series that fails
 must stop the member at that row.  The row keeps w_err and the round-trip
 error until its block is logged.  The rest of the checkpoint (the controller
 pair, the Lyapunov sample, the sup norms) needs only the buffered fields, so
-it is formed for all of a block's checkpoints in one stacked pass, when the
-block's diagnostics are.  A block's per-step columns are logged before its
-last row's error pair, so that a failure there keeps them; the block goes to
-the log after the pass, or at the departure if the pair fails.
+it is formed for all of a block's checkpoints in one stacked pass, at the
+block's flush, which runs after the error pair of the block's last row.
 """
 
 from dataclasses import dataclass, field, fields
@@ -214,30 +216,25 @@ def _log_block(cols: dict, block: np.ndarray, cfg: ScenarioConfig, p: PhysicalPa
         cols["utilde_max"][rows] = u_err.max(axis=-1)
 
 
-def _unallocatable(n_rows: int) -> ConfigurationError:
+def _unallocatable(name: str, columns: int, rows: int) -> ConfigurationError:
     return ConfigurationError(
-        f"t_end/dt is too large: the trace's {n_rows} rows need "
-        f"{8 * len(_array_fields(Trace)) * n_rows} bytes, which cannot be allocated"
+        f"t_end/dt is too large: the {name}'s {columns} columns of {rows} rows need "
+        f"{8 * columns * rows} bytes, which cannot be allocated"
     )
 
 
-def allocate_columns(cfg: ScenarioConfig, names) -> dict:
-    """Uninitialised float columns, by name, of all of cfg's trace rows.
-    Raises ConfigurationError if they cannot be allocated."""
-    try:
-        return {name: np.empty(cfg.rows) for name in names}
-    except MemoryError:
-        raise _unallocatable(cfg.rows) from None
-
-
 class _TraceLog:
-    """The default log of a batch member: every block of rows it is given,
-    copied into full-length columns.  ``trace()`` is the Trace of the rows
-    given so far."""
+    """The default log of a batch member: the named columns of every block of
+    rows it is given, copied into full-length columns.  ``trace()`` is the
+    Trace of the rows given so far.  Raises ConfigurationError if the
+    columns cannot be allocated."""
 
-    def __init__(self, cfg: ScenarioConfig):
+    def __init__(self, cfg: ScenarioConfig, names=_array_fields(Trace)):
         self.cfg = cfg
-        self.cols = allocate_columns(cfg, _array_fields(Trace))
+        try:
+            self.cols = {name: np.empty(cfg.rows) for name in names}
+        except MemoryError:
+            raise _unallocatable("trace", len(names), cfg.rows) from None
         self.rows = 0
 
     def write(self, block: Trace) -> None:
@@ -279,9 +276,13 @@ class _Member:
     # yet logged by _log_checkpoints
     pending: list = field(default_factory=list)
 
-    def flush(self, rows: int) -> None:
-        """Hand the first `rows` rows of the block of columns, complete, to
-        the log, and clear the block's Lyapunov columns for the next."""
+    def flush(self, rows: int, block: np.ndarray) -> None:
+        """Hand the block's first `rows` rows to the log, complete: their
+        per-step columns from block, the member's buffered (theta, theta_hat)
+        rows, and the pending checkpoints; then clear the block's Lyapunov
+        columns for the next."""
+        _log_block(self.cols, block[:rows], self.cfg, self.p)
+        _log_checkpoints(self, block)
         self.log.write(_trace_of(self.cols, rows, self.cfg))
         self.flushed += rows
         self.cols["V"].fill(np.nan)
@@ -290,12 +291,8 @@ class _Member:
     def result(self, rows: int, block: np.ndarray, failure) -> SimulationResult:
         """The run's result after `rows` logged rows; block holds the
         member's buffered rows, the newest its final (theta, theta_hat)."""
-        tail = rows % _BLOCK_ROWS
-        if tail:
-            _log_block(self.cols, block[:tail], self.cfg, self.p)
-        _log_checkpoints(self, block)
         if rows > self.flushed:
-            self.flush(rows - self.flushed)
+            self.flush(rows - self.flushed, block)
         # row 0 is always a checkpoint; a run whose first checkpoint fails has none
         logged = self.checkpoints[:, : self.checkpoints_logged]
         return SimulationResult(
@@ -377,11 +374,10 @@ def simulate_batch(scenarios, logs=None):
     member leaves from one place in step i: after the Stefan update of step
     i - 1, with i rows, if that step's solve or interface update failed;
     after logging row i if row i is its last or its checkpoint or gain
-    series fails.  Members that leave in the same step are yielded in batch
-    order, the members with an injection gain first.  Each member's result
-    is bit-identical to its own ``simulate`` run.  Raises
-    ConfigurationError, before the first step, if a member's trace or
-    checkpoint table cannot be allocated.
+    series fails.  Members that leave in the same step are yielded in the
+    order of scenarios.  Each member's result is bit-identical to its own
+    ``simulate`` run.  Raises ConfigurationError, before the first step, if
+    a member's trace or checkpoint table cannot be allocated.
 
     logs[j], if logs is given, takes scenario j's rows instead of a
     full-length Trace: its ``write(block)`` gets each block of completed
@@ -396,17 +392,15 @@ def simulate_batch(scenarios, logs=None):
     ((n, dt),) = grids
     dxi = 1.0 / n
     members = []
-    # members with an injection gain first: the observer source covers the
-    # first blocks of the stack
-    for j in sorted(range(len(scenarios)), key=lambda j: scenarios[j][0].lam == 0.0):
-        cfg, p = scenarios[j]
+    for j, (cfg, p) in enumerate(scenarios):
         n_rows = cfg.rows
         log = _TraceLog(cfg) if logs is None else logs[j]
+        # at most rows 0, every, 2 every, ... and the last
+        shape = len(_CHECKPOINT_COLUMNS), (n_rows - 1) // cfg.checkpoint_every + 2
         try:
-            # at most rows 0, every, 2 every, ... and the last
-            checkpoints = np.empty((len(_CHECKPOINT_COLUMNS), (n_rows - 1) // cfg.checkpoint_every + 2))
+            checkpoints = np.empty(shape)
         except MemoryError:
-            raise _unallocatable(n_rows) from None
+            raise _unallocatable("checkpoint table", *shape) from None
         cols = {name: np.full(_BLOCK_ROWS, np.nan) for name in _array_fields(Trace)}
         members.append(
             _Member(
@@ -434,7 +428,7 @@ def simulate_batch(scenarios, logs=None):
     # (theta, theta_hat); block b of the workspace is member b
     block = np.empty((_BLOCK_ROWS, 2, len(members), n + 1))
     block[0] = np.stack([initial_fields(m.cfg) for m in members], axis=1)
-    ws = Workspace(block, dt, sum(m.lam != 0.0 for m in members))
+    ws = Workspace(block, dt)
     ws.sample()
     quiet = _Quiet()
     failed = {}
@@ -451,9 +445,10 @@ def simulate_batch(scenarios, logs=None):
 
             # per member in Python floats: the Stefan update of step i - 1, the
             # feedback law on the trapezoid integral of control._trapz_integral,
-            # a checkpoint's error pair, the block's logs, the rate, the step
-            # table row and the gain series' argument, term count and scale;
-            # `leaving` maps a departing member to its logged rows and its failure
+            # a checkpoint's error pair, the block's flush, the rate, the step
+            # table row and the gain series' argument, term count and scale (0
+            # and 0 at a zero gain); `leaving` maps a departing member to its
+            # logged rows and its failure
             leaving, stepping, table, z2s, counts, scales = {}, [], [], [], [], []
             for j, m in enumerate(members):
                 cfg, cols, fb = m.cfg, m.cols, m.feedback_row * blocks + j
@@ -476,27 +471,23 @@ def simulate_batch(scenarios, logs=None):
                 cols["t"][at] = t
                 cols["s"][at] = y
                 cols["qc"][at] = qc
-                if log_block:
-                    _log_block(cols, block[:, :, j], cfg, m.p)
                 try:
                     if i % cfg.checkpoint_every == 0 or i == m.last_row:
                         quiet.leave()
                         pair = _error_pair(*block[ws.now, :, j], y, m.lam, m.p.alpha)
                         m.pending.append((i, *pair))
                     if log_block:
-                        _log_checkpoints(m, block[:, :, j])
-                        m.flush(_BLOCK_ROWS)
+                        m.flush(_BLOCK_ROWS, block[:, :, j])
                     if i == m.last_row:
                         leaving[j] = rows, None
                         continue
                     rate = convection_rate(y, m.s_prev, edge, dt, m.beta)
-                    if m.lam:
-                        z2 = m.lam_alpha * y * y
-                        counts.append(gain_term_count(z2))
-                        z2s.append(z2)
-                        _, t3, t2, t1 = corners[blocks + j]
-                        innovation = rate / m.beta + edge_stencil(t3, t2, t1, dxi) / y
-                        scales.append(m.lam * y * innovation * dt)
+                    z2 = m.lam_alpha * y * y
+                    counts.append(gain_term_count(z2))
+                    z2s.append(z2)
+                    _, t3, t2, t1 = corners[blocks + j]
+                    innovation = rate / m.beta + edge_stencil(t3, t2, t1, dxi) / y
+                    scales.append(m.lam * y * innovation * dt)
                 except (BlowUpError, NumericalError) as exc:
                     leaving[j] = rows, str(exc)
                     continue
@@ -509,14 +500,12 @@ def simulate_batch(scenarios, logs=None):
                     yield members[j].index, members[j].result(logged, block[:, :, j], failure)
                 if not stepping:
                     return
-                # compaction keeps the order, so the gain members stay first
                 members = [members[j] for j in stepping]
                 block = block.take(stepping, axis=2)  # C-contiguous, as the ring must be
-                ws = Workspace(block, dt, len(z2s), ws.now)
+                ws = Workspace(block, dt, ws.now)
             # a diverging field fails the step, with no floating-point warning
             quiet.enter()
-            if z2s:
-                gain_sources(z2s, scales, counts, n, ws.source, ws.terms)
+            gain_sources(z2s, scales, counts, n, ws.source)
             ws.entries[:] = table
             failed = ws.step()
             i += 1

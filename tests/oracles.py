@@ -198,16 +198,18 @@ def advance_field(rows, extent, rates, qc, dt, alpha, k, source=None) -> tuple[n
     """``Workspace.step`` of rows (m, B, N+1), rows[..., -1] == 0, in a new
     workspace: block b has extent (s or Y), rate, heat flux qc[b] (u_xi(0) =
     -(qc/k)*extent) and material alpha[b], k[b]; the optional (G, N+1)
-    source times dt is that of the last field of the first G blocks."""
+    source times dt is that of the last field of the first G blocks, and
+    the other blocks' is zero."""
     dxi = 1.0 / (rows.shape[-1] - 1)
     ring = np.empty((2, *rows.shape))
     ring[0] = rows
-    ws = Workspace(ring, dt, 0 if source is None else len(source))
+    ws = Workspace(ring, dt)
     for b in range(len(extent)):
         cap = stable_rate_cap(alpha[b], dt)
         ws.table[b] = block_row(extent[b], rates[b], qc[b], alpha[b] * dt, cap, k[b], dxi)
+    ws.source[:] = 0.0
     if source is not None:
-        ws.source[:] = source
+        ws.source[: len(source)] = source
     failed = ws.step()
     return ws.fields, failed
 

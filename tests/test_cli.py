@@ -85,6 +85,38 @@ def test_parse_missing_file(tmp_path):
         parse_config(tmp_path / "nope.cfg")
 
 
+# config files that configparser cannot read: name -> (the file's bytes made
+# from zinc_smoke's, part of the message)
+MALFORMED = {
+    "duplicate_section": (lambda text: text + b"\n[scenario]\nc = 0.002\n", "section 'scenario'"),
+    "duplicate_key": (lambda text: text.replace(b"sr = 0.35\n", b"sr = 0.35\nsr = 0.3\n"), "option 'sr'"),
+    "no_section_header": (lambda text: b"sr = 0.35\n" + text, "no section headers"),
+    "non_utf8": (lambda text: b"# \xff\n" + text, "config file not UTF-8"),
+    "percent_sign": (lambda text: text.replace(b"sr = 0.35\n", b"sr = 0.35%\n"), "malformed value"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+@pytest.mark.parametrize("edit, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_file_exits_2(tmp_path, capsys, command, edit, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(edit(bundled_config("zinc_smoke").read_bytes()))
+    out = tmp_path / "o"
+    if command == "validate":
+        assert main(["validate", str(bad)]) == 2
+    elif command == "run":
+        assert main(["run", str(bad), "--out-dir", str(out)]) == 2
+    else:
+        # the bad member exits 2 and the good one runs
+        smoke = _tweaked_config(tmp_path, name="smoke.cfg")
+        assert main(["sweep", str(bad), str(smoke), "--out-dir", str(out), "--jobs", "1"]) == 2
+        assert (out / "smoke" / "summary.txt").read_text().count("completed = True") == 1
+        assert not (out / "bad").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config: ") and err.count("invalid config") == 1
+    assert message in err
+
+
 def test_parse_accepts_exactly_the_dataclass_fields():
     keys = {k for group in (cli._REQUIRED, cli._OPTIONAL) for ks in group.values() for k in ks}
     names = {"lam" if k == "lambda" else k for k in keys}
@@ -582,7 +614,7 @@ def test_run_writes_the_library_trace_and_summary(tmp_path, edits, code):
 
 
 def test_sweep_writes_the_library_traces_and_summaries(tmp_path):
-    # two zero-gain members (which take no injection source) beside a gain
+    # two zero-gain members (whose injection source is zero) beside a gain
     # member that fails mid-block, in one lockstep batch
     edits = {
         "zero_gain": {("scenario", "lambda"): 0.0},
@@ -753,8 +785,8 @@ def test_unallocatable_trace_exits_2(tmp_path, capsys, monkeypatch, command):
         for f in ("trace.csv", "transforms.csv", "summary.txt"):
             assert (out / "smoke" / f).read_bytes() == (own / f).read_bytes(), f
     message = (
-        f"invalid config: t_end/dt is too large: the trace's {rows} rows need "
-        f"{8 * 14 * rows} bytes, which cannot be allocated\n"
+        f"invalid config: t_end/dt is too large: the trace's 5 columns of {rows} rows need "
+        f"{8 * 5 * rows} bytes, which cannot be allocated\n"
     )
     assert capsys.readouterr().err == message
     assert not (out / "huge" / "trace.csv").exists() and not (out / "trace.csv").exists()

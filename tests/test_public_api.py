@@ -10,6 +10,7 @@ import re
 from pathlib import Path
 
 import stefanlab
+from stefanlab import _scheme
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -81,6 +82,18 @@ def test_oracles_live_only_in_tests():
     for name in RETIRED_NAMES:
         assert not hasattr(oracles, name), name
         assert not [m.__name__ for m in modules if hasattr(m, name)], name
+
+
+def test_stepping_kernel_imports_no_package_module():
+    """``_scheme`` steps plant and observer alike, so it depends on neither."""
+    modules = []
+    for node in ast.walk(ast.parse(Path(_scheme.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert "numpy" in modules
+    assert not [name for name in modules if name.startswith((".", "stefanlab"))]
 
 
 # Top-level definitions kept with no caller in the package: the README

@@ -12,7 +12,7 @@ from stefanlab._scheme import Workspace, block_row, one_sided_edge_flux, stable_
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.control import field_energy
 from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
-from stefanlab.errors import BlowUpError, NumericalError
+from stefanlab.errors import BlowUpError, ConfigurationError, NumericalError
 from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import PhysicalParams, ScenarioConfig, lambda_upper_bound
 from stefanlab.plant import convection_rate
@@ -383,18 +383,48 @@ def test_engine_matches_reference_loop(over):
 
 
 def test_lockstep_batch_matches_reference_loop():
-    # all the reference scenarios advance as one batch; each member must
-    # still match its own per-step loop bit for bit
-    cfgs = [cfg_for(**over) for over in REFERENCE_CASES.values()]
+    # all the reference scenarios advance as one batch, behind a zero-gain
+    # observer started on the true profile; each member must still match
+    # its own per-step loop bit for bit
+    cases = {"matched_zero_gain": dict(lam=0.0, Hhat=cfg_for().H), **REFERENCE_CASES}
+    cfgs = [cfg_for(**over) for over in cases.values()]
     left = list(simulate_batch([(cfg, P) for cfg in cfgs]))
     # the two first-step failures leave first; the shortest member completes next
-    names = list(REFERENCE_CASES)
+    names = list(cases)
     order = [j for j, _ in left]
     assert set(order[:2]) == {names.index("blow_up"), names.index("solve_fails")}
     assert order[2] == names.index("whole_blocks")
     assert sorted(j for j, _ in left) == list(range(len(cfgs)))
     for j, res in left:
         _assert_matches_reference(res, cfgs[j])
+    # the first block's zero source leaves its observer a copy of its plant
+    matched, alone = dict(left)[0], simulate(cfgs[0], P)
+    assert matched.completed
+    assert _same_bits(matched.final_fields[1], matched.final_fields[0])
+    assert _same_bits(matched.trace.That0, matched.trace.T0)
+    assert not matched.trace.h1_err.any() and not matched.trace.utilde_max.any()
+    for name, values in alone.trace.columns().items():
+        assert _same_bits(matched.trace.columns()[name], values), name
+    for name, values in alone.checkpoints.items():
+        assert _same_bits(matched.checkpoints[name], values), name
+    assert _same_bits(matched.final_fields, alone.final_fields)
+
+
+def test_unallocatable_checkpoint_table_is_named(monkeypatch):
+    cfg = cfg_for(checkpoint_every=1)
+    shape = (len(CHECKPOINT_HEADER), cfg.rows + 1)  # (rows - 1) // checkpoint_every + 2
+    empty = np.empty
+
+    def refusing(*args, **kwargs):
+        if args[0] == shape:
+            raise MemoryError("refused")
+        return empty(*args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", refusing)
+    rows = cfg.rows + 1
+    message = f"the checkpoint table's 12 columns of {rows} rows need {8 * 12 * rows} bytes"
+    with pytest.raises(ConfigurationError, match=message):
+        simulate(cfg, P)
 
 
 def _warm_step_peak(cfg, p, n):
@@ -403,13 +433,13 @@ def _warm_step_peak(cfg, p, n):
     y = cfg.s0
     ring = np.empty((_BLOCK_ROWS, 2, 1, n + 1))
     ring[0, :, 0] = initial_fields(replace(cfg, grid_n=n))
-    ws = Workspace(ring, cfg.dt, gains=1)
+    ws = Workspace(ring, cfg.dt)
     z2 = (cfg.lam / p.alpha) * y * y
     row = block_row(y, 0.0, 50.0, p.alpha * cfg.dt, stable_rate_cap(p.alpha, cfg.dt), p.k, 1.0 / n)
 
     def steps(count):
         for _ in range(count):
-            gain_sources([z2], [-cfg.lam * y * cfg.dt], [gain_term_count(z2)], n, ws.source, ws.terms)
+            gain_sources([z2], [-cfg.lam * y * cfg.dt], [gain_term_count(z2)], n, ws.source)
             ws.entries[:] = row
             assert ws.step() == {}
 
