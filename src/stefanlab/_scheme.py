@@ -17,8 +17,9 @@ and scenarios that share the grid and the time step advance together as B
 blocks of m fields.  A ``Workspace`` is the per-step kernel of a batch,
 built when the batch starts and again only when a member leaves, with every
 array a step writes: the step table, the diagonals, the convection and
-coefficient buffers, every block's source row, and the views of each row of
-the caller's ring of fields that a step and its sample read.  Per block and
+coefficient buffers, every block's source row, the views of each row of
+the caller's ring of fields that a step and its sample read, and one bound
+``dgtsv`` call per row that solves into it.  Per block and
 step only ``block_row``'s Python floats change; a step folds them into one
 convection coefficient row per block, and one ``dgtsv`` call with m
 right-hand sides solves every block of the block-diagonal system whose
@@ -27,46 +28,78 @@ LAPACK eliminates each column with the same operations as a one-column
 solve, and a zero coupling adds only zero terms, which can flip nothing but
 the sign of an exact zero; the Dirichlet row, where exact zeros arise, is
 reset to +0.0.
+
+``dgtsv`` is the one in the OpenBLAS that numpy already loaded, called
+through ctypes, so a run maps no second LAPACK and imports nothing of
+scipy; where numpy's library does not export it, scipy's ``dgtsv`` runs
+instead, the same LAPACK routine.
 """
 
-import importlib.machinery
-import importlib.util
+import ctypes
 import math
-import sysconfig
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 
-def _load_dgtsv():
-    """LAPACK's dgtsv from scipy's compiled ``scipy/linalg/_flapack``
-    extension, loaded by file, so that ``scipy.linalg``'s package init (a
-    quarter second of imports, numpy.f2py among them) never runs.
+def _openblas_dgtsv():
+    """LAPACK's dgtsv from the OpenBLAS that numpy's wheel links, or None.
 
-    The file is found without importing scipy and loaded under its own name,
-    ``scipy.linalg._flapack``; CPython registers a single-phase extension in
-    ``sys.modules`` under that name, so a later ``import scipy.linalg``
-    reuses this module and ``scipy.linalg.lapack.dgtsv is dgtsv``.  This
-    reaches into a private file of scipy: on any failure the function comes
-    from ``scipy.linalg.lapack`` instead, the same compiled code either way.
-    """
-    name = "scipy.linalg._flapack"
+    numpy's extension module depends on that library, so looking the symbol
+    up through it finds the routine without loading anything more.  The
+    wheel's OpenBLAS is built with 64-bit integers and exports its LAPACK
+    under a ``scipy_`` prefix and a ``64_`` suffix; a numpy built otherwise
+    (another BLAS, another naming) has no ``scipy_dgtsv_64_``, and None
+    sends ``bind_dgtsv`` to scipy's dgtsv."""
     try:
-        scipy_dir = Path(importlib.util.find_spec("scipy").origin).parent
-        path = str(scipy_dir / "linalg" / f"_flapack{sysconfig.get_config_var('EXT_SUFFIX')}")
-        loader = importlib.machinery.ExtensionFileLoader(name, path)
-        spec = importlib.util.spec_from_file_location(name, path, loader=loader)
-        module = importlib.util.module_from_spec(spec)
-        loader.exec_module(module)
-        return module.dgtsv
-    except Exception:
+        routine = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_dgtsv_64_
+    except (AttributeError, OSError):
+        return None
+    # dgtsv(N, NRHS, DL, D, DU, B, LDB, INFO), every argument by address
+    routine.argtypes, routine.restype = [ctypes.c_void_p] * 8, None
+    return routine
+
+
+_dgtsv = _openblas_dgtsv()
+
+
+def bind_dgtsv(dl, d, du, b):
+    """A call that solves the tridiagonal system with diagonals dl, d, du for
+    the columns of the Fortran-ordered (n, nrhs) array b in place, as
+    LAPACK's dgtsv does, overwriting all four, and returns dgtsv's info.
+
+    The call is built once, its argument pointers, which hold the arrays,
+    and its info cell included.  Without numpy's own dgtsv it calls
+    scipy's, the same LAPACK routine."""
+    n, nrhs = b.shape
+    arrays = (dl, d, du, b)
+    if not (
+        dl.shape == du.shape == (n - 1,)
+        and d.shape == (n,)
+        # in Fortran order: each diagonal one run, b column after column
+        and all(a.dtype == np.float64 and a.flags.f_contiguous and a.flags.writeable for a in arrays)
+    ):
+        raise ValueError(
+            "dgtsv solves in place: it takes writeable contiguous float64 diagonals "
+            "of n-1, n and n-1 entries and a Fortran-ordered (n, nrhs) b"
+        )
+    if _dgtsv is None:
+        # imported here: scipy.linalg's package init takes a quarter second
         from scipy.linalg.lapack import dgtsv
 
-        return dgtsv
+        return lambda: dgtsv(dl, d, du, b, 1, 1, 1, 1)[-1]
+    # c_void_p arguments pass the declared argtypes at the least cost per
+    # call; the closure holds the integer cells, the array pointers the arrays
+    cells = [ctypes.c_int64(v) for v in (n, nrhs, n, 0)]  # N, NRHS, LDB, INFO
+    n_at, nrhs_at, ldb_at, info_at = (ctypes.c_void_p(ctypes.addressof(c)) for c in cells)
+    args = (n_at, nrhs_at, *(a.ctypes.data_as(ctypes.c_void_p) for a in arrays), ldb_at, info_at)
 
+    def solve():
+        _dgtsv(*args)
+        return cells[3].value
 
-dgtsv = _load_dgtsv()
+    return solve
+
 
 # Safety factor on the von Neumann threshold |rate| <= sqrt(2*alpha/dt) for
 # the explicit centered convection term under implicit diffusion.
@@ -160,11 +193,12 @@ class Workspace:
         self.corners_at = np.array([0, n - 2, n - 1, n])
         self.sum_buf, self.corner_buf = np.empty(m * blocks), np.empty((m * blocks, 4))
         # per ring row: the views a step from it works on (b the next row),
-        # and those sample reads of it
+        # the solve of b's fields as dgtsv's columns, and the views sample
+        # reads of it
         self.views = [
             (
                 a[..., 2:], a[..., :-2], a[..., 1:-1], b[..., 1:-1], a[..., 0], b[..., 0],
-                b[-1, :, :-1], b[..., -1], b.reshape(m, size).T,
+                b[-1, :, :-1], b[..., -1], bind_dgtsv(*self.diagonals, b.reshape(m, size).T),
             )
             for a, b in zip(ring, [*ring[1:], ring[0]])
         ]
@@ -190,7 +224,7 @@ class Workspace:
         """One step of every field with ``table``, the last field of each
         block adding its ``source`` row.  Returns block -> message for
         blocks whose solve failed or left a non-finite value."""
-        later, earlier, interior, rhs, head, first, injected, edge, b = self.views[self.now]
+        later, earlier, interior, rhs, head, first, injected, edge, solve = self.views[self.now]
         # the explicit convection, which vanishes at xi = 0 (the Dirichlet
         # row at xi = 1 stays 0), then the ghost-node term and the source
         conv = np.subtract(later, earlier, out=self.conv)
@@ -205,7 +239,7 @@ class Workspace:
         np.add(head, self.ghost, out=first)
         injected += self.injection
         self.table.take(self.index, out=self.tri, mode="clip")  # "raise" buffers `out`
-        info = dgtsv(*self.diagonals, b, 1, 1, 1, 1)[-1]  # overwrite all four
+        info = solve()
         old, self.now = self.now, (self.now + 1) % len(self.views)
         edge.fill(0.0)
         if self.sample() and info == 0:

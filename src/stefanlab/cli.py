@@ -13,8 +13,9 @@ identical configs yield byte-identical files.  trace.csv is written block by
 block as the run goes, so a run stopped from outside keeps its completed
 blocks of rows.
 
-Exit codes: 0 success, 2 invalid config, 3 numerical blow-up (partial trace
-still written).  ``sweep`` returns the largest exit code of its members.
+Exit codes: 0 success, 2 invalid config or output directory, 3 numerical
+blow-up (partial trace still written).  ``sweep`` returns the largest exit
+code of its members.
 """
 
 import argparse
@@ -272,8 +273,9 @@ class _Run:
 
 
 def _prepare(config_path: Path, out: Path, checkpoint_every) -> _Run | int:
-    """Parse the config, apply the override and validate; the exit code 2
-    if the scenario cannot run (with summary.txt written when it parsed)."""
+    """Parse the config, apply the override, make the output directory and
+    validate; the exit code 2 if the scenario cannot run (with summary.txt
+    written when it parsed and its directory could be made)."""
     try:
         p, cfg = parse_config(config_path)
         if checkpoint_every is not None:
@@ -281,7 +283,11 @@ def _prepare(config_path: Path, out: Path, checkpoint_every) -> _Run | int:
     except ConfigurationError as exc:
         return _invalid_config(exc)
 
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        print(f"invalid output directory: {out}: {exc.strerror}", file=sys.stderr)
+        return 2
     report = validate_scenario(cfg, p)
     if not report.passed:
         (out / "summary.txt").write_text(_summary_text(cfg, p, report, None))
@@ -439,6 +445,17 @@ def _sweep(configs, out_root, checkpoint_every, jobs) -> int:
     return max(codes, default=0)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --jobs: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="stefanlab",
@@ -463,7 +480,7 @@ def main(argv=None) -> int:
     sweep_p.add_argument("configs", nargs="+")
     sweep_p.add_argument("--out-dir", default="sweep_out")
     sweep_p.add_argument("--checkpoint-every", type=int, default=None)
-    sweep_p.add_argument("--jobs", type=int, default=1)
+    sweep_p.add_argument("--jobs", type=_positive_int, default=1)
 
     args = parser.parse_args(argv)
 

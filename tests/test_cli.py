@@ -145,6 +145,52 @@ def test_fast_flag_exits_2(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_run_into_an_existing_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid output directory: {taken}: ") and err.count("\n") == 1
+    assert taken.read_text() == "kept"
+
+
+def test_sweep_member_whose_directory_is_a_file_exits_2_and_the_others_run(tmp_path, capsys):
+    configs = [str(_tweaked_config(tmp_path, name=f"m{i}.cfg")) for i in range(3)]
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "m1").write_text("kept")
+    assert main(["sweep", *configs, "--out-dir", str(out), "--jobs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid output directory: {out / 'm1'}: ") and err.count("\n") == 1
+    assert (out / "m1").read_text() == "kept"
+    for member in ("m0", "m2"):
+        assert "completed = True" in (out / member / "summary.txt").read_text()
+
+
+def test_sweep_into_an_existing_file_exits_2(tmp_path, capsys):
+    configs = [str(_tweaked_config(tmp_path, name=f"m{i}.cfg")) for i in range(2)]
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert main(["sweep", *configs, "--out-dir", str(taken), "--jobs", "1"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[:2] for line in lines] == [
+        ["invalid output directory", str(taken / "m0")],
+        ["invalid output directory", str(taken / "m1")],
+    ]
+    assert taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_1_exits_2(tmp_path, capsys, monkeypatch, jobs):
+    monkeypatch.setattr(cli, "_sweep", lambda *args: pytest.fail("the sweep started"))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(bundled_config("zinc_smoke")), "--out-dir", str(out), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_smoke_scenario(tmp_path):
     out = tmp_path / "out"
     code = main(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)])
@@ -335,7 +381,8 @@ def _python(script):
 
 
 def test_smoke_run_does_not_load_scipy_special(tmp_path):
-    # scipy.special adds 3.6 MB resident; only J1 kernels past z2 = 400 need it
+    # scipy.special adds 24 MiB resident (scipy 1.17.1); only runs with a
+    # checkpoint whose J1 kernel goes past z2 = 400 pay it
     script = (
         "import sys\n"
         "from stefanlab.cli import bundled_config, main\n"
@@ -362,54 +409,70 @@ def test_run_does_not_import_numpy_ma(tmp_path):
 
 def test_run_and_serial_sweep_load_no_linalg_f2py_or_pool(tmp_path):
     # scipy.linalg's package init imports numpy.f2py (a quarter second and
-    # 25 MB resident); the process pool is for --jobs > 1 only; fractions
-    # and its import of decimal serve only the test oracles
+    # 25 MB resident) and scipy's own OpenBLAS; dgtsv comes from numpy's;
+    # the process pool is for --jobs > 1 only; fractions and its import of
+    # decimal serve only the test oracles
     configs = [str(_tweaked_config(tmp_path, name=f"m{i}.cfg")) for i in range(2)]
     script = (
         "import sys\n"
+        "from pathlib import Path\n"
         "from stefanlab.cli import bundled_config, main\n"
         f"run = main(['run', str(bundled_config('zinc_smoke')), '--out-dir', {str(tmp_path / 'run')!r}])\n"
         f"sweep = main(['sweep', *{configs!r}, '--out-dir', {str(tmp_path / 'sweep')!r}, '--jobs', '1'])\n"
         "modules = ('scipy.linalg', 'numpy.f2py', 'concurrent.futures', 'fractions', 'decimal')\n"
         "print(run, sweep, *(m in sys.modules for m in modules))\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "maps = Path('/proc/self/maps')\n"
+        "print(maps.exists() and 'libscipy_openblas-' in maps.read_text())\n"
     )
     out = _python(script)
-    assert out.stdout.split() == ["0", "0"] + ["False"] * 5
+    loaded, scipy_modules, scipy_openblas = out.stdout.split("\n")[:3]
+    assert loaded.split() == ["0", "0"] + ["False"] * 5
+    assert scipy_modules == ""
+    assert scipy_openblas == "False"
     assert out.stderr == ""
 
 
-def test_later_scipy_linalg_import_reuses_the_loaded_dgtsv():
+def test_run_after_scipy_linalg_import_writes_the_same_bytes(tmp_path):
+    # scipy.linalg loads scipy's own OpenBLAS beside numpy's; the engine's
+    # dgtsv stays numpy's, and the outputs stay the same bytes
+    smoke = str(bundled_config("zinc_smoke"))
     script = (
         "import sys\n"
-        "import stefanlab\n"
+        "from stefanlab.cli import main\n"
+        f"before = main(['run', {smoke!r}, '--out-dir', {str(tmp_path / 'before')!r}])\n"
         "loaded = 'scipy.linalg' in sys.modules\n"
         "import scipy.linalg\n"
-        "print(loaded, scipy.linalg.lapack.dgtsv is stefanlab._scheme.dgtsv)\n"
+        f"after = main(['run', {smoke!r}, '--out-dir', {str(tmp_path / 'after')!r}])\n"
+        "print(before, loaded, after)\n"
     )
     out = _python(script)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["0", "False", "0"]
     assert out.stderr == ""
+    for name in ("trace.csv", "transforms.csv", "summary.txt"):
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "before" / name).read_bytes(), name
 
 
-def test_failed_file_load_falls_back_to_the_same_dgtsv(tmp_path):
-    # the path lookup fails before `import stefanlab`, so the fallback runs
+def test_failed_symbol_lookup_falls_back_to_the_same_outputs(tmp_path):
+    # the lookup of numpy's dgtsv fails at `import stefanlab`, so the solve
+    # is scipy's and scipy.linalg gets loaded
     smoke = str(bundled_config("zinc_smoke"))
-    assert main(["run", smoke, "--out-dir", str(tmp_path / "file")]) == 0
+    assert main(["run", smoke, "--out-dir", str(tmp_path / "numpy")]) == 0
     script = (
-        "import importlib.util, sys\n"
-        "find_spec = importlib.util.find_spec\n"
-        "importlib.util.find_spec = lambda name, *a: None if name == 'scipy' else find_spec(name, *a)\n"
+        "import ctypes, sys\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise OSError('symbol lookup made to fail')\n"
+        "ctypes.CDLL = refuse\n"
         "from stefanlab import _scheme\n"
         "from stefanlab.cli import main\n"
-        "fallback = 'scipy.linalg' in sys.modules\n"
-        "same = _scheme.dgtsv is sys.modules['scipy.linalg.lapack'].dgtsv\n"
-        f"print(fallback, same, main(['run', {smoke!r}, '--out-dir', {str(tmp_path / 'fallback')!r}]))\n"
+        f"code = main(['run', {smoke!r}, '--out-dir', {str(tmp_path / 'fallback')!r}])\n"
+        "print(_scheme._dgtsv is None, 'scipy.linalg' in sys.modules, code)\n"
     )
     out = _python(script)
     assert out.stdout.split() == ["True", "True", "0"]
     assert out.stderr == ""
     for name in ("trace.csv", "transforms.csv", "summary.txt"):
-        assert (tmp_path / "fallback" / name).read_bytes() == (tmp_path / "file" / name).read_bytes(), name
+        assert (tmp_path / "fallback" / name).read_bytes() == (tmp_path / "numpy" / name).read_bytes(), name
 
 
 def test_summary_reports_full_trace_qc_residual(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stefanlab import observer, runner, specfun, transforms
-from stefanlab._scheme import Workspace, block_row, one_sided_edge_flux, stable_rate_cap
+from stefanlab._scheme import Workspace, bind_dgtsv, block_row, one_sided_edge_flux, stable_rate_cap
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.control import field_energy
 from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
@@ -469,6 +469,22 @@ def test_workspace_refuses_a_ring_it_cannot_solve_in_place():
         Workspace(ring, 0.1)
 
 
+@pytest.mark.parametrize(
+    "dl, d, du, b",
+    [
+        (np.ones(4), np.ones(5), np.ones(4), np.ones((5, 2))),  # b in C order
+        (np.ones(4), np.ones(5), np.ones(3), np.ones((5, 1))),  # du one short
+        (np.ones(4), np.ones(5), np.ones(4), np.ones((6, 1))),  # b one row long
+        (np.ones(4), np.ones(10)[::2], np.ones(4), np.ones((5, 1))),  # d strided
+        (np.ones(4), np.ones(5, dtype=np.float32), np.ones(4), np.ones((5, 1))),
+    ],
+    ids=["b_c_order", "du_short", "b_long", "d_strided", "d_float32"],
+)
+def test_bound_solve_refuses_arrays_it_cannot_solve_in_place(dl, d, du, b):
+    with pytest.raises(ValueError, match="solves in place"):
+        bind_dgtsv(dl, d, du, b)
+
+
 # a caller's error state that differs from numpy's default and from the
 # engine's quiet one
 CALLER_ERRSTATE = dict(divide="ignore", over="warn", under="ignore", invalid="warn")
@@ -577,6 +593,42 @@ def test_block_diagonal_solve_isolates_a_non_finite_block():
     assert failed == want_failed == {2: "temperature field became non-finite"}
     assert _same_bits(got[:, [0, 1, 3]], want[:, [0, 1, 3]])
     assert np.isfinite(got[:, [0, 1, 3]]).all()
+
+
+def _solved_both_ways(dl, d, du, b):
+    """The solution, the three factored diagonals and info from the bound
+    solve and from scipy's dgtsv, each on its own copies."""
+    from scipy.linalg.lapack import dgtsv
+
+    mine = [dl.copy(), d.copy(), du.copy(), b.copy(order="F")]
+    info = bind_dgtsv(*mine)()
+    theirs = dgtsv(dl, d, du, b)
+    return (mine[3], *mine[:3], info), (theirs[3], *theirs[:3], theirs[4])
+
+
+def test_bound_solve_matches_scipy_dgtsv():
+    """The Workspace's solve, numpy's OpenBLAS through ctypes where it
+    exports dgtsv, gives scipy's dgtsv bit for bit on block-diagonal systems
+    of 1 to 8 blocks and 1 to 3 right-hand sides, and its info on singular
+    ones (a zero row, and a zero first pivot with no row to swap in)."""
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        blocks, n1, nrhs = int(rng.integers(1, 9)), int(rng.integers(3, 66)), int(rng.integers(1, 4))
+        size = blocks * n1
+        dl, du = -rng.random(size - 1), -rng.random(size - 1)
+        dl[n1 - 1 :: n1] = du[n1 - 1 :: n1] = 0.0  # the couplings
+        d = 2.0 + rng.random(size)
+        b = rng.standard_normal((size, nrhs)) * 10.0 ** rng.integers(-3, 4)
+        mine, theirs = _solved_both_ways(dl, d, du, b)
+        assert mine[-1] == theirs[-1] == 0
+        assert all(_same_bits(x, y) for x, y in zip(mine[:-1], theirs[:-1]))
+    dl, d, du, b = np.full(11, -1.0), np.full(12, 4.0), np.full(11, -1.0), np.ones((12, 2))
+    d[5], dl[4], du[5] = 0.0, 0.0, 0.0  # row 5 all zero
+    mine, theirs = _solved_both_ways(dl, d, du, b)
+    assert mine[-1] == theirs[-1] > 0
+    d[0], dl[0] = 0.0, 0.0
+    mine, theirs = _solved_both_ways(dl, d, du, b)
+    assert mine[-1] == theirs[-1] == 1
 
 
 def _seen_rates(monkeypatch, scenarios):
