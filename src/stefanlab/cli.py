@@ -13,9 +13,9 @@ identical configs yield byte-identical files.  trace.csv is written block by
 block as the run goes, so a run stopped from outside keeps its completed
 blocks of rows.
 
-Exit codes: 0 success, 2 invalid config or output directory, 3 numerical
-blow-up (partial trace still written).  ``sweep`` returns the largest exit
-code of its members.
+Exit codes: 0 success, 2 invalid config or an output directory or file that
+cannot be made or written, 3 numerical blow-up (partial trace still
+written).  ``sweep`` returns the largest exit code of its members.
 """
 
 import argparse
@@ -26,12 +26,10 @@ import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
-from . import diagnostics
-from .control import qc_ode_residual
+from . import control, diagnostics
 from .errors import ConfigurationError
 from .params import (
     PhysicalParams,
@@ -39,14 +37,7 @@ from .params import (
     ValidationReport,
     validate_scenario,
 )
-from .runner import (
-    SUMMARY_COLUMNS,
-    Trace,
-    _TraceLog,
-    lockstep_batches,
-    simulate,
-    simulate_batch,
-)
+from .runner import Trace, _unallocatable, lockstep_batches, simulate, simulate_batch
 
 _REQUIRED = {
     "physical": ("rho", "cp", "k", "dh", "tm"),
@@ -208,9 +199,10 @@ def _median_in_place(a: np.ndarray):
     return a[half] if a.size % 2 else (a[half - 1] + a[half]) / 2
 
 
-def _summary_text(cfg, p, report, result, monitor="") -> str:
-    """summary.txt: the validation report, then, given a result, its run and
-    `monitor`, the trace's ``monitor_constraints`` report as text."""
+def _summary_text(cfg, p, report, result) -> str:
+    """summary.txt: the validation report, then, given a result whose trace
+    is a ``_SummaryFold``, its run, monitor report and statistics.  The
+    residual column is reordered in place: the summary is its last reader."""
     alpha, beta = p.alpha, p.beta
     lines = ["scenario summary", "================"]
     lines.append(f"mode = {cfg.mode}")
@@ -221,44 +213,44 @@ def _summary_text(cfg, p, report, result, monitor="") -> str:
     if result is None:
         return "\n".join(lines) + "\n"
 
-    tr = result.trace
+    fold = result.trace
+    rows = fold.rows
+    t_last, _, s_last, _ = fold.last
     lines.append("")
     lines.append("run")
     lines.append(f"completed = {result.completed}")
     if result.failure:
         lines.append(f"failure = {result.failure}")
-    lines.append(f"steps logged = {tr.t.size}")
-    lines.append(f"final t = {tr.t[-1]:.10g}  final s = {tr.s[-1]:.10g}  sr = {cfg.sr}")
+    lines.append(f"steps logged = {rows}")
+    lines.append(f"final t = {t_last:.10g}  final s = {s_last:.10g}  sr = {cfg.sr}")
     lines.append("")
     lines.append("constraint monitor")
-    lines.append(monitor)
+    lines.append(fold.constraints.format())
     lines.append("")
     p_const, a, b, d = diagnostics.lyapunov_constants(cfg, p)
     lines.append(f"lyapunov constants: p = {p_const:.6g}  a = {a:.6g}  b = {b:.6g}  d = {d:.6g}")
-    # a diverged run logs inf norms, which have no decay rate
-    if tr.t.size >= 20 and np.all(np.isfinite(tr.h1_err)) and np.all(tr.h1_err > 0.0):
-        rate = diagnostics.fit_decay_rate(tr.t, tr.h1_err)
+    rate = fold.decay_rate()
+    if rate is not None:
         lines.append(f"fitted H1 estimation-error decay rate = {rate:.6g}")
-    if result.completed and tr.t.size >= 3:
-        # in place: each full-trace temporary is 0.7 MB on zinc
-        r = qc_ode_residual(tr, cfg, p)
+    if result.completed and rows >= 3:
+        r = fold.residual[: rows - 1]
         np.abs(r, out=r)
         worst = int(np.argmax(r))
-        max_r = r[worst]
         lines.append(
-            f"qc ODE residual: max|r| = {max_r:.6g} at t = {tr.t[worst]:.6g}"
+            f"qc ODE residual: max|r| = {r[worst]:.6g} at t = {worst * cfg.dt:.6g}"
             f"  median|r| = {_median_in_place(r):.6g}"
         )
-        del r
-        qdot_floor = np.diff(tr.qc)
-        qdot_floor /= np.diff(tr.t)
-        qdot_floor += cfg.c * tr.qc[:-1]
-        lines.append(f"min of qc' + c*qc over steps = {np.min(qdot_floor):.6g}")
+        lines.append(f"min of qc' + c*qc over steps = {fold.qdot_floor:.6g}")
     return "\n".join(lines) + "\n"
 
 
 def _invalid_config(exc: ConfigurationError) -> int:
     print(f"invalid config: {exc}", file=sys.stderr)
+    return 2
+
+
+def _cannot_write(path: Path, exc: OSError) -> int:
+    print(f"cannot write output: {path}: {exc.strerror}", file=sys.stderr)
     return 2
 
 
@@ -275,7 +267,7 @@ class _Run:
 def _prepare(config_path: Path, out: Path, checkpoint_every) -> _Run | int:
     """Parse the config, apply the override, make the output directory and
     validate; the exit code 2 if the scenario cannot run (with summary.txt
-    written when it parsed and its directory could be made)."""
+    written when it parsed and its directory and file could be made)."""
     try:
         p, cfg = parse_config(config_path)
         if checkpoint_every is not None:
@@ -290,29 +282,92 @@ def _prepare(config_path: Path, out: Path, checkpoint_every) -> _Run | int:
         return 2
     report = validate_scenario(cfg, p)
     if not report.passed:
-        (out / "summary.txt").write_text(_summary_text(cfg, p, report, None))
+        path = out / "summary.txt"
+        try:
+            path.write_text(_summary_text(cfg, p, report, None))
+        except OSError as exc:
+            _cannot_write(path, exc)
         print(report.format(), file=sys.stderr)
         return 2
     return _Run(cfg, p, report, out)
 
 
-class _TraceWriter(_TraceLog):
+class _SummaryFold:
+    """The statistics summary.txt reports of a run, folded in as its rows
+    are given, block by block in order (``write(block)``, a ``Trace`` of any
+    number of rows), so that no block is kept: the row count; the last
+    row's t, qc, s and utilde_x_s (`last`); the ``monitor_constraints``
+    report of the rows so far (`constraints`); the h1_err column; the
+    ``qc_ode_residual`` column, each block's rows with the last row before
+    it (``control.residual_rows``); and the minimum of qc' + c*qc
+    (`qdot_floor`).  It holds two full-length columns.  ``trace()`` is the
+    fold itself, which ``_summary_text`` reads.  Raises ConfigurationError
+    if the columns cannot be allocated."""
+
+    def __init__(self, cfg: ScenarioConfig, p: PhysicalParams):
+        self.cfg, self.p = cfg, p
+        try:
+            self.h1_err = np.empty(cfg.rows)
+            self.residual = np.empty(cfg.rows)
+        except MemoryError:
+            raise _unallocatable("trace", 2, cfg.rows) from None
+        self.rows = 0
+        self.last = None
+        self.constraints = None
+        self.qdot_floor = np.inf
+
+    def write(self, block: Trace) -> None:
+        s_prev = None if self.last is None else self.last[2]
+        self.constraints = diagnostics.monitor_constraints(block, s_prev, self.constraints)
+        start, self.rows = self.rows, self.rows + block.t.size
+        self.h1_err[start : self.rows] = block.h1_err
+        cols = (block.t, block.qc, block.s, block.utilde_x_s)
+        if self.last is not None:
+            cols = [np.concatenate(((last,), col)) for last, col in zip(self.last, cols)]
+        self.last = [col[-1] for col in cols]
+        if cols[0].size < 2:
+            return
+        # whether the run completes is not known yet, and only a completed
+        # run's residual is read: a diverging one overflows in its last blocks
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.residual[max(start - 1, 0) : self.rows - 1]
+            floor = control.residual_rows(*cols, self.cfg, self.p, out)
+        self.qdot_floor = np.minimum(self.qdot_floor, floor)
+
+    def decay_rate(self) -> float | None:
+        """``fit_decay_rate`` of h1_err on its last half, at the times
+        ``simulate_batch`` logs, i * dt; None for fewer than 20 rows or a
+        norm that is not finite and positive (a diverged run logs inf)."""
+        h1_err = self.h1_err[: self.rows]
+        # min and max see NaN and inf without a whole-trace temporary
+        if self.rows < 20 or not (h1_err.min() > 0.0 and h1_err.max() < np.inf):
+            return None
+        half = self.rows // 2
+        tc = np.arange(half, self.rows, dtype=float)
+        tc *= self.cfg.dt
+        tc -= tc.mean()
+        return diagnostics.centred_decay_rate(tc, h1_err[half:])
+
+    def trace(self):
+        return self
+
+
+class _TraceWriter(_SummaryFold):
     """The log ``run`` and ``sweep`` give a member of ``simulate_batch``: the
-    library's log of SUMMARY_COLUMNS only, which also appends each block of
-    rows to trace.csv.
+    summary's fold, which also appends each block of rows to trace.csv.
 
     A block is written as ``write_csv`` would write the whole trace's
-    ``Trace.columns``, its flags from ``monitor_constraints`` on the block;
-    the file is opened at the first block and closed by ``trace()`` or on
-    leaving a ``with``.  ``trace()`` gives the kept columns with the report
-    of the last block (the run's first violations) as `constraints`.
-    Raises ConfigurationError if those columns cannot be allocated."""
+    ``Trace.columns``, its flags from the fold's monitor report; the file
+    is opened at the first block and closed by ``trace()`` or on leaving a
+    ``with``.  An OSError from opening, writing or closing the file is kept
+    in `error`, and the file is written no further; the fold goes on, so
+    that a failed member of a batch does not stop the others."""
 
     def __init__(self, run: _Run):
-        super().__init__(run.cfg, SUMMARY_COLUMNS)
+        super().__init__(run.cfg, run.p)
         self.path = run.out / "trace.csv"
-        self.constraints = None
         self.fh = None
+        self.error = None
 
     def __enter__(self):
         return self
@@ -321,33 +376,46 @@ class _TraceWriter(_TraceLog):
         self.close()
 
     def close(self) -> None:
-        if self.fh is not None:
-            self.fh.close()
-            self.fh = None
+        fh, self.fh = self.fh, None
+        if fh is not None:
+            try:
+                fh.close()
+            except OSError as exc:  # the buffered rows could not be written
+                self.error = self.error or exc
 
     def write(self, block: Trace) -> None:
-        s_prev = self.cols["s"][self.rows - 1] if self.rows else None
-        self.constraints = diagnostics.monitor_constraints(block, s_prev, self.constraints)
-        columns = block.columns(self.constraints)
-        if self.fh is None:
-            self.fh = open(self.path, "w", newline="\n")
-            self.fh.write(",".join(columns) + "\n")
-        _write_rows(self.fh, list(columns.values()))
         super().write(block)
+        if self.error is not None:
+            return
+        columns = block.columns(self.constraints)
+        try:
+            if self.fh is None:
+                self.fh = open(self.path, "w", newline="\n")
+                self.fh.write(",".join(columns) + "\n")
+            _write_rows(self.fh, list(columns.values()))
+        except OSError as exc:
+            self.error = exc
+            self.close()
 
-    def trace(self) -> SimpleNamespace:
+    def trace(self):
         self.close()
-        kept = {name: col[: self.rows] for name, col in self.cols.items()}
-        return SimpleNamespace(**kept, constraints=self.constraints)
+        return self
 
 
 def _write_outputs(run: _Run, result) -> int:
     """Write transforms.csv and summary.txt of a result whose trace is a
-    ``_TraceWriter``'s; the exit code."""
-    write_csv(run.out / "transforms.csv", result.checkpoints)
-    monitor = result.trace.constraints.format()
-    summary = _summary_text(run.cfg, run.p, run.report, result, monitor)
-    (run.out / "summary.txt").write_text(summary)
+    ``_TraceWriter``; the exit code: 2 if an output file cannot be written,
+    else 3 if the run failed."""
+    if result.trace.error is not None:
+        return _cannot_write(result.trace.path, result.trace.error)
+    summary = _summary_text(run.cfg, run.p, run.report, result)
+    path = run.out / "transforms.csv"
+    try:
+        write_csv(path, result.checkpoints)
+        path = run.out / "summary.txt"
+        path.write_text(summary)
+    except OSError as exc:
+        return _cannot_write(path, exc)
     if not result.completed:
         print(f"run aborted: {result.failure}", file=sys.stderr)
         return 3

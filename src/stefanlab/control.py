@@ -64,14 +64,24 @@ def qc_ode_residual(trace, cfg: ScenarioConfig, p: PhysicalParams) -> np.ndarray
     uex = np.asarray(trace.utilde_x_s, dtype=float)
     if t.size < 3:
         raise ValueError("trace too short: need at least 3 logged steps")
-    # in place, in the order of operations of the formula above: each
-    # full-trace temporary is 0.7 MB on zinc
-    residual = np.diff(qc)
-    residual /= np.diff(t)
-    residual += cfg.c * qc[:-1]
+    residual = np.empty(t.size - 1)
+    residual_rows(t, qc, s, uex, cfg, p, residual)
+    return residual
+
+
+def residual_rows(t, qc, s, uex, cfg: ScenarioConfig, p: PhysicalParams, out: np.ndarray):
+    """Fill out with the ``qc_ode_residual`` of consecutive rows t, qc, s,
+    uex, one entry fewer than the rows, element by element in the order of
+    operations of its formula, so a trace cut into overlapping pieces gives
+    the whole trace's bits.  Returns the minimum of qc' + c*qc over these
+    rows, which out holds before the flux term is subtracted."""
+    np.subtract(qc[1:], qc[:-1], out=out)
+    out /= np.diff(t)
+    out += cfg.c * qc[:-1]
+    floor = out.min()
     mass = kernel_mass(s[:-1], cfg.lam, p.alpha)
     mass += 1.0
     mass *= cfg.c * p.k
     mass *= uex[:-1]
-    residual -= mass
-    return residual
+    out -= mass
+    return floor

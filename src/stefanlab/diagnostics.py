@@ -193,8 +193,13 @@ def fit_decay_rate(t, values) -> float:
     if np.any(values <= 0.0):
         raise ValueError("all samples must be strictly positive")
     half = t.size // 2
-    # closed-form least squares on centred samples: two half-trace temporaries
-    tc = t[half:] - t[half:].mean()
-    lv = np.log(values[half:])
+    return centred_decay_rate(t[half:] - t[half:].mean(), values[half:])
+
+
+def centred_decay_rate(tc: np.ndarray, values: np.ndarray) -> float:
+    """Minus the least-squares slope of log(values) against the centred
+    times tc (the times less their mean), in closed form: one temporary the
+    length of tc."""
+    lv = np.log(values)
     lv -= lv.mean()
     return float(-(tc @ lv) / (tc @ tc))

@@ -44,9 +44,9 @@ block's last row or at the member's departure: it fills the rows' per-step
 columns, logs their pending checkpoints and hands the rows to the log, as a
 ``Trace`` of views that stay valid only for that call.  The default log,
 ``_TraceLog``, copies every block into full-length columns, so ``simulate``
-and ``simulate_batch`` return the whole trace; the CLI's is a ``_TraceLog``
-of only the columns its summary reads (``SUMMARY_COLUMNS``) that also writes
-each block to trace.csv.
+and ``simulate_batch`` return the whole trace.  The CLI's folds each block
+into its summary's statistics, keeping two full-length columns (h1_err and
+the qc-ODE residual), and writes the block to trace.csv.
 
 A checkpoint's Bessel error pair (``apply_inverse`` for w_err, then the
 ``apply_direct`` round trip) runs at the checkpoint's own row: each extent
@@ -76,15 +76,11 @@ from .plant import advance_interface, convection_rate
 _BLOCK_ROWS = 64
 
 # Bytes of kept columns and field buffers one lockstep batch of the CLI may
-# hold: eleven 5,001-row members on a 64-interval grid hold 2.97 MB (269,720
-# B each), a 90,001-row member on a 200-interval grid 3.8 MB, so it runs
-# alone.  Holding all 24 of such a sweep's full traces at once raised its
-# peak resident size by 12 MB.
+# hold: twenty 5,001-row members on a 64-interval grid hold 2.99 MB (149,696
+# B each); a 90,001-row member on a 200-interval grid holds 1.65 MB.  Holding
+# all 24 of such a sweep's full traces at once raised its peak resident size
+# by 12 MB.
 _BATCH_BYTES = 3_000_000
-
-# The columns the CLI keeps of a run for its summary; the others it writes
-# to trace.csv block by block and lets go.
-SUMMARY_COLUMNS = ("t", "s", "qc", "h1_err", "utilde_x_s")
 
 
 @cache
@@ -224,13 +220,14 @@ def _unallocatable(name: str, columns: int, rows: int) -> ConfigurationError:
 
 
 class _TraceLog:
-    """The default log of a batch member: the named columns of every block of
-    rows it is given, copied into full-length columns.  ``trace()`` is the
-    Trace of the rows given so far.  Raises ConfigurationError if the
-    columns cannot be allocated."""
+    """The default log of a batch member: every block of rows it is given,
+    copied into full-length columns.  ``trace()`` is the Trace of the rows
+    given so far.  Raises ConfigurationError if the columns cannot be
+    allocated."""
 
-    def __init__(self, cfg: ScenarioConfig, names=_array_fields(Trace)):
+    def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
+        names = _array_fields(Trace)
         try:
             self.cols = {name: np.empty(cfg.rows) for name in names}
         except MemoryError:
@@ -314,12 +311,12 @@ def initial_fields(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _held_bytes(cfg: ScenarioConfig) -> int:
-    """Bytes a member of the CLI's batch holds: its SUMMARY_COLUMNS, its
-    buffer of _BLOCK_ROWS field pairs and the error pairs of one block's
-    checkpoints."""
+    """Bytes a member of the CLI's batch holds: the two full-length columns
+    of its summary's fold (h1_err and the qc-ODE residual), its buffer of
+    _BLOCK_ROWS field pairs and the error pairs of one block's checkpoints."""
     pending = min(_BLOCK_ROWS, _BLOCK_ROWS // cfg.checkpoint_every + 2)
     fields_held = (_BLOCK_ROWS + pending) * 2 * (cfg.grid_n + 1)
-    return 8 * (cfg.rows * len(SUMMARY_COLUMNS) + fields_held)
+    return 8 * (cfg.rows * 2 + fields_held)
 
 
 def lockstep_batches(cfgs) -> list[list[int]]:

@@ -15,7 +15,9 @@ Nothing in ``stefanlab`` calls these.  They are
   exact rational arithmetic (one final rounding, so accurate to the last bit
   even through the heavy cancellation of the J1 series at large argument),
   element-wise over an array in long double arithmetic, and in 50-digit
-  mpmath arithmetic.
+  mpmath arithmetic;
+* summary.txt formed from a whole trace, as the CLI formed it before it
+  folded the summary's statistics in block by block.
 """
 
 from dataclasses import dataclass
@@ -23,8 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from stefanlab import diagnostics
 from stefanlab._scheme import Workspace, block_row, one_sided_edge_flux, stable_rate_cap
-from stefanlab.control import _trapz_integral, feedback_law
+from stefanlab.control import _trapz_integral, feedback_law, qc_ode_residual
 from stefanlab.errors import NumericalError
 from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import PhysicalParams, ScenarioConfig
@@ -355,3 +358,34 @@ def step_observer(
     if failed:
         raise NumericalError(failed[0])
     return ObserverState(t=ob.t + dt, theta_hat=stack[0, 0])
+
+
+def whole_trace_summary(cfg: ScenarioConfig, p: PhysicalParams, report, result) -> str:
+    """summary.txt of a result that holds its whole trace: the trace's
+    ``monitor_constraints`` report, ``fit_decay_rate`` on its logged times,
+    ``qc_ode_residual`` with ``np.median``, and qc' + c*qc by ``np.diff``."""
+    tr = result.trace
+    lines = ["scenario summary", "================", f"mode = {cfg.mode}"]
+    lines.append(f"alpha = {p.alpha:.10g}  beta = {p.beta:.10g}")
+    lines += ["", "restriction checks", report.format(), "", "run"]
+    lines.append(f"completed = {result.completed}")
+    if result.failure:
+        lines.append(f"failure = {result.failure}")
+    lines.append(f"steps logged = {tr.t.size}")
+    lines.append(f"final t = {tr.t[-1]:.10g}  final s = {tr.s[-1]:.10g}  sr = {cfg.sr}")
+    lines += ["", "constraint monitor", diagnostics.monitor_constraints(tr).format(), ""]
+    p_const, a, b, d = diagnostics.lyapunov_constants(cfg, p)
+    lines.append(f"lyapunov constants: p = {p_const:.6g}  a = {a:.6g}  b = {b:.6g}  d = {d:.6g}")
+    if tr.t.size >= 20 and np.all(np.isfinite(tr.h1_err)) and np.all(tr.h1_err > 0.0):
+        rate = diagnostics.fit_decay_rate(tr.t, tr.h1_err)
+        lines.append(f"fitted H1 estimation-error decay rate = {rate:.6g}")
+    if result.completed and tr.t.size >= 3:
+        r = np.abs(qc_ode_residual(tr, cfg, p))
+        worst = int(np.argmax(r))
+        lines.append(
+            f"qc ODE residual: max|r| = {r[worst]:.6g} at t = {tr.t[worst]:.6g}"
+            f"  median|r| = {np.median(r):.6g}"
+        )
+        qdot_floor = np.diff(tr.qc) / np.diff(tr.t) + cfg.c * tr.qc[:-1]
+        lines.append(f"min of qc' + c*qc over steps = {np.min(qdot_floor):.6g}")
+    return "\n".join(lines) + "\n"

@@ -25,6 +25,7 @@ from stefanlab.cli import (
     write_csv,
 )
 from stefanlab.control import qc_ode_residual
+from stefanlab.diagnostics import fit_decay_rate
 from stefanlab.errors import ConfigurationError
 from stefanlab.params import (
     PhysicalParams,
@@ -36,6 +37,7 @@ from stefanlab.params import (
 from stefanlab.runner import lockstep_batches
 
 from conftest import refuse_j1_above
+from oracles import whole_trace_summary
 
 
 FLAG_COLUMNS = ("qc_positive", "s_increasing", "s_below_sr", "u_nonnegative", "error_nonpositive")
@@ -323,12 +325,9 @@ def test_run_with_overflowed_lyapunov_total_logs_inf_v(tmp_path, capsys):
     assert np.isposinf(checkpoints["V"]).all()
 
 
-def test_run_diverging_observer_exits_3_with_inf_error_norms(tmp_path, capsys):
-    """Under state feedback the plant ignores the estimate, so an observer
-    that diverges at 0.9 x the gain bound grows for hundreds of rows after
-    its H1 error norm overflows, until its field is no longer finite.  The
-    run exits 3 with no warning, logs those norms as inf, and the summary
-    fits no decay rate to them."""
+def _diverging_observer(tmp_path):
+    """Zinc over 300 s under state feedback with the gain at 0.9 x its
+    bound, whose observer diverges."""
     p, cfg = parse_config(bundled_config("zinc"))
     lam = 0.9 * lambda_upper_bound(cfg, p.alpha)
     edits = {
@@ -336,7 +335,16 @@ def test_run_diverging_observer_exits_3_with_inf_error_norms(tmp_path, capsys):
         ("scenario", "mode"): "state_feedback",
         ("numerics", "t_end"): "300",
     }
-    bad = _tweaked_config(tmp_path, edits, base="zinc")
+    return _tweaked_config(tmp_path, edits, base="zinc")
+
+
+def test_run_diverging_observer_exits_3_with_inf_error_norms(tmp_path, capsys):
+    """Under state feedback the plant ignores the estimate, so an observer
+    that diverges at 0.9 x the gain bound grows for hundreds of rows after
+    its H1 error norm overflows, until its field is no longer finite.  The
+    run exits 3 with no warning, logs those norms as inf, and the summary
+    fits no decay rate to them."""
+    bad = _diverging_observer(tmp_path)
     out = tmp_path / "o"
     assert main(["run", str(bad), "--out-dir", str(out)]) == 3
     assert "run aborted: temperature field became non-finite" in capsys.readouterr().err
@@ -617,16 +625,119 @@ def test_sweep_runs_isolated_outputs(tmp_path):
 def _library_run(config, out: Path):
     """The library ``simulate`` result of a config, with its whole trace
     written to out/trace.csv by ``write_csv(result.trace.columns())`` and
-    ``_summary_text`` on the whole trace written to out/summary.txt."""
+    the summary formed from the whole trace (``oracles.whole_trace_summary``)
+    written to out/summary.txt."""
     p, cfg = parse_config(config)
     result = runner.simulate(cfg, p)
-    monitor = diagnostics.monitor_constraints(result.trace).format()
     out.mkdir(parents=True)
     write_csv(out / "trace.csv", result.trace.columns())
-    (out / "summary.txt").write_text(
-        cli._summary_text(cfg, p, validate_scenario(cfg, p), result, monitor)
-    )
+    (out / "summary.txt").write_text(whole_trace_summary(cfg, p, validate_scenario(cfg, p), result))
     return result
+
+
+def _fold_summary(cfg, p, result, block_rows=None) -> str:
+    """summary.txt of a library result, its trace given to the summary's
+    fold in blocks of block_rows rows (one block if None)."""
+    trace, fold = result.trace, cli._SummaryFold(cfg, p)
+    names = runner._array_fields(runner.Trace)
+    step = block_rows or trace.t.size
+    for start in range(0, trace.t.size, step):
+        block = {name: getattr(trace, name)[start : start + step] for name in names}
+        fold.write(runner._trace_of(block, block["t"].size, cfg))
+    return cli._summary_text(cfg, p, validate_scenario(cfg, p), replace(result, trace=fold))
+
+
+@pytest.mark.parametrize("case", ["smoke", "diverging_observer"])
+def test_summary_fold_is_independent_of_block_size(tmp_path, case):
+    # the diverging run overflows in the fold's residual before it fails,
+    # with no warning
+    config = bundled_config("zinc_smoke") if case == "smoke" else _diverging_observer(tmp_path)
+    p, cfg = parse_config(config)
+    result = runner.simulate(cfg, p)
+    assert result.completed == (case == "smoke")
+    want = whole_trace_summary(cfg, p, validate_scenario(cfg, p), result)
+    assert ("qc ODE residual" in want) == ("decay rate" in want) == (case == "smoke")
+    for block_rows in (1, 2, 63, 64, 65, None):
+        assert _fold_summary(cfg, p, result, block_rows) == want, block_rows
+
+
+@pytest.mark.parametrize("rows", [2, 3, 19, 20])
+def test_summary_of_a_short_trace_matches_the_whole_trace_summary(rows):
+    # the residual line needs 3 rows and the decay fit 20
+    p, cfg = parse_config(bundled_config("zinc_smoke"))
+    full = runner.simulate(cfg, p)
+    columns = {name: getattr(full.trace, name) for name in runner._array_fields(runner.Trace)}
+    short = replace(full, trace=runner._trace_of(columns, rows, cfg))
+    want = whole_trace_summary(cfg, p, validate_scenario(cfg, p), short)
+    assert ("qc ODE residual" in want) == (rows >= 3)
+    assert ("decay rate" in want) == (rows >= 20)
+    for block_rows in (1, None):
+        assert _fold_summary(cfg, p, short, block_rows) == want, block_rows
+
+
+def test_run_log_holds_two_row_length_columns(tmp_path):
+    p, cfg = parse_config(bundled_config("zinc_smoke"))
+    run = cli._Run(cfg, p, validate_scenario(cfg, p), tmp_path)
+    tracemalloc.start()
+    try:
+        log = cli._TraceWriter(run)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 16 * cfg.rows <= held < 16 * cfg.rows + 4096
+    with log:
+        runner.simulate(cfg, p, log)
+    values = list(vars(log).values())
+    values += [v for d in values if isinstance(d, dict) for v in d.values()]
+    long = [(v.dtype, v.shape) for v in values if isinstance(v, np.ndarray) and v.size >= cfg.rows]
+    assert long == [(np.dtype(float), (cfg.rows,))] * 2
+
+
+def test_fold_statistics_equal_the_whole_trace_functions(tmp_path):
+    p, cfg = parse_config(bundled_config("zinc_smoke"))
+    run = cli._Run(cfg, p, validate_scenario(cfg, p), tmp_path)
+    with cli._TraceWriter(run) as log:
+        fold = runner.simulate(cfg, p, log).trace
+    tr = runner.simulate(cfg, p).trace
+    assert fold.rows == tr.t.size == cfg.rows
+    assert np.array_equal(fold.residual[: fold.rows - 1], qc_ode_residual(tr, cfg, p))
+    assert np.array_equal(fold.h1_err[: fold.rows], tr.h1_err)
+    assert fold.decay_rate() == fit_decay_rate(tr.t, tr.h1_err)
+    assert fold.qdot_floor == np.min(np.diff(tr.qc) / np.diff(tr.t) + cfg.c * tr.qc[:-1])
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("name", ["trace.csv", "transforms.csv", "summary.txt"])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, command, name):
+    # a directory where the file goes; in a sweep the other member runs on
+    smoke = _tweaked_config(tmp_path, name="smoke.cfg")
+    other = _tweaked_config(tmp_path, {("scenario", "c"): 0.002}, name="other.cfg")
+    out = tmp_path / "o"
+    member = out / "smoke" if command == "sweep" else out
+    (member / name).mkdir(parents=True)
+    files = ["trace.csv", "transforms.csv", "summary.txt"]
+    if command == "run":
+        assert main(["run", str(smoke), "--out-dir", str(out)]) == 2
+    else:
+        assert main(["sweep", str(smoke), str(other), "--out-dir", str(out), "--jobs", "1"]) == 2
+        own = tmp_path / "own"
+        assert main(["run", str(other), "--out-dir", str(own)]) == 0
+        for f in files:
+            assert (out / "other" / f).read_bytes() == (own / f).read_bytes(), f
+    assert capsys.readouterr().err == f"cannot write output: {member / name}: Is a directory\n"
+    written = sorted(f.name for f in member.iterdir() if f.is_file())
+    assert written == sorted(files[: files.index(name)])
+
+
+def test_unwritable_summary_of_an_invalid_scenario_exits_2(tmp_path, capsys):
+    invalid = _tweaked_config(tmp_path, {("scenario", "sr"): 0.05}, name="invalid.cfg")
+    out = tmp_path / "o"
+    (out / "summary.txt").mkdir(parents=True)
+    assert main(["run", str(invalid), "--out-dir", str(out)]) == 2
+    p, cfg = parse_config(invalid)
+    report = validate_scenario(cfg, p).format()
+    want = f"cannot write output: {out / 'summary.txt'}: Is a directory\n{report}\n"
+    assert capsys.readouterr().err == want
 
 
 def _summary_monitor_lines(summary: str) -> list[str]:
@@ -848,8 +959,8 @@ def test_unallocatable_trace_exits_2(tmp_path, capsys, monkeypatch, command):
         for f in ("trace.csv", "transforms.csv", "summary.txt"):
             assert (out / "smoke" / f).read_bytes() == (own / f).read_bytes(), f
     message = (
-        f"invalid config: t_end/dt is too large: the trace's 5 columns of {rows} rows need "
-        f"{8 * 5 * rows} bytes, which cannot be allocated\n"
+        f"invalid config: t_end/dt is too large: the trace's 2 columns of {rows} rows need "
+        f"{8 * 2 * rows} bytes, which cannot be allocated\n"
     )
     assert capsys.readouterr().err == message
     assert not (out / "huge" / "trace.csv").exists() and not (out / "trace.csv").exists()

@@ -530,13 +530,13 @@ def test_lockstep_batches_group_by_grid_within_the_budget(zinc):
     assert lockstep_batches(cfgs) == [[0, 1, 2, 3, 4, 5, 9], [6], [8], [7]]
 
 
-def test_lockstep_batches_split_the_benchmark_sweep_in_three():
-    # 24 members shaped as the benchmark's sweep: each holds its five kept
-    # columns and its ring, 269,720 B, so eleven fit the 3 MB budget
+def test_lockstep_batches_split_the_benchmark_sweep_in_two():
+    # 24 members shaped as the benchmark's sweep: each holds its summary's
+    # two kept columns and its ring, 149,696 B, so twenty fit the 3 MB budget
     bench = cfg_for(t_end=500.0, checkpoint_every=50)
-    assert runner._held_bytes(bench) == 5_001 * 5 * 8 + (64 + 3) * 2 * 65 * 8 == 269_720
+    assert runner._held_bytes(bench) == 5_001 * 2 * 8 + (64 + 3) * 2 * 65 * 8 == 149_696
     batches = lockstep_batches([bench] * 24)
-    assert [len(batch) for batch in batches] == [11, 11, 2]
+    assert [len(batch) for batch in batches] == [20, 4]
     assert sum(batches, []) == list(range(24))
 
 

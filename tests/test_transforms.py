@@ -297,6 +297,27 @@ def test_ratio_rows_equal_the_oracle_arrays(z2_max):
     assert np.max(np.abs(rows[1] - j1)) <= eps * i1[-1]
 
 
+@pytest.mark.parametrize("n", [8, 64, 200])
+def test_geometry_equals_the_int64_construction(n):
+    """The kernel geometry built from squares in int8, int16 and int32
+    (n = 8, 64, 200) equals its construction in int64, with an intp index."""
+    from stefanlab.transforms import _geometry
+
+    k = np.arange(n + 1, dtype=np.int64)
+    sq = np.maximum(k[np.newaxis, :] ** 2 - k[:, np.newaxis] ** 2, 0)
+    present = np.zeros(n * n + 1, dtype=bool)
+    present[sq] = True
+    present[0] = False
+    positive = np.flatnonzero(present)
+    slot = np.cumsum(present, dtype=np.int64) - 1
+    slot[0] = positive.size
+    xi, gaps, index = _geometry(n)
+    assert index.dtype == np.intp
+    assert np.array_equal(index, slot[sq])
+    assert np.array_equal(gaps, positive / n**2)
+    assert np.array_equal(xi, k / n)
+
+
 @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
 def test_power_table_rows_do_not_depend_on_fill_order(descending):
     """Row m is row m-1 times the base however the table was filled or
