@@ -5,6 +5,7 @@ from .control import qc_ode_residual
 from .diagnostics import (
     ConstraintReport,
     LyapunovSample,
+    RunSummary,
     fit_decay_rate,
     h1_norm_sq,
     lyapunov_constants,
@@ -38,6 +39,7 @@ __all__ = [
     "LyapunovSample",
     "NumericalError",
     "PhysicalParams",
+    "RunSummary",
     "ScenarioConfig",
     "SimulationResult",
     "Trace",

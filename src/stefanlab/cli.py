@@ -1,4 +1,4 @@
-"""Scenario runner: config parsing, CSV traces, summaries, and the CLI.
+"""Scenario runner: config parsing, CSV traces, and the CLI.
 
 Config files are flat ``key = value`` text with four sections::
 
@@ -11,7 +11,8 @@ All keys are mandatory except domain_cap and checkpoint_every.
 Floats in the CSV artifacts are printed with 17 significant digits so that
 identical configs yield byte-identical files.  trace.csv is written block by
 block as the run goes, so a run stopped from outside keeps its completed
-blocks of rows.
+blocks of rows.  summary.txt is the validation report and the run, then the
+statistics of ``diagnostics.RunSummary``.
 
 Exit codes: 0 success, 2 invalid config or an output directory or file that
 cannot be made or written, 3 numerical blow-up (partial trace still
@@ -29,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import control, diagnostics
+from . import diagnostics
 from .errors import ConfigurationError
 from .params import (
     PhysicalParams,
@@ -37,7 +38,7 @@ from .params import (
     ValidationReport,
     validate_scenario,
 )
-from .runner import Trace, _unallocatable, lockstep_batches, simulate, simulate_batch
+from .runner import Trace, lockstep_batches, simulate, simulate_batch
 
 _REQUIRED = {
     "physical": ("rho", "cp", "k", "dh", "tm"),
@@ -150,7 +151,10 @@ def read_csv(path) -> dict:
             if not header:
                 raise ConfigurationError(f"empty trace file: {path}")
             names = header.split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            first = next((line for line in fh if not line.isspace()), "")
+            # np.loadtxt warns on no data: a header alone gives empty columns
+            rows = itertools.chain((first,), fh)
+            data = np.loadtxt(rows, delimiter=",", ndmin=2) if first else np.empty((0, 0))
     except OSError as exc:
         raise ConfigurationError(f"trace file not readable: {path}: {exc.strerror}") from exc
     except ValueError as exc:
@@ -187,60 +191,22 @@ def compare_traces(path_a, path_b) -> dict:
     return out
 
 
-def _median_in_place(a: np.ndarray):
-    """np.median of a non-empty float array, partitioning `a` in place;
-    NaN anywhere gives NaN.  np.median itself imports numpy.ma on first use
-    for its NaN check, about 25 ms of every run."""
-    half = a.size // 2
-    # NaN sorts last, so the partition at -1 moves one there if there is any
-    a.partition((half - 1, half, -1) if a.size % 2 == 0 else (half, -1))
-    if np.isnan(a[-1]):
-        return a[-1]
-    return a[half] if a.size % 2 else (a[half - 1] + a[half]) / 2
-
-
-def _summary_text(cfg, p, report, result) -> str:
-    """summary.txt: the validation report, then, given a result whose trace
-    is a ``_SummaryFold``, its run, monitor report and statistics.  The
-    residual column is reordered in place: the summary is its last reader."""
-    alpha, beta = p.alpha, p.beta
-    lines = ["scenario summary", "================"]
-    lines.append(f"mode = {cfg.mode}")
-    lines.append(f"alpha = {alpha:.10g}  beta = {beta:.10g}")
-    lines.append("")
-    lines.append("restriction checks")
-    lines.append(report.format())
+def _summary_text(cfg, p, report, result, summary) -> str:
+    """summary.txt: the validation report, then, given a result and the
+    ``RunSummary`` of its rows, its run and ``summary.format``."""
+    lines = ["scenario summary", "================", f"mode = {cfg.mode}"]
+    lines.append(f"alpha = {p.alpha:.10g}  beta = {p.beta:.10g}")
+    lines += ["", "restriction checks", report.format()]
     if result is None:
         return "\n".join(lines) + "\n"
 
-    fold = result.trace
-    rows = fold.rows
-    t_last, _, s_last, _ = fold.last
-    lines.append("")
-    lines.append("run")
-    lines.append(f"completed = {result.completed}")
+    lines += ["", "run", f"completed = {result.completed}"]
     if result.failure:
         lines.append(f"failure = {result.failure}")
-    lines.append(f"steps logged = {rows}")
+    t_last, _, s_last, _ = summary.last
+    lines.append(f"steps logged = {summary.rows}")
     lines.append(f"final t = {t_last:.10g}  final s = {s_last:.10g}  sr = {cfg.sr}")
-    lines.append("")
-    lines.append("constraint monitor")
-    lines.append(fold.constraints.format())
-    lines.append("")
-    p_const, a, b, d = diagnostics.lyapunov_constants(cfg, p)
-    lines.append(f"lyapunov constants: p = {p_const:.6g}  a = {a:.6g}  b = {b:.6g}  d = {d:.6g}")
-    rate = fold.decay_rate()
-    if rate is not None:
-        lines.append(f"fitted H1 estimation-error decay rate = {rate:.6g}")
-    if result.completed and rows >= 3:
-        r = fold.residual[: rows - 1]
-        np.abs(r, out=r)
-        worst = int(np.argmax(r))
-        lines.append(
-            f"qc ODE residual: max|r| = {r[worst]:.6g} at t = {worst * cfg.dt:.6g}"
-            f"  median|r| = {_median_in_place(r):.6g}"
-        )
-        lines.append(f"min of qc' + c*qc over steps = {fold.qdot_floor:.6g}")
+    lines += ["", summary.format(result.completed)]
     return "\n".join(lines) + "\n"
 
 
@@ -284,7 +250,7 @@ def _prepare(config_path: Path, out: Path, checkpoint_every) -> _Run | int:
     if not report.passed:
         path = out / "summary.txt"
         try:
-            path.write_text(_summary_text(cfg, p, report, None))
+            path.write_text(_summary_text(cfg, p, report, None, None))
         except OSError as exc:
             _cannot_write(path, exc)
         print(report.format(), file=sys.stderr)
@@ -292,79 +258,20 @@ def _prepare(config_path: Path, out: Path, checkpoint_every) -> _Run | int:
     return _Run(cfg, p, report, out)
 
 
-class _SummaryFold:
-    """The statistics summary.txt reports of a run, folded in as its rows
-    are given, block by block in order (``write(block)``, a ``Trace`` of any
-    number of rows), so that no block is kept: the row count; the last
-    row's t, qc, s and utilde_x_s (`last`); the ``monitor_constraints``
-    report of the rows so far (`constraints`); the h1_err column; the
-    ``qc_ode_residual`` column, each block's rows with the last row before
-    it (``control.residual_rows``); and the minimum of qc' + c*qc
-    (`qdot_floor`).  It holds two full-length columns.  ``trace()`` is the
-    fold itself, which ``_summary_text`` reads.  Raises ConfigurationError
-    if the columns cannot be allocated."""
-
-    def __init__(self, cfg: ScenarioConfig, p: PhysicalParams):
-        self.cfg, self.p = cfg, p
-        try:
-            self.h1_err = np.empty(cfg.rows)
-            self.residual = np.empty(cfg.rows)
-        except MemoryError:
-            raise _unallocatable("trace", 2, cfg.rows) from None
-        self.rows = 0
-        self.last = None
-        self.constraints = None
-        self.qdot_floor = np.inf
-
-    def write(self, block: Trace) -> None:
-        s_prev = None if self.last is None else self.last[2]
-        self.constraints = diagnostics.monitor_constraints(block, s_prev, self.constraints)
-        start, self.rows = self.rows, self.rows + block.t.size
-        self.h1_err[start : self.rows] = block.h1_err
-        cols = (block.t, block.qc, block.s, block.utilde_x_s)
-        if self.last is not None:
-            cols = [np.concatenate(((last,), col)) for last, col in zip(self.last, cols)]
-        self.last = [col[-1] for col in cols]
-        if cols[0].size < 2:
-            return
-        # whether the run completes is not known yet, and only a completed
-        # run's residual is read: a diverging one overflows in its last blocks
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self.residual[max(start - 1, 0) : self.rows - 1]
-            floor = control.residual_rows(*cols, self.cfg, self.p, out)
-        self.qdot_floor = np.minimum(self.qdot_floor, floor)
-
-    def decay_rate(self) -> float | None:
-        """``fit_decay_rate`` of h1_err on its last half, at the times
-        ``simulate_batch`` logs, i * dt; None for fewer than 20 rows or a
-        norm that is not finite and positive (a diverged run logs inf)."""
-        h1_err = self.h1_err[: self.rows]
-        # min and max see NaN and inf without a whole-trace temporary
-        if self.rows < 20 or not (h1_err.min() > 0.0 and h1_err.max() < np.inf):
-            return None
-        half = self.rows // 2
-        tc = np.arange(half, self.rows, dtype=float)
-        tc *= self.cfg.dt
-        tc -= tc.mean()
-        return diagnostics.centred_decay_rate(tc, h1_err[half:])
-
-    def trace(self):
-        return self
-
-
-class _TraceWriter(_SummaryFold):
-    """The log ``run`` and ``sweep`` give a member of ``simulate_batch``: the
-    summary's fold, which also appends each block of rows to trace.csv.
+class _TraceWriter:
+    """The log ``run`` and ``sweep`` give a member of ``simulate_batch``: a
+    ``RunSummary`` of its rows (`summary`) and the trace.csv it appends each
+    block of rows to.
 
     A block is written as ``write_csv`` would write the whole trace's
-    ``Trace.columns``, its flags from the fold's monitor report; the file
+    ``Trace.columns``, its flags from the summary's monitor report; the file
     is opened at the first block and closed by ``trace()`` or on leaving a
     ``with``.  An OSError from opening, writing or closing the file is kept
-    in `error`, and the file is written no further; the fold goes on, so
+    in `error`, and the file is written no further; the summary goes on, so
     that a failed member of a batch does not stop the others."""
 
     def __init__(self, run: _Run):
-        super().__init__(run.cfg, run.p)
+        self.summary = diagnostics.RunSummary(run.cfg, run.p)
         self.path = run.out / "trace.csv"
         self.fh = None
         self.error = None
@@ -384,10 +291,10 @@ class _TraceWriter(_SummaryFold):
                 self.error = self.error or exc
 
     def write(self, block: Trace) -> None:
-        super().write(block)
+        self.summary.write(block)
         if self.error is not None:
             return
-        columns = block.columns(self.constraints)
+        columns = block.columns(self.summary.constraints)
         try:
             if self.fh is None:
                 self.fh = open(self.path, "w", newline="\n")
@@ -397,18 +304,18 @@ class _TraceWriter(_SummaryFold):
             self.error = exc
             self.close()
 
-    def trace(self):
+    def trace(self) -> None:
         self.close()
-        return self
+        return None
 
 
-def _write_outputs(run: _Run, result) -> int:
-    """Write transforms.csv and summary.txt of a result whose trace is a
-    ``_TraceWriter``; the exit code: 2 if an output file cannot be written,
-    else 3 if the run failed."""
-    if result.trace.error is not None:
-        return _cannot_write(result.trace.path, result.trace.error)
-    summary = _summary_text(run.cfg, run.p, run.report, result)
+def _write_outputs(run: _Run, log: _TraceWriter, result) -> int:
+    """Write transforms.csv and summary.txt of a result logged by `log`;
+    the exit code: 2 if an output file cannot be written, else 3 if the
+    run failed."""
+    if log.error is not None:
+        return _cannot_write(log.path, log.error)
+    summary = _summary_text(run.cfg, run.p, run.report, result, log.summary)
     path = run.out / "transforms.csv"
     try:
         write_csv(path, result.checkpoints)
@@ -434,7 +341,7 @@ def run_scenario(config_path, out_dir=None, checkpoint_every: int | None = None)
             result = simulate(run.cfg, run.p, log)
     except ConfigurationError as exc:  # the trace cannot be allocated
         return _invalid_config(exc)
-    return _write_outputs(run, result)
+    return _write_outputs(run, log, result)
 
 
 def _validate_cmd(config_path) -> int:
@@ -464,7 +371,7 @@ def _sweep_batch(runs: list[_Run]) -> int:
         with contextlib.ExitStack() as stack:
             logs = [stack.enter_context(_TraceWriter(run)) for run in runs]
             results = simulate_batch([(run.cfg, run.p) for run in runs], logs)
-            return max(_write_outputs(runs[j], result) for j, result in results)
+            return max(_write_outputs(runs[j], logs[j], result) for j, result in results)
     except ConfigurationError as exc:
         # a trace that cannot be allocated, raised before the first step; a
         # member that large runs alone in its batch

@@ -4,12 +4,15 @@ Everything here is pure post-processing on states or logged traces: the
 evidence layer that turns a closed-loop run into pass/fail statements about
 positivity of the heat input, monotonicity of the interface, sign and decay
 of the estimation error, and decrease of the Lyapunov functionals.
+``RunSummary`` folds a run's rows into the run summary as they are logged.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import control
+from .errors import _unallocatable
 from .params import PhysicalParams, ScenarioConfig
 
 
@@ -203,3 +206,99 @@ def centred_decay_rate(tc: np.ndarray, values: np.ndarray) -> float:
     lv = np.log(values)
     lv -= lv.mean()
     return float(-(tc @ lv) / (tc @ tc))
+
+
+def _median_in_place(a: np.ndarray):
+    """np.median of a non-empty float array, partitioning `a` in place;
+    NaN anywhere gives NaN.  np.median itself imports numpy.ma on first use
+    for its NaN check, about 25 ms of every run."""
+    half = a.size // 2
+    # NaN sorts last, so the partition at -1 moves one there if there is any
+    a.partition((half - 1, half, -1) if a.size % 2 == 0 else (half, -1))
+    if np.isnan(a[-1]):
+        return a[-1]
+    return a[half] if a.size % 2 else (a[half - 1] + a[half]) / 2
+
+
+class RunSummary:
+    """The statistics a run's summary reports, folded in as its rows are
+    given, block by block in order (``write(block)``, a ``Trace`` of any
+    number of rows), so that no block is kept: the row count; the last
+    row's t, qc, s and utilde_x_s (`last`); the ``monitor_constraints``
+    report of the rows so far (`constraints`); the h1_err column; the
+    ``qc_ode_residual`` column, each block's rows with the last row before
+    it (``control.residual_rows``); and the minimum of qc' + c*qc
+    (`qdot_floor`).  It holds COLUMNS full-length columns and no trace:
+    ``simulate(cfg, p, log=RunSummary(cfg, p)).trace`` is None.  Raises
+    ConfigurationError if the columns cannot be allocated."""
+
+    COLUMNS = 2  # h1_err and the qc-ODE residual
+
+    def __init__(self, cfg: ScenarioConfig, p: PhysicalParams):
+        self.cfg, self.p = cfg, p
+        try:
+            self.h1_err = np.empty(cfg.rows)
+            self.residual = np.empty(cfg.rows)
+        except MemoryError:
+            raise _unallocatable("trace", self.COLUMNS, cfg.rows) from None
+        self.rows = 0
+        self.last = None
+        self.constraints = None
+        self.qdot_floor = np.inf
+
+    def write(self, block) -> None:
+        s_prev = None if self.last is None else self.last[2]
+        self.constraints = monitor_constraints(block, s_prev, self.constraints)
+        start, self.rows = self.rows, self.rows + block.t.size
+        self.h1_err[start : self.rows] = block.h1_err
+        cols = (block.t, block.qc, block.s, block.utilde_x_s)
+        if self.last is not None:
+            cols = [np.concatenate(((last,), col)) for last, col in zip(self.last, cols)]
+        self.last = [col[-1] for col in cols]
+        if cols[0].size < 2:
+            return
+        # whether the run completes is not known yet, and only a completed
+        # run's residual is read: a diverging one overflows in its last blocks
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self.residual[max(start - 1, 0) : self.rows - 1]
+            floor = control.residual_rows(*cols, self.cfg, self.p, out)
+        self.qdot_floor = np.minimum(self.qdot_floor, floor)
+
+    def decay_rate(self) -> float | None:
+        """``fit_decay_rate`` of h1_err on its last half, at the times
+        ``simulate_batch`` logs, i * dt; None for fewer than 20 rows or a
+        norm that is not finite and positive (a diverged run logs inf)."""
+        h1_err = self.h1_err[: self.rows]
+        # min and max see NaN and inf without a whole-trace temporary
+        if self.rows < 20 or not (h1_err.min() > 0.0 and h1_err.max() < np.inf):
+            return None
+        half = self.rows // 2
+        tc = np.arange(half, self.rows, dtype=float)
+        tc *= self.cfg.dt
+        tc -= tc.mean()
+        return centred_decay_rate(tc, h1_err[half:])
+
+    def trace(self) -> None:
+        return None
+
+    def format(self, completed: bool) -> str:
+        """The summary's statistics of one row or more: the constraint
+        monitor, the Lyapunov constants, the fitted decay rate and, for a
+        completed run of 3 rows or more, the qc-ODE residual and the minimum
+        of qc' + c*qc.  It reorders the residual column: call it last."""
+        lines = ["constraint monitor", self.constraints.format(), ""]
+        p_const, a, b, d = lyapunov_constants(self.cfg, self.p)
+        lines.append(f"lyapunov constants: p = {p_const:.6g}  a = {a:.6g}  b = {b:.6g}  d = {d:.6g}")
+        rate = self.decay_rate()
+        if rate is not None:
+            lines.append(f"fitted H1 estimation-error decay rate = {rate:.6g}")
+        if completed and self.rows >= 3:
+            r = self.residual[: self.rows - 1]
+            np.abs(r, out=r)
+            worst = int(np.argmax(r))
+            lines.append(
+                f"qc ODE residual: max|r| = {r[worst]:.6g} at t = {worst * self.cfg.dt:.6g}"
+                f"  median|r| = {_median_in_place(r):.6g}"
+            )
+            lines.append(f"min of qc' + c*qc over steps = {self.qdot_floor:.6g}")
+        return "\n".join(lines)

@@ -44,9 +44,9 @@ block's last row or at the member's departure: it fills the rows' per-step
 columns, logs their pending checkpoints and hands the rows to the log, as a
 ``Trace`` of views that stay valid only for that call.  The default log,
 ``_TraceLog``, copies every block into full-length columns, so ``simulate``
-and ``simulate_batch`` return the whole trace.  The CLI's folds each block
-into its summary's statistics, keeping two full-length columns (h1_err and
-the qc-ODE residual), and writes the block to trace.csv.
+and ``simulate_batch`` return the whole trace.  The CLI's log folds each
+block into a ``diagnostics.RunSummary``, two full-length columns (h1_err and
+the qc-ODE residual) and no trace, and writes the block to trace.csv.
 
 A checkpoint's Bessel error pair (``apply_inverse`` for w_err, then the
 ``apply_direct`` round trip) runs at the checkpoint's own row: each extent
@@ -65,7 +65,7 @@ import numpy as np
 
 from . import control, diagnostics, transforms
 from ._scheme import Workspace, block_row, edge_stencil, one_sided_edge_flux, stable_rate_cap
-from .errors import BlowUpError, ConfigurationError, NumericalError
+from .errors import BlowUpError, NumericalError, _unallocatable
 from .observer import gain_sources, gain_term_count
 from .params import PhysicalParams, ScenarioConfig
 from .plant import advance_interface, convection_rate
@@ -137,9 +137,10 @@ def _trace_of(cols: dict, rows: int, cfg: ScenarioConfig) -> Trace:
 @dataclass
 class SimulationResult:
     """A run's logs.  final_fields holds (theta, theta_hat) of the trace's
-    last row, whose time and extent are trace.t[-1] and trace.s[-1]."""
+    last row, whose time and extent are trace.t[-1] and trace.s[-1].  trace
+    is None when the run's log keeps no trace (``RunSummary``)."""
 
-    trace: Trace
+    trace: Trace | None
     checkpoints: dict
     completed: bool
     failure: str | None = None
@@ -210,13 +211,6 @@ def _log_block(cols: dict, block: np.ndarray, cfg: ScenarioConfig, p: PhysicalPa
         cols["utilde_x_s"][rows] = flux[:, 0] / s - flux[:, 1] / s
         cols["theta_min"][rows] = theta.min(axis=-1)
         cols["utilde_max"][rows] = u_err.max(axis=-1)
-
-
-def _unallocatable(name: str, columns: int, rows: int) -> ConfigurationError:
-    return ConfigurationError(
-        f"t_end/dt is too large: the {name}'s {columns} columns of {rows} rows need "
-        f"{8 * columns * rows} bytes, which cannot be allocated"
-    )
 
 
 class _TraceLog:
@@ -311,12 +305,12 @@ def initial_fields(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _held_bytes(cfg: ScenarioConfig) -> int:
-    """Bytes a member of the CLI's batch holds: the two full-length columns
-    of its summary's fold (h1_err and the qc-ODE residual), its buffer of
-    _BLOCK_ROWS field pairs and the error pairs of one block's checkpoints."""
+    """Bytes a member of the CLI's batch holds: the full-length columns of
+    its ``RunSummary``, its buffer of _BLOCK_ROWS field pairs and the error
+    pairs of one block's checkpoints."""
     pending = min(_BLOCK_ROWS, _BLOCK_ROWS // cfg.checkpoint_every + 2)
     fields_held = (_BLOCK_ROWS + pending) * 2 * (cfg.grid_n + 1)
-    return 8 * (cfg.rows * 2 + fields_held)
+    return 8 * (cfg.rows * diagnostics.RunSummary.COLUMNS + fields_held)
 
 
 def lockstep_batches(cfgs) -> list[list[int]]:
@@ -380,7 +374,7 @@ def simulate_batch(scenarios, logs=None):
     full-length Trace: its ``write(block)`` gets each block of completed
     rows in order, as a Trace of views into buffers that the next block
     reuses, and its ``trace()``, called when the member leaves, gives the
-    result's trace.
+    result's trace (None from a log that keeps none, as ``RunSummary``).
     """
     scenarios = list(scenarios)
     grids = {(cfg.grid_n, cfg.dt) for cfg, _ in scenarios}

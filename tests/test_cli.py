@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stefanlab import _scheme, cli, diagnostics, observer, runner
+from stefanlab import RunSummary, _scheme, cli, diagnostics, observer, runner
 from stefanlab.cli import (
     _CSV_CHUNK_ROWS,
     bundled_config,
@@ -254,7 +254,7 @@ def test_overflowed_norms_are_logged_as_inf(tmp_path, capsys, overflowed):
     with cli._TraceWriter(run) as log:
         log.write(trace)
         result = runner.SimulationResult(log.trace(), {}, completed=False, failure=failure)
-    assert cli._write_outputs(run, result) == 3
+    assert cli._write_outputs(run, log, result) == 3
     assert f"run aborted: {failure}" in capsys.readouterr().err
     written = read_csv(tmp_path / "trace.csv")
     for name in ("h1_u", "h1_err"):
@@ -543,6 +543,18 @@ def test_compare_length_mismatch(tmp_path):
         compare_traces(tmp_path / "a.csv", tmp_path / "b.csv")
 
 
+def test_compare_header_only_traces(tmp_path, capsys):
+    # a header with no data line, or only blank ones, has empty columns,
+    # with no np.loadtxt warning
+    (tmp_path / "a.csv").write_text("t,s\n")
+    (tmp_path / "b.csv").write_text("t,s\n \n\n")
+    write_csv(tmp_path / "rows.csv", {"t": np.array([0.0, 1.0]), "s": np.array([0.1, 0.2])})
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
+    assert capsys.readouterr().out == "t: 0\ns: 0\n"
+    assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "rows.csv")]) == 2
+    assert capsys.readouterr().err == "compare failed: column 't' length mismatch\n"
+
+
 @pytest.mark.parametrize(
     "va, vb, want",
     [
@@ -636,15 +648,15 @@ def _library_run(config, out: Path):
 
 
 def _fold_summary(cfg, p, result, block_rows=None) -> str:
-    """summary.txt of a library result, its trace given to the summary's
-    fold in blocks of block_rows rows (one block if None)."""
-    trace, fold = result.trace, cli._SummaryFold(cfg, p)
+    """summary.txt of a library result, its trace given to a
+    ``RunSummary`` in blocks of block_rows rows (one block if None)."""
+    trace, summary = result.trace, RunSummary(cfg, p)
     names = runner._array_fields(runner.Trace)
     step = block_rows or trace.t.size
     for start in range(0, trace.t.size, step):
         block = {name: getattr(trace, name)[start : start + step] for name in names}
-        fold.write(runner._trace_of(block, block["t"].size, cfg))
-    return cli._summary_text(cfg, p, validate_scenario(cfg, p), replace(result, trace=fold))
+        summary.write(runner._trace_of(block, block["t"].size, cfg))
+    return cli._summary_text(cfg, p, validate_scenario(cfg, p), replace(result, trace=None), summary)
 
 
 @pytest.mark.parametrize("case", ["smoke", "diverging_observer"])
@@ -687,23 +699,41 @@ def test_run_log_holds_two_row_length_columns(tmp_path):
     assert 16 * cfg.rows <= held < 16 * cfg.rows + 4096
     with log:
         runner.simulate(cfg, p, log)
-    values = list(vars(log).values())
+    values = list(vars(log.summary).values())
     values += [v for d in values if isinstance(d, dict) for v in d.values()]
     long = [(v.dtype, v.shape) for v in values if isinstance(v, np.ndarray) and v.size >= cfg.rows]
     assert long == [(np.dtype(float), (cfg.rows,))] * 2
 
 
-def test_fold_statistics_equal_the_whole_trace_functions(tmp_path):
+def test_fold_statistics_equal_the_whole_trace_functions():
     p, cfg = parse_config(bundled_config("zinc_smoke"))
-    run = cli._Run(cfg, p, validate_scenario(cfg, p), tmp_path)
-    with cli._TraceWriter(run) as log:
-        fold = runner.simulate(cfg, p, log).trace
+    fold = RunSummary(cfg, p)
+    assert runner.simulate(cfg, p, fold).trace is None
     tr = runner.simulate(cfg, p).trace
     assert fold.rows == tr.t.size == cfg.rows
     assert np.array_equal(fold.residual[: fold.rows - 1], qc_ode_residual(tr, cfg, p))
     assert np.array_equal(fold.h1_err[: fold.rows], tr.h1_err)
     assert fold.decay_rate() == fit_decay_rate(tr.t, tr.h1_err)
     assert fold.qdot_floor == np.min(np.diff(tr.qc) / np.diff(tr.t) + cfg.c * tr.qc[:-1])
+
+
+@pytest.mark.parametrize("case", ["smoke", "diverging_observer"])
+def test_run_summary_is_a_library_log(tmp_path, case):
+    """A library run logged by a ``RunSummary`` keeps no trace; its
+    statistics are the lines the CLI's summary.txt ends with, and that
+    summary is the one formed from the whole trace."""
+    config = bundled_config("zinc_smoke") if case == "smoke" else _diverging_observer(tmp_path)
+    p, cfg = parse_config(config)
+    summary = RunSummary(cfg, p)
+    result = runner.simulate(cfg, p, log=summary)
+    assert result.trace is None
+    assert result.completed == (case == "smoke")
+    text = summary.format(result.completed)
+    assert main(["run", str(config), "--out-dir", str(tmp_path / "o")]) == (0 if case == "smoke" else 3)
+    written = (tmp_path / "o" / "summary.txt").read_text()
+    assert written.endswith("\n" + text + "\n")
+    full = runner.simulate(cfg, p)
+    assert written == whole_trace_summary(cfg, p, validate_scenario(cfg, p), full)
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -820,10 +850,10 @@ def test_trace_writer_flags_a_stall_across_blocks(tmp_path):
         for start in range(0, trace.t.size, runner._BLOCK_ROWS):
             block = {name: getattr(trace, name)[start:] for name in names}
             log.write(runner._trace_of(block, runner._BLOCK_ROWS, cfg))
-        kept = log.trace()
+        assert log.trace() is None
     report = diagnostics.monitor_constraints(trace)
     assert report.first_violation["s_increasing"] == trace.t[64]
-    assert kept.constraints.format() == report.format()
+    assert log.summary.constraints.format() == report.format()
     write_csv(tmp_path / "whole.csv", trace.columns(report))
     assert (run.out / "trace.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 

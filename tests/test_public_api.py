@@ -10,7 +10,7 @@ import re
 from pathlib import Path
 
 import stefanlab
-from stefanlab import _scheme
+from stefanlab import _scheme, control, diagnostics, params, runner, specfun, transforms
 
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -84,16 +84,35 @@ def test_oracles_live_only_in_tests():
         assert not [m.__name__ for m in modules if hasattr(m, name)], name
 
 
+def _imports(module) -> set[str]:
+    """The modules a module's source imports, at module or function level;
+    the package's own as stefanlab.<name>, those of ``from . import`` too."""
+    found = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            name = ".".join(filter(None, ("stefanlab" if node.level else "", node.module)))
+            if name == "stefanlab":
+                found.update(f"stefanlab.{alias.name}" for alias in node.names)
+            else:
+                found.add(name)
+    return found
+
+
 def test_stepping_kernel_imports_no_package_module():
-    """``_scheme`` steps plant and observer alike, so it depends on neither."""
-    modules = []
-    for node in ast.walk(ast.parse(Path(_scheme.__file__).read_text())):
-        if isinstance(node, ast.ImportFrom):
-            modules.append("." * node.level + (node.module or ""))
-        elif isinstance(node, ast.Import):
-            modules += [alias.name for alias in node.names]
-    assert "numpy" in modules
-    assert not [name for name in modules if name.startswith((".", "stefanlab"))]
+    """``_scheme`` steps plant and observer alike, so it depends on neither.
+    The evidence and transform layers depend on no module that steps or
+    runs, and the runner not on the CLI."""
+    assert "numpy" in _imports(_scheme)
+    assert not [name for name in _imports(_scheme) if name.startswith("stefanlab")]
+    # each form is seen: params imports the runner in a function
+    assert {"stefanlab.errors", "stefanlab.runner"} <= _imports(params)
+    assert {"stefanlab.diagnostics", "stefanlab._scheme"} <= _imports(runner)
+    above = {f"stefanlab.{name}" for name in ("runner", "cli", "_scheme", "observer", "plant")}
+    for module in (diagnostics, control, transforms, specfun):
+        assert not _imports(module) & above, module.__name__
+    assert "stefanlab.cli" not in _imports(runner)
 
 
 # Top-level definitions kept with no caller in the package: the README
