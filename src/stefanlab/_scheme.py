@@ -185,23 +185,35 @@ class Workspace:
         tri = self.tri = np.empty(3 * size - 2)
         self.diagonals = tri[: size - 1], tri[size - 1 : 2 * size - 1], tri[2 * size - 1 :]
         self.index = _tri_index(blocks, n).copy()  # take copies a read-only index
-        # xi*dt/(2*dxi) at the interior nodes, times a block's rate over extent
-        self.xi_dt = np.arange(1, n) * (0.5 * dt)
-        self.coef, self.conv = np.empty((m, blocks, n - 1)), np.empty((m, blocks, n - 1))
+        # A step's elementwise work runs along whole ring rows as single runs
+        # of m*B*(N+1) nodes, operands of one shape and stride, so numpy
+        # takes no buffer for it: it buffers the operands of an operation it
+        # cannot walk as one run, up to 8,192 entries of each per call.
+        # What a run forms at the rows' first and last nodes, across the
+        # joins of the rows, is overwritten before the solve.
+        # xi*dt/(2*dxi) at each row's interior nodes, 0 at its ends; times a
+        # block's rate over extent, each node's convection coefficient
+        xi_dt = np.zeros((m, blocks, n1))
+        xi_dt[..., 1:-1] = np.arange(1, n) * (0.5 * dt)
+        self.xi_dt = xi_dt.ravel()
+        self.coef = np.empty((m, blocks, n1))
+        self.coef_run = self.coef.ravel()
+        self.coef_inner = self.coef_run[1:-1]
+        self.conv = np.empty(m * size - 2)  # the convection of a run's node q at q - 1
         self.source = np.empty((blocks, n1))
-        self.injection = self.source[:, :-1]
+        self.source_run = self.source.ravel()
         self.corners_at = np.array([0, n - 2, n - 1, n])
         self.sum_buf, self.corner_buf = np.empty(m * blocks), np.empty((m * blocks, 4))
         # per ring row: the views a step from it works on (b the next row),
         # the solve of b's fields as dgtsv's columns, and the views sample
         # reads of it
-        self.views = [
-            (
-                a[..., 2:], a[..., :-2], a[..., 1:-1], b[..., 1:-1], a[..., 0], b[..., 0],
-                b[-1, :, :-1], b[..., -1], bind_dgtsv(*self.diagonals, b.reshape(m, size).T),
-            )
-            for a, b in zip(ring, [*ring[1:], ring[0]])
-        ]
+        self.views = []
+        for a, b in zip(ring, [*ring[1:], ring[0]]):
+            a_run, b_run = a.ravel(), b.ravel()
+            self.views.append((
+                a_run[2:], a_run[:-2], a_run[1:-1], b_run[1:-1], a[..., 0], b[..., 0],
+                b[-1].ravel(), b[..., -1], bind_dgtsv(*self.diagonals, b.reshape(m, size).T),
+            ))
         self.rows = [(a, a[:, 1:-1]) for a in ring.reshape(len(ring), m * blocks, n1)]
 
     @property
@@ -224,20 +236,19 @@ class Workspace:
         """One step of every field with ``table``, the last field of each
         block adding its ``source`` row.  Returns block -> message for
         blocks whose solve failed or left a non-finite value."""
-        later, earlier, interior, rhs, head, first, injected, edge, solve = self.views[self.now]
-        # the explicit convection, which vanishes at xi = 0 (the Dirichlet
-        # row at xi = 1 stays 0), then the ghost-node term and the source
+        later, earlier, inner, rhs, head, first, last, edge, solve = self.views[self.now]
+        # the explicit convection, which vanishes at xi = 0, then the
+        # ghost-node term, the source, and the Dirichlet row's 0 at xi = 1;
+        # each block's rate over extent is copied to its every node first,
+        # so that its product with the row is one run
+        self.coef[...] = self.rate
+        np.multiply(self.coef_run, self.xi_dt, out=self.coef_run)
         conv = np.subtract(later, earlier, out=self.conv)
-        # each block's coefficient row, copied to its every field: a product
-        # that broadcast it over the fields would have numpy allocate
-        # buffers of the row's length on every call
-        coef = self.coef
-        np.multiply(self.rate, self.xi_dt, out=coef[0])
-        coef[1:] = coef[0]
-        conv *= coef
-        np.add(interior, conv, out=rhs)
+        conv *= self.coef_inner
+        np.add(inner, conv, out=rhs)
         np.add(head, self.ghost, out=first)
-        injected += self.injection
+        last += self.source_run
+        edge.fill(0.0)
         self.table.take(self.index, out=self.tri, mode="clip")  # "raise" buffers `out`
         info = solve()
         old, self.now = self.now, (self.now + 1) % len(self.views)

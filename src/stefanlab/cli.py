@@ -152,9 +152,14 @@ def read_csv(path) -> dict:
                 raise ConfigurationError(f"empty trace file: {path}")
             names = header.split(",")
             first = next((line for line in fh if not line.isspace()), "")
-            # np.loadtxt warns on no data: a header alone gives empty columns
+            # np.loadtxt warns on no data: a header alone gives empty columns.
+            # A trace has no comments, so a "#" line is a malformed row
             rows = itertools.chain((first,), fh)
-            data = np.loadtxt(rows, delimiter=",", ndmin=2) if first else np.empty((0, 0))
+            data = (
+                np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+                if first
+                else np.empty((0, 0))
+            )
     except OSError as exc:
         raise ConfigurationError(f"trace file not readable: {path}: {exc.strerror}") from exc
     except ValueError as exc:

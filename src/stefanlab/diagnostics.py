@@ -5,6 +5,10 @@ evidence layer that turns a closed-loop run into pass/fail statements about
 positivity of the heat input, monotonicity of the interface, sign and decay
 of the estimation error, and decrease of the Lyapunov functionals.
 ``RunSummary`` folds a run's rows into the run summary as they are logged.
+The Lyapunov functionals of a stack of checkpoints take each row's own
+setpoint error and constants (``_lyapunov_rows``), so that the engine forms
+the checkpoints of scenarios with their own gains and materials in one
+pass; ``lyapunov_sample`` is that arithmetic for one scenario.
 """
 
 from dataclasses import dataclass
@@ -94,7 +98,19 @@ def lyapunov_sample(
     """
     p_const, a, _, d = lyapunov_constants(cfg, p) if constants is None else constants
     s = np.asarray(s, dtype=float)
-    X = s - cfg.sr
+    v1, vtot, V = _lyapunov_rows(w_err, w_hat, s, s - cfg.sr, p_const, a, d)
+    if s.ndim == 0:
+        return LyapunovSample(t=t, V1_tilde=float(v1), Vtot=float(vtot), V=float(V))
+    return LyapunovSample(t=t, V1_tilde=v1, Vtot=vtot, V=V)
+
+
+def _lyapunov_rows(w_err, w_hat, s, X, p_const, a, d):
+    """``lyapunov_sample``'s (V1_tilde, Vtot, V) of the transformed fields
+    over the extents s with the setpoint errors X = s - sr and the
+    ``lyapunov_constants`` p_const, a and d: each of s, X and the constants
+    a float, or one value per row of (K, N+1) stacks of w_err and w_hat, so
+    that rows of scenarios with their own constants stack and each row's
+    bits are those of its own call."""
     h1_err, h1_hat = h1_norm_sq(np.array((w_err, w_hat)), s)
     # as in Python floats: a product past the float range is inf, and inf
     # times a zero norm is NaN, with no warning
@@ -103,9 +119,7 @@ def lyapunov_sample(
         vtot = 0.5 * h1_hat + 0.5 * p_const * X * X + d * v1
     # only where Vtot is below inf: inf * exp(-a*s) is NaN once exp underflows
     V = np.multiply(vtot, np.exp(-a * s), out=np.array(vtot), where=vtot != np.inf)
-    if s.ndim == 0:
-        return LyapunovSample(t=t, V1_tilde=float(v1), Vtot=float(vtot), V=float(V))
-    return LyapunovSample(t=t, V1_tilde=v1, Vtot=vtot, V=V)
+    return v1, vtot, V
 
 
 @dataclass(frozen=True)
@@ -245,6 +259,7 @@ class RunSummary:
         self.last = None
         self.constraints = None
         self.qdot_floor = np.inf
+        self._residual_line = None  # formed by the first ``format``
 
     def write(self, block) -> None:
         s_prev = None if self.last is None else self.last[2]
@@ -285,7 +300,9 @@ class RunSummary:
         """The summary's statistics of one row or more: the constraint
         monitor, the Lyapunov constants, the fitted decay rate and, for a
         completed run of 3 rows or more, the qc-ODE residual and the minimum
-        of qc' + c*qc.  It reorders the residual column: call it last."""
+        of qc' + c*qc.  The first call that reports the residual reorders
+        its column in place, with no copy of it, and keeps the residual's
+        line, which later calls repeat: call it after the last block."""
         lines = ["constraint monitor", self.constraints.format(), ""]
         p_const, a, b, d = lyapunov_constants(self.cfg, self.p)
         lines.append(f"lyapunov constants: p = {p_const:.6g}  a = {a:.6g}  b = {b:.6g}  d = {d:.6g}")
@@ -293,12 +310,14 @@ class RunSummary:
         if rate is not None:
             lines.append(f"fitted H1 estimation-error decay rate = {rate:.6g}")
         if completed and self.rows >= 3:
-            r = self.residual[: self.rows - 1]
-            np.abs(r, out=r)
-            worst = int(np.argmax(r))
-            lines.append(
-                f"qc ODE residual: max|r| = {r[worst]:.6g} at t = {worst * self.cfg.dt:.6g}"
-                f"  median|r| = {_median_in_place(r):.6g}"
-            )
+            if self._residual_line is None:
+                r = self.residual[: self.rows - 1]
+                np.abs(r, out=r)
+                worst = int(np.argmax(r))
+                self._residual_line = (
+                    f"qc ODE residual: max|r| = {r[worst]:.6g} at t = {worst * self.cfg.dt:.6g}"
+                    f"  median|r| = {_median_in_place(r):.6g}"
+                )
+            lines.append(self._residual_line)
             lines.append(f"min of qc' + c*qc over steps = {self.qdot_floor:.6g}")
         return "\n".join(lines)

@@ -34,28 +34,33 @@ final fields read from their newest row.
 The steps run with overflow and invalid operations ignored, so that a
 diverging field fails its step without a warning.  That error state is
 entered once per stretch of steps and left for what runs diagnostics or
-yields: a block's flush, a checkpoint's error pair and a departure.  What
+yields: a checkpoint's error pair, the flush and a departure.  What
 it covers besides ``gain_sources`` and ``Workspace.step`` is the member
 pass's Python-float arithmetic, which numpy's error state does not touch.
 
 Each member's per-step columns live in a block of _BLOCK_ROWS rows too.
-Every row leaves a member through one method, ``_Member.flush``, at the
-block's last row or at the member's departure: it fills the rows' per-step
-columns, logs their pending checkpoints and hands the rows to the log, as a
-``Trace`` of views that stay valid only for that call.  The default log,
-``_TraceLog``, copies every block into full-length columns, so ``simulate``
-and ``simulate_batch`` return the whole trace.  The CLI's log folds each
-block into a ``diagnostics.RunSummary``, two full-length columns (h1_err and
-the qc-ODE residual) and no trace, and writes the block to trace.csv.
+Every row leaves a member at one point of a step, the flush after the
+member pass, which takes every member that logged its block's last row and
+every member leaving with rows not yet flushed: it fills each one's per-step
+columns, logs all their pending checkpoints in one stacked pass and hands
+each one's rows to its log, as a ``Trace`` of views that stay valid only
+for that call.  The default log, ``_TraceLog``, copies every block into
+full-length columns, so ``simulate`` and ``simulate_batch`` return the whole
+trace.  The CLI's log folds each block into a ``diagnostics.RunSummary``,
+two full-length columns (h1_err and the qc-ODE residual) and no trace, and
+writes the block to trace.csv.
 
 A checkpoint's Bessel error pair (``apply_inverse`` for w_err, then the
 ``apply_direct`` round trip) runs at the checkpoint's own row: each extent
 has its own kernel rows, 183 KB at N = 200, and a kernel series that fails
 must stop the member at that row.  The row keeps w_err and the round-trip
-error until its block is logged.  The rest of the checkpoint (the controller
-pair, the Lyapunov sample, the sup norms) needs only the buffered fields, so
-it is formed for all of a block's checkpoints in one stacked pass, at the
-block's flush, which runs after the error pair of the block's last row.
+error until it is logged.  The rest of the checkpoint (the controller pair,
+the Lyapunov sample, the sup norms) needs only the buffered fields, so at a
+flush it is formed for the pending checkpoints of every member flushed in
+one stacked pass, each row with its own member's c, sr, material and
+Lyapunov constants: the arithmetic is row by row, so every row keeps the
+bits of its member's own run, and a batch pays the numpy per-call cost of
+the pass once per flush, not once per member.
 """
 
 from dataclasses import dataclass, field, fields
@@ -163,33 +168,40 @@ def _error_pair(theta, theta_hat, y, lam, alpha) -> tuple[np.ndarray, np.ndarray
     return w_err, transforms.apply_direct(w_err, y, lam, alpha) - u_err
 
 
-def _log_checkpoints(m, block: np.ndarray) -> None:
-    """Log member m's pending checkpoints, (row, w_err, round-trip error)
-    triples of rows of the current block, in one stacked pass: their
-    entries of the checkpoint table and their V and Vtot columns.  block
-    holds m's buffered (theta, theta_hat) rows, and m's block of columns
-    already holds each row's t and s."""
-    if not m.pending:
+def _log_checkpoints(flushing, block: np.ndarray) -> None:
+    """Log the pending checkpoints of the members in flushing, (j, member)
+    pairs with j the member's place in the ring `block`, in one stacked
+    pass: their entries of each member's checkpoint table and their V and
+    Vtot columns.  A pending checkpoint is a (row, t, s, w_err, round-trip
+    error) of the current block, whose (theta, theta_hat) the ring holds.
+    Each row takes its own member's constants, so its bits are those of a
+    pass over its member alone."""
+    flushing = [(j, m) for j, m in flushing if m.pending]
+    if not flushing:
         return
-    cfg, p, cols = m.cfg, m.p, m.cols
-    rows, w_err, rt_err = (np.array(column) for column in zip(*m.pending))
-    at = rows % _BLOCK_ROWS
-    pairs = block[at]
-    theta, theta_hat = pairs[:, 0], pairs[:, 1]
-    t, y = cols["t"][at], cols["s"][at]
-    X = y - cfg.sr
-    w_hat = transforms.controller_transform(theta_hat, X, y, cfg.c, p.alpha, p.beta)
-    rt_ctrl = transforms.controller_inverse(w_hat, X, y, cfg.c, p.alpha, p.beta) - theta_hat
-    sample = diagnostics.lyapunov_sample(w_err, w_hat, y, t, cfg, p, m.constants)
-    sups = np.abs(np.array((theta - theta_hat, rt_err, w_hat, rt_ctrl))).max(axis=-1)
-    logged = slice(m.checkpoints_logged, m.checkpoints_logged + rows.size)
-    m.checkpoints[:, logged] = (
-        t, y, X, sample.V1_tilde, sample.Vtot, sample.V,
-        w_err.max(axis=-1), *sups, np.abs(w_hat[:, -1]),
+    places, constants, rows, t, y, w_err, rt_err = zip(
+        *((j, m.row_constants, *entry) for j, m in flushing for entry in m.pending)
     )
-    cols["Vtot"][at], cols["V"][at] = sample.Vtot, sample.V
-    m.checkpoints_logged += rows.size
-    m.pending.clear()
+    at = np.array(rows) % _BLOCK_ROWS
+    pairs = block[at, :, np.array(places)]
+    theta, theta_hat = pairs[:, 0], pairs[:, 1]
+    t, y, w_err, rt_err = (np.array(column) for column in (t, y, w_err, rt_err))
+    c, sr, alpha, beta, p_const, a, _, d = np.array(constants).T
+    X = y - sr
+    w_hat = transforms.controller_transform(theta_hat, X, y, c, alpha, beta)
+    rt_ctrl = transforms.controller_inverse(w_hat, X, y, c, alpha, beta) - theta_hat
+    v1, vtot, V = diagnostics._lyapunov_rows(w_err, w_hat, y, X, p_const, a, d)
+    sups = np.abs(np.array((theta - theta_hat, rt_err, w_hat, rt_ctrl))).max(axis=-1)
+    table = np.array((t, y, X, v1, vtot, V, w_err.max(axis=-1), *sups, np.abs(w_hat[:, -1])))
+    start = 0
+    for _, m in flushing:
+        mine = slice(start, start + len(m.pending))
+        logged = slice(m.checkpoints_logged, m.checkpoints_logged + len(m.pending))
+        m.checkpoints[:, logged] = table[:, mine]
+        m.cols["Vtot"][at[mine]], m.cols["V"][at[mine]] = vtot[mine], V[mine]
+        m.checkpoints_logged = logged.stop
+        m.pending.clear()
+        start = mine.stop
 
 
 def _log_block(cols: dict, block: np.ndarray, cfg: ScenarioConfig, p: PhysicalParams):
@@ -249,7 +261,9 @@ class _Member:
     log: object
     cols: dict
     checkpoints: np.ndarray
-    constants: tuple
+    # c, sr, alpha, beta and the ``lyapunov_constants``: what a row of
+    # _log_checkpoints' stacked pass takes of its member
+    row_constants: tuple
     s: float
     last_row: int
     feedback_row: int
@@ -263,27 +277,14 @@ class _Member:
     s_prev: float | None = None
     flushed: int = 0  # rows handed to the log
     checkpoints_logged: int = 0
-    # (row, w_err, round-trip error) of the current block's checkpoints not
-    # yet logged by _log_checkpoints
+    # (row, t, s, w_err, round-trip error) of the current block's
+    # checkpoints not yet logged by _log_checkpoints
     pending: list = field(default_factory=list)
 
-    def flush(self, rows: int, block: np.ndarray) -> None:
-        """Hand the block's first `rows` rows to the log, complete: their
-        per-step columns from block, the member's buffered (theta, theta_hat)
-        rows, and the pending checkpoints; then clear the block's Lyapunov
-        columns for the next."""
-        _log_block(self.cols, block[:rows], self.cfg, self.p)
-        _log_checkpoints(self, block)
-        self.log.write(_trace_of(self.cols, rows, self.cfg))
-        self.flushed += rows
-        self.cols["V"].fill(np.nan)
-        self.cols["Vtot"].fill(np.nan)
-
     def result(self, rows: int, block: np.ndarray, failure) -> SimulationResult:
-        """The run's result after `rows` logged rows; block holds the
-        member's buffered rows, the newest its final (theta, theta_hat)."""
-        if rows > self.flushed:
-            self.flush(rows - self.flushed, block)
+        """The run's result after `rows` logged rows, all flushed; block
+        holds the member's buffered rows, the newest its final (theta,
+        theta_hat)."""
         # row 0 is always a checkpoint; a run whose first checkpoint fails has none
         logged = self.checkpoints[:, : self.checkpoints_logged]
         return SimulationResult(
@@ -293,6 +294,23 @@ class _Member:
             failure=failure,
             final_fields=block[(rows - 1) % _BLOCK_ROWS].copy(),
         )
+
+
+def _flush(flushing, block: np.ndarray) -> None:
+    """Hand each member's rows not yet flushed to its log, complete:
+    flushing holds (j, member, rows logged) with j the member's place in
+    the ring `block`.  First each member's per-step columns, then one
+    stacked pass over every member's pending checkpoints, then each
+    member's rows to its log; the blocks' Lyapunov columns are then cleared
+    for the next."""
+    for j, m, rows in flushing:
+        _log_block(m.cols, block[: rows - m.flushed, :, j], m.cfg, m.p)
+    _log_checkpoints([(j, m) for j, m, _ in flushing], block)
+    for _, m, rows in flushing:
+        m.log.write(_trace_of(m.cols, rows - m.flushed, m.cfg))
+        m.flushed = rows
+        m.cols["V"].fill(np.nan)
+        m.cols["Vtot"].fill(np.nan)
 
 
 def initial_fields(cfg: ScenarioConfig) -> np.ndarray:
@@ -366,15 +384,20 @@ def simulate_batch(scenarios, logs=None):
     i - 1, with i rows, if that step's solve or interface update failed;
     after logging row i if row i is its last or its checkpoint or gain
     series fails.  Members that leave in the same step are yielded in the
-    order of scenarios.  Each member's result is bit-identical to its own
-    ``simulate`` run.  Raises ConfigurationError, before the first step, if
-    a member's trace or checkpoint table cannot be allocated.
+    order of scenarios, after the step's flush has handed every member's
+    rows to its log.  Members may differ in all but grid_n and dt: the
+    material, the gains, the setpoint, the checkpoint stride and the
+    horizon.  Each member's result is bit-identical to its own ``simulate``
+    run.  Raises ConfigurationError, before the first step, if a member's
+    trace or checkpoint table cannot be allocated.
 
     logs[j], if logs is given, takes scenario j's rows instead of a
     full-length Trace: its ``write(block)`` gets each block of completed
     rows in order, as a Trace of views into buffers that the next block
     reuses, and its ``trace()``, called when the member leaves, gives the
     result's trace (None from a log that keeps none, as ``RunSummary``).
+    A step's flush writes to the logs of all the members it takes before
+    any of them is yielded.
     """
     scenarios = list(scenarios)
     grids = {(cfg.grid_n, cfg.dt) for cfg, _ in scenarios}
@@ -401,7 +424,9 @@ def simulate_batch(scenarios, logs=None):
                 log=log,
                 cols=cols,
                 checkpoints=checkpoints,
-                constants=diagnostics.lyapunov_constants(cfg, p),
+                row_constants=(
+                    cfg.c, cfg.sr, p.alpha, p.beta, *diagnostics.lyapunov_constants(cfg, p)
+                ),
                 s=cfg.s0,
                 last_row=n_rows - 1,
                 feedback_row=0 if cfg.mode == "state_feedback" else 1,
@@ -431,15 +456,13 @@ def simulate_batch(scenarios, logs=None):
             at = i % _BLOCK_ROWS  # row i's place in the ring and the blocks of columns
             sums, corners, blocks = ws.sums, ws.corners, len(members)
             log_block = rows % _BLOCK_ROWS == 0
-            if log_block:
-                quiet.leave()
 
             # per member in Python floats: the Stefan update of step i - 1, the
             # feedback law on the trapezoid integral of control._trapz_integral,
-            # a checkpoint's error pair, the block's flush, the rate, the step
-            # table row and the gain series' argument, term count and scale (0
-            # and 0 at a zero gain); `leaving` maps a departing member to its
-            # logged rows and its failure
+            # a checkpoint's error pair, the rate, the step table row and the
+            # gain series' argument, term count and scale (0 and 0 at a zero
+            # gain); `leaving` maps a departing member to its logged rows and
+            # its failure
             leaving, stepping, table, z2s, counts, scales = {}, [], [], [], [], []
             for j, m in enumerate(members):
                 cfg, cols, fb = m.cfg, m.cols, m.feedback_row * blocks + j
@@ -466,9 +489,7 @@ def simulate_batch(scenarios, logs=None):
                     if i % cfg.checkpoint_every == 0 or i == m.last_row:
                         quiet.leave()
                         pair = _error_pair(*block[ws.now, :, j], y, m.lam, m.p.alpha)
-                        m.pending.append((i, *pair))
-                    if log_block:
-                        m.flush(_BLOCK_ROWS, block[:, :, j])
+                        m.pending.append((i, t, y, *pair))
                     if i == m.last_row:
                         leaving[j] = rows, None
                         continue
@@ -485,6 +506,17 @@ def simulate_batch(scenarios, logs=None):
                 stepping.append(j)
                 table += block_row(y, rate, qc, m.alpha_dt, m.rate_cap, m.k, dxi)
 
+            # the step's one flush: the rows of every member that logged its
+            # block's last row or leaves with rows not yet flushed
+            if log_block or leaving:
+                flushing = []
+                for j, m in enumerate(members):
+                    logged = leaving[j][0] if j in leaving else rows if log_block else 0
+                    if logged > m.flushed:
+                        flushing.append((j, m, logged))
+                if flushing:
+                    quiet.leave()
+                    _flush(flushing, block)
             if leaving:
                 quiet.leave()
                 for j, (logged, failure) in leaving.items():

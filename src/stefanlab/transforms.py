@@ -19,6 +19,11 @@ Error-field pair (gain kernels in Bessel functions):
     inverse:  w(x) = u(x) - int_x^s Q(x,y) u(y) dy,
               Q(x,y) = (lam/alpha) * y * J1r((lam/alpha)(y^2-x^2))
 
+The controller pair maps a (K, N+1) stack of fields row by row, with the
+extent, the setpoint error, c, alpha and beta each one value or one per
+row, so that checkpoints of scenarios with their own gains and materials
+stack in one call; every row keeps the bits of its own call.
+
 Controller pair (sine resolvent):
 
     forward:  w(x) = u(x) - (c/alpha) int_x^s (x-y) u(y) dy + (c/beta)(s-x) X
@@ -115,10 +120,10 @@ def _tail_integrals(g: np.ndarray) -> np.ndarray:
     return tail
 
 
-def _per_row(value) -> np.ndarray:
-    """A scalar, or one value per row of a (K, N+1) stack, shaped to
-    broadcast against the fields."""
-    return np.asarray(value, dtype=float)[..., np.newaxis]
+def _per_row(*values) -> list[np.ndarray]:
+    """Each value a scalar, or one value per row of a (K, N+1) stack,
+    shaped to broadcast against the fields."""
+    return [np.asarray(value, dtype=float)[..., np.newaxis] for value in values]
 
 
 def _bessel_integral(f: np.ndarray, s: float, lam: float, alpha: float, kind: int) -> np.ndarray:
@@ -169,12 +174,13 @@ def controller_transform(
 
     The integral is s^2 (xi T[u] - T[xi u]).  The boundary value w(s)
     vanishes exactly whenever u(s) = 0.  A (K, N+1) stack of fields, with
-    one s and one X per row, maps row by row, each row's bits those of its
-    own call.
+    one s and one X per row, and c, alpha and beta each one float or one
+    per row, maps row by row, each row's bits those of its own call: rows
+    of scenarios with their own gains and materials stack.
     """
     u = np.asarray(u, dtype=float)
     xi = _geometry(u.shape[-1] - 1)[0]
-    s, X = _per_row(s), _per_row(X)
+    s, X, c, alpha, beta = _per_row(s, X, c, alpha, beta)
     tail_u, tail_xu = _tail_integrals(np.array((u, xi * u)))
     integral = s * s * (xi * tail_u - tail_xu)
     out = u - (c / alpha) * integral
@@ -188,11 +194,12 @@ def controller_inverse(
 
     With k = sqrt(c/alpha) and A = (c/beta)/k the integral is
     s A (sin(k s xi) T[cos(k s xi) w] - cos(k s xi) T[sin(k s xi) w]).
-    Stacks map row by row, as in ``controller_transform``.
+    Stacks map row by row, with c, alpha and beta per row or not, as in
+    ``controller_transform``.
     """
     w = np.asarray(w, dtype=float)
     xi = _geometry(w.shape[-1] - 1)[0]
-    s, X = _per_row(s), _per_row(X)
+    s, X, c, alpha, beta = _per_row(s, X, c, alpha, beta)
     kappa = np.sqrt(c / alpha)
     phase = (kappa * s) * xi
     sin, cos = np.sin(phase), np.cos(phase)

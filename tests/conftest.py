@@ -35,10 +35,10 @@ def checkpoint_member(cfg, p):
     with room for one block of checkpoints."""
     rows = runner._BLOCK_ROWS
     return SimpleNamespace(
+        row_constants=(cfg.c, cfg.sr, p.alpha, p.beta, *lyapunov_constants(cfg, p)),
         cfg=cfg,
         p=p,
-        constants=lyapunov_constants(cfg, p),
-        cols={name: np.full(rows, np.nan) for name in ("t", "s", "V", "Vtot")},
+        cols={name: np.full(rows, np.nan) for name in ("V", "Vtot")},
         checkpoints=np.empty((len(runner._CHECKPOINT_COLUMNS), rows)),
         checkpoints_logged=0,
         pending=[],
@@ -48,14 +48,14 @@ def checkpoint_member(cfg, p):
 def log_checkpoints(member, block, snapshots):
     """Log (theta, theta_hat, y, t) snapshots as the member's checkpoints at
     rows 0, 1, ... of one block, as the engine does: the error pair at each
-    row, then one stacked pass over the block's checkpoints.  block is the
-    (_BLOCK_ROWS, 2, N+1) buffer the rows are written to."""
-    cfg, p, cols = member.cfg, member.p, member.cols
+    row, then one stacked pass over the block's checkpoints, as the only
+    member of its ring.  block is the (_BLOCK_ROWS, 2, N+1) buffer the rows
+    are written to."""
+    cfg, p = member.cfg, member.p
     for i, (theta, theta_hat, y, t) in enumerate(snapshots):
         block[i] = theta, theta_hat
-        cols["t"][i], cols["s"][i] = t, y
-        member.pending.append((i, *runner._error_pair(theta, theta_hat, y, cfg.lam, p.alpha)))
-    runner._log_checkpoints(member, block)
+        member.pending.append((i, t, y, *runner._error_pair(theta, theta_hat, y, cfg.lam, p.alpha)))
+    runner._log_checkpoints([(0, member)], block[:, :, np.newaxis])
 
 
 @pytest.fixture(autouse=True)

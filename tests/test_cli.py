@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -588,6 +589,17 @@ def test_compare_bad_trace_exits_2(tmp_path, capsys, text, message):
     assert "compare failed: " in capsys.readouterr().err
 
 
+def test_compare_reads_a_hash_line_as_a_malformed_row(tmp_path, capsys):
+    # a trace has no comments: np.loadtxt's default would skip the line and
+    # warn that the file holds no data
+    write_csv(tmp_path / "good.csv", {"t": np.array([0.0]), "s": np.array([1.0])})
+    (tmp_path / "note.csv").write_text("t,s\n# note\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", str(tmp_path / "good.csv"), str(tmp_path / "note.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"compare failed: malformed trace file: {tmp_path / 'note.csv'}")
+
+
 def test_csv_roundtrip_preserves_floats(tmp_path):
     cols = {"x": np.array([1.0 / 3.0, 1e-300, 123456.789]), "flag": np.array([1, 0, 1])}
     write_csv(tmp_path / "t.csv", cols)
@@ -734,6 +746,17 @@ def test_run_summary_is_a_library_log(tmp_path, case):
     assert written.endswith("\n" + text + "\n")
     full = runner.simulate(cfg, p)
     assert written == whole_trace_summary(cfg, p, validate_scenario(cfg, p), full)
+
+
+def test_run_summary_formats_alike_twice():
+    """format reorders the residual column in place; a second call still
+    reports the residual's maximum at the time the first did."""
+    p, cfg = parse_config(bundled_config("zinc_smoke"))
+    summary = RunSummary(cfg, p)
+    assert runner.simulate(cfg, p, log=summary).completed
+    text = summary.format(True)
+    assert "max|r| = " in text
+    assert summary.format(True) == text
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stefanlab.diagnostics import (
+    _lyapunov_rows,
     fit_decay_rate,
     h1_norm_sq,
     lyapunov_constants,
@@ -94,14 +95,13 @@ def test_stacked_h1_norms_equal_one_field_calls():
 
 
 def test_stacked_checkpoint_rows_equal_one_row_calls():
-    """The engine forms a block's checkpoints in one stacked call of each of
-    controller_transform, controller_inverse and lyapunov_sample, with one
-    extent, setpoint error and time per row: each row's bits are those of
-    its own call, through the sines, cosines and exponentials too."""
+    """The engine forms the checkpoints of every member of a lockstep batch
+    that flushes in one stacked call of each of controller_transform,
+    controller_inverse and the Lyapunov sample, with one extent, setpoint
+    error and time per row, and each row's own c, sr, material (alpha,
+    beta) and Lyapunov constants: each row's bits are those of its own
+    call, through the sines, cosines and exponentials too."""
     rng = np.random.default_rng(11)
-    cfg = cfg_for()
-    constants = lyapunov_constants(cfg, P)
-    args = (cfg.c, P.alpha, P.beta)
     for _ in range(60):
         n, rows = int(rng.integers(16, 301)), int(rng.integers(1, 65))
         u = rng.normal(size=(rows, n + 1)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
@@ -109,18 +109,40 @@ def test_stacked_checkpoint_rows_equal_one_row_calls():
         w_err = rng.normal(size=(rows, n + 1))
         s = rng.uniform(0.001, 1.0, size=rows)
         t = rng.uniform(0.0, 4500.0, size=rows)
-        X = s - cfg.sr
-        w_hat = controller_transform(u, X, s, *args)
-        one_by_one = np.array([controller_transform(*row, *args) for row in zip(u, X, s)])
+        cfgs = [
+            cfg_for(c=float(c), sr=float(sr), lam=float(lam))
+            for c, sr, lam in zip(
+                10.0 ** rng.uniform(-4.0, 0.0, rows),
+                rng.uniform(0.05, 1.0, rows),
+                10.0 ** rng.uniform(-6.0, -2.0, rows),
+            )
+        ]
+        mats = [
+            PhysicalParams(rho=P.rho * f, cp=P.cp, k=P.k * g, dh=P.dh * h, tm=P.tm)
+            for f, g, h in rng.uniform(0.5, 2.0, size=(rows, 3))
+        ]
+        c, sr = (np.array([getattr(cfg, name) for cfg in cfgs]) for name in ("c", "sr"))
+        alpha, beta = (np.array([getattr(p, name) for p in mats]) for name in ("alpha", "beta"))
+        X = s - sr
+        args = list(zip(X, s, c, alpha, beta))
+        w_hat = controller_transform(u, X, s, c, alpha, beta)
+        one_by_one = np.array([controller_transform(row, *a) for row, a in zip(u, args)])
         assert w_hat.tobytes() == one_by_one.tobytes()
-        back = controller_inverse(w_hat, X, s, *args)
-        one_by_one = np.array([controller_inverse(*row, *args) for row in zip(w_hat, X, s)])
+        back = controller_inverse(w_hat, X, s, c, alpha, beta)
+        one_by_one = np.array([controller_inverse(row, *a) for row, a in zip(w_hat, args)])
         assert back.tobytes() == one_by_one.tobytes()
         # one row's Vtot overflows to inf, where V is inf too
         w_hat[rng.integers(rows)] *= 1e160
-        stacked = lyapunov_sample(w_err, w_hat, s, t, cfg, P, constants)
-        samples = [lyapunov_sample(*row, cfg, P, constants) for row in zip(w_err, w_hat, s, t)]
-        assert np.isinf(stacked.Vtot).sum() == np.isinf(stacked.V).sum() == 1
+        p_const, a, _, d = np.array([lyapunov_constants(*pair) for pair in zip(cfgs, mats)]).T
+        stacked = _lyapunov_rows(w_err, w_hat, s, X, p_const, a, d)
+        samples = [lyapunov_sample(*row) for row in zip(w_err, w_hat, s, t, cfgs, mats)]
+        assert np.isinf(stacked[1]).sum() == np.isinf(stacked[2]).sum() == 1
+        for name, got in zip(("V1_tilde", "Vtot", "V"), stacked):
+            one_by_one = np.array([getattr(sample, name) for sample in samples])
+            assert got.tobytes() == one_by_one.tobytes(), name
+        # the public sample of a stack of one scenario's rows, times included
+        stacked = lyapunov_sample(w_err, w_hat, s, t, cfgs[0], mats[0])
+        samples = [lyapunov_sample(*row, cfgs[0], mats[0]) for row in zip(w_err, w_hat, s, t)]
         for name in ("t", "V1_tilde", "Vtot", "V"):
             one_by_one = np.array([getattr(sample, name) for sample in samples])
             assert getattr(stacked, name).tobytes() == one_by_one.tobytes(), name

@@ -410,6 +410,33 @@ def test_lockstep_batch_matches_reference_loop():
     assert _same_bits(matched.final_fields, alone.final_fields)
 
 
+def test_lockstep_members_with_their_own_constants_match_their_own_runs():
+    # members that share only (N, dt), each with its own material, c, sr,
+    # checkpoint stride and horizon, have their checkpoints formed in one
+    # stacked pass per flush; each must still match its own run bit for
+    # bit, as the first leaves mid-block and the second blows up mid-block
+    tin = PhysicalParams(rho=7000.0, cp=230.0, k=60.0, dh=59.2, tm=505.1)
+    scenarios = [
+        (cfg_for(c=0.003, sr=0.3, lam=0.05, checkpoint_every=7, t_end=9.0), tin),
+        (cfg_for(c=1e9, checkpoint_every=3, t_end=50.0), P),
+        (cfg_for(lam=0.05, checkpoint_every=5), P),
+        (cfg_for(c=0.002, sr=0.25, mode="state_feedback", checkpoint_every=2, t_end=15.0), tin),
+    ]
+    alone = [simulate(cfg, p) for cfg, p in scenarios]
+    assert alone[0].completed and alone[0].trace.t.size % _BLOCK_ROWS != 0
+    assert not alone[1].completed and alone[1].trace.t.size % _BLOCK_ROWS != 0
+    left = list(simulate_batch(scenarios))
+    assert [j for j, _ in left] == [1, 0, 3, 2]
+    for j, res in left:
+        assert res.failure == alone[j].failure
+        for name, values in alone[j].trace.columns().items():
+            assert _same_bits(res.trace.columns()[name], values), (j, name)
+        assert res.checkpoints.keys() == alone[j].checkpoints.keys()
+        for name, values in alone[j].checkpoints.items():
+            assert _same_bits(res.checkpoints[name], values), (j, name)
+        assert _same_bits(res.final_fields, alone[j].final_fields), j
+
+
 def test_unallocatable_checkpoint_table_is_named(monkeypatch):
     cfg = cfg_for(checkpoint_every=1)
     shape = (len(CHECKPOINT_HEADER), cfg.rows + 1)  # (rows - 1) // checkpoint_every + 2
@@ -427,27 +454,33 @@ def test_unallocatable_checkpoint_table_is_named(monkeypatch):
         simulate(cfg, P)
 
 
-def _warm_step_peak(cfg, p, n):
-    """tracemalloc's peak over 200 steps of a workspace of one gain block on
-    the n-interval grid, once round the ring first."""
+def _warm_step_peak(cfg, p, n, blocks=1, resum=True):
+    """tracemalloc's (peak, current) over 200 steps of a workspace of
+    `blocks` gain blocks on the n-interval grid, once round the ring first;
+    current is what the steps leave held.  Each step sums its gain sources
+    afresh if `resum`; else they are summed once, before the steps."""
     y = cfg.s0
-    ring = np.empty((_BLOCK_ROWS, 2, 1, n + 1))
-    ring[0, :, 0] = initial_fields(replace(cfg, grid_n=n))
+    ring = np.empty((_BLOCK_ROWS, 2, blocks, n + 1))
+    ring[0] = initial_fields(replace(cfg, grid_n=n))[:, np.newaxis]
     ws = Workspace(ring, cfg.dt)
     z2 = (cfg.lam / p.alpha) * y * y
     row = block_row(y, 0.0, 50.0, p.alpha * cfg.dt, stable_rate_cap(p.alpha, cfg.dt), p.k, 1.0 / n)
+    sources = [z2] * blocks, [-cfg.lam * y * cfg.dt] * blocks, [gain_term_count(z2)] * blocks
+    gain_sources(*sources, n, ws.source)
 
     def steps(count):
         for _ in range(count):
-            gain_sources([z2], [-cfg.lam * y * cfg.dt], [gain_term_count(z2)], n, ws.source)
-            ws.entries[:] = row
+            if resum:
+                gain_sources(*sources, n, ws.source)
+            ws.entries[:] = row * blocks
             assert ws.step() == {}
 
     steps(_BLOCK_ROWS)
     tracemalloc.start()
     try:
         steps(200)
-        return tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
+        return peak, current
     finally:
         tracemalloc.stop()
 
@@ -460,7 +493,25 @@ def test_warm_steps_allocate_no_field_sized_array(zinc):
     finer would be at least 3*(N+1) floats higher."""
     p, cfg = zinc
     n = cfg.grid_n
-    assert _warm_step_peak(cfg, p, 4 * n) - _warm_step_peak(cfg, p, n) < 8 * (n + 1)
+    assert _warm_step_peak(cfg, p, 4 * n)[0] - _warm_step_peak(cfg, p, n)[0] < 8 * (n + 1)
+
+
+def test_warm_steps_take_no_buffer_per_block(zinc):
+    """numpy takes no buffer in a warm step of 24 blocks on zinc's grid that
+    it does not take at one block.  numpy buffers the operands of an
+    operation it cannot walk as one run, as (B, 1) rates times an (N-1,)
+    row or a strided (2, B, N-1) difference, up to 8,192 entries of each
+    per call: 132 KB per step at B = 24.  What does grow with B is the
+    Python lists of floats that ``sample`` hands the member pass, which the
+    steps leave held, and a step holds the old lists while it makes the new
+    ones: so the peak less twice what the steps leave held is within 2 KB
+    of one block's.  The gain sources are summed once: their term table is
+    B rows of the member pass's work."""
+    p, cfg = zinc
+    n = cfg.grid_n
+    runs = [_warm_step_peak(cfg, p, n, blocks, resum=False) for blocks in (1, 24)]
+    (one, one_held), (many, many_held) = runs
+    assert (many - 2 * many_held) - (one - 2 * one_held) < 2048
 
 
 def test_workspace_refuses_a_ring_it_cannot_solve_in_place():
