@@ -1,15 +1,11 @@
 """Simulation and verification lab for boundary control of a one-phase
 melting problem with interface-measurement-only output feedback."""
 
-from .control import qc_ode_residual
 from .diagnostics import (
     ConstraintReport,
-    LyapunovSample,
     RunSummary,
-    fit_decay_rate,
     h1_norm_sq,
     lyapunov_constants,
-    lyapunov_sample,
     monitor_constraints,
 )
 from .errors import BlowUpError, ConfigurationError, NumericalError
@@ -36,7 +32,6 @@ __all__ = [
     "BlowUpError",
     "ConfigurationError",
     "ConstraintReport",
-    "LyapunovSample",
     "NumericalError",
     "PhysicalParams",
     "RunSummary",
@@ -48,14 +43,11 @@ __all__ = [
     "apply_inverse",
     "controller_inverse",
     "controller_transform",
-    "fit_decay_rate",
     "h1_norm_sq",
     "lambda_upper_bound",
     "lyapunov_constants",
-    "lyapunov_sample",
     "monitor_constraints",
     "psi_kernel",
-    "qc_ode_residual",
     "setpoint_lower_bound",
     "simulate",
     "simulate_batch",

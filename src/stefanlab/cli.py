@@ -38,7 +38,7 @@ from .params import (
     ValidationReport,
     validate_scenario,
 )
-from .runner import Trace, lockstep_batches, simulate, simulate_batch
+from .runner import Trace, lockstep_batches, simulate_batch
 
 _REQUIRED = {
     "physical": ("rho", "cp", "k", "dh", "tm"),
@@ -335,18 +335,12 @@ def _write_outputs(run: _Run, log: _TraceWriter, result) -> int:
 
 
 def run_scenario(config_path, out_dir=None, checkpoint_every: int | None = None) -> int:
-    """Validate, run, and write trace.csv / transforms.csv / summary.txt."""
+    """Validate, run as the lockstep batch of one, and write trace.csv /
+    transforms.csv / summary.txt; the exit code."""
     config_path = Path(config_path)
     out = Path(out_dir) if out_dir is not None else Path.cwd() / f"{config_path.stem}_out"
     run = _prepare(config_path, out, checkpoint_every)
-    if isinstance(run, int):
-        return run
-    try:
-        with _TraceWriter(run) as log:
-            result = simulate(run.cfg, run.p, log)
-    except ConfigurationError as exc:  # the trace cannot be allocated
-        return _invalid_config(exc)
-    return _write_outputs(run, log, result)
+    return run if isinstance(run, int) else _sweep_batch([run])
 
 
 def _validate_cmd(config_path) -> int:
@@ -378,8 +372,8 @@ def _sweep_batch(runs: list[_Run]) -> int:
             results = simulate_batch([(run.cfg, run.p) for run in runs], logs)
             return max(_write_outputs(runs[j], logs[j], result) for j, result in results)
     except ConfigurationError as exc:
-        # a trace that cannot be allocated, raised before the first step; a
-        # member that large runs alone in its batch
+        # a trace or a grid whose buffers cannot be allocated, raised before
+        # the first step; a member that large runs alone in its batch
         return _invalid_config(exc)
 
 

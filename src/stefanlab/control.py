@@ -1,4 +1,4 @@
-"""Feedback law and energy bookkeeping.
+"""Feedback law, energy bookkeeping and the control-signal ODE.
 
 Both feedback modes share one law, ``feedback_law``,
 
@@ -10,6 +10,11 @@ observer estimate over the measured extent (output feedback).  The integral
 uses the composite trapezoid on the normalized grid, which is exact for the
 linear initial profiles, so the two modes coincide bit for bit whenever the
 estimate equals the true field.
+
+qc obeys the control-signal ODE qc' = -c*qc + c*k*(1 + int_0^s P dx)*u_err_x(s),
+whose c*k makes the error-flux term a heat-flux rate: with no estimation
+error qc decays exponentially.  ``residual_rows`` is its residual on logged
+rows, which ``diagnostics.RunSummary`` folds in block by block.
 """
 
 import numpy as np
@@ -47,34 +52,14 @@ def kernel_mass(s, lam: float, alpha: float):
     return 2.0 * np.sinh(0.5 * np.sqrt(lam / alpha) * s) ** 2
 
 
-def qc_ode_residual(trace, cfg: ScenarioConfig, p: PhysicalParams) -> np.ndarray:
-    """Residual of the control-signal ODE
-    qc' = -c*qc + c*k*(1 + int_0^s P dx) * u_err_x(s, t)
-    on a logged trace (duck-typed: needs t, qc, s, utilde_x_s arrays).
-
-    The c*k factor makes the estimation-error flux term a heat-flux rate;
-    a run with zero estimation error reduces to pure exponential decay of qc.
-
-    residual[i] = (qc[i+1] - qc[i])/dt + c*qc[i]
-                  - c*k*(1 + int P) * utilde_x_s[i],  length len(t) - 1.
-    """
-    t = np.asarray(trace.t, dtype=float)
-    qc = np.asarray(trace.qc, dtype=float)
-    s = np.asarray(trace.s, dtype=float)
-    uex = np.asarray(trace.utilde_x_s, dtype=float)
-    if t.size < 3:
-        raise ValueError("trace too short: need at least 3 logged steps")
-    residual = np.empty(t.size - 1)
-    residual_rows(t, qc, s, uex, cfg, p, residual)
-    return residual
-
-
 def residual_rows(t, qc, s, uex, cfg: ScenarioConfig, p: PhysicalParams, out: np.ndarray):
-    """Fill out with the ``qc_ode_residual`` of consecutive rows t, qc, s,
-    uex, one entry fewer than the rows, element by element in the order of
-    operations of its formula, so a trace cut into overlapping pieces gives
-    the whole trace's bits.  Returns the minimum of qc' + c*qc over these
-    rows, which out holds before the flux term is subtracted."""
+    """Fill out with the control-signal ODE's residual on consecutive rows
+    t, qc, s and uex (utilde_x_s), one entry fewer than the rows,
+    out[i] = (qc[i+1] - qc[i])/(t[i+1] - t[i]) + c*qc[i]
+             - c*k*(1 + int_0^s[i] P dx)*uex[i],
+    element by element, so a trace cut into overlapping pieces gives the
+    whole trace's bits.  Returns the minimum of qc' + c*qc over these rows,
+    which out holds before the flux term is subtracted."""
     np.subtract(qc[1:], qc[:-1], out=out)
     out /= np.diff(t)
     out += cfg.c * qc[:-1]

@@ -1,14 +1,16 @@
-"""Norms, Lyapunov functionals, constraint monitors, and decay-rate fits.
+"""Norms, Lyapunov functionals, constraint monitors and the run summary.
 
-Everything here is pure post-processing on states or logged traces: the
+Everything here is pure post-processing on states or logged rows: the
 evidence layer that turns a closed-loop run into pass/fail statements about
 positivity of the heat input, monotonicity of the interface, sign and decay
-of the estimation error, and decrease of the Lyapunov functionals.
-``RunSummary`` folds a run's rows into the run summary as they are logged.
+of the estimation error, and decrease of the Lyapunov functionals.  Each
+statistic has one path.  ``RunSummary`` folds a run's rows into the run
+summary as they are logged, and a whole trace is the fold given one block.
 The Lyapunov functionals of a stack of checkpoints take each row's own
 setpoint error and constants (``_lyapunov_rows``), so that the engine forms
 the checkpoints of scenarios with their own gains and materials in one
-pass; ``lyapunov_sample`` is that arithmetic for one scenario.
+pass.  The whole-trace references the tests hold these to are in
+``tests/oracles.py``.
 """
 
 from dataclasses import dataclass
@@ -63,54 +65,15 @@ def lyapunov_constants(cfg: ScenarioConfig, p: PhysicalParams) -> tuple[float, f
     return p_const, a, b, d
 
 
-@dataclass(frozen=True)
-class LyapunovSample:
-    """Checkpoints of the Lyapunov diagnostics: floats for one snapshot,
-    arrays with one entry per row for a stack.
-
-    V1_tilde = 0.5*||w_err||_H1^2 for the transformed estimation error;
-    Vtot     = 0.5*||w_hat||_H1^2 + (p/2)*X^2 + d*V1_tilde;
-    V        = Vtot * exp(-a*s), or inf when Vtot is.
-    """
-
-    t: float | np.ndarray
-    V1_tilde: float | np.ndarray
-    Vtot: float | np.ndarray
-    V: float | np.ndarray
-
-
-def lyapunov_sample(
-    w_err: np.ndarray,
-    w_hat: np.ndarray,
-    s: float | np.ndarray,
-    t: float | np.ndarray,
-    cfg: ScenarioConfig,
-    p: PhysicalParams,
-    constants: tuple | None = None,
-) -> LyapunovSample:
-    """Evaluate the functionals on one snapshot's transformed fields:
-    w_err = apply_inverse(theta - theta_hat) and w_hat =
-    controller_transform(theta_hat), both over the extent s, with the
-    scenario's ``lyapunov_constants`` if given.  V is inf when Vtot is.
-
-    (K, N+1) stacks of w_err and w_hat, with one s and one t per row, give
-    one sample per row, each row's bits those of its own call.
-    """
-    p_const, a, _, d = lyapunov_constants(cfg, p) if constants is None else constants
-    s = np.asarray(s, dtype=float)
-    v1, vtot, V = _lyapunov_rows(w_err, w_hat, s, s - cfg.sr, p_const, a, d)
-    if s.ndim == 0:
-        return LyapunovSample(t=t, V1_tilde=float(v1), Vtot=float(vtot), V=float(V))
-    return LyapunovSample(t=t, V1_tilde=v1, Vtot=vtot, V=V)
-
-
 def _lyapunov_rows(w_err, w_hat, s, X, p_const, a, d):
-    """``lyapunov_sample``'s (V1_tilde, Vtot, V) of the transformed fields
-    over the extents s with the setpoint errors X = s - sr and the
-    ``lyapunov_constants`` p_const, a and d: each of s, X and the constants
-    a float, or one value per row of (K, N+1) stacks of w_err and w_hat, so
-    that rows of scenarios with their own constants stack and each row's
-    bits are those of its own call."""
+    """(V1_tilde, Vtot, V) = (0.5*||w_err||_H1^2, 0.5*||w_hat||_H1^2 +
+    (p_const/2)*X^2 + d*V1_tilde, Vtot*exp(-a*s) or inf where Vtot is) of the
+    transformed fields w_err = apply_inverse(theta - theta_hat) and w_hat =
+    controller_transform(theta_hat) over the extents s, with the setpoint
+    errors X = s - sr and the ``lyapunov_constants`` p_const, a and d: each
+    of s, X and the constants a float, or one value per row of (K, N+1)
+    stacks of w_err and w_hat, so that rows of scenarios with their own
+    constants stack and each row's bits are those of its own call."""
     h1_err, h1_hat = h1_norm_sq(np.array((w_err, w_hat)), s)
     # as in Python floats: a product past the float range is inf, and inf
     # times a zero norm is NaN, with no warning
@@ -197,31 +160,6 @@ def monitor_constraints(trace, s_prev=None, before=None) -> ConstraintReport:
     return ConstraintReport(**flags, first_violation=first, epsilon=eps)
 
 
-def fit_decay_rate(t, values) -> float:
-    """Exponential decay rate fitted on the final half of a positive series.
-
-    Least-squares slope of log(values) against t over the last half of the
-    samples, negated, so e^{-3t} yields 3.0.
-    """
-    t = np.asarray(t, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if t.size < 10:
-        raise ValueError("need at least 10 samples to fit a rate")
-    if np.any(values <= 0.0):
-        raise ValueError("all samples must be strictly positive")
-    half = t.size // 2
-    return centred_decay_rate(t[half:] - t[half:].mean(), values[half:])
-
-
-def centred_decay_rate(tc: np.ndarray, values: np.ndarray) -> float:
-    """Minus the least-squares slope of log(values) against the centred
-    times tc (the times less their mean), in closed form: one temporary the
-    length of tc."""
-    lv = np.log(values)
-    lv -= lv.mean()
-    return float(-(tc @ lv) / (tc @ tc))
-
-
 def _median_in_place(a: np.ndarray):
     """np.median of a non-empty float array, partitioning `a` in place;
     NaN anywhere gives NaN.  np.median itself imports numpy.ma on first use
@@ -240,11 +178,12 @@ class RunSummary:
     number of rows), so that no block is kept: the row count; the last
     row's t, qc, s and utilde_x_s (`last`); the ``monitor_constraints``
     report of the rows so far (`constraints`); the h1_err column; the
-    ``qc_ode_residual`` column, each block's rows with the last row before
-    it (``control.residual_rows``); and the minimum of qc' + c*qc
-    (`qdot_floor`).  It holds COLUMNS full-length columns and no trace:
-    ``simulate(cfg, p, log=RunSummary(cfg, p)).trace`` is None.  Raises
-    ConfigurationError if the columns cannot be allocated."""
+    column of the qc-ODE residual (``control.residual_rows``), each block's
+    rows with the last row before it; and the minimum of qc' + c*qc
+    (`qdot_floor`).  A whole trace is the fold given one block.  It holds
+    COLUMNS full-length columns and no trace: ``simulate(cfg, p,
+    log=RunSummary(cfg, p)).trace`` is None.  Raises ConfigurationError if
+    the columns cannot be allocated."""
 
     COLUMNS = 2  # h1_err and the qc-ODE residual
 
@@ -280,9 +219,10 @@ class RunSummary:
         self.qdot_floor = np.minimum(self.qdot_floor, floor)
 
     def decay_rate(self) -> float | None:
-        """``fit_decay_rate`` of h1_err on its last half, at the times
-        ``simulate_batch`` logs, i * dt; None for fewer than 20 rows or a
-        norm that is not finite and positive (a diverged run logs inf)."""
+        """Minus the least-squares slope of log(h1_err) over its last half
+        against the times ``simulate_batch`` logs, i * dt, centred; None for
+        fewer than 20 rows or a norm that is not finite and positive (a
+        diverged run logs inf)."""
         h1_err = self.h1_err[: self.rows]
         # min and max see NaN and inf without a whole-trace temporary
         if self.rows < 20 or not (h1_err.min() > 0.0 and h1_err.max() < np.inf):
@@ -291,7 +231,9 @@ class RunSummary:
         tc = np.arange(half, self.rows, dtype=float)
         tc *= self.cfg.dt
         tc -= tc.mean()
-        return centred_decay_rate(tc, h1_err[half:])
+        lv = np.log(h1_err[half:])
+        lv -= lv.mean()
+        return float(-(tc @ lv) / (tc @ tc))
 
     def trace(self) -> None:
         return None

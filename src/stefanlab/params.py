@@ -109,12 +109,9 @@ class ScenarioConfig:
             raise ConfigurationError("dt must be strictly positive")
         if not self.t_end > self.dt:
             raise ConfigurationError("t_end must exceed dt")
-        # the runner imports this module, so the trace's columns are read here
-        from .runner import Trace, _array_fields
-
-        row_bytes = 8 * len(_array_fields(Trace))
+        # each column of the trace is its own array of 8 bytes a row
         steps = self.t_end / self.dt
-        if math.isinf(steps) or self.rows * row_bytes > np.iinfo(np.intp).max:
+        if math.isinf(steps) or self.rows * 8 > np.iinfo(np.intp).max:
             raise ConfigurationError("t_end/dt is too large: the trace cannot be addressed")
         # t_end, dt and their quotient are each rounded once, which moves a
         # whole number of steps by under 3 units in its last place

@@ -70,7 +70,7 @@ import numpy as np
 
 from . import control, diagnostics, transforms
 from ._scheme import Workspace, block_row, edge_stencil, one_sided_edge_flux, stable_rate_cap
-from .errors import BlowUpError, NumericalError, _unallocatable
+from .errors import BlowUpError, ConfigurationError, NumericalError, _unallocatable
 from .observer import gain_sources, gain_term_count
 from .params import PhysicalParams, ScenarioConfig
 from .plant import advance_interface, convection_rate
@@ -389,7 +389,8 @@ def simulate_batch(scenarios, logs=None):
     material, the gains, the setpoint, the checkpoint stride and the
     horizon.  Each member's result is bit-identical to its own ``simulate``
     run.  Raises ConfigurationError, before the first step, if a member's
-    trace or checkpoint table cannot be allocated.
+    trace or checkpoint table or the buffers of the batch's grid cannot be
+    allocated.
 
     logs[j], if logs is given, takes scenario j's rows instead of a
     full-length Trace: its ``write(block)`` gets each block of completed
@@ -440,11 +441,19 @@ def simulate_batch(scenarios, logs=None):
             )
         )
 
-    # the block ring the fields step in, row i % _BLOCK_ROWS holding row i's
-    # (theta, theta_hat); block b of the workspace is member b
-    block = np.empty((_BLOCK_ROWS, 2, len(members), n + 1))
-    block[0] = np.stack([initial_fields(m.cfg) for m in members], axis=1)
-    ws = Workspace(block, dt)
+    # all the grid's buffers before the first step: the ring the fields step
+    # in, row i % _BLOCK_ROWS holding row i's (theta, theta_hat), the workspace
+    # (block b is member b) and the transforms' buffers row 0's checkpoint reads
+    try:
+        block = np.empty((_BLOCK_ROWS, 2, len(members), n + 1))
+        block[0] = np.stack([initial_fields(m.cfg) for m in members], axis=1)
+        ws = Workspace(block, dt)
+        transforms._geometry(n)
+        if any(m.lam for m in members):
+            transforms._scratch(n)
+    except MemoryError:
+        msg = f"grid_n is too large: a batch's buffers on {n} grid intervals cannot be allocated"
+        raise ConfigurationError(msg) from None
     ws.sample()
     quiet = _Quiet()
     failed = {}
@@ -541,8 +550,8 @@ def simulate(cfg: ScenarioConfig, p: PhysicalParams, log=None) -> SimulationResu
     of one, whose rows go to `log` if given (see ``simulate_batch``).
 
     Numerical failures do not raise: the result carries the truncated trace
-    with completed=False and the failure message.  A trace that cannot be
-    allocated raises ConfigurationError.
+    with completed=False and the failure message.  A trace or a grid that
+    cannot be allocated raises ConfigurationError.
     """
     ((_, result),) = simulate_batch([(cfg, p)], None if log is None else [log])
     return result

@@ -8,13 +8,18 @@ which are entire functions of the squared argument z2 with value 1/2 at
 z2 = 0.  Working directly in z2 avoids square roots of small negatives
 produced by rounding on the kernel diagonal.
 
-One closed form serves every caller: with a_m the I1 terms at z2_max
-(``i1_ratio_terms``) and x = z2/z2_max in [0, 1], I1r = sum_m a_m x^m and
+One closed form serves both callers: with a_m the I1 terms at the largest
+argument z2_max and x = z2/z2_max in [0, 1], I1r = sum_m a_m x^m and
 J1r = sum_m (-1)^m a_m x^m, a product of the terms with a cached
-``PowerTable`` of x.  The observer gain takes one per gain; the checkpoint
-kernel rows take both at once, per block of _BLOCK terms.  Past
-``_FLOAT_SERIES_CAP`` the J1 row is scipy's j1(z)/z.  The reference
-evaluations the tests hold these to are in ``tests/oracles.py``.
+``PowerTable`` of x.  They form the terms by two rules.  The checkpoint
+kernel rows (``kernel_rows``) take ``i1_ratio_terms``, which ends before
+the first term below _TERM_TOL of its partial sum, and sum both rows at
+once, per block of _BLOCK terms; past ``_FLOAT_SERIES_CAP`` the J1 row is
+scipy's j1(z)/z.  The observer gain (``observer.gain_sources``) forms its
+own terms, one cumulative product of the term ratios z2/(4m(m+1)) for all
+of a step's gains, and takes 31 + floor(sqrt(z2_max)) of them
+(``observer.gain_term_count``) against the powers of x = 1 - xi^2.  The
+reference evaluations the tests hold these to are in ``tests/oracles.py``.
 """
 
 import math

@@ -16,10 +16,15 @@ Nothing in ``stefanlab`` calls these.  They are
   even through the heavy cancellation of the J1 series at large argument),
   element-wise over an array in long double arithmetic, and in 50-digit
   mpmath arithmetic;
-* summary.txt formed from a whole trace, as the CLI formed it before it
-  folded the summary's statistics in block by block.
+* the whole-trace evidence the package replaced with its block-by-block
+  fold and its stacked checkpoint pass, each written with its own
+  arithmetic: the qc-ODE residual by ``np.diff``, the decay-rate fit in
+  closed form, the Lyapunov functionals of one snapshot in Python floats
+  on two ``h1_norm_sq`` calls, and summary.txt formed from a whole trace,
+  as the CLI formed it before it folded the statistics in block by block.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +32,7 @@ import numpy as np
 
 from stefanlab import diagnostics
 from stefanlab._scheme import Workspace, block_row, one_sided_edge_flux, stable_rate_cap
-from stefanlab.control import _trapz_integral, feedback_law, qc_ode_residual
+from stefanlab.control import _trapz_integral, feedback_law, kernel_mass
 from stefanlab.errors import NumericalError
 from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import PhysicalParams, ScenarioConfig
@@ -360,6 +365,74 @@ def step_observer(
     return ObserverState(t=ob.t + dt, theta_hat=stack[0, 0])
 
 
+def qc_ode_residual(trace, cfg: ScenarioConfig, p: PhysicalParams) -> np.ndarray:
+    """Residual of the control-signal ODE
+    qc' = -c*qc + c*k*(1 + int_0^s P dx) * u_err_x(s, t)
+    on a logged trace (duck-typed: needs t, qc, s, utilde_x_s arrays),
+    one entry fewer than the rows:
+
+    residual[i] = (qc[i+1] - qc[i])/dt + c*qc[i]
+                  - c*k*(1 + int P) * utilde_x_s[i].
+    """
+    t, qc, s, uex = (
+        np.asarray(getattr(trace, name), dtype=float) for name in ("t", "qc", "s", "utilde_x_s")
+    )
+    if t.size < 3:
+        raise ValueError("trace too short: need at least 3 logged steps")
+    flux = ((kernel_mass(s[:-1], cfg.lam, p.alpha) + 1.0) * (cfg.c * p.k)) * uex[:-1]
+    return (np.diff(qc) / np.diff(t) + cfg.c * qc[:-1]) - flux
+
+
+def fit_decay_rate(t, values) -> float:
+    """Exponential decay rate fitted on the final half of a positive series:
+    minus the least-squares slope of log(values) against t over the last
+    half of the samples, in closed form with the times and logarithms
+    centred, so e^{-3t} yields 3.0."""
+    t = np.asarray(t, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if t.size < 10:
+        raise ValueError("need at least 10 samples to fit a rate")
+    if np.any(values <= 0.0):
+        raise ValueError("all samples must be strictly positive")
+    half = t.size // 2
+    tc = t[half:] - t[half:].mean()
+    lv = np.log(values[half:])
+    lv = lv - lv.mean()
+    return float(-(tc @ lv) / (tc @ tc))
+
+
+@dataclass(frozen=True)
+class LyapunovSample:
+    """The Lyapunov diagnostics of one snapshot:
+
+    V1_tilde = 0.5*||w_err||_H1^2 for the transformed estimation error;
+    Vtot     = 0.5*||w_hat||_H1^2 + (p/2)*X^2 + d*V1_tilde;
+    V        = Vtot * exp(-a*s), or inf when Vtot is.
+    """
+
+    t: float
+    V1_tilde: float
+    Vtot: float
+    V: float
+
+
+def lyapunov_sample(
+    w_err: np.ndarray, w_hat: np.ndarray, s: float, t: float, cfg: ScenarioConfig, p: PhysicalParams
+) -> LyapunovSample:
+    """The functionals of one snapshot's transformed fields w_err =
+    apply_inverse(theta - theta_hat) and w_hat =
+    controller_transform(theta_hat) over the extent s, with the scenario's
+    ``lyapunov_constants``, in Python floats: a product past the float
+    range is inf, and inf times zero NaN."""
+    p_const, a, _, d = diagnostics.lyapunov_constants(cfg, p)
+    s = float(s)
+    X = s - cfg.sr
+    v1 = 0.5 * diagnostics.h1_norm_sq(w_err, s)
+    vtot = 0.5 * diagnostics.h1_norm_sq(w_hat, s) + 0.5 * p_const * X * X + d * v1
+    V = vtot if vtot == math.inf else vtot * float(np.exp(-a * s))
+    return LyapunovSample(t=t, V1_tilde=v1, Vtot=vtot, V=V)
+
+
 def whole_trace_summary(cfg: ScenarioConfig, p: PhysicalParams, report, result) -> str:
     """summary.txt of a result that holds its whole trace: the trace's
     ``monitor_constraints`` report, ``fit_decay_rate`` on its logged times,
@@ -377,7 +450,7 @@ def whole_trace_summary(cfg: ScenarioConfig, p: PhysicalParams, report, result) 
     p_const, a, b, d = diagnostics.lyapunov_constants(cfg, p)
     lines.append(f"lyapunov constants: p = {p_const:.6g}  a = {a:.6g}  b = {b:.6g}  d = {d:.6g}")
     if tr.t.size >= 20 and np.all(np.isfinite(tr.h1_err)) and np.all(tr.h1_err > 0.0):
-        rate = diagnostics.fit_decay_rate(tr.t, tr.h1_err)
+        rate = fit_decay_rate(tr.t, tr.h1_err)
         lines.append(f"fitted H1 estimation-error decay rate = {rate:.6g}")
     if result.completed and tr.t.size >= 3:
         r = np.abs(qc_ode_residual(tr, cfg, p))

@@ -13,7 +13,7 @@ import numpy as np
 
 from stefanlab import transforms
 from stefanlab.cli import bundled_config, main
-from stefanlab.diagnostics import fit_decay_rate, lyapunov_constants
+from stefanlab.diagnostics import lyapunov_constants
 from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import (
     lambda_upper_bound,
@@ -22,7 +22,7 @@ from stefanlab.params import (
 )
 from stefanlab.specfun import i1_ratio_terms
 
-from oracles import oracle_ratio
+from oracles import fit_decay_rate, oracle_ratio
 
 
 def _report(num, ok, text):

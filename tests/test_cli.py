@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stefanlab import RunSummary, _scheme, cli, diagnostics, observer, runner
+from stefanlab import RunSummary, _scheme, cli, diagnostics, observer, runner, transforms
 from stefanlab.cli import (
     _CSV_CHUNK_ROWS,
     bundled_config,
@@ -25,8 +25,6 @@ from stefanlab.cli import (
     run_scenario,
     write_csv,
 )
-from stefanlab.control import qc_ode_residual
-from stefanlab.diagnostics import fit_decay_rate
 from stefanlab.errors import ConfigurationError
 from stefanlab.params import (
     PhysicalParams,
@@ -38,7 +36,7 @@ from stefanlab.params import (
 from stefanlab.runner import lockstep_batches
 
 from conftest import refuse_j1_above
-from oracles import whole_trace_summary
+from oracles import fit_decay_rate, qc_ode_residual, whole_trace_summary
 
 
 FLAG_COLUMNS = ("qc_positive", "s_increasing", "s_below_sr", "u_nonnegative", "error_nonpositive")
@@ -1014,6 +1012,42 @@ def test_unallocatable_trace_exits_2(tmp_path, capsys, monkeypatch, command):
     message = (
         f"invalid config: t_end/dt is too large: the trace's 2 columns of {rows} rows need "
         f"{8 * 2 * rows} bytes, which cannot be allocated\n"
+    )
+    assert capsys.readouterr().err == message
+    assert not (out / "huge" / "trace.csv").exists() and not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("grid_n", [10**12, 100_000], ids=["ring", "geometry"])
+def test_unallocatable_grid_exits_2(tmp_path, capsys, monkeypatch, command, grid_n):
+    # 10^12 intervals: the field ring alone needs 931 TiB, which every host
+    # refuses.  10^5: the ring (102 MB, nearly all of it untouched) is made,
+    # and the transforms' geometry, 74.5 GiB of index, is made to refuse, so
+    # nothing that large is ever really allocated
+    huge = _tweaked_config(tmp_path, {("numerics", "grid_n"): grid_n}, name="huge.cfg")
+    p, cfg = parse_config(huge)
+    assert validate_scenario(cfg, p).passed
+    geometry = transforms._geometry
+
+    def refusing(n):
+        if n >= 100_000:
+            raise MemoryError("refused")
+        return geometry(n)
+
+    monkeypatch.setattr(transforms, "_geometry", refusing)
+    out = tmp_path / "o"
+    if command == "run":
+        assert main(["run", str(huge), "--out-dir", str(out)]) == 2
+    else:
+        smoke = _tweaked_config(tmp_path, name="smoke.cfg")
+        assert main(["sweep", str(huge), str(smoke), "--out-dir", str(out), "--jobs", "1"]) == 2
+        own = tmp_path / "own"
+        assert main(["run", str(smoke), "--out-dir", str(own)]) == 0
+        for f in ("trace.csv", "transforms.csv", "summary.txt"):
+            assert (out / "smoke" / f).read_bytes() == (own / f).read_bytes(), f
+    message = (
+        f"invalid config: grid_n is too large: a batch's buffers on {grid_n} grid intervals "
+        "cannot be allocated\n"
     )
     assert capsys.readouterr().err == message
     assert not (out / "huge" / "trace.csv").exists() and not (out / "trace.csv").exists()

@@ -7,11 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stefanlab.control import field_energy, kernel_mass, qc_ode_residual
+from stefanlab import RunSummary, runner
+from stefanlab.control import field_energy, kernel_mass
 from stefanlab.params import PhysicalParams, ScenarioConfig, lambda_upper_bound
 from stefanlab.runner import initial_fields
 
-from oracles import ObserverState, PlantState, kernel_P, output_feedback, state_feedback
+from oracles import (
+    ObserverState,
+    PlantState,
+    kernel_P,
+    output_feedback,
+    qc_ode_residual,
+    state_feedback,
+)
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 
@@ -177,6 +185,12 @@ def test_qc_ode_residual_definition_on_synthetic_trace():
     mass = kernel_mass(0.2, cfg.lam, P.alpha)
     expected = cfg.c * qc[:-1] - cfg.c * P.k * (1.0 + mass) * uex[:-1]
     assert np.allclose(res, expected, rtol=1e-12)
+    # the library's fold, given the trace as one block, forms the same bits
+    columns = {name: np.ones(4) for name in runner._array_fields(runner.Trace)}
+    columns.update(vars(trace))
+    summary = RunSummary(cfg, P)
+    summary.write(runner._trace_of(columns, 4, cfg))
+    assert summary.residual[:3].tobytes() == res.tobytes()
 
 
 def test_qc_ode_residual_zero_error_run_is_pure_decay(equivalence_runs):

@@ -1,4 +1,5 @@
-"""Norms, Lyapunov machinery, constraint monitor, decay fits."""
+"""Norms, Lyapunov machinery, constraint monitor, decay fits: the library's
+stacked and folded forms against the one-snapshot and whole-trace oracles."""
 
 from types import SimpleNamespace
 
@@ -7,16 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stefanlab import RunSummary, runner
 from stefanlab.diagnostics import (
     _lyapunov_rows,
-    fit_decay_rate,
     h1_norm_sq,
     lyapunov_constants,
-    lyapunov_sample,
     monitor_constraints,
 )
 from stefanlab.params import PhysicalParams, ScenarioConfig
 from stefanlab.transforms import apply_inverse, controller_inverse, controller_transform
+
+from oracles import fit_decay_rate, lyapunov_sample
 
 P = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=111.961, tm=692.68)
 
@@ -78,12 +80,14 @@ def test_lyapunov_constants_past_the_float_range_are_inf():
     assert (a, b, d) == (np.inf, 0.0, np.inf)
     assert 0.0 < pc < 1e-190
     xi = np.linspace(0.0, 1.0, 65)
+    _, vtot, V = _lyapunov_rows(np.sin(xi), np.cos(xi), 0.3, 0.3 - cfg.sr, pc, a, d)
+    assert vtot == V == np.inf
     sample = lyapunov_sample(np.sin(xi), np.cos(xi), 0.3, 1.0, cfg, P)
     assert sample.Vtot == sample.V == np.inf
 
 
 def test_stacked_h1_norms_equal_one_field_calls():
-    """lyapunov_sample takes both of its norms in one stacked call: each
+    """_lyapunov_rows takes both of its norms in one stacked call: each
     row's bits are those of its own call."""
     rng = np.random.default_rng(3)
     for _ in range(300):
@@ -100,7 +104,8 @@ def test_stacked_checkpoint_rows_equal_one_row_calls():
     controller_inverse and the Lyapunov sample, with one extent, setpoint
     error and time per row, and each row's own c, sr, material (alpha,
     beta) and Lyapunov constants: each row's bits are those of its own
-    call, through the sines, cosines and exponentials too."""
+    call (``oracles.lyapunov_sample`` for the Lyapunov sample), through the
+    sines, cosines and exponentials too."""
     rng = np.random.default_rng(11)
     for _ in range(60):
         n, rows = int(rng.integers(16, 301)), int(rng.integers(1, 65))
@@ -140,12 +145,13 @@ def test_stacked_checkpoint_rows_equal_one_row_calls():
         for name, got in zip(("V1_tilde", "Vtot", "V"), stacked):
             one_by_one = np.array([getattr(sample, name) for sample in samples])
             assert got.tobytes() == one_by_one.tobytes(), name
-        # the public sample of a stack of one scenario's rows, times included
-        stacked = lyapunov_sample(w_err, w_hat, s, t, cfgs[0], mats[0])
+        # a stack of one scenario's rows, with its constants as floats
+        p_const, a, _, d = lyapunov_constants(cfgs[0], mats[0])
+        stacked = _lyapunov_rows(w_err, w_hat, s, s - cfgs[0].sr, p_const, a, d)
         samples = [lyapunov_sample(*row, cfgs[0], mats[0]) for row in zip(w_err, w_hat, s, t)]
-        for name in ("t", "V1_tilde", "Vtot", "V"):
+        for name, got in zip(("V1_tilde", "Vtot", "V"), stacked):
             one_by_one = np.array([getattr(sample, name) for sample in samples])
-            assert getattr(stacked, name).tobytes() == one_by_one.tobytes(), name
+            assert got.tobytes() == one_by_one.tobytes(), name
 
 
 def test_lyapunov_constants_branch_selection():
@@ -167,10 +173,13 @@ def test_lyapunov_sample_nonnegative_and_consistent():
     s = 0.02
     w_err = apply_inverse(theta - theta_hat, s, cfg.lam, P.alpha)
     w_hat = controller_transform(theta_hat, s - cfg.sr, s, cfg.c, P.alpha, P.beta)
+    p_const, a, _, d = lyapunov_constants(cfg, P)
+    v1, vtot, V = _lyapunov_rows(w_err, w_hat, s, s - cfg.sr, p_const, a, d)
+    assert v1 >= 0.0
+    assert vtot >= v1  # d >= 1
+    assert V == pytest.approx(vtot * np.exp(-A_CONST * s), rel=1e-12)
     sample = lyapunov_sample(w_err, w_hat, s, 1.0, cfg, P)
-    assert sample.V1_tilde >= 0.0
-    assert sample.Vtot >= sample.V1_tilde  # d >= 1
-    assert sample.V == pytest.approx(sample.Vtot * np.exp(-A_CONST * s), rel=1e-12)
+    assert (sample.V1_tilde, sample.Vtot, sample.V) == (v1, vtot, V)
 
 
 def _trace(t, s, qc, theta_min=None, utilde_max=None, dt=0.1, grid_n=64, sr=0.35):
@@ -260,14 +269,31 @@ def test_monitor_block_by_block_equals_whole_trace(cuts):
         assert np.array_equal(np.concatenate(flags[name]), getattr(want, name)), name
 
 
+def _folded_decay_rate(cfg, h1_err):
+    """RunSummary's decay rate of an h1_err column given as one block, with
+    every other column of the Trace ones."""
+    columns = {name: np.ones(h1_err.size) for name in runner._array_fields(runner.Trace)}
+    columns["h1_err"] = h1_err
+    summary = RunSummary(cfg, P)
+    summary.write(runner._trace_of(columns, h1_err.size, cfg))
+    return summary.decay_rate()
+
+
 def test_fit_decay_rate_exact_exponential():
     t = np.linspace(0.0, 5.0, 101)
     assert fit_decay_rate(t, np.exp(-3.0 * t)) == pytest.approx(3.0, abs=1e-6)
+    # the library's fit, at the logged times i * dt, in the oracle's bits
+    cfg = cfg_for(dt=0.05, t_end=5.0)
+    t = np.arange(cfg.rows) * cfg.dt
+    rate = _folded_decay_rate(cfg, np.exp(-3.0 * t))
+    assert rate == fit_decay_rate(t, np.exp(-3.0 * t))
+    assert rate == pytest.approx(3.0, abs=1e-6)
 
 
 def test_fit_decay_rate_constant_series():
     t = np.linspace(0.0, 5.0, 50)
     assert fit_decay_rate(t, np.ones(50)) == pytest.approx(0.0, abs=1e-12)
+    assert _folded_decay_rate(cfg_for(dt=0.125, t_end=6.125), np.ones(50)) == 0.0
 
 
 def test_fit_decay_rate_input_validation():
@@ -275,3 +301,6 @@ def test_fit_decay_rate_input_validation():
         fit_decay_rate(np.arange(5), np.ones(5))
     with pytest.raises(ValueError):
         fit_decay_rate(np.arange(12), np.concatenate([np.ones(11), [0.0]]))
+    # the library fits no rate there: it needs 20 rows, all positive
+    assert _folded_decay_rate(cfg_for(), np.ones(19)) is None
+    assert _folded_decay_rate(cfg_for(), np.concatenate([np.ones(21), [0.0]])) is None

@@ -5,7 +5,6 @@ import pytest
 
 from stefanlab._scheme import one_sided_edge_flux
 from stefanlab.cli import bundled_config, parse_config
-from stefanlab.diagnostics import fit_decay_rate
 from stefanlab.errors import NumericalError
 from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import PhysicalParams, ScenarioConfig
@@ -15,6 +14,7 @@ from stefanlab.runner import initial_fields, simulate
 from oracles import (
     ObserverState,
     PlantState,
+    fit_decay_rate,
     gain_profile,
     observer_gain,
     oracle_ratio,

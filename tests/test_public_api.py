@@ -1,7 +1,7 @@
 """The package's public names, the README's library example, the test
-oracles' absence from the package, the package's lack of unused definitions,
-and the suite's warning policy: every warning is an error, with no "ignore"
-filter in tests/."""
+oracles' absence from the package, the package's lack of unused definitions
+and exports, and the suite's warning policy: every warning is an error, with
+no "ignore" filter in tests/."""
 
 import ast
 import importlib
@@ -61,11 +61,16 @@ ORACLE_NAMES = (
     "injection_source",
     "advance_field",
     "gain_profile",
+    "qc_ode_residual",
+    "fit_decay_rate",
+    "LyapunovSample",
+    "lyapunov_sample",
 )
 
-# Retired one-row entries with no successor in tests/oracles.py: the initial
-# profiles are runner.initial_fields.
-RETIRED_NAMES = ("init_plant", "init_observer")
+# Retired entries with no successor in tests/oracles.py: the initial profiles
+# are runner.initial_fields, and the closed-form decay fit is inlined in
+# RunSummary.decay_rate.
+RETIRED_NAMES = ("init_plant", "init_observer", "centred_decay_rate")
 
 
 def test_oracles_live_only_in_tests():
@@ -102,15 +107,15 @@ def _imports(module) -> set[str]:
 
 def test_stepping_kernel_imports_no_package_module():
     """``_scheme`` steps plant and observer alike, so it depends on neither.
-    The evidence and transform layers depend on no module that steps or
-    runs, and the runner not on the CLI."""
+    The parameter, evidence and transform layers depend on no module that
+    steps or runs, and the runner not on the CLI."""
     assert "numpy" in _imports(_scheme)
     assert not [name for name in _imports(_scheme) if name.startswith("stefanlab")]
-    # each form is seen: params imports the runner in a function
-    assert {"stefanlab.errors", "stefanlab.runner"} <= _imports(params)
+    # each form is seen: specfun imports scipy.special in a function
+    assert {"stefanlab.errors", "scipy.special"} <= _imports(specfun)
     assert {"stefanlab.diagnostics", "stefanlab._scheme"} <= _imports(runner)
     above = {f"stefanlab.{name}" for name in ("runner", "cli", "_scheme", "observer", "plant")}
-    for module in (diagnostics, control, transforms, specfun):
+    for module in (params, diagnostics, control, transforms, specfun):
         assert not _imports(module) & above, module.__name__
     assert "stefanlab.cli" not in _imports(runner)
 
@@ -119,19 +124,30 @@ def test_stepping_kernel_imports_no_package_module():
 # documents bundled_config as the way to find a bundled config.
 UNREFERENCED_KEPT = {"cli.bundled_config"}
 
+# Exported names that no module of the package but __init__ uses: the
+# library's entry points.  simulate is the lockstep batch of one, which the
+# CLI runs through simulate_batch.
+LIBRARY_ENTRY_POINTS = {"simulate"}
+
+
+def _names(tree) -> set[str]:
+    """The names and attribute names a syntax tree uses."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
 
 def test_every_definition_is_referenced_or_public():
     """A top-level function or class of the package that nothing in it
     names and that __all__ does not export is test-only code: it belongs in
-    tests/oracles.py."""
+    tests/oracles.py.  An exported name that no other module uses, except
+    through exports that are themselves unused, is a second path beside the
+    engine's: only the library's entry points may be one."""
     package = Path(stefanlab.__file__).resolve().parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
-    referenced = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
+    referenced = set().union(*map(_names, trees.values()))
     defined = [
         (module, node.name)
         for module, tree in trees.items()
@@ -145,6 +161,23 @@ def test_every_definition_is_referenced_or_public():
         if name not in referenced and name not in stefanlab.__all__
     }
     assert unreferenced == UNREFERENCED_KEPT
+
+    # (the name a top-level statement defines, the names it uses), outside __init__
+    uses = [
+        (getattr(node, "name", None), _names(node))
+        for module, tree in trees.items()
+        if module != "__init__"
+        for node in tree.body
+    ]
+    dead = set()
+    while True:
+        used = set().union(*(names for name, names in uses if name not in dead))
+        unused = set(stefanlab.__all__) - used - LIBRARY_ENTRY_POINTS
+        if unused == dead:
+            break
+        dead = unused
+    assert not dead, sorted(dead)
+    assert LIBRARY_ENTRY_POINTS <= set(stefanlab.__all__) - used
 
 
 def ignore_filters(source: str) -> list[int]:

@@ -11,7 +11,7 @@ from stefanlab import observer, runner, specfun, transforms
 from stefanlab._scheme import Workspace, bind_dgtsv, block_row, one_sided_edge_flux, stable_rate_cap
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.control import field_energy
-from stefanlab.diagnostics import h1_norm_sq, lyapunov_sample
+from stefanlab.diagnostics import h1_norm_sq
 from stefanlab.errors import BlowUpError, ConfigurationError, NumericalError
 from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import PhysicalParams, ScenarioConfig, lambda_upper_bound
@@ -31,6 +31,7 @@ from oracles import (
     advance_field,
     estimate_flux,
     interface_flux,
+    lyapunov_sample,
     output_feedback,
     state_feedback,
     step_observer,
