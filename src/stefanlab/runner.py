@@ -82,9 +82,9 @@ _BLOCK_ROWS = 64
 
 # Bytes of kept columns and field buffers one lockstep batch of the CLI may
 # hold: twenty 5,001-row members on a 64-interval grid hold 2.99 MB (149,696
-# B each); a 90,001-row member on a 200-interval grid holds 1.65 MB.  Holding
-# all 24 of such a sweep's full traces at once raised its peak resident size
-# by 12 MB.
+# B each, two summary columns and the field buffers); a 90,001-row member on
+# a 200-interval grid holds 1.65 MB.  So the bound, not a sweep's length,
+# sets what a sweep holds: 1,000 such members in one batch would hold 150 MB.
 _BATCH_BYTES = 3_000_000
 
 
@@ -384,12 +384,13 @@ def simulate_batch(scenarios, logs=None):
     i - 1, with i rows, if that step's solve or interface update failed;
     after logging row i if row i is its last or its checkpoint or gain
     series fails.  Members that leave in the same step are yielded in the
-    order of scenarios, after the step's flush has handed every member's
-    rows to its log.  Members may differ in all but grid_n and dt: the
-    material, the gains, the setpoint, the checkpoint stride and the
-    horizon.  Each member's result is bit-identical to its own ``simulate``
-    run.  Raises ConfigurationError, before the first step, if a member's
-    trace or checkpoint table or the buffers of the batch's grid cannot be
+    order of scenarios, once the step's flush has handed every member's rows
+    to its log and the batch has dropped them (the last, its ring too).
+    Members may differ in all but grid_n and dt: the material, the gains,
+    the setpoint, the checkpoint stride and the horizon.  Each member's
+    result is bit-identical to its own ``simulate`` run.  Raises
+    ConfigurationError, before the first step, if a member's trace or
+    checkpoint table or the buffers of the batch's grid cannot be
     allocated.
 
     logs[j], if logs is given, takes scenario j's rows instead of a
@@ -443,14 +444,13 @@ def simulate_batch(scenarios, logs=None):
 
     # all the grid's buffers before the first step: the ring the fields step
     # in, row i % _BLOCK_ROWS holding row i's (theta, theta_hat), the workspace
-    # (block b is member b) and the transforms' buffers row 0's checkpoint reads
+    # (block b is member b) and the Bessel state a gain's row-0 checkpoint reads
     try:
         block = np.empty((_BLOCK_ROWS, 2, len(members), n + 1))
         block[0] = np.stack([initial_fields(m.cfg) for m in members], axis=1)
         ws = Workspace(block, dt)
-        transforms._geometry(n)
         if any(m.lam for m in members):
-            transforms._scratch(n)
+            transforms._bessel_grid(n)
     except MemoryError:
         msg = f"grid_n is too large: a batch's buffers on {n} grid intervals cannot be allocated"
         raise ConfigurationError(msg) from None
@@ -509,7 +509,7 @@ def simulate_batch(scenarios, logs=None):
                     _, t3, t2, t1 = corners[blocks + j]
                     innovation = rate / m.beta + edge_stencil(t3, t2, t1, dxi) / y
                     scales.append(m.lam * y * innovation * dt)
-                except (BlowUpError, NumericalError) as exc:
+                except NumericalError as exc:
                     leaving[j] = rows, str(exc)
                     continue
                 stepping.append(j)
@@ -528,13 +528,20 @@ def simulate_batch(scenarios, logs=None):
                     _flush(flushing, block)
             if leaving:
                 quiet.leave()
-                for j, (logged, failure) in leaving.items():
-                    yield members[j].index, members[j].result(logged, block[:, :, j], failure)
+                left = [
+                    (members[j].index, members[j].result(logged, block[:, :, j], failure))
+                    for j, (logged, failure) in leaving.items()
+                ]
+                # the batch goes on without them, or lets go of its ring and
+                # workspace, before their outputs are written
                 if not stepping:
+                    block = ws = None
+                    yield from left
                     return
                 members = [members[j] for j in stepping]
                 block = block.take(stepping, axis=2)  # C-contiguous, as the ring must be
                 ws = Workspace(block, dt, ws.now)
+                yield from left
             # a diverging field fails the step, with no floating-point warning
             quiet.enter()
             gain_sources(z2s, scales, counts, n, ws.source)

@@ -7,10 +7,14 @@ Bessel kernels depend on (x, y) only through y^2 - x^2: both are summed at
 once per distinct gap, as a product with the grid's gap powers (specfun's
 ``kernel_rows``); each transform gathers its ratios over the strict upper
 triangle into a reused buffer and applies them with one matrix-vector
-product, the trapezoid weights folded into the vector.  The controller
-kernels are separable (x - y has rank 2, and sin k(x-y) = sin kx cos ky -
-cos kx sin ky), so both controller integrals are built in O(N) from reverse
-cumulative trapezoids T_i[g] = int_{xi_i}^1 g, with T_N = 0 exactly.
+product, the trapezoid weights folded into the vector.  That state (the
+(N+1)^2 gap index and gather and the gaps' power table) is made once per
+grid size, by the first Bessel transform with lam > 0 on it
+(``_bessel_grid``).  The controller kernels are separable (x - y has rank
+2, and sin k(x-y) = sin kx cos ky - cos kx sin ky), so both controller
+integrals are built in O(N) from reverse cumulative trapezoids
+T_i[g] = int_{xi_i}^1 g, with T_N = 0 exactly; they read nothing but their
+arguments, the grid i/N taken from the fields' length.
 
 Error-field pair (gain kernels in Bessel functions):
 
@@ -45,20 +49,21 @@ def psi_kernel(x, c: float, alpha: float, beta: float):
 
 
 @lru_cache(maxsize=8)
-def _geometry(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The xi-grid i/n with the Bessel kernel geometry, not to be written.
+def _bessel_grid(n: int) -> tuple[np.ndarray, PowerTable, np.ndarray]:
+    """Per-grid state of the Bessel transforms, shared by every caller in
+    the process, so the transforms are not for concurrent threads.
 
     The kernels depend on (i, j), j > i, only through the gap
     g = (j^2 - i^2)/n^2, so the series runs once per distinct positive gap
     (11,435 at n = 200; the largest is exactly 1).  The index sends (i, j)
     to its gap, and every entry on or below the diagonal to one trailing
-    slot after them.
+    slot after them.  Then the descending power table of the gaps and a 0
+    for that slot, and the (n+1)^2 kernel gather, reused so that a
+    checkpoint row allocates no (n+1)^2 array.
     """
-    k = np.arange(n + 1)
-    xi = k / n
     # the squares in the narrowest integer type that holds -n^2..n^2 (int32
     # up to n = 46,340), not (n+1)^2 int64 temporaries
-    k = k.astype(np.min_scalar_type(-n * n))
+    k = np.arange(n + 1).astype(np.min_scalar_type(-n * n))
     sq_int = k[np.newaxis, :] ** 2 - k[:, np.newaxis] ** 2
     np.maximum(sq_int, 0, out=sq_int)
     # marks and a running count, not np.unique, which sorts and imports
@@ -76,24 +81,11 @@ def _geometry(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # CPython 3.11, numpy 2.4, 2-vCPU Xeon)
     slot = np.cumsum(present) - 1
     slot[0] = positive.size
-    index = slot[sq_int]
-    gaps = positive / n**2
     # the index stays writeable: `take` copies a read-only index, 323 KB
     # per gather at n = 200
-    for arr in (xi, gaps):
-        arr.flags.writeable = False
-    return xi, gaps, index
-
-
-@lru_cache(maxsize=8)
-def _scratch(n: int) -> tuple[PowerTable, np.ndarray]:
-    """Per-grid state of the Bessel transforms: the descending power table
-    of the distinct gaps and then a 0 for the index's trailing slot, and the
-    (n+1)^2 kernel gather.  Reused, so that a checkpoint row allocates no
-    (n+1)^2 array; every caller in the process shares them, so the
-    transforms are not for concurrent threads."""
-    powers = PowerTable(np.append(_geometry(n)[1], 0.0), _BLOCK + 1, descending=True)
-    return powers, np.empty((n + 1, n + 1))
+    index = slot[sq_int]
+    powers = PowerTable(np.append(positive / n**2, 0.0), _BLOCK + 1, descending=True)
+    return index, powers, np.empty((n + 1, n + 1))
 
 
 @lru_cache(maxsize=1)
@@ -101,7 +93,7 @@ def _ratio_rows(n: int, z2_max: float) -> np.ndarray:
     """Read-only I1 and J1 ratio rows at z2 = z2_max * g over the distinct
     gaps, each with a trailing 0 for the index's empty slot.  One entry is
     enough: the two transforms of a checkpoint share (n, z2_max)."""
-    powers = _scratch(n)[0]
+    powers = _bessel_grid(n)[1]
     rows = kernel_rows(z2_max, powers, np.empty((2, powers.base.size)))
     rows[:, -1] = 0.0
     rows.flags.writeable = False
@@ -136,8 +128,8 @@ def _bessel_integral(f: np.ndarray, s: float, lam: float, alpha: float, kind: in
     diagonal has half weight and the ratio 1/2 at gap 0.
     """
     n = f.size - 1
-    xi, _, index = _geometry(n)
-    kernel = _scratch(n)[1]
+    index, _, kernel = _bessel_grid(n)
+    xi = np.arange(n + 1) / n
     k = lam / alpha
     # the index is in range, and "wrap", unlike the default "raise",
     # gathers straight into `out` without buffering it
@@ -179,7 +171,7 @@ def controller_transform(
     of scenarios with their own gains and materials stack.
     """
     u = np.asarray(u, dtype=float)
-    xi = _geometry(u.shape[-1] - 1)[0]
+    xi = np.arange(u.shape[-1]) / (u.shape[-1] - 1)
     s, X, c, alpha, beta = _per_row(s, X, c, alpha, beta)
     tail_u, tail_xu = _tail_integrals(np.array((u, xi * u)))
     integral = s * s * (xi * tail_u - tail_xu)
@@ -198,7 +190,7 @@ def controller_inverse(
     ``controller_transform``.
     """
     w = np.asarray(w, dtype=float)
-    xi = _geometry(w.shape[-1] - 1)[0]
+    xi = np.arange(w.shape[-1]) / (w.shape[-1] - 1)
     s, X, c, alpha, beta = _per_row(s, X, c, alpha, beta)
     kappa = np.sqrt(c / alpha)
     phase = (kappa * s) * xi

@@ -133,7 +133,7 @@ def test_criterion_6_series_oracle_equivalence():
     I1r(z2*(1 - xi^2)), at every node of the grid."""
     points = [0.0, 0.25, 1.0, 4.0, 25.0, 100.0]
     n = 200
-    last_gap = transforms._geometry(n)[1].size - 1
+    last_gap = transforms._bessel_grid(n)[1].base.size - 2
     xi = np.arange(n + 1) / n
     w = np.maximum(1.0 - xi * xi, 0.0)
     gain = np.empty((1, n + 1))

@@ -1022,19 +1022,19 @@ def test_unallocatable_trace_exits_2(tmp_path, capsys, monkeypatch, command):
 def test_unallocatable_grid_exits_2(tmp_path, capsys, monkeypatch, command, grid_n):
     # 10^12 intervals: the field ring alone needs 931 TiB, which every host
     # refuses.  10^5: the ring (102 MB, nearly all of it untouched) is made,
-    # and the transforms' geometry, 74.5 GiB of index, is made to refuse, so
-    # nothing that large is ever really allocated
+    # and the Bessel grid, 74.5 GiB of index, is made to refuse, so nothing
+    # that large is ever really allocated
     huge = _tweaked_config(tmp_path, {("numerics", "grid_n"): grid_n}, name="huge.cfg")
     p, cfg = parse_config(huge)
-    assert validate_scenario(cfg, p).passed
-    geometry = transforms._geometry
+    assert validate_scenario(cfg, p).passed and cfg.lam > 0.0
+    bessel_grid = transforms._bessel_grid
 
     def refusing(n):
         if n >= 100_000:
             raise MemoryError("refused")
-        return geometry(n)
+        return bessel_grid(n)
 
-    monkeypatch.setattr(transforms, "_geometry", refusing)
+    monkeypatch.setattr(transforms, "_bessel_grid", refusing)
     out = tmp_path / "o"
     if command == "run":
         assert main(["run", str(huge), "--out-dir", str(out)]) == 2
@@ -1051,6 +1051,32 @@ def test_unallocatable_grid_exits_2(tmp_path, capsys, monkeypatch, command, grid
     )
     assert capsys.readouterr().err == message
     assert not (out / "huge" / "trace.csv").exists() and not (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_zero_gain_runs_without_the_bessel_grid(tmp_path, monkeypatch, command):
+    # a batch whose members all have lambda = 0 runs no Bessel transform, so
+    # it runs, with the bytes of a run that could make the Bessel grid, when
+    # that grid cannot be allocated
+    zero = _tweaked_config(tmp_path, {("scenario", "lambda"): 0.0}, name="zero.cfg")
+    own = tmp_path / "own"
+    assert main(["run", str(zero), "--out-dir", str(own)]) == 0
+
+    def refusing(n):
+        raise MemoryError("refused")
+
+    monkeypatch.setattr(transforms, "_bessel_grid", refusing)
+    out = tmp_path / "o"
+    if command == "run":
+        assert main(["run", str(zero), "--out-dir", str(out)]) == 0
+        dirs = [out]
+    else:
+        twin = _tweaked_config(tmp_path, {("scenario", "lambda"): 0.0}, name="twin.cfg")
+        assert main(["sweep", str(zero), str(twin), "--out-dir", str(out), "--jobs", "1"]) == 0
+        dirs = [out / "zero", out / "twin"]
+    for d in dirs:
+        for f in ("trace.csv", "transforms.csv", "summary.txt"):
+            assert (d / f).read_bytes() == (own / f).read_bytes(), (d, f)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -178,6 +178,27 @@ def test_member_failing_as_another_completes_keeps_its_own_final_state():
         assert _same_bits(res.final_fields, alone[j].final_fields), j
 
 
+def test_batch_lets_go_of_its_ring_before_its_last_yield():
+    # the consumer of a last departure writes the member's outputs while the
+    # generator is suspended at its yield: the ring and the workspace are
+    # gone by then, so the generator's end frees less than the ring
+    cfg = cfg_for()
+    batch = simulate_batch([(cfg, P), (cfg_for(t_end=cfg.t_end / 2), P)])
+    ring = _BLOCK_ROWS * 2 * (cfg.grid_n + 1) * 8  # of the last member alone
+    tracemalloc.start()
+    try:
+        assert next(batch)[0] == 1
+        index, result = next(batch)
+        at_yield = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(StopIteration):
+            next(batch)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert index == 0 and result.completed
+    assert at_yield - after < ring
+
+
 def test_first_checkpoint_beyond_series_cap_reports_partial_trace(monkeypatch):
     cfg = cfg_for()
     refuse_j1_above(monkeypatch, 0.5 * (cfg.lam / P.alpha) * cfg.s0**2)

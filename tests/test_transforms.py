@@ -227,7 +227,7 @@ def test_controller_pair_allocates_no_kernel_matrix():
     """One (N+1)^2 float array at N = 200 is 323 KB."""
     n = 200
     f = _smooth_field(n)
-    # the first call caches the grid
+    # a first call, so that no first-use cost is measured
     controller_inverse(controller_transform(f, -0.1, S, C, ALPHA, BETA), -0.1, S, C, ALPHA, BETA)
     tracemalloc.start()
     try:
@@ -237,6 +237,31 @@ def test_controller_pair_allocates_no_kernel_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_controller_pair_reads_no_bessel_state(monkeypatch):
+    """The controller pair takes its grid k/N from the fields' length: with
+    the Bessel state refused, a (K, N+1) stack maps to the bits of each
+    row's own call, made before the refusal."""
+    from stefanlab import transforms
+
+    n = 64
+    u = np.random.default_rng(29).normal(size=(3, n + 1))
+    s, X, c = np.array([0.05, 0.3, 0.7]), np.array([-0.2, 0.0, 0.1]), np.array([1e-3, 1e-2, C])
+    alone = np.array([controller_transform(u[r], X[r], s[r], c[r], ALPHA, BETA) for r in range(3)])
+    back = np.array([controller_inverse(alone[r], X[r], s[r], c[r], ALPHA, BETA) for r in range(3)])
+
+    def refusing(n):
+        raise MemoryError("refused")
+
+    monkeypatch.setattr(transforms, "_bessel_grid", refusing)
+    w = controller_transform(u, X, s, c, ALPHA, BETA)
+    assert w.tobytes() == alone.tobytes()
+    assert controller_inverse(w, X, s, c, ALPHA, BETA).tobytes() == back.tobytes()
+    # with c = beta, s = 1 and X = 1 the forward map of zero is 1 - xi
+    k = np.arange(n + 1)
+    zero = controller_transform(np.zeros(n + 1), 1.0, 1.0, BETA, ALPHA, BETA)
+    assert zero.tobytes() == (1.0 - k / n).tobytes()
 
 
 def test_controller_transform_slope_identity_at_origin():
@@ -284,11 +309,11 @@ def test_ratio_rows_equal_the_oracle_arrays(z2_max):
     double oracle arrays at z2 = z2_max * gap within float64's limits: I1,
     a sum of positive terms, within 8 eps relative, and J1 within
     eps * I1r(z2_max), what the alternating sum loses to cancellation."""
-    from stefanlab.transforms import _geometry, _ratio_rows
+    from stefanlab.transforms import _bessel_grid, _ratio_rows
 
     n = 200
     eps = np.finfo(float).eps
-    gaps = _geometry(n)[1]
+    gaps = _bessel_grid(n)[1].base[:-1]
     i1 = i1_ratio_array(gaps.astype(np.longdouble) * z2_max)
     j1 = j1_ratio_array(gaps.astype(np.longdouble) * z2_max)
     rows = _ratio_rows(n, z2_max)[:, : gaps.size]
@@ -301,7 +326,7 @@ def test_ratio_rows_equal_the_oracle_arrays(z2_max):
 def test_geometry_equals_the_int64_construction(n):
     """The kernel geometry built from squares in int8, int16 and int32
     (n = 8, 64, 200) equals its construction in int64, with an intp index."""
-    from stefanlab.transforms import _geometry
+    from stefanlab.transforms import _bessel_grid
 
     k = np.arange(n + 1, dtype=np.int64)
     sq = np.maximum(k[np.newaxis, :] ** 2 - k[:, np.newaxis] ** 2, 0)
@@ -311,11 +336,10 @@ def test_geometry_equals_the_int64_construction(n):
     positive = np.flatnonzero(present)
     slot = np.cumsum(present, dtype=np.int64) - 1
     slot[0] = positive.size
-    xi, gaps, index = _geometry(n)
+    index, powers, _ = _bessel_grid(n)
     assert index.dtype == np.intp
     assert np.array_equal(index, slot[sq])
-    assert np.array_equal(gaps, positive / n**2)
-    assert np.array_equal(xi, k / n)
+    assert np.array_equal(powers.base, np.append(positive / n**2, 0.0))
 
 
 @pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
@@ -344,7 +368,7 @@ def test_gap_power_table_holds_one_block_at_the_largest_admitted_extent(zinc):
     from stefanlab import specfun
     from stefanlab.params import lambda_upper_bound
     from stefanlab.runner import _BLOCK_ROWS
-    from stefanlab.transforms import _scratch
+    from stefanlab.transforms import _bessel_grid
 
     p, cfg = zinc
     lam = 0.9 * lambda_upper_bound(cfg, p.alpha)
@@ -357,7 +381,7 @@ def test_gap_power_table_holds_one_block_at_the_largest_admitted_extent(zinc):
     log_checkpoints(member, block, [(theta, theta + 0.1 * np.sin(np.pi * xi), 0.7, 1.0)])
     assert member.checkpoints_logged == 1
     assert np.all(np.isfinite(member.checkpoints[:, 0]))
-    assert _scratch(cfg.grid_n)[0].table.shape[0] == specfun._BLOCK + 1
+    assert _bessel_grid(cfg.grid_n)[1].table.shape[0] == specfun._BLOCK + 1
 
 
 @pytest.mark.parametrize("s", [0.1, 0.3, 0.6, 0.7])
@@ -367,13 +391,13 @@ def test_kernels_over_admitted_range(zinc, s):
     import mpmath as mp
 
     from stefanlab.params import lambda_upper_bound
-    from stefanlab.transforms import _geometry, _ratio_rows
+    from stefanlab.transforms import _bessel_grid, _ratio_rows
 
     p, cfg = zinc
     lam, alpha, n = 0.9 * lambda_upper_bound(cfg, p.alpha), p.alpha, 200
     # the ratios the engine gathers over the strict upper triangle, and on
     # the diagonal the 1/2 it adds as xi f/4
-    xi, _, index = _geometry(n)
+    xi, index = np.arange(n + 1) / n, _bessel_grid(n)[0]
     ratio = _ratio_rows(n, (lam / alpha) * s * s)[:, index]
     ratio[:, np.arange(n + 1), np.arange(n + 1)] = 0.5
     kp, kq = (lam / alpha) * s * xi * ratio
