@@ -37,7 +37,6 @@ instead, the same LAPACK routine.
 
 import ctypes
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -68,9 +67,9 @@ def bind_dgtsv(dl, d, du, b):
     the columns of the Fortran-ordered (n, nrhs) array b in place, as
     LAPACK's dgtsv does, overwriting all four, and returns dgtsv's info.
 
-    The call is built once, its argument pointers, which hold the arrays,
-    and its info cell included.  Without numpy's own dgtsv it calls
-    scipy's, the same LAPACK routine."""
+    The call is built once, its argument pointers and its info cell
+    included, and holds the arrays its pointers address.  Without numpy's
+    own dgtsv it calls scipy's, the same LAPACK routine."""
     n, nrhs = b.shape
     arrays = (dl, d, du, b)
     if not (
@@ -89,15 +88,18 @@ def bind_dgtsv(dl, d, du, b):
 
         return lambda: dgtsv(dl, d, du, b, 1, 1, 1, 1)[-1]
     # c_void_p arguments pass the declared argtypes at the least cost per
-    # call; the closure holds the integer cells, the array pointers the arrays
+    # call.  They are plain addresses (``ndarray.ctypes.data_as`` would leave
+    # each pointer in a reference cycle), so the closure holds the integer
+    # cells and the call the arrays
     cells = [ctypes.c_int64(v) for v in (n, nrhs, n, 0)]  # N, NRHS, LDB, INFO
     n_at, nrhs_at, ldb_at, info_at = (ctypes.c_void_p(ctypes.addressof(c)) for c in cells)
-    args = (n_at, nrhs_at, *(a.ctypes.data_as(ctypes.c_void_p) for a in arrays), ldb_at, info_at)
+    args = (n_at, nrhs_at, *(ctypes.c_void_p(a.ctypes.data) for a in arrays), ldb_at, info_at)
 
     def solve():
         _dgtsv(*args)
         return cells[3].value
 
+    solve.arrays = arrays
     return solve
 
 
@@ -141,7 +143,6 @@ def block_row(extent, rate, qc, alpha_dt, cap, k, dxi) -> list:
     return [-mu, 1.0 + 2.0 * mu, -2.0 * mu, 1.0, 0.0, ghost, rate / extent]
 
 
-@lru_cache(maxsize=8)
 def _tri_index(blocks: int, n: int) -> np.ndarray:
     """Index into a flattened (blocks, 7) step table: it gathers the lower,
     main and upper diagonals of the block-diagonal system, concatenated."""
@@ -149,11 +150,9 @@ def _tri_index(blocks: int, n: int) -> np.ndarray:
     main = [1] * n + [3]  # the Dirichlet row's 1
     upper = [2] + [0] * (n - 1) + [4]  # the ghost row's -2*mu, then the coupling
     base = 7 * np.arange(blocks)[:, np.newaxis]
-    index = np.concatenate(
+    return np.concatenate(
         [(base + lower).ravel()[:-1], (base + main).ravel(), (base + upper).ravel()[:-1]]
     )
-    index.flags.writeable = False
-    return index
 
 
 class Workspace:
@@ -184,7 +183,7 @@ class Workspace:
         self.entries, self.ghost, self.rate = self.table.ravel(), self.table[:, 5], self.table[:, 6:]
         tri = self.tri = np.empty(3 * size - 2)
         self.diagonals = tri[: size - 1], tri[size - 1 : 2 * size - 1], tri[2 * size - 1 :]
-        self.index = _tri_index(blocks, n).copy()  # take copies a read-only index
+        self.index = _tri_index(blocks, n)  # writeable: take would copy a read-only index
         # A step's elementwise work runs along whole ring rows as single runs
         # of m*B*(N+1) nodes, operands of one shape and stride, so numpy
         # takes no buffer for it: it buffers the operands of an operation it

@@ -1,13 +1,13 @@
 """Scenario runner: config parsing, CSV traces, and the CLI.
 
-Config files are flat ``key = value`` text with four sections::
+Config files are flat ``key = value`` text with the four sections of ``_KEYS``::
 
     [physical]  rho, cp, k, dh, tm
     [scenario]  s0, H, Hhat, c, lambda, sr, mode
     [numerics]  grid_n, dt, t_end            (+ optional domain_cap)
     [output]    optional checkpoint_every
 
-All keys are mandatory except domain_cap and checkpoint_every.
+All keys are mandatory except domain_cap and checkpoint_every; any case matches.
 Floats in the CSV artifacts are printed with 17 significant digits so that
 identical configs yield byte-identical files.  trace.csv is written block by
 block as the run goes, so a run stopped from outside keeps its completed
@@ -40,14 +40,22 @@ from .params import (
 )
 from .runner import Trace, lockstep_batches, simulate_batch
 
-_REQUIRED = {
-    "physical": ("rho", "cp", "k", "dh", "tm"),
-    "scenario": ("s0", "H", "Hhat", "c", "lambda", "sr", "mode"),
-    "numerics": ("grid_n", "dt", "t_end"),
-}
-_OPTIONAL = {
-    "numerics": ("domain_cap",),
-    "output": ("checkpoint_every",),
+# The config schema in file order, section -> key -> (converter, required):
+# each key sets the PhysicalParams or ScenarioConfig field of its name (lambda
+# sets lam), and an optional key left out leaves its field's default.
+_KEYS = {
+    "physical": {key: (float, True) for key in ("rho", "cp", "k", "dh", "tm")},
+    "scenario": {
+        **{key: (float, True) for key in ("s0", "H", "Hhat", "c", "lambda", "sr")},
+        "mode": (str, True),
+    },
+    "numerics": {
+        "grid_n": (int, True),
+        "dt": (float, True),
+        "t_end": (float, True),
+        "domain_cap": (float, False),
+    },
+    "output": {"checkpoint_every": (int, False)},
 }
 
 
@@ -69,47 +77,30 @@ def parse_config(path) -> tuple[PhysicalParams, ScenarioConfig]:
     if not read:
         raise ConfigurationError(f"config file not readable: {path}")
 
-    for section, keys in _REQUIRED.items():
-        if not parser.has_section(section):
-            raise ConfigurationError(f"missing section [{section}]")
-        for key in keys:
+    for section, keys in _KEYS.items():
+        for key in (key for key, (_, required) in keys.items() if required):
+            if not parser.has_section(section):
+                raise ConfigurationError(f"missing section [{section}]")
             if key not in parser[section]:
                 raise ConfigurationError(f"missing key '{key}' in [{section}]")
     for section in parser.sections():
-        known = _REQUIRED.get(section, ()) + _OPTIONAL.get(section, ())
-        if not known:
+        if section not in _KEYS:
             raise ConfigurationError(f"unknown section [{section}]")
+        known = [key.lower() for key in _KEYS[section]]
         for key in parser[section]:
-            if key.lower() not in [k.lower() for k in known]:
+            if key.lower() not in known:
                 raise ConfigurationError(f"unknown key '{key}' in [{section}]")
 
-    phys = parser["physical"]
-    scen = parser["scenario"]
-    num = parser["numerics"]
-    out = parser["output"] if parser.has_section("output") else {}
-
     try:
-        p = PhysicalParams(
-            rho=phys.getfloat("rho"),
-            cp=phys.getfloat("cp"),
-            k=phys.getfloat("k"),
-            dh=phys.getfloat("dh"),
-            tm=phys.getfloat("tm"),
-        )
-        cfg = ScenarioConfig(
-            s0=scen.getfloat("s0"),
-            H=scen.getfloat("H"),
-            Hhat=scen.getfloat("Hhat"),
-            c=scen.getfloat("c"),
-            lam=scen.getfloat("lambda"),
-            sr=scen.getfloat("sr"),
-            mode=scen.get("mode"),
-            grid_n=num.getint("grid_n"),
-            dt=num.getfloat("dt"),
-            t_end=num.getfloat("t_end"),
-            domain_cap=num.getfloat("domain_cap") if "domain_cap" in num else None,
-            checkpoint_every=int(out.get("checkpoint_every", 50)),
-        )
+        values = {}
+        for section, keys in _KEYS.items():
+            held = parser[section] if parser.has_section(section) else {}
+            for key, (convert, _) in keys.items():
+                if key in held:
+                    values["lam" if key == "lambda" else key] = convert(held[key])
+            if section == "physical":  # its errors come before the other values'
+                p, values = PhysicalParams(**values), {}
+        cfg = ScenarioConfig(**values)
     except (ValueError, configparser.Error) as exc:  # an interpolation error among them
         if isinstance(exc, ConfigurationError):
             raise
@@ -311,7 +302,6 @@ class _TraceWriter:
 
     def trace(self) -> None:
         self.close()
-        return None
 
 
 def _write_outputs(run: _Run, log: _TraceWriter, result) -> int:

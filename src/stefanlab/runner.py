@@ -80,11 +80,13 @@ from .plant import advance_interface, convection_rate
 # array operations, small enough to stay in cache.
 _BLOCK_ROWS = 64
 
-# Bytes of kept columns and field buffers one lockstep batch of the CLI may
-# hold: twenty 5,001-row members on a 64-interval grid hold 2.99 MB (149,696
-# B each, two summary columns and the field buffers); a 90,001-row member on
-# a 200-interval grid holds 1.65 MB.  So the bound, not a sweep's length,
-# sets what a sweep holds: 1,000 such members in one batch would hold 150 MB.
+# Bytes of kept columns, checkpoint tables and field buffers one lockstep
+# batch of the CLI may hold: eighteen 5,001-row members on a 64-interval grid
+# that log every 50th row hold 3.00 MB (166,656 B each: two summary columns,
+# the checkpoint table, the block of columns and the field buffers); a
+# 90,001-row member on a 200-interval grid holds 1.70 MB.  So the bound, not
+# a sweep's length, sets what a sweep holds: 1,000 such members in one batch
+# would hold 167 MB.
 _BATCH_BYTES = 3_000_000
 
 
@@ -322,13 +324,22 @@ def initial_fields(cfg: ScenarioConfig) -> np.ndarray:
     return rows
 
 
+def _checkpoint_slots(cfg: ScenarioConfig) -> int:
+    """Entries of a member's checkpoint table: at most rows 0, every, 2
+    every, ... and the last."""
+    return (cfg.rows - 1) // cfg.checkpoint_every + 2
+
+
 def _held_bytes(cfg: ScenarioConfig) -> int:
     """Bytes a member of the CLI's batch holds: the full-length columns of
-    its ``RunSummary``, its buffer of _BLOCK_ROWS field pairs and the error
-    pairs of one block's checkpoints."""
+    its ``RunSummary``, its checkpoint table, its block of columns, its
+    buffer of _BLOCK_ROWS field pairs and the error pairs of one block's
+    checkpoints."""
     pending = min(_BLOCK_ROWS, _BLOCK_ROWS // cfg.checkpoint_every + 2)
     fields_held = (_BLOCK_ROWS + pending) * 2 * (cfg.grid_n + 1)
-    return 8 * (cfg.rows * diagnostics.RunSummary.COLUMNS + fields_held)
+    columns = cfg.rows * diagnostics.RunSummary.COLUMNS + _BLOCK_ROWS * len(_array_fields(Trace))
+    table = len(_CHECKPOINT_COLUMNS) * _checkpoint_slots(cfg)
+    return 8 * (columns + table + fields_held)
 
 
 def lockstep_batches(cfgs) -> list[list[int]]:
@@ -409,10 +420,8 @@ def simulate_batch(scenarios, logs=None):
     dxi = 1.0 / n
     members = []
     for j, (cfg, p) in enumerate(scenarios):
-        n_rows = cfg.rows
         log = _TraceLog(cfg) if logs is None else logs[j]
-        # at most rows 0, every, 2 every, ... and the last
-        shape = len(_CHECKPOINT_COLUMNS), (n_rows - 1) // cfg.checkpoint_every + 2
+        shape = len(_CHECKPOINT_COLUMNS), _checkpoint_slots(cfg)
         try:
             checkpoints = np.empty(shape)
         except MemoryError:
@@ -430,7 +439,7 @@ def simulate_batch(scenarios, logs=None):
                     cfg.c, cfg.sr, p.alpha, p.beta, *diagnostics.lyapunov_constants(cfg, p)
                 ),
                 s=cfg.s0,
-                last_row=n_rows - 1,
+                last_row=cfg.rows - 1,
                 feedback_row=0 if cfg.mode == "state_feedback" else 1,
                 domain_cap=cfg.domain_cap if cfg.domain_cap is not None else 2.0 * cfg.sr,
                 alpha_dt=p.alpha * dt,

@@ -119,9 +119,81 @@ def test_malformed_config_file_exits_2(tmp_path, capsys, command, edit, message)
 
 
 def test_parse_accepts_exactly_the_dataclass_fields():
-    keys = {k for group in (cli._REQUIRED, cli._OPTIONAL) for ks in group.values() for k in ks}
+    keys = {k for ks in cli._KEYS.values() for k in ks}
     names = {"lam" if k == "lambda" else k for k in keys}
     assert names == {f.name for f in fields(PhysicalParams) + fields(ScenarioConfig)}
+
+
+def test_schema_requires_every_key_but_two_in_file_order():
+    required = {
+        section: [key for key, (_, needed) in keys.items() if needed]
+        for section, keys in cli._KEYS.items()
+    }
+    assert required == {
+        "physical": ["rho", "cp", "k", "dh", "tm"],
+        "scenario": ["s0", "H", "Hhat", "c", "lambda", "sr", "mode"],
+        "numerics": ["grid_n", "dt", "t_end"],
+        "output": [],
+    }
+    optional = [key for keys in cli._KEYS.values() for key, (_, needed) in keys.items() if not needed]
+    assert optional == ["domain_cap", "checkpoint_every"]
+    # the bundled configs write every key in the schema's order
+    for name in ("zinc", "zinc_smoke"):
+        parser = configparser.ConfigParser()
+        parser.read(bundled_config(name))
+        assert {section: list(parser[section]) for section in parser.sections()} == {
+            section: [key.lower() for key in keys] for section, keys in cli._KEYS.items()
+        }
+
+
+# configs with two errors each: the edits of zinc_smoke's lines, and the one
+# message the CLI reports (the material first, then the values in file order)
+TWO_ERRORS = {
+    "rho_and_sr": (
+        {"rho = 6570": "rho = -1", "sr = 0.35": "sr = abc"},
+        "invalid config: rho must be strictly positive\n",
+    ),
+    "grid_n_and_mode": (
+        {"grid_n = 64": "grid_n = 6.5", "mode = output_feedback": "mode = nope"},
+        "invalid config: malformed value in config: invalid literal for int() with base 10: '6.5'\n",
+    ),
+    "lambda_and_dt": (
+        {"lambda = 0.001": "lambda = x", "dt = 0.1": "dt = -1"},
+        "invalid config: malformed value in config: could not convert string to float: 'x'\n",
+    ),
+}
+
+
+def _edited_smoke(tmp_path, edits):
+    """zinc_smoke's text with each of its lines in edits replaced."""
+    text = bundled_config("zinc_smoke").read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "edited.cfg"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("edits, message", TWO_ERRORS.values(), ids=TWO_ERRORS.keys())
+def test_config_with_two_errors_reports_the_first(tmp_path, capsys, command, edits, message):
+    config = _edited_smoke(tmp_path, edits)
+    out = tmp_path / "o"
+    argv = [command, str(config)] + (["--out-dir", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_keys_match_in_any_case(tmp_path, capsys, command):
+    config = _edited_smoke(tmp_path, {"Hhat = 1000": "HHAT = 1000", "lambda = 0.001": "Lambda = 0.001"})
+    assert parse_config(config) == parse_config(bundled_config("zinc_smoke"))
+    argv = [command, str(config)] + (["--out-dir", str(tmp_path / "o")] if command == "run" else [])
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -1,7 +1,9 @@
 """Closed-loop engine: loop ordering, logging, equivalence, failure modes."""
 
+import gc
 import itertools
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -558,6 +560,36 @@ def test_bound_solve_refuses_arrays_it_cannot_solve_in_place(dl, d, du, b):
         bind_dgtsv(dl, d, du, b)
 
 
+def test_deleted_workspace_leaves_no_reference_cycles():
+    """Reference counting alone frees a Workspace: its bound solves hold
+    their arrays' addresses as plain pointers."""
+    ring = np.zeros((_BLOCK_ROWS, 2, 1, 65))
+    gc.collect()
+    gc.disable()
+    try:
+        ws = Workspace(ring, 0.1)
+        assert ws.sample()
+        del ws
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_bound_solve_holds_the_arrays_it_solves():
+    n = 6
+    diagonals = np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0)
+    b = np.ones((n, 1), order="F")
+    held = [weakref.ref(a) for a in (*diagonals, b)]
+    solve = bind_dgtsv(*diagonals, b)
+    del diagonals, b
+    assert all(ref() is not None for ref in held)
+    assert solve() == 0
+    solved = held[-1]()[:, 0]
+    assert np.allclose(4.0 * solved - np.append(solved[1:], 0.0) - np.append(0.0, solved[:-1]), 1.0)
+    del solve, solved
+    assert all(ref() is None for ref in held)
+
+
 # a caller's error state that differs from numpy's default and from the
 # engine's quiet one
 CALLER_ERRSTATE = dict(divide="ignore", over="warn", under="ignore", invalid="warn")
@@ -605,12 +637,31 @@ def test_lockstep_batches_group_by_grid_within_the_budget(zinc):
 
 def test_lockstep_batches_split_the_benchmark_sweep_in_two():
     # 24 members shaped as the benchmark's sweep: each holds its summary's
-    # two kept columns and its ring, 149,696 B, so twenty fit the 3 MB budget
+    # two kept columns, its 12 x 102 checkpoint table, its 14 x 64 block of
+    # columns and its ring, 166,656 B, so eighteen fit the 3 MB budget
     bench = cfg_for(t_end=500.0, checkpoint_every=50)
-    assert runner._held_bytes(bench) == 5_001 * 2 * 8 + (64 + 3) * 2 * 65 * 8 == 149_696
+    assert runner._held_bytes(bench) == 8 * (
+        5_001 * 2 + 12 * 102 + 14 * 64 + (64 + 3) * 2 * 65
+    ) == 166_656
     batches = lockstep_batches([bench] * 24)
-    assert [len(batch) for batch in batches] == [20, 4]
+    assert [len(batch) for batch in batches] == [18, 6]
     assert sum(batches, []) == list(range(24))
+
+
+def test_held_bytes_count_a_checkpoint_at_every_row():
+    # at a stride of 1 the 5,002-entry checkpoint table is most of a member,
+    # and the budget takes four such members, not fourteen
+    every = cfg_for(t_end=500.0, checkpoint_every=1)
+    assert runner._held_bytes(every) == 8 * (
+        5_001 * 2 + 12 * 5_002 + 14 * 64 + (64 + 64) * 2 * 65
+    ) == 700_496
+    assert [len(batch) for batch in lockstep_batches([every] * 6)] == [4, 2]
+    # the table simulate_batch allocates is the one counted: a result's
+    # checkpoint columns are rows of it
+    for stride in (1, 7):
+        short = replace(every, t_end=5.0, checkpoint_every=stride)
+        ((_, res),) = simulate_batch([(short, P)])
+        assert res.checkpoints["t"].base.shape == (12, runner._checkpoint_slots(short))
 
 
 def test_lockstep_batch_refuses_mixed_grids():
