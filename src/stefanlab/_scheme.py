@@ -133,7 +133,9 @@ def block_row(extent, rate, qc, alpha_dt, cap, k, dxi) -> list:
     (clamped here to +-cap), its boundary heat flux and its constants: the
     matrix entries (-mu, 1 + 2*mu, -2*mu, 1, 0), the Neumann ghost-node term
     and the rate over the extent."""
-    mu = alpha_dt / (extent * extent * dxi * dxi)
+    # an extent whose square underflows takes mu = inf, which fails the solve
+    denominator = extent * extent * dxi * dxi
+    mu = alpha_dt / denominator if denominator else math.inf
     if rate > cap:
         rate = cap
     elif rate < -cap:

@@ -13,6 +13,7 @@ pass.  The whole-trace references the tests hold these to are in
 ``tests/oracles.py``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +56,14 @@ def lyapunov_constants(cfg: ScenarioConfig, p: PhysicalParams) -> tuple[float, f
     b       = min(alpha/(8*sr^2), c, 2*lam)
     d       = max(1, a*sr)   (any fixed positive weight works for monitoring)
 
-    with squares as float products, inf past the float range (``**`` raises).
+    with squares as float products, inf past the float range (``**`` raises),
+    and a quotient inf where its divisor underflows to 0.
     """
     alpha, beta, sr = p.alpha, p.beta, cfg.sr
-    p_const = cfg.c * alpha / (16.0 * beta * beta * sr)
+    p_divisor, b_divisor = 16.0 * beta * beta * sr, 8.0 * sr * sr
+    p_const = cfg.c * alpha / p_divisor if p_divisor else math.inf
     a = max(sr * sr, 16.0 * cfg.c * sr / alpha)
-    b = min(alpha / (8.0 * sr * sr), cfg.c, 2.0 * cfg.lam)
+    b = min(alpha / b_divisor if b_divisor else math.inf, cfg.c, 2.0 * cfg.lam)
     d = max(1.0, a * sr)
     return p_const, a, b, d
 

@@ -50,7 +50,9 @@ class PhysicalParams:
         for name in ("rho", "cp", "k", "dh"):
             if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"{name} must be strictly positive")
-        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
+        # alpha and beta divide by rho*cp and rho*dh, which may underflow to 0
+        divisors = self.rho * self.cp > 0.0 and self.rho * self.dh > 0.0
+        if not (divisors and 0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
             raise ConfigurationError("derived alpha and beta must be finite and positive")
 
     # computed once per instance: the engine reads both on every step
@@ -149,15 +151,18 @@ def lambda_upper_bound(cfg: ScenarioConfig, alpha: float) -> float:
     """
     if cfg.Hhat < cfg.H:
         raise ConfigurationError("Hhat must not be below H")
-    if cfg.Hhat == 0.0:
-        # H == Hhat == 0 by the check above; the shape factor degenerates to 1
-        return 4.0 * alpha / cfg.s0**2
-    return (4.0 * alpha / cfg.s0**2) * (1.0 - cfg.H / cfg.Hhat)
+    # H == Hhat == 0 by the check above degenerates the shape factor to 1
+    shape = 1.0 if cfg.Hhat == 0.0 else 1.0 - cfg.H / cfg.Hhat
+    # s0*s0, not s0**2, which raises past the float range
+    s0_sq = cfg.s0 * cfg.s0
+    if not (shape and s0_sq):
+        return math.inf if shape else 0.0
+    return (4.0 * alpha / s0_sq) * shape
 
 
 def setpoint_lower_bound(cfg: ScenarioConfig, alpha: float, beta: float) -> float:
     """Strict lower bound on the setpoint, s0 + beta*s0^2*Hhat/(2*alpha)."""
-    return cfg.s0 + beta * cfg.s0**2 * cfg.Hhat / (2.0 * alpha)
+    return cfg.s0 + beta * (cfg.s0 * cfg.s0) * cfg.Hhat / (2.0 * alpha)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ measurement (assimilation; a no-op on the normalized samples), the controller
 is evaluated on the assimilated observer state (or the true state in
 state-feedback mode), and then plant and observer advance over the same
 interval with the same heat flux, start-of-interval extent and interface
-rate (the plant's ``convection_rate``, the observer's measured rate).
-Because both systems share one discrete operator, a zero-gain observer
-started on the true profile reproduces the plant bit for bit, and the two
-feedback laws then produce identical traces.
+rate (the plant's ``convection_rate``, the observer's measured rate), and
+the interface takes its Stefan update (``advance_interface``).  Because
+both systems share one discrete operator, a zero-gain observer started on
+the true profile reproduces the plant bit for bit, and the two feedback
+laws then produce identical traces.
 
 Scenarios that share the grid and the time step advance in lockstep as one
 (2, B, N+1) stack, row 0 of each member its theta and row 1 its theta_hat;
@@ -71,9 +72,8 @@ import numpy as np
 from . import control, diagnostics, transforms
 from ._scheme import Workspace, block_row, edge_stencil, one_sided_edge_flux, stable_rate_cap
 from .errors import BlowUpError, ConfigurationError, NumericalError, _unallocatable
-from .observer import gain_sources, gain_term_count
 from .params import PhysicalParams, ScenarioConfig
-from .plant import advance_interface, convection_rate
+from .specfun import gain_sources, gain_term_count
 
 # Rows of (theta, theta_hat) buffered before their logged diagnostics are
 # computed in one pass: large enough to amortise the per-call cost of the
@@ -322,6 +322,41 @@ def initial_fields(cfg: ScenarioConfig) -> np.ndarray:
     rows = np.array([cfg.H * cfg.s0 * (1.0 - xi), cfg.Hhat * cfg.s0 * (1.0 - xi)])
     rows[:, -1] = 0.0
     return rows
+
+
+def convection_rate(
+    s: float, s_prev: float | None, edge_flux: float, dt: float, beta: float
+) -> float:
+    """The interface rate entering the convection term of plant and observer:
+    the backward difference (s - s_prev)/dt, or on the first step
+    -beta*u_x(s) from the plant field's edge flux d(theta)/d(xi) at xi = 1."""
+    if s_prev is None:
+        return -beta * (edge_flux / s)
+    return (s - s_prev) / dt
+
+
+def advance_interface(
+    s: float,
+    edge_flux: float,
+    t_new: float,
+    dt: float,
+    beta: float,
+    domain_cap: float | None = None,
+) -> float:
+    """Stefan update s+ = s + dt * (-beta) * u_x(s), where u_x(s) is the new
+    field's edge flux d(theta)/d(xi) at xi = 1 divided by the old extent s.
+
+    Raises BlowUpError if the interface collapses or reaches 95% of the
+    domain cap; t_new only labels the message.
+    """
+    s_new = s + dt * (-beta * (edge_flux / s))
+    if s_new <= 0.0:
+        raise BlowUpError(f"interface collapsed: s = {s_new:.6g} at t = {t_new:.6g}")
+    if domain_cap is not None and s_new >= 0.95 * domain_cap:
+        raise BlowUpError(
+            f"interface reached the domain cap: s = {s_new:.6g} at t = {t_new:.6g}"
+        )
+    return s_new
 
 
 def _checkpoint_slots(cfg: ScenarioConfig) -> int:

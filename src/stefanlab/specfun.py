@@ -15,14 +15,16 @@ J1r = sum_m (-1)^m a_m x^m, a product of the terms with a cached
 kernel rows (``kernel_rows``) take ``i1_ratio_terms``, which ends before
 the first term below _TERM_TOL of its partial sum, and sum both rows at
 once, per block of _BLOCK terms; past ``_FLOAT_SERIES_CAP`` the J1 row is
-scipy's j1(z)/z.  The observer gain (``observer.gain_sources``) forms its
-own terms, one cumulative product of the term ratios z2/(4m(m+1)) for all
-of a step's gains, and takes 31 + floor(sqrt(z2_max)) of them
-(``observer.gain_term_count``) against the powers of x = 1 - xi^2.  The
-reference evaluations the tests hold these to are in ``tests/oracles.py``.
+scipy's j1(z)/z.  The observer gain P1(x, s) = -lam*s*I1r at
+z2 = (lam/alpha)*(s^2 - x^2) (``gain_sources``) forms its own terms, one
+cumulative product of the term ratios z2/(4m(m+1)) for all of a step's
+gains, and takes 31 + floor(sqrt(z2_max)) of them (``gain_term_count``)
+against the cached powers of x = 1 - xi^2.  The reference evaluations the
+tests hold these to are in ``tests/oracles.py``.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +33,10 @@ from .errors import NumericalError
 # Up to here the float64 J1 sum loses about eps * I1(z)/z to cancellation,
 # 4.7e-10 at the cap.
 _FLOAT_SERIES_CAP = 400.0
+
+# Most terms of the gain series, and so rows of a power table, a gain may
+# take; (lam/alpha)*y^2 near 1.6e4 takes 157.
+_GAIN_MAX_ROWS = 400
 
 # Most terms a kernel grid's series may take; (lam/alpha)*s^2 near 1.6e4
 # takes about 120.
@@ -131,3 +137,43 @@ def kernel_rows(z2_max: float, powers: PowerTable, out: np.ndarray) -> np.ndarra
         rows *= table[0]
         rows += coef[:, j : j + _BLOCK] @ table[-_BLOCK:]
     return out
+
+
+@lru_cache(maxsize=8)
+def _weight_powers(n: int) -> PowerTable:
+    """The power table of w = max(1 - xi^2, 0) on the n-interval grid."""
+    xi = np.arange(n + 1) / n
+    return PowerTable(np.maximum(1.0 - xi * xi, 0.0))
+
+
+def gain_term_count(z2: float) -> int:
+    """Terms the gain series takes at (lam/alpha)*y^2 = z2: 31 + floor(sqrt(z2)).
+    Past term sqrt(z2) each term is below 1/4 of the last, so the rest sum to
+    under 2e-18 of the series (under 1e158 within 400 terms).  Raises
+    NumericalError past _GAIN_MAX_ROWS terms."""
+    if not z2 < (_GAIN_MAX_ROWS - 30) ** 2 or _GAIN_MAX_ROWS <= 30:
+        raise NumericalError(
+            f"gain series at (lam/alpha)*y^2 = {z2:.6g} needs more than {_GAIN_MAX_ROWS} terms"
+        )
+    return 31 + int(math.sqrt(z2))
+
+
+@lru_cache(maxsize=8)
+def _denominators(terms: int) -> np.ndarray:
+    """The term ratios' denominators 4m(m+1), m = 1, ..., terms - 1."""
+    return 4.0 * np.arange(1.0, terms) * np.arange(2.0, terms + 1)
+
+
+def gain_sources(z2: list, scales: list, counts: list, n: int, out: np.ndarray) -> None:
+    """out[g] = scales[g] * sum_m a_m w^m on the n-interval grid, w = 1 - xi^2,
+    a_m the first counts[g] terms of I1(sqrt(z))/sqrt(z) at z = z2[g]: one
+    cumulative-product term table for the batch, then one matvec per gain of
+    its own terms, so row g's bits depend on its own arguments only.  At
+    z = 0 and scale 0 the row is zero."""
+    table = np.empty((len(z2), max(counts)))
+    table[:, 0] = [0.5 * scale for scale in scales]
+    np.divide.outer(z2, _denominators(table.shape[1]), out=table[:, 1:])
+    np.multiply.accumulate(table, axis=1, out=table)
+    powers = _weight_powers(n)(table.shape[1])
+    for g, count in enumerate(counts):
+        np.dot(table[g, :count], powers[:count], out=out[g])

@@ -34,10 +34,9 @@ from stefanlab import diagnostics
 from stefanlab._scheme import Workspace, block_row, one_sided_edge_flux, stable_rate_cap
 from stefanlab.control import _trapz_integral, feedback_law, kernel_mass
 from stefanlab.errors import NumericalError
-from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import PhysicalParams, ScenarioConfig
-from stefanlab.plant import advance_interface, convection_rate
-from stefanlab.specfun import _FLOAT_SERIES_CAP, _j1_ratio_scipy
+from stefanlab.runner import advance_interface, convection_rate
+from stefanlab.specfun import _FLOAT_SERIES_CAP, _j1_ratio_scipy, gain_sources, gain_term_count
 
 # The scalar evaluators refuse arguments beyond this; past it the exact J1
 # sum stops too early (at z2 = 1e5 it returns 9.0e60 for 1.4e-4).

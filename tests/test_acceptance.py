@@ -14,13 +14,12 @@ import numpy as np
 from stefanlab import transforms
 from stefanlab.cli import bundled_config, main
 from stefanlab.diagnostics import lyapunov_constants
-from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import (
     lambda_upper_bound,
     setpoint_lower_bound,
     validate_scenario,
 )
-from stefanlab.specfun import i1_ratio_terms
+from stefanlab.specfun import gain_sources, gain_term_count, i1_ratio_terms
 
 from oracles import fit_decay_rate, oracle_ratio
 

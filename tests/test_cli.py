@@ -3,6 +3,7 @@
 import concurrent.futures
 import configparser
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stefanlab import RunSummary, _scheme, cli, diagnostics, observer, runner, transforms
+from stefanlab import RunSummary, _scheme, cli, diagnostics, runner, specfun, transforms
 from stefanlab.cli import (
     _CSV_CHUNK_ROWS,
     bundled_config,
@@ -72,6 +73,24 @@ def test_parse_rejects_unknown_key(tmp_path):
     path = _tweaked_config(tmp_path)
     path.write_text(path.read_text() + "\nextra_knob = 1\n")
     with pytest.raises(ConfigurationError, match="extra_knob"):
+        parse_config(path)
+
+
+def test_parse_rejects_missing_section(tmp_path):
+    parser = configparser.ConfigParser()
+    parser.read(bundled_config("zinc_smoke"))
+    parser.remove_section("numerics")
+    path = tmp_path / "no_numerics.cfg"
+    with open(path, "w") as fh:
+        parser.write(fh)
+    with pytest.raises(ConfigurationError, match=r"^missing section \[numerics\]$"):
+        parse_config(path)
+
+
+def test_parse_rejects_unknown_section(tmp_path):
+    path = _tweaked_config(tmp_path)
+    path.write_text(path.read_text() + "\n[extra]\nknob = 1\n")
+    with pytest.raises(ConfigurationError, match=r"^unknown section \[extra\]$"):
         parse_config(path)
 
 
@@ -264,6 +283,16 @@ def test_sweep_jobs_below_1_exits_2(tmp_path, capsys, monkeypatch, jobs):
     assert not out.exists()
 
 
+def test_sweep_jobs_not_an_integer_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_sweep", lambda *args: pytest.fail("the sweep started"))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(bundled_config("zinc_smoke")), "--out-dir", str(out), "--jobs", "two"])
+    assert exc.value.code == 2
+    assert "argument --jobs: invalid int value: 'two'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_smoke_scenario(tmp_path):
     out = tmp_path / "out"
     code = main(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)])
@@ -429,7 +458,7 @@ def test_run_diverging_observer_exits_3_with_inf_error_norms(tmp_path, capsys):
 
 
 def test_run_gain_beyond_table_limit_exits_3(tmp_path, monkeypatch):
-    monkeypatch.setattr(observer, "_GAIN_MAX_ROWS", 3)
+    monkeypatch.setattr(specfun, "_GAIN_MAX_ROWS", 3)
     out = tmp_path / "o"
     assert main(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)]) == 3
     assert read_csv(out / "trace.csv")["t"].size == 1
@@ -457,6 +486,47 @@ def _python(script):
         [sys.executable, "-W", "error", "-c", script],
         capture_output=True, text=True, env=env, check=True,
     )
+
+
+def _extreme_s0_config(tmp_path, s0):
+    """zinc_smoke at s0; past 1 with sr = 1e300 and no domain_cap."""
+    name = f"s0_{s0}.cfg"
+    if float(s0) < 1.0:
+        return _tweaked_config(tmp_path, {("scenario", "s0"): s0}, name=name)
+    path = _tweaked_config(tmp_path, {("scenario", "s0"): s0, ("scenario", "sr"): "1e300"}, name=name)
+    path.write_text(path.read_text().replace("domain_cap = 0.7\n", ""))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, s0, code",
+    [("validate", "1e200", 2), ("validate", "1e-200", 0), ("run", "1e-160", 3), ("run", "1e-200", 3)],
+)
+def test_extreme_s0_exits_with_a_code_not_a_traceback(tmp_path, capsys, command, s0, code):
+    """An s0 whose square overflows or underflows: validate reports its
+    bounds, and an admitted s0 too small for the step's matrix (its square
+    times dxi^2 underflows) stops the run at its first step with exit 3."""
+    args = [command, str(_extreme_s0_config(tmp_path, s0))]
+    if command == "run":
+        args += ["--out-dir", str(tmp_path / "o")]
+    assert main(args) == code
+    out, err = capsys.readouterr()
+    if command == "validate":
+        assert out.endswith(f"validation: {'PASS' if code == 0 else 'FAIL'}\n")
+        assert ("setpoint_bound: FAIL  value=1e+300  bound=inf" in out) == (code == 2)
+    else:
+        assert err == "run aborted: temperature field became non-finite\n"
+        assert "completed = False" in (tmp_path / "o" / "summary.txt").read_text()
+
+
+def test_sweep_with_an_unsteppable_s0_still_runs_the_other_grid(tmp_path, capsys):
+    tiny = _extreme_s0_config(tmp_path, "1e-160")
+    other = _tweaked_config(tmp_path, {("numerics", "grid_n"): "32", ("numerics", "t_end"): "5"}, name="other.cfg")
+    out = tmp_path / "o"
+    assert main(["sweep", str(tiny), str(other), "--out-dir", str(out), "--jobs", "1"]) == 3
+    assert "completed = False" in (out / tiny.stem / "summary.txt").read_text()
+    assert "completed = True" in (out / "other" / "summary.txt").read_text()
+    assert read_csv(out / "other" / "trace.csv")["t"].size == 51
 
 
 def test_smoke_run_does_not_load_scipy_special(tmp_path):
@@ -668,6 +738,19 @@ def test_compare_reads_a_hash_line_as_a_malformed_row(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(["compare", str(tmp_path / "good.csv"), str(tmp_path / "note.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"compare failed: malformed trace file: {tmp_path / 'note.csv'}")
+
+
+def test_read_csv_refuses_an_empty_file(tmp_path):
+    (tmp_path / "empty.csv").write_text("")
+    with pytest.raises(ConfigurationError, match=f"^empty trace file: {re.escape(str(tmp_path))}"):
+        read_csv(tmp_path / "empty.csv")
+
+
+def test_read_csv_refuses_rows_wider_than_the_header(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text("t,s\n1,2,3\n4,5,6\n")
+    with pytest.raises(ConfigurationError, match=f"^malformed trace file: {re.escape(str(path))}$"):
+        read_csv(path)
 
 
 def test_csv_roundtrip_preserves_floats(tmp_path):

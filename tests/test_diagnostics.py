@@ -86,6 +86,16 @@ def test_lyapunov_constants_past_the_float_range_are_inf():
     assert sample.Vtot == sample.V == np.inf
 
 
+def test_lyapunov_constants_whose_divisors_underflow_are_inf():
+    """sr^2 underflows at sr = 1e-170 and beta^2 at dh = 1e300, both in
+    scenarios validate admits: b is then min(c, 2*lam) and p_const inf, not
+    a ZeroDivisionError."""
+    cfg = cfg_for(s0=1e-200, sr=1e-170)
+    assert lyapunov_constants(cfg, P)[2] == min(cfg.c, 2.0 * cfg.lam)
+    melt = PhysicalParams(rho=6570.0, cp=389.5687, k=116.0, dh=1e300, tm=692.68)
+    assert lyapunov_constants(cfg_for(), melt)[0] == np.inf
+
+
 def test_stacked_h1_norms_equal_one_field_calls():
     """_lyapunov_rows takes both of its norms in one stacked call: each
     row's bits are those of its own call."""

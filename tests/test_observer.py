@@ -6,10 +6,9 @@ import pytest
 from stefanlab._scheme import one_sided_edge_flux
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.errors import NumericalError
-from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import PhysicalParams, ScenarioConfig
-from stefanlab.plant import convection_rate
-from stefanlab.runner import initial_fields, simulate
+from stefanlab.runner import convection_rate, initial_fields, simulate
+from stefanlab.specfun import gain_sources, gain_term_count
 
 from oracles import (
     ObserverState,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from stefanlab.errors import ConfigurationError
@@ -198,3 +198,33 @@ def test_bounds_well_ordered_for_valid_configs(s0, H, ratio, alpha, beta):
     cfg = scenario(s0=s0, H=H, Hhat=max(H * ratio, 1e-6), sr=10 * s0)
     assert lambda_upper_bound(cfg, alpha) > 0.0
     assert setpoint_lower_bound(cfg, alpha, beta) > s0
+
+
+# a positive float log-uniform over 1e-300 to 1e300
+LOG_UNIFORM = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0**e)
+
+
+@given(
+    s0=LOG_UNIFORM, H=LOG_UNIFORM, Hhat=LOG_UNIFORM, c=LOG_UNIFORM, lam=LOG_UNIFORM,
+    sr=LOG_UNIFORM, rho=LOG_UNIFORM, cp=LOG_UNIFORM, k=LOG_UNIFORM, dh=LOG_UNIFORM,
+)
+# squares of s0 that overflow and underflow, and rho*cp that underflows
+@example(s0=1e200, H=100.0, Hhat=1e3, c=1e-3, lam=1e-3, sr=1e300, rho=6570.0, cp=389.5687, k=116.0, dh=111.961)
+@example(s0=1e-200, H=100.0, Hhat=1e3, c=1e-3, lam=1e-3, sr=0.35, rho=6570.0, cp=389.5687, k=116.0, dh=111.961)
+@example(s0=1e-200, H=1e3, Hhat=1e3, c=1e-3, lam=0.0, sr=0.35, rho=6570.0, cp=389.5687, k=116.0, dh=111.961)
+@example(s0=0.01, H=100.0, Hhat=1e3, c=1e-3, lam=1e-3, sr=0.35, rho=1e-300, cp=1e-300, k=1e-300, dh=1.0)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_validate_scenario_never_raises(s0, H, Hhat, c, lam, sr, rho, cp, k, dh):
+    """Over the whole float range a material either constructs or is refused
+    with a ConfigurationError, and every structurally valid scenario gets a
+    report of all four checks (a bound past the float range is inf)."""
+    try:
+        p = PhysicalParams(rho=rho, cp=cp, k=k, dh=dh, tm=0.0)
+    except ConfigurationError:
+        reject()  # alpha or beta outside the float range
+    cfg = scenario(s0=s0, H=H, Hhat=Hhat, c=c, lam=lam, sr=sr)
+    report = validate_scenario(cfg, p)
+    assert [check.name for check in report.checks] == [
+        "initial_estimate_shape", "gain_margin", "lambda_bound", "setpoint_bound"
+    ]
+    assert report.format().endswith(("PASS", "FAIL"))

@@ -9,16 +9,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stefanlab import observer, runner, specfun, transforms
+from stefanlab import runner, specfun, transforms
 from stefanlab._scheme import Workspace, bind_dgtsv, block_row, one_sided_edge_flux, stable_rate_cap
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.control import field_energy
 from stefanlab.diagnostics import h1_norm_sq
 from stefanlab.errors import BlowUpError, ConfigurationError, NumericalError
-from stefanlab.observer import gain_sources, gain_term_count
 from stefanlab.params import PhysicalParams, ScenarioConfig, lambda_upper_bound
-from stefanlab.plant import convection_rate
-from stefanlab.runner import _BLOCK_ROWS, initial_fields, lockstep_batches, simulate, simulate_batch
+from stefanlab.runner import (
+    _BLOCK_ROWS,
+    convection_rate,
+    initial_fields,
+    lockstep_batches,
+    simulate,
+    simulate_batch,
+)
+from stefanlab.specfun import gain_sources, gain_term_count
 from stefanlab.transforms import (
     apply_direct,
     apply_inverse,
@@ -127,7 +133,7 @@ def test_blow_up_reports_partial_trace():
 
 def test_gain_beyond_table_limit_reports_partial_trace(monkeypatch):
     # every gain series takes at least 31 terms
-    monkeypatch.setattr(observer, "_GAIN_MAX_ROWS", 3)
+    monkeypatch.setattr(specfun, "_GAIN_MAX_ROWS", 3)
     res = simulate(cfg_for(), P)
     assert not res.completed
     assert "needs more than 3 terms" in res.failure
@@ -141,11 +147,11 @@ def test_gain_cap_stops_one_batch_member_mid_run(monkeypatch):
     cfgs = [cfg_for(lam=1.0), cfg_for(lam=0.001), cfg_for(lam=0.0), cfg_for(mode="state_feedback")]
     lam_alpha = cfgs[0].lam / P.alpha
     s = simulate(cfgs[0], P).trace.s
-    counts = [observer.gain_term_count(lam_alpha * y * y) for y in s]
+    counts = [specfun.gain_term_count(lam_alpha * y * y) for y in s]
     cap = counts[40]
     row = next(i for i, count in enumerate(counts) if count > cap)
     assert row == 158
-    monkeypatch.setattr(observer, "_GAIN_MAX_ROWS", cap)
+    monkeypatch.setattr(specfun, "_GAIN_MAX_ROWS", cap)
     alone = [simulate(cfg, P) for cfg in cfgs]
     z2 = lam_alpha * s[row] * s[row]
     assert alone[0].failure == f"gain series at (lam/alpha)*y^2 = {z2:.6g} needs more than {cap} terms"
@@ -558,6 +564,25 @@ def test_workspace_refuses_a_ring_it_cannot_solve_in_place():
 def test_bound_solve_refuses_arrays_it_cannot_solve_in_place(dl, d, du, b):
     with pytest.raises(ValueError, match="solves in place"):
         bind_dgtsv(dl, d, du, b)
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_singular_step_table_row_fails_its_block_with_dgtsv_info(blocks):
+    """An all-zero row of the step table leaves its block a zero pivot, which
+    dgtsv reports as info > 0: alone, and after the per-block re-solve of a
+    batch, where only that block fails and the others step."""
+    n = 16
+    ring = np.zeros((2, 2, blocks, n + 1))
+    ring[0] = initial_fields(cfg_for(grid_n=n))[:, np.newaxis]
+    ws = Workspace(ring, 0.1)
+    ws.entries[:] = block_row(0.01, 0.0, 50.0, P.alpha * 0.1, 1.0, P.k, 1.0 / n) * blocks
+    ws.table[-1] = 0.0
+    ws.source[:] = 0.0
+    failed = ws.step()
+    assert list(failed) == [blocks - 1]
+    message, info = failed[blocks - 1].split(" = ")
+    assert message == "tridiagonal solve failed: dgtsv info" and int(info) > 0
+    assert np.isfinite(ws.fields[:, : blocks - 1]).all()
 
 
 def test_deleted_workspace_leaves_no_reference_cycles():
