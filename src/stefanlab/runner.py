@@ -32,12 +32,12 @@ series at argument 0 and scale 0, so its observer's source row is zero.
 Members leave at one point of a step, after the per-member pass, with their
 final fields read from their newest row.
 
-The steps run with overflow and invalid operations ignored, so that a
-diverging field fails its step without a warning.  That error state is
-entered once per stretch of steps and left for what runs diagnostics or
-yields: a checkpoint's error pair, the flush and a departure.  What
-it covers besides ``gain_sources`` and ``Workspace.step`` is the member
-pass's Python-float arithmetic, which numpy's error state does not touch.
+The engine's own work runs with overflow and invalid operations ignored:
+the steps, where a diverging field fails its step without a warning, and
+the checkpoints' error pairs and the flush's columns and stacked pass,
+which log a value past the float range as inf or NaN.  That one error state
+is entered before row 0 and left only where control passes to caller code:
+before the logs' ``write`` and ``trace`` calls and a yield, and in finally.
 
 Each member's per-step columns live in a block of _BLOCK_ROWS rows too.
 Every row leaves a member at one point of a step, the flush after the
@@ -213,18 +213,17 @@ def _log_block(cols: dict, block: np.ndarray, cfg: ScenarioConfig, p: PhysicalPa
     rows = slice(0, block.shape[0])
     s = cols["s"][rows]
     theta, theta_hat = block[:, 0], block[:, 1]
-    with np.errstate(over="ignore"):
-        u_err = theta - theta_hat
-        flux = one_sided_edge_flux(block, 1.0 / cfg.grid_n)
-        cols["T0"][rows] = p.tm + theta[:, 0]
-        cols["That0"][rows] = p.tm + theta_hat[:, 0]
-        cols["Ttilde0"][rows] = theta[:, 0] - theta_hat[:, 0]
-        cols["h1_u"][rows] = diagnostics.h1_norm_sq(theta, s)
-        cols["h1_err"][rows] = diagnostics.h1_norm_sq(u_err, s)
-        cols["energy"][rows] = control.field_energy(theta, s, p)
-        cols["utilde_x_s"][rows] = flux[:, 0] / s - flux[:, 1] / s
-        cols["theta_min"][rows] = theta.min(axis=-1)
-        cols["utilde_max"][rows] = u_err.max(axis=-1)
+    u_err = theta - theta_hat
+    flux = one_sided_edge_flux(block, 1.0 / cfg.grid_n)
+    cols["T0"][rows] = p.tm + theta[:, 0]
+    cols["That0"][rows] = p.tm + theta_hat[:, 0]
+    cols["Ttilde0"][rows] = theta[:, 0] - theta_hat[:, 0]
+    cols["h1_u"][rows] = diagnostics.h1_norm_sq(theta, s)
+    cols["h1_err"][rows] = diagnostics.h1_norm_sq(u_err, s)
+    cols["energy"][rows] = control.field_energy(theta, s, p)
+    cols["utilde_x_s"][rows] = flux[:, 0] / s - flux[:, 1] / s
+    cols["theta_min"][rows] = theta.min(axis=-1)
+    cols["utilde_max"][rows] = u_err.max(axis=-1)
 
 
 class _TraceLog:
@@ -298,16 +297,17 @@ class _Member:
         )
 
 
-def _flush(flushing, block: np.ndarray) -> None:
+def _flush(flushing, block: np.ndarray, quiet) -> None:
     """Hand each member's rows not yet flushed to its log, complete:
     flushing holds (j, member, rows logged) with j the member's place in
-    the ring `block`.  First each member's per-step columns, then one
-    stacked pass over every member's pending checkpoints, then each
-    member's rows to its log; the blocks' Lyapunov columns are then cleared
-    for the next."""
+    the ring `block`.  Within the run's `quiet` stretch, each member's
+    per-step columns, then one stacked pass over every member's pending
+    checkpoints; it leaves the stretch before each member's rows go to its
+    log, and the blocks' Lyapunov columns are then cleared for the next."""
     for j, m, rows in flushing:
         _log_block(m.cols, block[: rows - m.flushed, :, j], m.cfg, m.p)
     _log_checkpoints([(j, m) for j, m, _ in flushing], block)
+    quiet.leave()
     for _, m, rows in flushing:
         m.log.write(_trace_of(m.cols, rows - m.flushed, m.cfg))
         m.flushed = rows
@@ -399,10 +399,10 @@ def lockstep_batches(cfgs) -> list[list[int]]:
 
 
 class _Quiet:
-    """np.errstate(over="ignore", invalid="ignore") held over a stretch of
-    steps: ``enter`` starts a stretch unless one is open, ``leave`` ends the
+    """np.errstate(over="ignore", invalid="ignore") held over the engine's
+    work: ``enter`` starts a stretch unless one is open, ``leave`` ends the
     open one.  Both run within one resumption of a generator, which leaves
-    before it yields, so the consumer never sees the quiet state."""
+    before caller code runs: a log's ``write`` or ``trace``, or a yield."""
 
     __slots__ = ("state",)
 
@@ -445,7 +445,8 @@ def simulate_batch(scenarios, logs=None):
     reuses, and its ``trace()``, called when the member leaves, gives the
     result's trace (None from a log that keeps none, as ``RunSummary``).
     A step's flush writes to the logs of all the members it takes before
-    any of them is yielded.
+    any of them is yielded.  The logs and the consumer run under the
+    caller's numpy error state; the batch's own work runs under its own.
     """
     scenarios = list(scenarios)
     grids = {(cfg.grid_n, cfg.dt) for cfg, _ in scenarios}
@@ -498,11 +499,12 @@ def simulate_batch(scenarios, logs=None):
     except MemoryError:
         msg = f"grid_n is too large: a batch's buffers on {n} grid intervals cannot be allocated"
         raise ConfigurationError(msg) from None
-    ws.sample()
     quiet = _Quiet()
     failed = {}
     i = 0
     try:
+        quiet.enter()
+        ws.sample()
         while True:
             t = i * dt
             rows = i + 1
@@ -540,7 +542,6 @@ def simulate_batch(scenarios, logs=None):
                 cols["qc"][at] = qc
                 try:
                     if i % cfg.checkpoint_every == 0 or i == m.last_row:
-                        quiet.leave()
                         pair = _error_pair(*block[ws.now, :, j], y, m.lam, m.p.alpha)
                         m.pending.append((i, t, y, *pair))
                     if i == m.last_row:
@@ -568,8 +569,7 @@ def simulate_batch(scenarios, logs=None):
                     if logged > m.flushed:
                         flushing.append((j, m, logged))
                 if flushing:
-                    quiet.leave()
-                    _flush(flushing, block)
+                    _flush(flushing, block, quiet)
             if leaving:
                 quiet.leave()
                 left = [
@@ -586,7 +586,7 @@ def simulate_batch(scenarios, logs=None):
                 block = block.take(stepping, axis=2)  # C-contiguous, as the ring must be
                 ws = Workspace(block, dt, ws.now)
                 yield from left
-            # a diverging field fails the step, with no floating-point warning
+            # back in the stretch that a flush or a departure left for caller code
             quiet.enter()
             gain_sources(z2s, scales, counts, n, ws.source)
             ws.entries[:] = table

@@ -519,6 +519,42 @@ def test_extreme_s0_exits_with_a_code_not_a_traceback(tmp_path, capsys, command,
         assert "completed = False" in (tmp_path / "o" / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "section, key, value, code, failure",
+    [
+        ("physical", "dh", "1e200", 0, None),
+        ("physical", "dh", "1e300", 0, None),
+        ("scenario", "c", "1e300", 3, "interface reached the domain cap"),
+        ("physical", "k", "1e100", 3, "interface collapsed"),
+        ("physical", "rho", "1e-300", 3, "interface collapsed"),
+        ("scenario", "H", "0", 0, None),
+        ("physical", "tm", "1e308", 0, None),
+        ("physical", "tm", "-1e308", 0, None),
+    ],
+    ids=["dh_1e200", "dh_1e300", "c_1e300", "k_1e100", "rho_1e-300", "H_0", "tm_1e308", "tm_-1e308"],
+)
+def test_admitted_extremes_exit_with_a_code_not_a_warning(
+    tmp_path, capsys, section, key, value, code, failure
+):
+    """zinc_smoke with one admitted extreme: a tiny beta (dh) or a huge c
+    overflows the controller pair of a checkpoint, which the engine logs
+    as inf without a warning; the run ends in its claims or a typed exit."""
+    path = _tweaked_config(tmp_path, {(section, key): value})
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "o")]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    if failure is None:
+        assert err == ""
+    else:
+        assert err.startswith(f"run aborted: {failure}: s = ") and err.count("\n") == 1
+    summary = (tmp_path / "o" / "summary.txt").read_text()
+    assert f"completed = {failure is None}" in summary
+
+
 def test_sweep_with_an_unsteppable_s0_still_runs_the_other_grid(tmp_path, capsys):
     tiny = _extreme_s0_config(tmp_path, "1e-160")
     other = _tweaked_config(tmp_path, {("numerics", "grid_n"): "32", ("numerics", "t_end"): "5"}, name="other.cfg")

@@ -1,7 +1,7 @@
 """The package's public names, the README's library example, the test
 oracles' absence from the package, the package's lack of unused definitions
-and exports, and the suite's warning policy: every warning is an error, with
-no "ignore" filter in tests/."""
+and exports, the runner's one numpy error state, and the suite's warning
+policy: every warning is an error, with no "ignore" filter in tests/."""
 
 import ast
 import importlib
@@ -212,3 +212,38 @@ def test_no_test_module_ignores_warnings():
     found = {path.name: ignore_filters(path.read_text()) for path in sorted(TESTS.rglob("*.py"))}
     assert len(found) > 10
     assert not any(found.values()), {name: lines for name, lines in found.items() if lines}
+
+
+def errstate_owners(source: str) -> list[str]:
+    """The top-level definitions of `source` that set numpy's error state,
+    one entry per ``errstate`` or ``seterr`` call, "<module>" for a
+    statement that defines no name."""
+    return sorted(
+        getattr(node, "name", "<module>")
+        for node in ast.parse(source).body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "attr", getattr(call.func, "id", None)) in ("errstate", "seterr")
+    )
+
+
+def test_errstate_detector_finds_each_form():
+    sample = """
+import numpy as np
+from numpy import errstate
+np.seterr(over="ignore")
+@np.errstate(invalid="ignore")
+def f(): pass
+class C:
+    def g(self):
+        with errstate(over="ignore"):
+            pass
+"""
+    assert errstate_owners(sample) == ["<module>", "C", "f"]
+
+
+def test_runner_sets_the_error_state_only_in_quiet():
+    """The engine holds one numpy error state over its own work, _Quiet's
+    stretch: no other block of runner opens one, so nothing it runs falls
+    between two partial states."""
+    assert errstate_owners(Path(runner.__file__).read_text()) == ["_Quiet"]

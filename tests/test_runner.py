@@ -620,6 +620,22 @@ def test_bound_solve_holds_the_arrays_it_solves():
 CALLER_ERRSTATE = dict(divide="ignore", over="warn", under="ignore", invalid="warn")
 
 
+class _ErrstateLog(runner._TraceLog):
+    """The default log, recording numpy's error state at each call."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.seen = []
+
+    def write(self, block):
+        self.seen.append(np.geterr())
+        super().write(block)
+
+    def trace(self):
+        self.seen.append(np.geterr())
+        return super().trace()
+
+
 # members that leave with 1, 1, 44 and 201 rows, the first three on failures
 # off their checkpoint rows
 APART = {"blow_up": 1, "solve_fails": 1, "blow_up_mid_block": 44, "output_feedback": 201}
@@ -636,11 +652,14 @@ APART = {"blow_up": 1, "solve_fails": 1, "blow_up_mid_block": 44, "output_feedba
     ids=["completes", "blow_up_mid_block", "members_leave_apart", "closed_after_first"],
 )
 def test_consumer_sees_its_own_error_state(cases, close):
-    """simulate_batch quiets overflow and invalid operations over its steps,
-    but its consumer sees the error state it set at every result, after the
-    last and after closing the generator early."""
+    """simulate_batch quiets overflow and invalid operations over its own
+    work, but its logs' write and trace calls and its consumer see the error
+    state the caller set: at every result, after the last and after closing
+    the generator early."""
     over = {**REFERENCE_CASES, "blow_up_mid_block": dict(c=100.0)}
-    batch = simulate_batch([(cfg_for(**over[name]), P) for name in cases])
+    cfgs = [cfg_for(**over[name]) for name in cases]
+    logs = [_ErrstateLog(cfg) for cfg in cfgs]
+    batch = simulate_batch([(cfg, P) for cfg in cfgs], logs)
     rows = {}
     with np.errstate(**CALLER_ERRSTATE):
         for j, res in batch:
@@ -650,6 +669,11 @@ def test_consumer_sees_its_own_error_state(cases, close):
                 batch.close()
         assert np.geterr() == CALLER_ERRSTATE
     assert rows == ({"blow_up": 1} if close else {name: APART[name] for name in cases})
+    # a write per block of rows begun, and a trace per result
+    for name, log in zip(cases, logs):
+        if name in rows:
+            assert len(log.seen) == -(-rows[name] // _BLOCK_ROWS) + 1
+        assert all(state == CALLER_ERRSTATE for state in log.seen), name
 
 
 def test_lockstep_batches_group_by_grid_within_the_budget(zinc):
