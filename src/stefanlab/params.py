@@ -212,7 +212,7 @@ def validate_scenario(cfg: ScenarioConfig, p: PhysicalParams) -> ValidationRepor
     checks = []
     alpha, beta = p.alpha, p.beta
 
-    shape_ok = cfg.Hhat > 0.0 and cfg.H >= 0.0
+    shape_ok = cfg.Hhat > 0.0
     checks.append(
         RestrictionCheck(
             name="initial_estimate_shape",

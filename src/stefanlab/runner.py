@@ -34,34 +34,34 @@ final fields read from their newest row.
 
 The engine's own work runs with overflow and invalid operations ignored:
 the steps, where a diverging field fails its step without a warning, and
-the checkpoints' error pairs and the flush's columns and stacked pass,
-which log a value past the float range as inf or NaN.  That one error state
-is entered before row 0 and left only where control passes to caller code:
-before the logs' ``write`` and ``trace`` calls and a yield, and in finally.
+the flush's columns and checkpoints, which log a value past the float range
+as inf or NaN.  That one error state is entered before row 0 and left only
+where control passes to caller code: before the logs' ``write`` and
+``trace`` calls and a yield, and in finally.
 
 Each member's per-step columns live in a block of _BLOCK_ROWS rows too.
 Every row leaves a member at one point of a step, the flush after the
 member pass, which takes every member that logged its block's last row and
 every member leaving with rows not yet flushed: it fills each one's per-step
-columns, logs all their pending checkpoints in one stacked pass and hands
-each one's rows to its log, as a ``Trace`` of views that stay valid only
-for that call.  The default log, ``_TraceLog``, copies every block into
+columns, logs all their pending checkpoints and hands each one's rows to
+its log, as a ``Trace`` of views that stay valid only for that call.  The default log, ``_TraceLog``, copies every block into
 full-length columns, so ``simulate`` and ``simulate_batch`` return the whole
 trace.  The CLI's log folds each block into a ``diagnostics.RunSummary``,
 two full-length columns (h1_err and the qc-ODE residual) and no trace, and
 writes the block to trace.csv.
 
-A checkpoint's Bessel error pair (``apply_inverse`` for w_err, then the
-``apply_direct`` round trip) runs at the checkpoint's own row: each extent
-has its own kernel rows, 183 KB at N = 200, and a kernel series that fails
-must stop the member at that row.  The row keeps w_err and the round-trip
-error until it is logged.  The rest of the checkpoint (the controller pair,
-the Lyapunov sample, the sup norms) needs only the buffered fields, so at a
-flush it is formed for the pending checkpoints of every member flushed in
-one stacked pass, each row with its own member's c, sr, material and
-Lyapunov constants: the arithmetic is row by row, so every row keeps the
-bits of its member's own run, and a batch pays the numpy per-call cost of
-the pass once per flush, not once per member.
+A checkpoint is formed at the flush: its row only records its index, once
+its Bessel kernel series sums at (lam/alpha)*s^2 by the term function and
+cap of the flush's kernel rows, so a series that fails stops the member at
+that row and one that sums there sums at the flush too.  There the Bessel
+error pair (``apply_inverse`` for w_err, then the ``apply_direct`` round
+trip) runs one checkpoint at a time, on its extent's own kernel rows (183 KB
+at N = 200), and the rest (the controller pair, the Lyapunov sample, the
+sup norms) for the pending checkpoints of every member flushed in one
+stacked pass, each row with its own member's c, sr, material and Lyapunov
+constants: the arithmetic is row by row, so every row keeps the bits of its
+member's own run, and a batch pays the numpy per-call cost of the pass once
+per flush, not once per member.
 """
 
 from dataclasses import dataclass, field, fields
@@ -69,11 +69,10 @@ from functools import cache
 
 import numpy as np
 
-from . import control, diagnostics, transforms
+from . import control, diagnostics, specfun, transforms
 from ._scheme import Workspace, block_row, edge_stencil, one_sided_edge_flux, stable_rate_cap
 from .errors import BlowUpError, ConfigurationError, NumericalError, _unallocatable
 from .params import PhysicalParams, ScenarioConfig
-from .specfun import gain_sources, gain_term_count
 
 # Rows of (theta, theta_hat) buffered before their logged diagnostics are
 # computed in one pass: large enough to amortise the per-call cost of the
@@ -82,11 +81,11 @@ _BLOCK_ROWS = 64
 
 # Bytes of kept columns, checkpoint tables and field buffers one lockstep
 # batch of the CLI may hold: eighteen 5,001-row members on a 64-interval grid
-# that log every 50th row hold 3.00 MB (166,656 B each: two summary columns,
-# the checkpoint table, the block of columns and the field buffers); a
+# that log every 50th row hold 2.94 MB (163,536 B each: two summary columns,
+# the checkpoint table, the block of columns and the field buffer); a
 # 90,001-row member on a 200-interval grid holds 1.70 MB.  So the bound, not
 # a sweep's length, sets what a sweep holds: 1,000 such members in one batch
-# would hold 167 MB.
+# would hold 164 MB.
 _BATCH_BYTES = 3_000_000
 
 
@@ -117,7 +116,6 @@ class Trace:
     dt: float
     grid_n: int
     sr: float
-    mode: str
 
     def columns(self, constraints=None) -> dict:
         """Column name -> array in CSV order: the logged arrays, then the
@@ -137,7 +135,6 @@ def _trace_of(cols: dict, rows: int, cfg: ScenarioConfig) -> Trace:
         dt=cfg.dt,
         grid_n=cfg.grid_n,
         sr=cfg.sr,
-        mode=cfg.mode,
     )
 
 
@@ -161,39 +158,35 @@ _CHECKPOINT_COLUMNS = (
 )
 
 
-def _error_pair(theta, theta_hat, y, lam, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """A checkpoint's work at its own row: w_err = apply_inverse(theta -
-    theta_hat) and the round-trip error apply_direct(w_err) - (theta -
-    theta_hat).  Raises NumericalError if a kernel series fails."""
-    u_err = theta - theta_hat
-    w_err = transforms.apply_inverse(u_err, y, lam, alpha)
-    return w_err, transforms.apply_direct(w_err, y, lam, alpha) - u_err
-
-
 def _log_checkpoints(flushing, block: np.ndarray) -> None:
     """Log the pending checkpoints of the members in flushing, (j, member)
-    pairs with j the member's place in the ring `block`, in one stacked
-    pass: their entries of each member's checkpoint table and their V and
-    Vtot columns.  A pending checkpoint is a (row, t, s, w_err, round-trip
-    error) of the current block, whose (theta, theta_hat) the ring holds.
-    Each row takes its own member's constants, so its bits are those of a
-    pass over its member alone."""
+    pairs with j the member's place in the ring `block`: their entries of
+    each member's checkpoint table and their V and Vtot columns.  A pending
+    checkpoint is a row of the current block: the member's columns hold its
+    t and s, the ring its (theta, theta_hat).  The Bessel error pair runs
+    one checkpoint at a time, the rest in one stacked pass, each row with
+    its own member's constants, so its bits are those of its member alone."""
     flushing = [(j, m) for j, m in flushing if m.pending]
     if not flushing:
         return
-    places, constants, rows, t, y, w_err, rt_err = zip(
-        *((j, m.row_constants, *entry) for j, m in flushing for entry in m.pending)
-    )
-    at = np.array(rows) % _BLOCK_ROWS
-    pairs = block[at, :, np.array(places)]
+    # (the member's place in the ring, the row's place in the blocks, member)
+    pending = [(j, i % _BLOCK_ROWS, m) for j, m in flushing for i in m.pending]
+    at = np.array([k for _, k, _ in pending])
+    pairs = block[at, :, np.array([j for j, _, _ in pending])]
     theta, theta_hat = pairs[:, 0], pairs[:, 1]
-    t, y, w_err, rt_err = (np.array(column) for column in (t, y, w_err, rt_err))
-    c, sr, alpha, beta, p_const, a, _, d = np.array(constants).T
+    u_err = theta - theta_hat
+    t, y = (np.array([m.cols[name][k] for _, k, m in pending]) for name in ("t", "s"))
+    c, sr, alpha, beta, lam, p_const, a, d = np.array([m.row_constants for *_, m in pending]).T
+    # inverse then direct per checkpoint: _ratio_rows keeps one extent's rows
+    w_err, rt_err = np.empty_like(u_err), np.empty_like(u_err)
+    for r, args in enumerate(zip(y.tolist(), lam.tolist(), alpha.tolist())):
+        w_err[r] = transforms.apply_inverse(u_err[r], *args)
+        rt_err[r] = transforms.apply_direct(w_err[r], *args) - u_err[r]
     X = y - sr
     w_hat = transforms.controller_transform(theta_hat, X, y, c, alpha, beta)
     rt_ctrl = transforms.controller_inverse(w_hat, X, y, c, alpha, beta) - theta_hat
     v1, vtot, V = diagnostics._lyapunov_rows(w_err, w_hat, y, X, p_const, a, d)
-    sups = np.abs(np.array((theta - theta_hat, rt_err, w_hat, rt_ctrl))).max(axis=-1)
+    sups = np.abs(np.array((u_err, rt_err, w_hat, rt_ctrl))).max(axis=-1)
     table = np.array((t, y, X, v1, vtot, V, w_err.max(axis=-1), *sups, np.abs(w_hat[:, -1])))
     start = 0
     for _, m in flushing:
@@ -262,8 +255,8 @@ class _Member:
     log: object
     cols: dict
     checkpoints: np.ndarray
-    # c, sr, alpha, beta and the ``lyapunov_constants``: what a row of
-    # _log_checkpoints' stacked pass takes of its member
+    # c, sr, alpha, beta, lam and the ``lyapunov_constants`` p_const, a and
+    # d: what a row of _log_checkpoints takes of its member
     row_constants: tuple
     s: float
     last_row: int
@@ -278,8 +271,8 @@ class _Member:
     s_prev: float | None = None
     flushed: int = 0  # rows handed to the log
     checkpoints_logged: int = 0
-    # (row, t, s, w_err, round-trip error) of the current block's
-    # checkpoints not yet logged by _log_checkpoints
+    # the rows of the current block's checkpoints not yet logged by
+    # _log_checkpoints
     pending: list = field(default_factory=list)
 
     def result(self, rows: int, block: np.ndarray, failure) -> SimulationResult:
@@ -367,11 +360,9 @@ def _checkpoint_slots(cfg: ScenarioConfig) -> int:
 
 def _held_bytes(cfg: ScenarioConfig) -> int:
     """Bytes a member of the CLI's batch holds: the full-length columns of
-    its ``RunSummary``, its checkpoint table, its block of columns, its
-    buffer of _BLOCK_ROWS field pairs and the error pairs of one block's
-    checkpoints."""
-    pending = min(_BLOCK_ROWS, _BLOCK_ROWS // cfg.checkpoint_every + 2)
-    fields_held = (_BLOCK_ROWS + pending) * 2 * (cfg.grid_n + 1)
+    its ``RunSummary``, its checkpoint table, its block of columns and its
+    buffer of _BLOCK_ROWS field pairs."""
+    fields_held = _BLOCK_ROWS * 2 * (cfg.grid_n + 1)
     columns = cfg.rows * diagnostics.RunSummary.COLUMNS + _BLOCK_ROWS * len(_array_fields(Trace))
     table = len(_CHECKPOINT_COLUMNS) * _checkpoint_slots(cfg)
     return 8 * (columns + table + fields_held)
@@ -463,6 +454,7 @@ def simulate_batch(scenarios, logs=None):
         except MemoryError:
             raise _unallocatable("checkpoint table", *shape) from None
         cols = {name: np.full(_BLOCK_ROWS, np.nan) for name in _array_fields(Trace)}
+        p_const, a, _, d = diagnostics.lyapunov_constants(cfg, p)
         members.append(
             _Member(
                 index=j,
@@ -471,9 +463,7 @@ def simulate_batch(scenarios, logs=None):
                 log=log,
                 cols=cols,
                 checkpoints=checkpoints,
-                row_constants=(
-                    cfg.c, cfg.sr, p.alpha, p.beta, *diagnostics.lyapunov_constants(cfg, p)
-                ),
+                row_constants=(cfg.c, cfg.sr, p.alpha, p.beta, cfg.lam, p_const, a, d),
                 s=cfg.s0,
                 last_row=cfg.rows - 1,
                 feedback_row=0 if cfg.mode == "state_feedback" else 1,
@@ -514,7 +504,7 @@ def simulate_batch(scenarios, logs=None):
 
             # per member in Python floats: the Stefan update of step i - 1, the
             # feedback law on the trapezoid integral of control._trapz_integral,
-            # a checkpoint's error pair, the rate, the step table row and the
+            # a checkpoint's kernel series, the rate, the step table row and the
             # gain series' argument, term count and scale (0 and 0 at a zero
             # gain); `leaving` maps a departing member to its logged rows and
             # its failure
@@ -540,16 +530,18 @@ def simulate_batch(scenarios, logs=None):
                 cols["t"][at] = t
                 cols["s"][at] = y
                 cols["qc"][at] = qc
+                z2 = m.lam_alpha * y * y
                 try:
                     if i % cfg.checkpoint_every == 0 or i == m.last_row:
-                        pair = _error_pair(*block[ws.now, :, j], y, m.lam, m.p.alpha)
-                        m.pending.append((i, t, y, *pair))
+                        # the flush's kernel series: one that fails stops the member here
+                        if m.lam:
+                            specfun.i1_ratio_terms(z2, specfun._MAX_TERMS)
+                        m.pending.append(i)
                     if i == m.last_row:
                         leaving[j] = rows, None
                         continue
                     rate = convection_rate(y, m.s_prev, edge, dt, m.beta)
-                    z2 = m.lam_alpha * y * y
-                    counts.append(gain_term_count(z2))
+                    counts.append(specfun.gain_term_count(z2))
                     z2s.append(z2)
                     _, t3, t2, t1 = corners[blocks + j]
                     innovation = rate / m.beta + edge_stencil(t3, t2, t1, dxi) / y
@@ -588,7 +580,7 @@ def simulate_batch(scenarios, logs=None):
                 yield from left
             # back in the stretch that a flush or a departure left for caller code
             quiet.enter()
-            gain_sources(z2s, scales, counts, n, ws.source)
+            specfun.gain_sources(z2s, scales, counts, n, ws.source)
             ws.entries[:] = table
             failed = ws.step()
             i += 1

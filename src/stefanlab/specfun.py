@@ -68,10 +68,13 @@ def i1_ratio_terms(z2: float, max_terms: int) -> list[float]:
         total += term
     else:
         raise NumericalError(
-            f"gain series at (lam/alpha)*y^2 = {z2:.6g} needs more than {max_terms} terms"
+            f"checkpoint kernel series at (lam/alpha)*s^2 = {z2:.6g} "
+            f"needs more than {max_terms} terms"
         )
     if not math.isfinite(total):
-        raise NumericalError(f"gain series at (lam/alpha)*y^2 = {z2:.6g} is not finite")
+        raise NumericalError(
+            f"checkpoint kernel series at (lam/alpha)*s^2 = {z2:.6g} is not finite"
+        )
     return terms
 
 

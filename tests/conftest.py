@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from stefanlab import runner, transforms
+from stefanlab import runner, specfun, transforms
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.diagnostics import lyapunov_constants
 from stefanlab.errors import NumericalError
@@ -14,18 +14,19 @@ from stefanlab.runner import simulate
 
 
 def refuse_j1_above(monkeypatch, cap):
-    """Make the checkpoint J1 kernel raise NumericalError once its largest
-    squared argument passes `cap`, as an unsummable kernel would."""
-    real = transforms.kernel_rows
+    """Make the checkpoint kernel series raise NumericalError once its
+    squared argument passes `cap`, as an unsummable kernel would: the term
+    function that both a checkpoint's row and ``kernel_rows`` call."""
+    real = specfun.i1_ratio_terms
 
-    def refusing(z2_max, powers, out):
-        if z2_max > cap:
+    def refusing(z2, max_terms):
+        if z2 > cap:
             raise NumericalError(
-                f"checkpoint kernel argument {z2_max:.6g} exceeds the series cap {cap:g}"
+                f"checkpoint kernel argument {z2:.6g} exceeds the series cap {cap:g}"
             )
-        return real(z2_max, powers, out)
+        return real(z2, max_terms)
 
-    monkeypatch.setattr(transforms, "kernel_rows", refusing)
+    monkeypatch.setattr(specfun, "i1_ratio_terms", refusing)
     # the memo may hold rows summed before the patch
     transforms._ratio_rows.cache_clear()
 
@@ -34,11 +35,10 @@ def checkpoint_member(cfg, p):
     """What ``runner._log_checkpoints`` reads and writes of a batch member,
     with room for one block of checkpoints."""
     rows = runner._BLOCK_ROWS
+    p_const, a, _, d = lyapunov_constants(cfg, p)
     return SimpleNamespace(
-        row_constants=(cfg.c, cfg.sr, p.alpha, p.beta, *lyapunov_constants(cfg, p)),
-        cfg=cfg,
-        p=p,
-        cols={name: np.full(rows, np.nan) for name in ("V", "Vtot")},
+        row_constants=(cfg.c, cfg.sr, p.alpha, p.beta, cfg.lam, p_const, a, d),
+        cols={name: np.full(rows, np.nan) for name in ("t", "s", "V", "Vtot")},
         checkpoints=np.empty((len(runner._CHECKPOINT_COLUMNS), rows)),
         checkpoints_logged=0,
         pending=[],
@@ -47,14 +47,14 @@ def checkpoint_member(cfg, p):
 
 def log_checkpoints(member, block, snapshots):
     """Log (theta, theta_hat, y, t) snapshots as the member's checkpoints at
-    rows 0, 1, ... of one block, as the engine does: the error pair at each
-    row, then one stacked pass over the block's checkpoints, as the only
-    member of its ring.  block is the (_BLOCK_ROWS, 2, N+1) buffer the rows
-    are written to."""
-    cfg, p = member.cfg, member.p
+    rows 0, 1, ... of one block, as the engine does: each row's fields in
+    the ring and its t and s in the member's columns, then one flush of the
+    block's checkpoints, as the only member of its ring.  block is the
+    (_BLOCK_ROWS, 2, N+1) buffer the rows are written to."""
     for i, (theta, theta_hat, y, t) in enumerate(snapshots):
         block[i] = theta, theta_hat
-        member.pending.append((i, t, y, *runner._error_pair(theta, theta_hat, y, cfg.lam, p.alpha)))
+        member.cols["t"][i], member.cols["s"][i] = t, y
+        member.pending.append(i)
     runner._log_checkpoints([(0, member)], block[:, :, np.newaxis])
 
 

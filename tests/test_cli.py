@@ -2,7 +2,9 @@
 
 import concurrent.futures
 import configparser
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -28,6 +30,7 @@ from stefanlab.cli import (
 )
 from stefanlab.errors import ConfigurationError
 from stefanlab.params import (
+    MODES,
     PhysicalParams,
     ScenarioConfig,
     lambda_upper_bound,
@@ -347,7 +350,7 @@ def test_overflowed_norms_are_logged_as_inf(tmp_path, capsys, overflowed):
     cols["h1_err"] = np.exp(-0.5 * cols["t"])
     for name in overflowed:
         cols[name][-5:] = np.inf
-    trace = runner.Trace(**cols, dt=cfg.dt, grid_n=cfg.grid_n, sr=cfg.sr, mode=cfg.mode)
+    trace = runner.Trace(**cols, dt=cfg.dt, grid_n=cfg.grid_n, sr=cfg.sr)
     failure = "interface collapsed: s = -1 at t = 2.9"
     run = cli._Run(cfg, p, validate_scenario(cfg, p), tmp_path)
     # the CLI's log, given the synthetic trace as one block
@@ -553,6 +556,74 @@ def test_admitted_extremes_exit_with_a_code_not_a_warning(
         assert err.startswith(f"run aborted: {failure}: s = ") and err.count("\n") == 1
     summary = (tmp_path / "o" / "summary.txt").read_text()
     assert f"completed = {failure is None}" in summary
+
+
+# the stderr line of every failure a run may stop with
+TYPED_FAILURE = re.compile(
+    r"run aborted: (?:"
+    r"interface (?:collapsed|reached the domain cap): s = \S+ at t = \S+"
+    r"|gain series at \(lam/alpha\)\*y\^2 = \S+ needs more than \d+ terms"
+    r"|checkpoint kernel series at \(lam/alpha\)\*s\^2 = \S+ "
+    r"(?:needs more than \d+ terms|is not finite)"
+    r"|temperature field became non-finite"
+    r"|tridiagonal solve failed: dgtsv info = -?\d+)"
+)
+
+
+def _admitted_box(seed: int, draws: int) -> tuple[PhysicalParams, list[ScenarioConfig]]:
+    """The zinc material and the scenarios of `draws` seeded draws from a box
+    over the admitted range that ``validate_scenario`` passes: s0, H,
+    Hhat/H - 1, c, dt and the setpoint's margin sr/bound - 1 log-uniform,
+    lambda 0 or uniform below 0.99 of its bound, grid_n uniform in 8..79,
+    either mode, 200 steps and the default domain cap of 2 sr."""
+    rng = random.Random(seed)
+    p, zinc = parse_config(bundled_config("zinc"))
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    admitted = []
+    for _ in range(draws):
+        s0, H, dt = log_uniform(1e-3, 0.3), log_uniform(1e-2, 1e8), log_uniform(1e-3, 1.0)
+        cfg = replace(
+            zinc, s0=s0, H=H, Hhat=H * (1.0 + log_uniform(1e-3, 100.0)), c=log_uniform(1e-5, 1.0),
+            grid_n=rng.randint(8, 79), dt=dt, t_end=200 * dt, mode=rng.choice(MODES),
+            domain_cap=None,
+        )
+        share = rng.choice((0.0, rng.uniform(0.0, 0.99)))
+        cfg = replace(cfg, lam=share * lambda_upper_bound(cfg, p.alpha))
+        margin = 1.0 + log_uniform(1e-3, 10.0)
+        cfg = replace(cfg, sr=margin * setpoint_lower_bound(cfg, p.alpha, p.beta))
+        if validate_scenario(cfg, p).passed:
+            admitted.append(cfg)
+    return p, admitted
+
+
+def test_admitted_box_runs_end_in_the_claims_or_a_typed_exit(tmp_path, capsys):
+    """Every admitted scenario of a seeded box, through ``run`` under the
+    suite's warnings-as-errors: no exception and no warning, exit 0 or 3,
+    and an exit 3 says only which typed failure stopped the run.  Whether
+    an exit-0 run meets every claim is not asserted here."""
+    _, cfgs = _admitted_box(seed=5, draws=120)
+    assert len(cfgs) >= 90
+    for j, cfg in enumerate(cfgs):
+        # str of a float is its shortest round-trip form, so parse_config
+        # reads back the very scenario drawn
+        scenario = dict(s0=cfg.s0, H=cfg.H, Hhat=cfg.Hhat, c=cfg.c, sr=cfg.sr, mode=cfg.mode)
+        edits = {("scenario", key): value for key, value in scenario.items()}
+        edits[("scenario", "lambda")] = cfg.lam
+        edits.update({("numerics", key): getattr(cfg, key) for key in ("grid_n", "dt", "t_end")})
+        path = _tweaked_config(tmp_path, edits, name="box.cfg", base="zinc")
+        path.write_text(path.read_text().replace("domain_cap = 0.7\n", ""))
+        assert parse_config(path)[1] == cfg
+        code = main(["run", str(path), "--out-dir", str(tmp_path / "o")])
+        out, err = capsys.readouterr()
+        assert code in (0, 3) and out == "", (j, cfg, code, out, err)
+        lines = err.splitlines()
+        if code == 0:
+            assert not lines, (j, cfg, err)
+        else:
+            assert lines and all(TYPED_FAILURE.fullmatch(line) for line in lines), (j, cfg, err)
 
 
 def test_sweep_with_an_unsteppable_s0_still_runs_the_other_grid(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """The package's public names, the README's library example, the test
 oracles' absence from the package, the package's lack of unused definitions
-and exports, the runner's one numpy error state, and the suite's warning
-policy: every warning is an error, with no "ignore" filter in tests/."""
+and exports, the runner's one numpy error state and one checkpoint pass,
+and the suite's warning policy: every warning is an error, with no "ignore"
+filter in tests/."""
 
 import ast
 import importlib
@@ -214,17 +215,23 @@ def test_no_test_module_ignores_warnings():
     assert not any(found.values()), {name: lines for name, lines in found.items() if lines}
 
 
-def errstate_owners(source: str) -> list[str]:
-    """The top-level definitions of `source` that set numpy's error state,
-    one entry per ``errstate`` or ``seterr`` call, "<module>" for a
+def call_owners(source: str, names) -> list[str]:
+    """The top-level definitions of `source` that call a function named in
+    `names`, plain or as an attribute, one entry per call, "<module>" for a
     statement that defines no name."""
     return sorted(
         getattr(node, "name", "<module>")
         for node in ast.parse(source).body
         for call in ast.walk(node)
         if isinstance(call, ast.Call)
-        and getattr(call.func, "attr", getattr(call.func, "id", None)) in ("errstate", "seterr")
+        and getattr(call.func, "attr", getattr(call.func, "id", None)) in names
     )
+
+
+def errstate_owners(source: str) -> list[str]:
+    """The top-level definitions of `source` that set numpy's error state,
+    one entry per ``errstate`` or ``seterr`` call."""
+    return call_owners(source, ("errstate", "seterr"))
 
 
 def test_errstate_detector_finds_each_form():
@@ -247,3 +254,12 @@ def test_runner_sets_the_error_state_only_in_quiet():
     stretch: no other block of runner opens one, so nothing it runs falls
     between two partial states."""
     assert errstate_owners(Path(runner.__file__).read_text()) == ["_Quiet"]
+
+
+def test_runner_transforms_the_error_only_at_the_flush():
+    """A checkpoint's row records its index and checks its kernel series;
+    the Bessel error pair runs only in the flush's _log_checkpoints, from
+    the ring, so no transform runs between a checkpoint's row and its
+    flush."""
+    owners = call_owners(Path(runner.__file__).read_text(), ("apply_inverse", "apply_direct"))
+    assert owners and set(owners) == {"_log_checkpoints"}

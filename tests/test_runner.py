@@ -249,19 +249,41 @@ def test_warm_checkpoint_row_allocates_no_kernel_matrix(zinc):
 
 
 @pytest.mark.parametrize(
-    "every, bad", [(50, 2), (127, 1), (5, 19)], ids=["mid_block", "block_end", "dense_mid_block"]
+    "every, bad, lam, t_end, max_terms",
+    [
+        (50, 2, 0.001, 20.0, None),
+        (127, 1, 0.001, 20.0, None),
+        (5, 19, 0.001, 20.0, None),
+        (5, 13, 0.05, 200.0, 9),
+    ],
+    ids=["mid_block", "block_end", "dense_mid_block", "real_kernel"],
 )
-def test_later_checkpoint_beyond_series_cap_keeps_its_row(monkeypatch, every, bad):
+def test_later_checkpoint_beyond_series_cap_keeps_its_row(
+    monkeypatch, every, bad, lam, t_end, max_terms
+):
     # dense_mid_block fails at row 95, with the checkpoints of rows 65 to 90
-    # of its block still to be logged
-    cfg = cfg_for(checkpoint_every=every)
+    # of its block still to be logged.  real_kernel caps the kernel series
+    # itself at max_terms: row 60's series sums within 9 terms and row 65's
+    # does not, so the check at the row and the flush's kernel rows must agree
+    cfg = cfg_for(checkpoint_every=every, lam=lam, t_end=t_end)
     full = simulate(cfg, P)
-    z2 = (cfg.lam / P.alpha) * full.checkpoints["s"] ** 2
-    refuse_j1_above(monkeypatch, 0.5 * (z2[bad - 1] + z2[bad]))
+    if max_terms is None:
+        z2 = (cfg.lam / P.alpha) * full.checkpoints["s"] ** 2
+        refuse_j1_above(monkeypatch, 0.5 * (z2[bad - 1] + z2[bad]))
+        failure = "exceeds the series cap"
+    else:
+        y = float(full.checkpoints["s"][bad])
+        z2 = cfg.lam / P.alpha * y * y
+        monkeypatch.setattr(specfun, "_MAX_TERMS", max_terms)
+        transforms._ratio_rows.cache_clear()
+        failure = (
+            f"checkpoint kernel series at (lam/alpha)*s^2 = {z2:.6g} "
+            f"needs more than {max_terms} terms"
+        )
     res = simulate(cfg, P)
     row = bad * every
     assert not res.completed
-    assert "exceeds the series cap" in res.failure
+    assert failure in res.failure
     assert res.trace.t.size == row + 1
     for name, values in full.checkpoints.items():
         assert _same_bits(res.checkpoints[name], values[:bad]), name
@@ -687,11 +709,11 @@ def test_lockstep_batches_group_by_grid_within_the_budget(zinc):
 def test_lockstep_batches_split_the_benchmark_sweep_in_two():
     # 24 members shaped as the benchmark's sweep: each holds its summary's
     # two kept columns, its 12 x 102 checkpoint table, its 14 x 64 block of
-    # columns and its ring, 166,656 B, so eighteen fit the 3 MB budget
+    # columns and its ring, 163,536 B, so eighteen fit the 3 MB budget
     bench = cfg_for(t_end=500.0, checkpoint_every=50)
     assert runner._held_bytes(bench) == 8 * (
-        5_001 * 2 + 12 * 102 + 14 * 64 + (64 + 3) * 2 * 65
-    ) == 166_656
+        5_001 * 2 + 12 * 102 + 14 * 64 + 64 * 2 * 65
+    ) == 163_536
     batches = lockstep_batches([bench] * 24)
     assert [len(batch) for batch in batches] == [18, 6]
     assert sum(batches, []) == list(range(24))
@@ -702,8 +724,8 @@ def test_held_bytes_count_a_checkpoint_at_every_row():
     # and the budget takes four such members, not fourteen
     every = cfg_for(t_end=500.0, checkpoint_every=1)
     assert runner._held_bytes(every) == 8 * (
-        5_001 * 2 + 12 * 5_002 + 14 * 64 + (64 + 64) * 2 * 65
-    ) == 700_496
+        5_001 * 2 + 12 * 5_002 + 14 * 64 + 64 * 2 * 65
+    ) == 633_936
     assert [len(batch) for batch in lockstep_batches([every] * 6)] == [4, 2]
     # the table simulate_batch allocates is the one counted: a result's
     # checkpoint columns are rows of it
