@@ -51,9 +51,10 @@ two full-length columns (h1_err and the qc-ODE residual) and no trace, and
 writes the block to trace.csv.
 
 A checkpoint is formed at the flush: its row only records its index, once
-its Bessel kernel series sums at (lam/alpha)*s^2 by the term function and
-cap of the flush's kernel rows, so a series that fails stops the member at
-that row and one that sums there sums at the flush too.  There the Bessel
+``specfun.gain_term_count`` passes at (lam/alpha)*s^2, as it must at every
+row.  That count is the one cap of the I1 series, the flush's kernel rows
+included, so a series past it stops the member at that row, before its
+checkpoint, and one within it sums at the flush too.  There the Bessel
 error pair (``apply_inverse`` for w_err, then the ``apply_direct`` round
 trip) runs one checkpoint at a time, on its extent's own kernel rows (183 KB
 at N = 200), and the rest (the controller pair, the Lyapunov sample, the
@@ -419,8 +420,8 @@ def simulate_batch(scenarios, logs=None):
     failure message and the truncated trace, as from ``simulate``).  Every
     member leaves from one place in step i: after the Stefan update of step
     i - 1, with i rows, if that step's solve or interface update failed;
-    after logging row i if row i is its last or its checkpoint or gain
-    series fails.  Members that leave in the same step are yielded in the
+    after logging row i if row i is its last or its I1 series' term count
+    fails there.  Members that leave in the same step are yielded in the
     order of scenarios, once the step's flush has handed every member's rows
     to its log and the batch has dropped them (the last, its ring too).
     Members may differ in all but grid_n and dt: the material, the gains,
@@ -504,10 +505,10 @@ def simulate_batch(scenarios, logs=None):
 
             # per member in Python floats: the Stefan update of step i - 1, the
             # feedback law on the trapezoid integral of control._trapz_integral,
-            # a checkpoint's kernel series, the rate, the step table row and the
-            # gain series' argument, term count and scale (0 and 0 at a zero
-            # gain); `leaving` maps a departing member to its logged rows and
-            # its failure
+            # the I1 series' argument and term count, whose cap a checkpoint's
+            # kernel rows share, the rate, the step table row and the gain's
+            # scale (0 at a zero gain); `leaving` maps a departing member to
+            # its logged rows and its failure
             leaving, stepping, table, z2s, counts, scales = {}, [], [], [], [], []
             for j, m in enumerate(members):
                 cfg, cols, fb = m.cfg, m.cols, m.feedback_row * blocks + j
@@ -532,23 +533,21 @@ def simulate_batch(scenarios, logs=None):
                 cols["qc"][at] = qc
                 z2 = m.lam_alpha * y * y
                 try:
-                    if i % cfg.checkpoint_every == 0 or i == m.last_row:
-                        # the flush's kernel series: one that fails stops the member here
-                        if m.lam:
-                            specfun.i1_ratio_terms(z2, specfun._MAX_TERMS)
-                        m.pending.append(i)
-                    if i == m.last_row:
-                        leaving[j] = rows, None
-                        continue
-                    rate = convection_rate(y, m.s_prev, edge, dt, m.beta)
-                    counts.append(specfun.gain_term_count(z2))
-                    z2s.append(z2)
-                    _, t3, t2, t1 = corners[blocks + j]
-                    innovation = rate / m.beta + edge_stencil(t3, t2, t1, dxi) / y
-                    scales.append(m.lam * y * innovation * dt)
+                    count = specfun.gain_term_count(z2)
                 except NumericalError as exc:
                     leaving[j] = rows, str(exc)
                     continue
+                if i % cfg.checkpoint_every == 0 or i == m.last_row:
+                    m.pending.append(i)
+                if i == m.last_row:
+                    leaving[j] = rows, None
+                    continue
+                rate = convection_rate(y, m.s_prev, edge, dt, m.beta)
+                counts.append(count)
+                z2s.append(z2)
+                _, t3, t2, t1 = corners[blocks + j]
+                innovation = rate / m.beta + edge_stencil(t3, t2, t1, dxi) / y
+                scales.append(m.lam * y * innovation * dt)
                 stepping.append(j)
                 table += block_row(y, rate, qc, m.alpha_dt, m.rate_cap, m.k, dxi)
 

@@ -11,16 +11,18 @@ produced by rounding on the kernel diagonal.
 One closed form serves both callers: with a_m the I1 terms at the largest
 argument z2_max and x = z2/z2_max in [0, 1], I1r = sum_m a_m x^m and
 J1r = sum_m (-1)^m a_m x^m, a product of the terms with a cached
-``PowerTable`` of x.  They form the terms by two rules.  The checkpoint
-kernel rows (``kernel_rows``) take ``i1_ratio_terms``, which ends before
-the first term below _TERM_TOL of its partial sum, and sum both rows at
-once, per block of _BLOCK terms; past ``_FLOAT_SERIES_CAP`` the J1 row is
-scipy's j1(z)/z.  The observer gain P1(x, s) = -lam*s*I1r at
-z2 = (lam/alpha)*(s^2 - x^2) (``gain_sources``) forms its own terms, one
-cumulative product of the term ratios z2/(4m(m+1)) for all of a step's
-gains, and takes 31 + floor(sqrt(z2_max)) of them (``gain_term_count``)
-against the cached powers of x = 1 - xi^2.  The reference evaluations the
-tests hold these to are in ``tests/oracles.py``.
+``PowerTable`` of x.  One cap bounds both: ``gain_term_count``, the
+31 + floor(sqrt(z2_max)) terms of the gain, refuses a series that needs
+more than _GAIN_MAX_ROWS.  They form the terms by two rules.  The
+observer gain P1(x, s) = -lam*s*I1r at z2 = (lam/alpha)*(s^2 - x^2)
+(``gain_sources``) takes exactly that many, one cumulative product of the
+term ratios z2/(4m(m+1)) for all of a step's gains, against the cached
+powers of x = 1 - xi^2.  The checkpoint kernel rows (``kernel_rows``) take
+``i1_ratio_terms``, which ends before the first term below _TERM_TOL of
+its partial sum, at least 16 terms short of the gain's count, and sum both
+rows at once, per block of _BLOCK terms; past ``_FLOAT_SERIES_CAP`` the J1
+row is scipy's j1(z)/z.  The reference evaluations the tests hold these
+to are in ``tests/oracles.py``.
 """
 
 import math
@@ -34,13 +36,9 @@ from .errors import NumericalError
 # 4.7e-10 at the cap.
 _FLOAT_SERIES_CAP = 400.0
 
-# Most terms of the gain series, and so rows of a power table, a gain may
-# take; (lam/alpha)*y^2 near 1.6e4 takes 157.
+# Most terms of the I1 series, and so rows of a power table, a gain or a
+# checkpoint kernel may take; (lam/alpha)*y^2 near 1.6e4 takes 157.
 _GAIN_MAX_ROWS = 400
-
-# Most terms a kernel grid's series may take; (lam/alpha)*s^2 near 1.6e4
-# takes about 120.
-_MAX_TERMS = 400
 
 # The term list stops at the first term below this fraction of its partial sum.
 _TERM_TOL = 1e-17
@@ -50,31 +48,22 @@ _TERM_TOL = 1e-17
 _BLOCK = 24
 
 
-def i1_ratio_terms(z2: float, max_terms: int) -> list[float]:
+def i1_ratio_terms(z2: float) -> list[float]:
     """The terms a_m = c_m * z2^m of I1(sqrt(z2))/sqrt(z2) = sum_m a_m.
 
     They come from a_m = a_(m-1) * z2 / (4m(m+1)) in Python floats, so no
     power of z2 is ever formed, and end before the first term below
-    _TERM_TOL of the partial sum.  Raises NumericalError when the sum is
-    not finite or needs more than max_terms terms.
+    _TERM_TOL of the partial sum, never past ``gain_term_count(z2)`` terms.
+    Raises NumericalError where ``gain_term_count`` does.
     """
     terms = [0.5]
     term = total = 0.5
-    for m in range(1, max_terms):
+    for m in range(1, gain_term_count(z2)):
         term = term * z2 / (4 * m * (m + 1))
         if term < _TERM_TOL * total:
             break
         terms.append(term)
         total += term
-    else:
-        raise NumericalError(
-            f"checkpoint kernel series at (lam/alpha)*s^2 = {z2:.6g} "
-            f"needs more than {max_terms} terms"
-        )
-    if not math.isfinite(total):
-        raise NumericalError(
-            f"checkpoint kernel series at (lam/alpha)*s^2 = {z2:.6g} is not finite"
-        )
     return terms
 
 
@@ -124,7 +113,7 @@ def kernel_rows(z2_max: float, powers: PowerTable, out: np.ndarray) -> np.ndarra
     and their alternating-sign J1 twins with the table per block of _BLOCK
     terms, highest power first as in Horner's sum, and Horner in x^_BLOCK
     over the blocks.  Past _FLOAT_SERIES_CAP out[1] is scipy's j1(z)/z."""
-    terms = i1_ratio_terms(z2_max, _MAX_TERMS)[::-1]
+    terms = i1_ratio_terms(z2_max)[::-1]
     count = len(terms)
     # column j holds the term of power count-1-j
     coef = np.array((terms, terms))
@@ -150,10 +139,11 @@ def _weight_powers(n: int) -> PowerTable:
 
 
 def gain_term_count(z2: float) -> int:
-    """Terms the gain series takes at (lam/alpha)*y^2 = z2: 31 + floor(sqrt(z2)).
-    Past term sqrt(z2) each term is below 1/4 of the last, so the rest sum to
-    under 2e-18 of the series (under 1e158 within 400 terms).  Raises
-    NumericalError past _GAIN_MAX_ROWS terms."""
+    """Terms the gain series takes at (lam/alpha)*y^2 = z2: 31 + floor(sqrt(z2)),
+    and the most a checkpoint kernel's takes.  Past term sqrt(z2) each term is
+    below 1/4 of the last, so the rest sum to under 2e-18 of the series (under
+    1e158 within 400 terms).  Raises NumericalError past _GAIN_MAX_ROWS terms,
+    and so at an infinite or NaN z2."""
     if not z2 < (_GAIN_MAX_ROWS - 30) ** 2 or _GAIN_MAX_ROWS <= 30:
         raise NumericalError(
             f"gain series at (lam/alpha)*y^2 = {z2:.6g} needs more than {_GAIN_MAX_ROWS} terms"

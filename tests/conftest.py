@@ -13,20 +13,18 @@ from stefanlab.errors import NumericalError
 from stefanlab.runner import simulate
 
 
-def refuse_j1_above(monkeypatch, cap):
-    """Make the checkpoint kernel series raise NumericalError once its
-    squared argument passes `cap`, as an unsummable kernel would: the term
-    function that both a checkpoint's row and ``kernel_rows`` call."""
-    real = specfun.i1_ratio_terms
+def refuse_series_above(monkeypatch, cap):
+    """Make the I1 series raise NumericalError once its squared argument
+    passes `cap`, as one past its term cap would: the term count that every
+    row of a run and ``kernel_rows`` read."""
+    real = specfun.gain_term_count
 
-    def refusing(z2, max_terms):
+    def refusing(z2):
         if z2 > cap:
-            raise NumericalError(
-                f"checkpoint kernel argument {z2:.6g} exceeds the series cap {cap:g}"
-            )
-        return real(z2, max_terms)
+            raise NumericalError(f"series argument {z2:.6g} exceeds the series cap {cap:g}")
+        return real(z2)
 
-    monkeypatch.setattr(specfun, "i1_ratio_terms", refusing)
+    monkeypatch.setattr(specfun, "gain_term_count", refusing)
     # the memo may hold rows summed before the patch
     transforms._ratio_rows.cache_clear()
 

@@ -39,7 +39,7 @@ from stefanlab.params import (
 )
 from stefanlab.runner import lockstep_batches
 
-from conftest import refuse_j1_above
+from conftest import refuse_series_above
 from oracles import fit_decay_rate, qc_ode_residual, whole_trace_summary
 
 
@@ -472,7 +472,7 @@ def test_run_gain_beyond_table_limit_exits_3(tmp_path, monkeypatch):
 
 def test_run_checkpoint_beyond_series_cap_exits_3(tmp_path, monkeypatch):
     p, cfg = parse_config(bundled_config("zinc_smoke"))
-    refuse_j1_above(monkeypatch, 0.5 * (cfg.lam / p.alpha) * cfg.s0**2)
+    refuse_series_above(monkeypatch, 0.5 * (cfg.lam / p.alpha) * cfg.s0**2)
     out = tmp_path / "o"
     assert main(["run", str(bundled_config("zinc_smoke")), "--out-dir", str(out)]) == 3
     assert read_csv(out / "trace.csv")["t"].size == 1
@@ -563,8 +563,6 @@ TYPED_FAILURE = re.compile(
     r"run aborted: (?:"
     r"interface (?:collapsed|reached the domain cap): s = \S+ at t = \S+"
     r"|gain series at \(lam/alpha\)\*y\^2 = \S+ needs more than \d+ terms"
-    r"|checkpoint kernel series at \(lam/alpha\)\*s\^2 = \S+ "
-    r"(?:needs more than \d+ terms|is not finite)"
     r"|temperature field became non-finite"
     r"|tridiagonal solve failed: dgtsv info = -?\d+)"
 )
@@ -599,6 +597,20 @@ def _admitted_box(seed: int, draws: int) -> tuple[PhysicalParams, list[ScenarioC
     return p, admitted
 
 
+def _box_config(tmp_path, cfg: ScenarioConfig):
+    """A config file that ``parse_config`` reads back as the box scenario cfg."""
+    # str of a float is its shortest round-trip form, so parse_config reads
+    # back the very scenario drawn
+    scenario = dict(s0=cfg.s0, H=cfg.H, Hhat=cfg.Hhat, c=cfg.c, sr=cfg.sr, mode=cfg.mode)
+    edits = {("scenario", key): value for key, value in scenario.items()}
+    edits[("scenario", "lambda")] = cfg.lam
+    edits.update({("numerics", key): getattr(cfg, key) for key in ("grid_n", "dt", "t_end")})
+    path = _tweaked_config(tmp_path, edits, name="box.cfg", base="zinc")
+    path.write_text(path.read_text().replace("domain_cap = 0.7\n", ""))
+    assert parse_config(path)[1] == cfg
+    return path
+
+
 def test_admitted_box_runs_end_in_the_claims_or_a_typed_exit(tmp_path, capsys):
     """Every admitted scenario of a seeded box, through ``run`` under the
     suite's warnings-as-errors: no exception and no warning, exit 0 or 3,
@@ -607,15 +619,7 @@ def test_admitted_box_runs_end_in_the_claims_or_a_typed_exit(tmp_path, capsys):
     _, cfgs = _admitted_box(seed=5, draws=120)
     assert len(cfgs) >= 90
     for j, cfg in enumerate(cfgs):
-        # str of a float is its shortest round-trip form, so parse_config
-        # reads back the very scenario drawn
-        scenario = dict(s0=cfg.s0, H=cfg.H, Hhat=cfg.Hhat, c=cfg.c, sr=cfg.sr, mode=cfg.mode)
-        edits = {("scenario", key): value for key, value in scenario.items()}
-        edits[("scenario", "lambda")] = cfg.lam
-        edits.update({("numerics", key): getattr(cfg, key) for key in ("grid_n", "dt", "t_end")})
-        path = _tweaked_config(tmp_path, edits, name="box.cfg", base="zinc")
-        path.write_text(path.read_text().replace("domain_cap = 0.7\n", ""))
-        assert parse_config(path)[1] == cfg
+        path = _box_config(tmp_path, cfg)
         code = main(["run", str(path), "--out-dir", str(tmp_path / "o")])
         out, err = capsys.readouterr()
         assert code in (0, 3) and out == "", (j, cfg, code, out, err)
@@ -624,6 +628,19 @@ def test_admitted_box_runs_end_in_the_claims_or_a_typed_exit(tmp_path, capsys):
             assert not lines, (j, cfg, err)
         else:
             assert lines and all(TYPED_FAILURE.fullmatch(line) for line in lines), (j, cfg, err)
+
+
+def test_box_checkpoint_past_the_series_cap_forms_no_checkpoint(tmp_path, capsys):
+    # draw 252's row 1 takes (lam/alpha)*y^2 = 2.45e5, past the I1 series'
+    # one cap: the run stops at that row, before its checkpoint
+    _, cfgs = _admitted_box(seed=5, draws=300)
+    path = _box_config(tmp_path, cfgs[252])
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out-dir", str(out), "--checkpoint-every", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err == "run aborted: gain series at (lam/alpha)*y^2 = 245172 needs more than 400 terms\n"
+    assert read_csv(out / "trace.csv")["t"].size == 2
+    assert read_csv(out / "transforms.csv")["t"].size == 1
 
 
 def test_sweep_with_an_unsteppable_s0_still_runs_the_other_grid(tmp_path, capsys):

@@ -1,8 +1,8 @@
 """The package's public names, the README's library example, the test
 oracles' absence from the package, the package's lack of unused definitions
 and exports, the runner's one numpy error state and one checkpoint pass,
-and the suite's warning policy: every warning is an error, with no "ignore"
-filter in tests/."""
+the I1 series' one cap, and the suite's warning policy: every warning is
+an error, with no "ignore" filter in tests/."""
 
 import ast
 import importlib
@@ -256,10 +256,31 @@ def test_runner_sets_the_error_state_only_in_quiet():
     assert errstate_owners(Path(runner.__file__).read_text()) == ["_Quiet"]
 
 
+def test_only_the_kernel_rows_sum_the_checkpoint_series():
+    """``gain_term_count`` is the one cap of the I1 series: the runner reads
+    it at every row and sums no kernel series of its own, and only
+    ``kernel_rows`` calls ``i1_ratio_terms``, under that cap, so no module
+    mirrors a cap of specfun's."""
+    package = Path(stefanlab.__file__).parent
+    owners = {
+        path.stem: call_owners(path.read_text(), ("i1_ratio_terms",))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {stem: names for stem, names in owners.items() if names} == {"specfun": ["kernel_rows"]}
+    private = [
+        node.attr
+        for node in ast.walk(ast.parse(Path(runner.__file__).read_text()))
+        if isinstance(node, ast.Attribute)
+        and getattr(node.value, "id", None) == "specfun"
+        and node.attr.startswith("_")
+    ]
+    assert private == []
+
+
 def test_runner_transforms_the_error_only_at_the_flush():
-    """A checkpoint's row records its index and checks its kernel series;
-    the Bessel error pair runs only in the flush's _log_checkpoints, from
-    the ring, so no transform runs between a checkpoint's row and its
-    flush."""
+    """A checkpoint's row records its index once its series' term count
+    passes; the Bessel error pair runs only in the flush's
+    _log_checkpoints, from the ring, so no transform runs between a
+    checkpoint's row and its flush."""
     owners = call_owners(Path(runner.__file__).read_text(), ("apply_inverse", "apply_direct"))
     assert owners and set(owners) == {"_log_checkpoints"}

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stefanlab import runner, specfun, transforms
+from stefanlab import runner, specfun
 from stefanlab._scheme import Workspace, bind_dgtsv, block_row, one_sided_edge_flux, stable_rate_cap
 from stefanlab.cli import bundled_config, parse_config
 from stefanlab.control import field_energy
@@ -32,7 +32,7 @@ from stefanlab.transforms import (
     controller_transform,
 )
 
-from conftest import checkpoint_member, log_checkpoints, refuse_j1_above
+from conftest import checkpoint_member, log_checkpoints, refuse_series_above
 from oracles import (
     ObserverState,
     PlantState,
@@ -138,6 +138,22 @@ def test_gain_beyond_table_limit_reports_partial_trace(monkeypatch):
     assert not res.completed
     assert "needs more than 3 terms" in res.failure
     assert res.trace.t.size == 1
+    # the row's checkpoint is never formed: the cap is the checkpoint kernels' too
+    assert res.checkpoints == {}
+
+
+def test_last_row_past_the_series_cap_stops_there(monkeypatch):
+    # row 158, the last, takes one term more than row 157: with the cap at
+    # row 157's count the run stops at its last row, which forms no checkpoint
+    cfg = cfg_for(lam=1.0, t_end=158 * 0.1)
+    full = simulate(cfg, P)
+    assert full.completed and full.checkpoints["t"].size == 5
+    y = float(full.trace.s[157])
+    monkeypatch.setattr(specfun, "_GAIN_MAX_ROWS", gain_term_count(cfg.lam / P.alpha * y * y))
+    res = simulate(cfg, P)
+    assert res.failure == "gain series at (lam/alpha)*y^2 = 16.0337 needs more than 34 terms"
+    assert res.trace.t.size == 159
+    assert res.checkpoints["t"].size == 4
 
 
 def test_gain_cap_stops_one_batch_member_mid_run(monkeypatch):
@@ -209,21 +225,10 @@ def test_batch_lets_go_of_its_ring_before_its_last_yield():
 
 def test_first_checkpoint_beyond_series_cap_reports_partial_trace(monkeypatch):
     cfg = cfg_for()
-    refuse_j1_above(monkeypatch, 0.5 * (cfg.lam / P.alpha) * cfg.s0**2)
+    refuse_series_above(monkeypatch, 0.5 * (cfg.lam / P.alpha) * cfg.s0**2)
     res = simulate(cfg, P)
     assert not res.completed
     assert "exceeds the series cap" in res.failure
-    assert res.trace.t.size == 1
-    assert res.checkpoints == {}
-
-
-def test_checkpoint_series_beyond_max_terms_reports_partial_trace(monkeypatch):
-    # the first checkpoint's series, at (lam/alpha)*s0^2 = 2.2e-3, needs 5 terms
-    monkeypatch.setattr(specfun, "_MAX_TERMS", 3)
-    transforms._ratio_rows.cache_clear()
-    res = simulate(cfg_for(), P)
-    assert not res.completed
-    assert "needs more than 3 terms" in res.failure
     assert res.trace.t.size == 1
     assert res.checkpoints == {}
 
@@ -249,39 +254,28 @@ def test_warm_checkpoint_row_allocates_no_kernel_matrix(zinc):
 
 
 @pytest.mark.parametrize(
-    "every, bad, lam, t_end, max_terms",
-    [
-        (50, 2, 0.001, 20.0, None),
-        (127, 1, 0.001, 20.0, None),
-        (5, 19, 0.001, 20.0, None),
-        (5, 13, 0.05, 200.0, 9),
-    ],
-    ids=["mid_block", "block_end", "dense_mid_block", "real_kernel"],
+    "every, bad, lam, real_cap",
+    [(50, 2, 0.001, False), (127, 1, 0.001, False), (5, 19, 0.001, False), (79, 2, 1.0, True)],
+    ids=["mid_block", "block_end", "dense_mid_block", "real_cap"],
 )
-def test_later_checkpoint_beyond_series_cap_keeps_its_row(
-    monkeypatch, every, bad, lam, t_end, max_terms
-):
+def test_later_checkpoint_beyond_series_cap_keeps_its_row(monkeypatch, every, bad, lam, real_cap):
+    # the series first passes its cap at row bad*every, a checkpoint's:
     # dense_mid_block fails at row 95, with the checkpoints of rows 65 to 90
-    # of its block still to be logged.  real_kernel caps the kernel series
-    # itself at max_terms: row 60's series sums within 9 terms and row 65's
-    # does not, so the check at the row and the flush's kernel rows must agree
-    cfg = cfg_for(checkpoint_every=every, lam=lam, t_end=t_end)
+    # of its block still to be logged.  real_cap sets the gain's own cap to
+    # the count of row 157, and row 158's series takes one term more, so the
+    # check at the row and the flush's kernel rows must agree
+    cfg = cfg_for(checkpoint_every=every, lam=lam)
     full = simulate(cfg, P)
-    if max_terms is None:
-        z2 = (cfg.lam / P.alpha) * full.checkpoints["s"] ** 2
-        refuse_j1_above(monkeypatch, 0.5 * (z2[bad - 1] + z2[bad]))
-        failure = "exceeds the series cap"
-    else:
-        y = float(full.checkpoints["s"][bad])
-        z2 = cfg.lam / P.alpha * y * y
-        monkeypatch.setattr(specfun, "_MAX_TERMS", max_terms)
-        transforms._ratio_rows.cache_clear()
-        failure = (
-            f"checkpoint kernel series at (lam/alpha)*s^2 = {z2:.6g} "
-            f"needs more than {max_terms} terms"
-        )
-    res = simulate(cfg, P)
     row = bad * every
+    z2 = [cfg.lam / P.alpha * y * y for y in full.trace.s.tolist()]
+    if real_cap:
+        cap = gain_term_count(z2[row - 1])
+        monkeypatch.setattr(specfun, "_GAIN_MAX_ROWS", cap)
+        failure = f"gain series at (lam/alpha)*y^2 = {z2[row]:.6g} needs more than {cap} terms"
+    else:
+        refuse_series_above(monkeypatch, 0.5 * (z2[row - 1] + z2[row]))
+        failure = "exceeds the series cap"
+    res = simulate(cfg, P)
     assert not res.completed
     assert failure in res.failure
     assert res.trace.t.size == row + 1

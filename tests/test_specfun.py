@@ -1,6 +1,7 @@
 """The reference I1(z)/z and J1(z)/z evaluators of tests/oracles.py: the
 exact rational series against frozen values and a 50-digit mpmath series,
-and the element-wise float arrays against the exact series."""
+and the element-wise float arrays against the exact series; and the margin
+of the engine's kernel terms under the I1 series' one cap."""
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from oracles import (
     j1_ratio_array,
     oracle_ratio,
 )
+from stefanlab.specfun import gain_term_count, i1_ratio_terms
 
 
 # expected values computed with oracle_ratio (and cross-checked against
@@ -165,3 +167,15 @@ def test_reconstructed_bessel_satisfies_defining_ode(z):
         f1 = (f(z - 2 * h) - 8 * f(z - h) + 8 * f(z + h) - f(z + 2 * h)) / (12 * h)
         resid = z * z * f2 + z * f1 - sign * (z * z + sign) * f(z)
         assert abs(resid) <= 1e-8 * (z * z + 1) * max(abs(f(z)), 1e-3)
+
+
+def test_kernel_terms_end_16_short_of_the_series_cap():
+    """The kernel rows' tolerance rule ends at least 16 terms before the
+    gain's count, the series' one cap, over the arguments the cap admits:
+    400,000 log-spaced z in [1e-300, 370^2) and just below each square,
+    where the count steps up.  The tightest is z = 97.5, 24 terms against
+    40.  So the cap never binds on a kernel row."""
+    grid = np.geomspace(1e-300, 370.0**2, 400_000, endpoint=False).tolist()
+    grid += [k * k - 1e-7 for k in range(1, 370)]
+    margin, worst = min((gain_term_count(z) - len(i1_ratio_terms(z)), z) for z in grid)
+    assert margin >= 16, worst

@@ -373,7 +373,7 @@ def test_gap_power_table_holds_one_block_at_the_largest_admitted_extent(zinc):
     p, cfg = zinc
     lam = 0.9 * lambda_upper_bound(cfg, p.alpha)
     cfg = replace(cfg, lam=lam)
-    assert len(specfun.i1_ratio_terms((lam / p.alpha) * 0.49, 400)) == 116
+    assert len(specfun.i1_ratio_terms((lam / p.alpha) * 0.49)) == 116
     xi = np.linspace(0.0, 1.0, cfg.grid_n + 1)
     theta = 3.0 * (1.0 - xi) ** 2
     member = checkpoint_member(cfg, p)
